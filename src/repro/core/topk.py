@@ -277,7 +277,7 @@ def topk_search(
         # those arrays, so refinement below reuses the batch decode
         # instead of re-decoding per record.
         row_filter = make_row_filter(store, local)
-        before = store.metrics.snapshot()
+        rows_before = store.metrics.rows_scanned
         candidates_before = candidates
 
         def consume(scan_range) -> None:
@@ -318,7 +318,7 @@ def topk_search(
                 report=scan_report,
                 deadline=deadline,
             )
-            unit_rows = store.metrics.diff(before)["rows_scanned"]
+            unit_rows = store.metrics.rows_scanned - rows_before
             retrieved += unit_rows
             unit_span.set_attrs(
                 rows=unit_rows,

@@ -15,8 +15,9 @@ least one raw point of its run (the boxes are tight).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +25,26 @@ from repro.exceptions import GeometryError
 from repro.features.douglas_peucker import douglas_peucker
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
-from repro.geometry.segment import OrientedBox
+from repro.geometry.segment import (
+    OrientedBox,
+    admit_reach,
+    segment_box_sq_distance,
+)
 
 PointTuple = Tuple[float, float]
+
+
+class BoxGeometry(NamedTuple):
+    """What Lemmas 13-14 derive from a box list, as plain floats."""
+
+    #: per box, its :meth:`OrientedBox.frame`
+    frames: Tuple[Tuple[float, ...], ...]
+    #: per box, its axis-aligned envelope (min_x, min_y, max_x, max_y)
+    rects: Tuple[Tuple[float, ...], ...]
+    #: per box, its four edges as (x0, y0, x1, y1)
+    edges: Tuple[Tuple[Tuple[float, ...], ...], ...]
+    #: largest coordinate magnitude; sizes Lemma 14's rounding slack
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -38,22 +56,49 @@ class DPFeatures:
     per consecutive representative pair (the ``dp-mbrs`` column).
     A single-point trajectory has one representative point and one
     degenerate box.
+
+    The geometry the lemmas derive from ``boxes`` (corners, envelopes,
+    edges) is computed on first use and kept on the instance, so
+    building or decoding features costs nothing for it, and a cached
+    record carries it across queries.
     """
 
     rep_indexes: Tuple[int, ...]
     rep_points: Tuple[PointTuple, ...]
     boxes: Tuple[OrientedBox, ...]
     mbr: MBR
-    #: axis-aligned envelope per box; cheap prefilter for the exact
-    #: rotated-frame tests (distance to an envelope lower-bounds the
-    #: distance to its box, so envelope-based rejections are sound)
-    envelopes: Tuple[MBR, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.envelopes) != len(self.boxes):
-            object.__setattr__(
-                self, "envelopes", tuple(box.mbr() for box in self.boxes)
+    @cached_property
+    def _box_geometry(self) -> BoxGeometry:
+        frames, rects, edges = [], [], []
+        for box in self.boxes:
+            x0, y0, x1, y1, x2, y2, x3, y3 = box.corner_coords()
+            frames.append(box.frame())
+            rects.append(
+                (
+                    min(x0, x1, x2, x3),
+                    min(y0, y1, y2, y3),
+                    max(x0, x1, x2, x3),
+                    max(y0, y1, y2, y3),
+                )
             )
+            edges.append(
+                (
+                    (x0, y0, x1, y1),
+                    (x1, y1, x2, y2),
+                    (x2, y2, x3, y3),
+                    (x3, y3, x0, y0),
+                )
+            )
+        scale = max((abs(c) for rect in rects for c in rect), default=0.0)
+        return BoxGeometry(tuple(frames), tuple(rects), tuple(edges), scale)
+
+    @cached_property
+    def envelopes(self) -> Tuple[MBR, ...]:
+        """Axis-aligned envelope per box; cheap prefilter for the exact
+        rotated-frame tests (distance to an envelope lower-bounds the
+        distance to its box, so envelope-based rejections are sound)."""
+        return tuple(MBR(*rect) for rect in self._box_geometry.rects)
 
     @property
     def num_rep_points(self) -> int:
@@ -97,31 +142,21 @@ class DPFeatures:
                 return False
         return True
 
+    # ------------------------------------------------------------------
+    # Lemma 14.  Every distance below comes from the one closed-form
+    # kernel, :func:`segment_box_sq_distance`; decisions compare it with
+    # :func:`admit_reach` squared, relaxed on the admit side.
+    # ------------------------------------------------------------------
     def segment_to_boxes_distance(self, a: Point, b: Point) -> float:
         """Minimum distance from segment ``a-b`` to the box union."""
-        from repro.geometry.distance import segment_rect_distance
-
         best = math.inf
-        for box, envelope in zip(self.boxes, self.envelopes):
-            if segment_rect_distance(a, b, envelope) >= best:
-                continue
-            d = box.distance_to_segment(a, b)
+        for frame in self._box_geometry.frames:
+            d = segment_box_sq_distance(a[0], a[1], b[0], b[1], *frame)
             if d < best:
                 best = d
                 if best == 0.0:
                     break
-        return best
-
-    def _segment_exceeds_boxes(self, a: Point, b: Point, eps: float) -> bool:
-        """True iff ``d(segment, T.B) > eps`` with envelope gating."""
-        from repro.geometry.distance import segment_rect_distance
-
-        for box, envelope in zip(self.boxes, self.envelopes):
-            if segment_rect_distance(a, b, envelope) > eps:
-                continue
-            if box.distance_to_segment(a, b) <= eps:
-                return False
-        return True
+        return math.sqrt(best)
 
     def box_lower_bound_against(self, other: "DPFeatures") -> float:
         """``max_{bbox in self.B} max_{edge in bbox} d(edge, other.B)``.
@@ -133,9 +168,9 @@ class DPFeatures:
         similarity distance.
         """
         worst = 0.0
-        for box in self.boxes:
-            for e0, e1 in box.edges():
-                d = other.segment_to_boxes_distance(e0, e1)
+        for box_edges in self._box_geometry.edges:
+            for x0, y0, x1, y1 in box_edges:
+                d = other.segment_to_boxes_distance((x0, y0), (x1, y1))
                 if d > worst:
                     worst = d
         return worst
@@ -143,13 +178,33 @@ class DPFeatures:
     def exceeds_box_bound(self, other: "DPFeatures", eps: float) -> bool:
         """True as soon as Lemma 14 proves ``f(self, other) > eps``.
 
-        Edge/box pairs are screened by envelope distance first; the
-        exact rotated test only runs for pairs the envelopes cannot
-        decide, which keeps the stage cheap on disjoint candidates.
+        Per box of ours, the other side's boxes are screened once by
+        envelope gap; only the near ones meet the kernel, and a box with
+        no near counterpart decides the pair outright.
         """
-        for box in self.boxes:
-            for e0, e1 in box.edges():
-                if other._segment_exceeds_boxes(e0, e1, eps):
+        _, rects, edges, scale = self._box_geometry
+        o_frames, o_rects, _, o_scale = other._box_geometry
+        reach = admit_reach(eps, max(scale, o_scale))
+        limit = reach * reach
+        for (min_x, min_y, max_x, max_y), box_edges in zip(rects, edges):
+            near = [
+                frame
+                for frame, (o_min_x, o_min_y, o_max_x, o_max_y) in zip(
+                    o_frames, o_rects
+                )
+                if o_min_x - max_x <= reach
+                and min_x - o_max_x <= reach
+                and o_min_y - max_y <= reach
+                and min_y - o_max_y <= reach
+            ]
+            for x0, y0, x1, y1 in box_edges:
+                for frame in near:
+                    if (
+                        segment_box_sq_distance(x0, y0, x1, y1, *frame, limit)
+                        <= limit
+                    ):
+                        break
+                else:
                     return True
         return False
 

@@ -7,6 +7,8 @@ of derived views (prefixes, segments) the paper's definitions use.
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GeometryError
@@ -20,7 +22,9 @@ class Trajectory:
     """A trajectory ``T = (t_1, ..., t_n)`` with identifier ``tid``.
 
     Instances are immutable after construction; the point list is copied
-    and the MBR computed lazily.
+    and the MBR computed lazily.  Every coordinate must be finite: this
+    is the front door for stored data and queries alike, and a NaN
+    compares false in every interval test behind it.
     """
 
     __slots__ = ("tid", "_points", "_mbr")
@@ -32,6 +36,10 @@ class Trajectory:
         self._points: Tuple[PointTuple, ...] = tuple(
             (float(p[0]), float(p[1])) for p in points
         )
+        if not all(map(math.isfinite, chain.from_iterable(self._points))):
+            raise GeometryError(
+                f"trajectory {tid!r} has a non-finite coordinate (NaN or inf)"
+            )
         self._mbr: Optional[MBR] = None
 
     # ------------------------------------------------------------------

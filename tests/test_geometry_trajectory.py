@@ -20,6 +20,23 @@ class TestTrajectory:
         with pytest.raises(GeometryError):
             Trajectory("a", [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_coordinate_raises(self, bad, axis):
+        point = (bad, 1.0) if axis == 0 else (1.0, bad)
+        for points in ([point, (2, 3)], [(2, 3), point], [point]):
+            with pytest.raises(GeometryError, match="non-finite"):
+                Trajectory("x", points)
+
+    def test_opposite_infinities_raise(self):
+        with pytest.raises(GeometryError, match="non-finite"):
+            Trajectory("x", [(float("inf"), 0.0), (float("-inf"), 0.0)])
+
+    def test_huge_finite_coordinates_are_legal(self):
+        # Large is not non-finite.
+        t = Trajectory("big", [(1.7e308, 1.7e308), (1.7e308, -1.7e308)])
+        assert len(t) == 2
+
     def test_single_point_is_legal(self):
         t = Trajectory("ping", [(116.4, 39.9)])
         assert len(t) == 1

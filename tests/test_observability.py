@@ -312,6 +312,7 @@ class TestQueryTracing:
 
     def test_topk_span_tree_shape(self, obs_engine):
         engine, data = obs_engine
+        before = engine.metrics.snapshot()
         with engine.traced() as tracer:
             result = engine.topk_search(data[0], 3)
         root = tracer.traces()[-1]
@@ -319,7 +320,16 @@ class TestQueryTracing:
         search = root.children[0]
         assert search.name == "search"
         assert search.attrs["units_scanned"] == result.units_scanned
-        assert len(root.find("topk.unit")) == result.units_scanned
+        units = root.find("topk.unit")
+        assert len(units) == result.units_scanned
+        # Per-unit row accounting reads one counter; it must still add
+        # up to the table's own total.
+        assert result.retrieved_rows > 0
+        assert sum(u.attrs["rows"] for u in units) == result.retrieved_rows
+        assert (
+            engine.metrics.diff(before)["rows_scanned"] == result.retrieved_rows
+        )
+        assert search.attrs["rows_retrieved"] == result.retrieved_rows
         assert root.attrs["answers"] == len(result.answers)
 
     def test_refine_span_carries_early_abandon_stats(self, obs_engine):

@@ -10,6 +10,7 @@ crash land in a worker's FIFO at an exact queue position), not from
 racing real kills against real queries.
 """
 
+import gc
 import os
 import random
 import threading
@@ -409,6 +410,9 @@ class TestSegmentSharing:
         not os.path.isdir("/proc/self"), reason="requires Linux procfs"
     )
     def test_replicas_mmap_share_segments(self, engine, dataset, tmp_path):
+        # Forked workers inherit this process's maps: drop the .seg
+        # maps of earlier tests' dead engines still awaiting cyclic GC.
+        gc.collect()
         seg_root = str(tmp_path / "segments")
         with ServingCluster.from_engine(
             engine,
