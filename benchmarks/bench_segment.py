@@ -18,10 +18,9 @@ quantisation exploits):
   there by construction.
 * **exactness** — sha256 over the canonical answer set must be
   identical across every execution path: the in-memory builder, the
-  plain snapshot, the compact snapshot, the compact snapshot with
-  ``scan_workers=2``, the compact snapshot under seeded region-fault
-  chaos, and a ``segment_dir`` serving cluster (whose replicas mmap
-  the same files).
+  plain snapshot, the compact snapshot, the compact snapshot under
+  seeded region-fault chaos, and a ``segment_dir`` serving cluster
+  (whose replicas mmap the same files).
 
 A JSON report is printed and, when ``REPRO_BENCH_JSON`` names a file,
 appended there (the CI job uploads it as ``BENCH_segment.json``).
@@ -130,10 +129,6 @@ def test_segment_footprint_cold_scans_and_exactness(tmp_path_factory):
     blocks_at_load = storage_before["blocks_materialized"]
     digests["cold_segment"] = _digest(_workload(loaded, queries))
     storage = loaded.stats()["storage"]["segments"]
-
-    parallel = TraSS.load(compact_dir)
-    parallel.configure_execution(scan_workers=2)
-    digests["segment_parallel"] = _digest(_workload(parallel, queries))
 
     chaotic = TraSS.load(compact_dir)
     chaotic.install_fault_injector(

@@ -8,13 +8,13 @@ Build a persistent TraSS store from a trajectory CSV and query it::
     python -m repro.cli threshold --store ./store --query-tid taxi42 --eps 0.01
     python -m repro.cli topk      --store ./store --query-tid taxi42 --k 10
     python -m repro.cli query     --store ./store --queries-csv queries.csv \\
-        --eps 0.01 --batch --vectorized-filter
+        --eps 0.01 --batch
     python -m repro.cli range     --store ./store --window 116.0 39.6 116.5 40.0
     python -m repro.cli explain   --store ./store --query-tid taxi42 --eps 0.01
     python -m repro.cli explain   --store ./store --query-tid taxi42 \\
         --eps 0.01 --analyze
     python -m repro.cli trace     --store ./store --query-tid taxi42 --k 10
-    python -m repro.cli stats  --store ./store --scan-workers 4 --cache-mb 64
+    python -m repro.cli stats  --store ./store --cache-mb 64
     python -m repro.cli stats  --store ./store --json
     python -m repro.cli chaos  --queries 10 --seed 7 --unavailable-prob 0.3
     python -m repro.cli heatmap --store ./store
@@ -25,9 +25,8 @@ Build a persistent TraSS store from a trajectory CSV and query it::
     python -m repro.cli query  --store ./store --queries-csv queries.csv \\
         --eps 0.01 --batch --cluster 4 --replication 2
 
-Query commands accept ``--scan-workers`` and ``--cache-mb`` to override
-the stored execution configuration (answers are identical at any
-setting; only speed changes).
+Query commands accept ``--cache-mb`` to override the stored cache
+budget (answers are identical at any setting; only speed changes).
 
 The CSV format is the one :mod:`repro.data.io` writes: a ``tid,x,y``
 header and one point per row, points of a trajectory consecutive.
@@ -78,11 +77,7 @@ def _build(args: argparse.Namespace) -> int:
 
 def _load_engine(args: argparse.Namespace) -> TraSS:
     engine = TraSS.load(args.store)
-    engine.configure_execution(
-        scan_workers=getattr(args, "scan_workers", None),
-        cache_mb=getattr(args, "cache_mb", None),
-        vectorized_filter=getattr(args, "vectorized_filter", None),
-    )
+    engine.configure_execution(cache_mb=getattr(args, "cache_mb", None))
     return engine
 
 
@@ -210,8 +205,7 @@ def _query(args: argparse.Namespace) -> int:
     if cluster is not None:
         mode += f", cluster={args.cluster}x{args.replication}"
     print(
-        f"# {len(queries)} queries ({mode}"
-        f"{', vectorized' if engine.config.vectorized_filter else ''}), "
+        f"# {len(queries)} queries ({mode}), "
         f"{sum(len(r.answers) for r in results)} answers, "
         f"{delta['rows_scanned']} rows scanned, "
         f"{delta['batch_ranges_merged']} ranges merged, "
@@ -383,7 +377,6 @@ def _stats_report(engine, cluster, args, cfg) -> int:
         _run_probe_workload(engine, args.probes, args.eps)
         payload = engine.stats()
         payload["config"] = {
-            "scan_workers": cfg.scan_workers,
             "cache_mb": cfg.cache_mb,
             "plan_cache_size": cfg.plan_cache_size,
             "storage_telemetry": cfg.storage_telemetry,
@@ -393,7 +386,6 @@ def _stats_report(engine, cluster, args, cfg) -> int:
         print(json.dumps(payload, indent=2, default=str))
         return 0
     print(f"store:            {args.store}")
-    print(f"scan workers:     {cfg.scan_workers}")
     print(f"cache budget:     {cfg.cache_mb:g} MiB")
     print(f"plan cache size:  {cfg.plan_cache_size}")
 
@@ -915,26 +907,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_perf_args(p):
         p.add_argument(
-            "--scan-workers",
-            type=int,
-            default=None,
-            help="parallel scan threads (overrides the stored config; "
-            "answers are identical at any setting)",
-        )
-        p.add_argument(
             "--cache-mb",
             type=float,
             default=None,
             help="scan-block + decoded-record cache budget in MiB "
             "(overrides the stored config; 0 disables)",
-        )
-        p.add_argument(
-            "--vectorized-filter",
-            action="store_true",
-            default=None,
-            help="evaluate the local-filter lemmas over whole candidate "
-            "batches with numpy (overrides the stored config; answers "
-            "are identical either way)",
         )
 
     def add_query_args(p):

@@ -23,7 +23,6 @@ import time
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.columnar import CandidateBatch
 from repro.core.executor import ScanReport
 from repro.core.local_filter import LocalFilter
 from repro.core.threshold import ThresholdSearchResult, threshold_search
@@ -122,11 +121,11 @@ def threshold_search_many(
     """Answer a batch of threshold queries over one shared scan.
 
     Results are positionally aligned with ``queries`` and bit-identical
-    to running :func:`~repro.core.threshold.threshold_search` per query
-    in the same filter mode; each result's ``retrieved_rows`` counts the
-    rows inside *that query's* plan (what it would have scanned alone),
-    while the shared :class:`ScanReport` — attached to every result —
-    accounts the deduplicated scan that actually ran.
+    to running :func:`~repro.core.threshold.threshold_search` per query;
+    each result's ``retrieved_rows`` counts the rows inside *that
+    query's* plan (what it would have scanned alone), while the shared
+    :class:`ScanReport` — attached to every result — accounts the
+    deduplicated scan that actually ran.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -140,7 +139,6 @@ def threshold_search_many(
     if not queries:
         return []
 
-    vectorized = store.config.vectorized_filter
     metrics = store.metrics
 
     # ------------------------------------------------------------------
@@ -197,10 +195,7 @@ def threshold_search_many(
     def demux(chunk, _used_filter) -> None:
         # One callback per completed merged range (retries re-scan the
         # range before the callback fires, so delivery happens exactly
-        # once per surviving range).  Under parallel scans the executor
-        # serialises callbacks and binds per-thread metrics sinks, so
-        # the counter arithmetic below needs no locking.
-        sink = store.metrics
+        # once per surviving range).
         range_idx = bisect_right(merged_starts, chunk[0][0]) - 1
         segments = segments_by_range[range_idx]
         per_query: Dict[int, List[Tuple[bytes, bytes]]] = {}
@@ -217,18 +212,11 @@ def threshold_search_many(
             state = states[qid]
             state.delivered_rows += len(qrows)
             refine_started = time.perf_counter()
-            if vectorized:
-                records = [
-                    store.columnar_decoder(key, value) for key, value in qrows
-                ]
-                mask = state.local.passes_batch(CandidateBatch(records))
-                kept = [r for r, ok in zip(records, mask) if ok]
-            else:
-                kept = []
-                for key, value in qrows:
-                    record = store.record_decoder(key, value)
-                    if state.local.passes(record):
-                        kept.append(record)
+            kept = []
+            for key, value in qrows:
+                record = store.record_decoder(key, value)
+                if state.local.passes(record):
+                    kept.append(record)
             survivors_total += len(kept)
             state.candidates += len(kept)
             query_points = state.query.points
@@ -244,10 +232,10 @@ def threshold_search_many(
         # *delivery* is one local-filter evaluation and only survivors
         # count as returned rows — exactly the aggregate a filtered
         # per-query execution would have recorded.
-        sink.batch_rows_shared += deliveries - len(chunk)
-        sink.filter_evaluations += deliveries
-        sink.filter_rejections += deliveries - survivors_total
-        sink.rows_returned += survivors_total - len(chunk)
+        metrics.batch_rows_shared += deliveries - len(chunk)
+        metrics.filter_evaluations += deliveries
+        metrics.filter_rejections += deliveries - survivors_total
+        metrics.rows_returned += survivors_total - len(chunk)
 
     scan_report = ScanReport()
     scan_plan = [ScanRange(start, stop) for start, stop, _ in merged]

@@ -30,17 +30,6 @@ _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 _BOX = struct.Struct(">8d")
 
-#: numpy dtype strings mirroring the blob layout, shared with the
-#: columnar decoder (``repro.core.columnar``) so the scalar and
-#: vectorised decoders read the same bytes the same way
-COUNT_DTYPE = ">u4"
-TID_LEN_DTYPE = ">u2"
-FLOAT_DTYPE = ">f8"
-REP_INDEX_DTYPE = ">u4"
-#: floats per serialised oriented box: (anchor.x, anchor.y, axis.x,
-#: axis.y, length, lo_along, lo_perp, hi_perp)
-BOX_FIELDS = 8
-
 PointTuple = Tuple[float, float]
 
 

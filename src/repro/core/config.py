@@ -59,23 +59,14 @@ class TraSSConfig:
     #: seconds an open breaker rejects a region before a retry probe
     breaker_cooldown_seconds: float = 30.0
     # ------------------------------------------------------------------
-    # Execution performance layer (parallel scans, multi-tier caches)
+    # Execution performance layer (multi-tier caches)
     # ------------------------------------------------------------------
-    #: scan worker threads for multi-range plans (1 = sequential; the
-    #: parallel path merges deterministically, so answers and counters
-    #: are identical at any setting)
-    scan_workers: int = 1
     #: scan-block + decoded-record cache budget in MiB (0 = disabled);
     #: split evenly between the two tiers
     cache_mb: float = 0.0
     #: pruning-plan cache entries (0 = disabled); plans depend only on
     #: (query points, eps, index geometry), so caching is always sound
     plan_cache_size: int = 128
-    #: evaluate the local-filter lemmas (5, 12, 13-14) over whole
-    #: candidate batches with numpy instead of one record at a time;
-    #: the scalar path stays the reference implementation and both make
-    #: identical accept/reject decisions (pinned by a property test)
-    vectorized_filter: bool = False
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -100,6 +91,10 @@ class TraSSConfig:
     workload_log_size: int = 1024
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bounds, SpaceBounds):
+            raise QueryError(
+                f"bounds must be a SpaceBounds, got {type(self.bounds).__name__}"
+            )
         if self.shards < 1 or self.shards > 256:
             raise QueryError(f"shards must be in 1..256, got {self.shards}")
         if self.dp_tolerance < 0:
@@ -148,10 +143,6 @@ class TraSSConfig:
             raise QueryError(
                 "breaker_cooldown_seconds must be non-negative, got "
                 f"{self.breaker_cooldown_seconds}"
-            )
-        if self.scan_workers < 1 or self.scan_workers > 64:
-            raise QueryError(
-                f"scan_workers must be in 1..64, got {self.scan_workers}"
             )
         if self.cache_mb < 0:
             raise QueryError(

@@ -119,21 +119,14 @@ class TraSS:
 
     def configure_execution(
         self,
-        scan_workers: Optional[int] = None,
         cache_mb: Optional[float] = None,
         plan_cache_size: Optional[int] = None,
-        vectorized_filter: Optional[bool] = None,
     ) -> None:
-        """Re-tune scan workers / cache tiers / filter mode without
-        rebuilding the store (``None`` keeps a knob as configured).
-        Used by the CLI's ``--scan-workers`` / ``--cache-mb`` /
-        ``--vectorized-filter`` overrides."""
-        self.store.configure_execution(
-            scan_workers, cache_mb, plan_cache_size, vectorized_filter
-        )
+        """Re-tune the cache tiers without rebuilding the store
+        (``None`` keeps a knob as configured).  Used by the CLI's
+        ``--cache-mb`` override."""
+        self.store.configure_execution(cache_mb, plan_cache_size)
         self.config = self.store.config
-        # The store rebuilt its executor; keep the active tracer wired.
-        self.store.executor.tracer = self._tracer
         if plan_cache_size is not None:
             from repro.kvstore.cache import ObjectLRUCache
 

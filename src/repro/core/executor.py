@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from repro.exceptions import (
     ScanTimeoutError,
     TransientError,
 )
-from repro.kvstore.metrics import IOMetrics
 from repro.kvstore.table import KVTable, ScanRange
 from repro.obs.tracing import NULL_TRACER
 
@@ -83,8 +81,8 @@ class CircuitBreaker:
     **one** probe is allowed through (half-open); success closes the
     circuit, failure re-opens it immediately.
 
-    The class is safe under concurrent scans (the parallel executor's
-    worker threads and the serving coordinator both share one breaker):
+    The class is safe under concurrent callers (the serving coordinator
+    shares one breaker across its threads):
     all state transitions happen under a lock, and the half-open window
     admits a single probe no matter how many threads race the cooldown
     expiry — the others keep seeing the circuit as open until the probe
@@ -236,12 +234,12 @@ class ScanReport:
         return bool(self.skipped_ranges)
 
     def merge_from(self, other: "ScanReport") -> None:
-        """Fold a per-worker sub-report into this one (plan order).
+        """Fold a partition's sub-report into this one (plan order).
 
-        The parallel executor accounts each range on a private report
-        and merges them back deterministically, so a merged report is
-        field-for-field identical to the one a sequential pass over the
-        same ranges would have produced.
+        The serving coordinator accounts each partition's ranges on the
+        worker's own report and merges them back deterministically, so
+        a merged report is field-for-field identical to the one a
+        single-process pass over the same ranges would have produced.
         """
         self.ranges_total += other.ranges_total
         self.ranges_completed += other.ranges_completed
@@ -387,17 +385,14 @@ class ResilientExecutor:
         report: ScanReport,
         deadline: Optional[float],
         trace_index: Optional[int] = None,
-        trace_parent=None,
     ) -> None:
         """One range with the full deadline / breaker / retry pipeline,
         wrapped in a ``scan.range`` span when tracing is on.
 
-        The span carries the range keys, the executing worker thread,
-        retry / fault / breaker deltas and per-range cache hits;
-        ``trace_parent`` carries the submitting thread's span across
-        the pool, and ``plan.index`` lets the parallel path reassemble
-        children in plan order.  With the no-op tracer this is a single
-        attribute check on top of :meth:`_run_range`.
+        The span carries the range keys, its position in the plan
+        (``plan.index``), the executing thread, retry / fault / breaker
+        deltas and per-range cache hits.  With the no-op tracer this is
+        a single attribute check on top of :meth:`_run_range`.
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -414,7 +409,6 @@ class ResilientExecutor:
         cache_before = (metrics.block_cache_hits, metrics.record_cache_hits)
         span = tracer.span(
             "scan.range",
-            parent=trace_parent,
             start=_key_label(scan_range.start),
             stop=_key_label(scan_range.stop),
         )
@@ -445,10 +439,7 @@ class ResilientExecutor:
         report: ScanReport,
         deadline: Optional[float],
     ) -> None:
-        """The untraced per-range pipeline (factored out of
-        :meth:`execute` so the parallel executor can run it per worker
-        against a private report while keeping exact per-range
-        semantics)."""
+        """The untraced per-range pipeline."""
         report.ranges_total += 1
         if deadline is not None and self._now() > deadline:
             self._give_up_deadline(scan_range, report)
@@ -497,29 +488,10 @@ class ResilientExecutor:
     def scan_chunk(
         self, scan_range: ScanRange, row_filter=None
     ) -> List[Tuple[bytes, bytes]]:
-        """One range's surviving rows, honouring batch row filters.
-
-        A filter marked ``batch = True`` (the vectorised local filter)
-        cannot ride the per-row pushdown protocol: the range is scanned
-        unfiltered, the whole chunk goes through ``accept_batch``, and
-        the table counters are restored to exactly what the pushdown
-        path would have recorded — every scanned row counts one filter
-        evaluation, rejected rows count rejections and never count as
-        returned.  ``rows_scanned`` / ``bytes_read`` are unaffected
-        (the same rows were read either way).
-        """
-        if row_filter is None or not getattr(row_filter, "batch", False):
-            return list(
-                self.table.scan(scan_range.start, scan_range.stop, row_filter)
-            )
-        raw = list(self.table.scan(scan_range.start, scan_range.stop, None))
-        kept = row_filter.accept_batch(raw)
-        metrics = self.table.metrics
-        rejected = len(raw) - len(kept)
-        metrics.filter_evaluations += len(raw)
-        metrics.filter_rejections += rejected
-        metrics.rows_returned -= rejected
-        return kept
+        """One range's surviving rows (the filter rides the scan)."""
+        return list(
+            self.table.scan(scan_range.start, scan_range.stop, row_filter)
+        )
 
     # ------------------------------------------------------------------
     def _range_spans(self, scan_range: ScanRange) -> List[RegionSpan]:
@@ -601,147 +573,3 @@ class ResilientExecutor:
                         self.breaker.clear_probe(span)
                 report.ranges_completed += 1
                 return
-
-
-class ParallelScanExecutor(ResilientExecutor):
-    """A :class:`ResilientExecutor` that fans ``scan_ranges`` out over
-    a thread pool.
-
-    The planned ranges are partitioned into contiguous blocks, one per
-    worker; each worker runs the *same* per-range pipeline (deadline
-    check, breaker check, retry loop) as the sequential path over its
-    block, against a private :class:`ScanReport` and a private
-    thread-local :class:`IOMetrics` sink.  The main thread then merges
-    rows, reports, sinks and filter clones **in plan order**, so
-    answers, I/O counters and completeness accounting are identical to
-    a sequential execution of the same plan.
-
-    Two situations force the sequential path:
-
-    * ``workers <= 1`` or a single-range plan — nothing to fan out;
-    * an installed fault injector — its RNG stream is consumed in
-      region-visit order, so only sequential execution keeps a chaos
-      schedule a pure function of ``(seed, workload)``.  Resilience
-      semantics are therefore bit-identical under fault injection.
-    """
-
-    def __init__(self, *args, workers: int = 1, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.workers = max(1, int(workers))
-        self._pool: Optional[ThreadPoolExecutor] = None
-        #: serialises ``on_range_rows`` callbacks (refinement) so the
-        #: caller needs no locking of its own
-        self._callback_lock = threading.Lock()
-
-    @classmethod
-    def from_config(cls, table: KVTable, config) -> "ParallelScanExecutor":
-        executor = super().from_config(table, config)
-        executor.workers = max(1, int(getattr(config, "scan_workers", 1)))
-        return executor
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-scan",
-            )
-        return self._pool
-
-    def scan_ranges(
-        self,
-        ranges: Sequence[ScanRange],
-        row_filter=None,
-        report: Optional[ScanReport] = None,
-        on_range_rows: Optional[Callable[[list, object], None]] = None,
-    ) -> Tuple[List[Tuple[bytes, bytes]], ScanReport]:
-        injector = getattr(self.table, "fault_injector", None)
-        if self.workers <= 1 or injector is not None or len(ranges) <= 1:
-            return super().scan_ranges(ranges, row_filter, report, on_range_rows)
-        if report is None:
-            report = ScanReport()
-        deadline = self.deadline_from_now()
-        # Trace-context propagation: workers attach their range spans
-        # to the span active on the submitting thread, tagged with the
-        # plan index so the tree reassembles in plan order below.
-        trace_parent = (
-            self.tracer.current_span if self.tracer.enabled else None
-        )
-
-        main_telemetry = self.table.storage_telemetry
-
-        def run_part(part: Sequence[ScanRange], base_index: int):
-            sink = IOMetrics()
-            # Like the IOMetrics sink, each worker records storage
-            # telemetry into a private spawn merged back in plan order.
-            tel_sink = (
-                main_telemetry.spawn() if main_telemetry is not None else None
-            )
-            self.table.bind_thread_metrics(sink, tel_sink)
-            try:
-                worker_filter = (
-                    row_filter.spawn() if row_filter is not None else None
-                )
-                chunks: List[List[Tuple[bytes, bytes]]] = []
-                sub = ScanReport()
-                error: Optional[Exception] = None
-                for offset, scan_range in enumerate(part):
-                    chunk: List[Tuple[bytes, bytes]] = []
-
-                    def consume(r: ScanRange, _chunk=chunk) -> None:
-                        _chunk[:] = self.scan_chunk(r, worker_filter)
-
-                    try:
-                        self._execute_one(
-                            scan_range,
-                            consume,
-                            sub,
-                            deadline,
-                            trace_index=base_index + offset,
-                            trace_parent=trace_parent,
-                        )
-                    except Exception as exc:  # re-raised in plan order below
-                        error = exc
-                        break  # sequential semantics: stop at the error
-                    if on_range_rows is not None and chunk:
-                        with self._callback_lock:
-                            on_range_rows(chunk, worker_filter)
-                    chunks.append(chunk)
-                return chunks, sub, worker_filter, sink, tel_sink, error
-            finally:
-                self.table.unbind_thread_metrics()
-
-        # Contiguous blocks keep the plan-order merge a simple
-        # concatenation and give each worker one filter clone and one
-        # metrics sink for its whole share.
-        workers = min(self.workers, len(ranges))
-        per_worker = (len(ranges) + workers - 1) // workers
-        parts = [
-            ranges[i : i + per_worker]
-            for i in range(0, len(ranges), per_worker)
-        ]
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(run_part, part, i * per_worker)
-            for i, part in enumerate(parts)
-        ]
-        rows: List[Tuple[bytes, bytes]] = []
-        first_error: Optional[Exception] = None
-        for future in futures:  # plan order, regardless of completion order
-            chunks, sub, worker_filter, sink, tel_sink, error = future.result()
-            self.table.metrics.merge_from(sink)
-            if main_telemetry is not None and tel_sink is not None:
-                main_telemetry.merge_from(tel_sink)
-            report.merge_from(sub)
-            if row_filter is not None and worker_filter is not row_filter:
-                row_filter.absorb(worker_filter)
-            if error is not None and first_error is None:
-                first_error = error
-            for chunk in chunks:
-                rows.extend(chunk)
-        if trace_parent is not None:
-            # Workers appended their spans in completion order; restore
-            # plan order so the rendered tree matches a sequential run.
-            self.tracer.sort_children(trace_parent)
-        if first_error is not None:
-            raise first_error
-        return rows, report

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.codec import decode_row, encode_row
 from repro.core.config import TraSSConfig
-from repro.core.executor import ParallelScanExecutor
+from repro.core.executor import ResilientExecutor
 from repro.exceptions import KVStoreError, QueryError
 from repro.features.dp_features import DPFeatures, extract_dp_features
 from repro.geometry.trajectory import Trajectory
@@ -72,17 +72,13 @@ class TrajectoryStore:
             max_region_rows=self.config.max_region_rows,
         )
         #: every query-path range scan goes through this executor
-        #: (retry / backoff / circuit breaker / degraded mode, fanned
-        #: out over ``config.scan_workers`` threads when > 1)
-        self.executor = ParallelScanExecutor.from_config(self.table, self.config)
+        #: (retry / backoff / circuit breaker / degraded mode)
+        self.executor = ResilientExecutor.from_config(self.table, self.config)
         self.trajectory_count = 0
         #: index value -> number of stored trajectories (distribution stats)
         self.value_histogram: Dict[int, int] = {}
         #: decoded-record cache; ``None`` when ``config.cache_mb == 0``
         self.record_cache = None
-        #: columnar decoded-candidate cache; ``None`` unless
-        #: ``config.vectorized_filter`` and a cache budget are both on
-        self.columnar_cache = None
         self._wire_caches()
         self._wire_telemetry()
 
@@ -90,22 +86,14 @@ class TrajectoryStore:
         """Attach the cache tiers ``config.cache_mb`` pays for.
 
         Half the budget fronts the LSM scans (block cache), half holds
-        decoded candidates — as :class:`TrajectoryRecord`\\ s, or, with
-        ``vectorized_filter`` on, split evenly with the columnar tier
-        the batch filter reads.  Called again after :meth:`load`
-        replaces the table.
+        decoded candidates as :class:`TrajectoryRecord`\\ s.  Called
+        again after :meth:`load` replaces the table.
         """
-        from repro.kvstore.cache import columnar_cache, record_cache
+        from repro.kvstore.cache import record_cache
 
         budget = int(self.config.cache_mb * 1024 * 1024)
         self.table.enable_scan_cache(budget // 2)
-        decoded = budget - budget // 2
-        if budget and self.config.vectorized_filter:
-            self.record_cache = record_cache(decoded // 2)
-            self.columnar_cache = columnar_cache(decoded - decoded // 2)
-        else:
-            self.record_cache = record_cache(decoded) if budget else None
-            self.columnar_cache = None
+        self.record_cache = record_cache(budget - budget // 2) if budget else None
 
     def _wire_telemetry(self) -> None:
         """Attach the storage telemetry sink when configured.
@@ -139,32 +127,25 @@ class TrajectoryStore:
 
     def configure_execution(
         self,
-        scan_workers: Optional[int] = None,
         cache_mb: Optional[float] = None,
         plan_cache_size: Optional[int] = None,
-        vectorized_filter: Optional[bool] = None,
     ) -> None:
-        """Re-tune the execution performance layer in place.
+        """Re-tune the cache tiers in place.
 
         ``None`` keeps a knob as configured.  Changes are validated
-        through :class:`TraSSConfig` and rebuild the executor pool and
-        cache tiers; the index, table and stored rows are untouched.
+        through :class:`TraSSConfig` and rebuild the cache tiers; the
+        index, table and stored rows are untouched.
         """
         import dataclasses
 
         changes = {}
-        if scan_workers is not None:
-            changes["scan_workers"] = scan_workers
         if cache_mb is not None:
             changes["cache_mb"] = cache_mb
         if plan_cache_size is not None:
             changes["plan_cache_size"] = plan_cache_size
-        if vectorized_filter is not None:
-            changes["vectorized_filter"] = vectorized_filter
         if not changes:
             return
         self.config = dataclasses.replace(self.config, **changes)
-        self.executor = ParallelScanExecutor.from_config(self.table, self.config)
         self._wire_caches()
 
     @property
@@ -328,30 +309,6 @@ class TrajectoryStore:
         cache.put(cache_key, record, cost=len(key) + len(value))
         return record
 
-    def columnar_decoder(self, key: bytes, value: bytes):
-        """The vectorised-path decode: one row straight into a
-        :class:`~repro.core.columnar.ColumnarRecord`, columnar-cached.
-
-        Mirrors :meth:`record_decoder` — keys embed the table
-        generation, hits/misses count as ``columnar_cache_*`` — and a
-        cached entry keeps its lazily built scalar views, so a warm row
-        never re-decodes for either filtering or refinement.
-        """
-        from repro.core.columnar import decode_row_columnar
-
-        cache = self.columnar_cache
-        if cache is None:
-            return decode_row_columnar(value)
-        cache_key = (bytes(key), self.table.generation)
-        record = cache.get(cache_key)
-        if record is not None:
-            self.table.metrics.columnar_cache_hits += 1
-            return record
-        self.table.metrics.columnar_cache_misses += 1
-        record = decode_row_columnar(value)
-        cache.put(cache_key, record, cost=len(key) + len(value))
-        return record
-
     def decode_record(self, key: bytes, value: bytes) -> TrajectoryRecord:
         tid, points, features = decode_row(value)
         if self.key_encoding == INTEGER_KEYS:
@@ -469,10 +426,8 @@ class TrajectoryStore:
                 "breaker_cooldown_seconds": (
                     self.config.breaker_cooldown_seconds
                 ),
-                "scan_workers": self.config.scan_workers,
                 "cache_mb": self.config.cache_mb,
                 "plan_cache_size": self.config.plan_cache_size,
-                "vectorized_filter": self.config.vectorized_filter,
                 "slow_query_threshold_seconds": (
                     self.config.slow_query_threshold_seconds
                 ),
@@ -529,10 +484,8 @@ class TrajectoryStore:
             breaker_cooldown_seconds=cfg_raw.get(
                 "breaker_cooldown_seconds", 30.0
             ),
-            scan_workers=cfg_raw.get("scan_workers", 1),
             cache_mb=cfg_raw.get("cache_mb", 0.0),
             plan_cache_size=cfg_raw.get("plan_cache_size", 128),
-            vectorized_filter=cfg_raw.get("vectorized_filter", False),
             slow_query_threshold_seconds=cfg_raw.get(
                 "slow_query_threshold_seconds"
             ),
@@ -548,7 +501,7 @@ class TrajectoryStore:
         store.table = load_table(directory)
         # The executor, caches and telemetry built in __init__ point at
         # the discarded empty table; rebind them to the restored one.
-        store.executor = ParallelScanExecutor.from_config(store.table, config)
+        store.executor = ResilientExecutor.from_config(store.table, config)
         store._wire_caches()
         stats = meta.get("stats")
         if stats is not None and not os.path.exists(

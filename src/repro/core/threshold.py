@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.executor import ScanReport
 from repro.core.local_filter import (
-    BatchLocalFilterRowFilter,
     LocalFilter,
     LocalFilterRowFilter,
     LocalFilterStats,
@@ -75,16 +74,11 @@ class ThresholdSearchResult:
         return list(self.resilience.skipped_ranges)
 
 
-def make_row_filter(store: TrajectoryStore, local: LocalFilter):
-    """The scan-side adapter for one query's local filter.
-
-    ``vectorized_filter`` selects the batch adapter (columnar decode +
-    numpy lemma kernels); both adapters make identical accept/reject
-    decisions and produce the same counters, so everything downstream
-    is mode-agnostic.
-    """
-    if store.config.vectorized_filter:
-        return BatchLocalFilterRowFilter(local, decoder=store.columnar_decoder)
+def make_row_filter(
+    store: TrajectoryStore, local: LocalFilter
+) -> LocalFilterRowFilter:
+    """The scan-side adapter for one query's local filter, decoding
+    through the store's record cache."""
     return LocalFilterRowFilter(local, decoder=store.record_decoder)
 
 

@@ -272,10 +272,6 @@ def topk_search(
         nonlocal candidates, retrieved, units_scanned
         units_scanned += 1
         local.set_threshold(current_eps())
-        # The mode-appropriate adapter: the batch variant decodes each
-        # chunk columnar-once and its accepted records are views over
-        # those arrays, so refinement below reuses the batch decode
-        # instead of re-decoding per record.
         row_filter = make_row_filter(store, local)
         rows_before = store.metrics.rows_scanned
         candidates_before = candidates

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from repro.exceptions import GeometryError
 from repro.features.douglas_peucker import douglas_peucker
 from repro.geometry.mbr import MBR
@@ -260,120 +258,3 @@ def extract_dp_features(
         boxes=tuple(boxes),
         mbr=MBR.of_points(points),
     )
-
-
-# ----------------------------------------------------------------------
-# Vectorised kernels (the batch filter path).
-#
-# Oriented boxes travel as packed parameter rows in the codec's 8-float
-# layout — (anchor.x, anchor.y, axis.x, axis.y, length, lo_along,
-# lo_perp, hi_perp) — so a whole candidate batch's boxes live in one
-# ``(b, 8)`` float64 array.  Each kernel replays the scalar method's
-# arithmetic operation-for-operation, which is what keeps the batch
-# filter's accept/reject decisions identical to the reference
-# implementation (pinned by a property test).
-# ----------------------------------------------------------------------
-
-def pack_boxes(boxes: Sequence[OrientedBox]) -> np.ndarray:
-    """Boxes as an ``(b, 8)`` parameter array in codec order."""
-    out = np.empty((len(boxes), 8), dtype=np.float64)
-    for i, box in enumerate(boxes):
-        out[i] = (
-            box.anchor.x,
-            box.anchor.y,
-            box.axis[0],
-            box.axis[1],
-            box.length,
-            box.lo_along,
-            box.lo_perp,
-            box.hi_perp,
-        )
-    return out
-
-
-def pack_rects(rects: Sequence[MBR]) -> np.ndarray:
-    """MBRs as an ``(b, 4)`` array of (min_x, min_y, max_x, max_y)."""
-    out = np.empty((len(rects), 4), dtype=np.float64)
-    for i, r in enumerate(rects):
-        out[i] = (r.min_x, r.min_y, r.max_x, r.max_y)
-    return out
-
-
-def oriented_box_envelopes(params: np.ndarray) -> np.ndarray:
-    """Axis-aligned envelopes of packed boxes, ``(b, 4)``.
-
-    Computes the same four corners as :meth:`OrientedBox.corners` and
-    takes their min/max, so the values match ``box.mbr()`` exactly.
-    """
-    if len(params) == 0:
-        return np.empty((0, 4), dtype=np.float64)
-    ax, ay = params[:, 0:1], params[:, 1:2]
-    ux, uy = params[:, 2:3], params[:, 3:4]
-    length, lo_a = params[:, 4], params[:, 5]
-    lo_p, hi_p = params[:, 6], params[:, 7]
-    along = np.stack([lo_a, length, length, lo_a], axis=1)
-    perp = np.stack([lo_p, lo_p, hi_p, hi_p], axis=1)
-    cx = ax + along * ux - perp * uy
-    cy = ay + along * uy + perp * ux
-    out = np.empty((len(params), 4), dtype=np.float64)
-    out[:, 0] = cx.min(axis=1)
-    out[:, 1] = cy.min(axis=1)
-    out[:, 2] = cx.max(axis=1)
-    out[:, 3] = cy.max(axis=1)
-    return out
-
-
-def point_box_distance_matrix(
-    points: np.ndarray, params: np.ndarray
-) -> np.ndarray:
-    """Pairwise point-to-oriented-box distances, ``(m, b)``.
-
-    :meth:`OrientedBox.distance_to_point` vectorised: same local-frame
-    transform, same clamp sequence, same hypot.
-    """
-    ax, ay = params[:, 0], params[:, 1]
-    ux, uy = params[:, 2], params[:, 3]
-    length, lo_a = params[:, 4], params[:, 5]
-    lo_p, hi_p = params[:, 6], params[:, 7]
-    rx = points[:, 0][:, None] - ax[None, :]
-    ry = points[:, 1][:, None] - ay[None, :]
-    along = rx * ux + ry * uy
-    perp = ry * ux - rx * uy
-    da = np.maximum(np.maximum(lo_a - along, 0.0), along - length)
-    dp = np.maximum(np.maximum(lo_p - perp, 0.0), perp - hi_p)
-    return np.hypot(da, dp)
-
-
-def point_rect_distance_matrix(
-    points: np.ndarray, rects: np.ndarray
-) -> np.ndarray:
-    """Pairwise point-to-rectangle distances, ``(m, b)``.
-
-    :meth:`MBR.distance_to_point` vectorised over packed rect rows.
-    """
-    px = points[:, 0][:, None]
-    py = points[:, 1][:, None]
-    dx = np.maximum(np.maximum(rects[None, :, 0] - px, 0.0), px - rects[None, :, 2])
-    dy = np.maximum(np.maximum(rects[None, :, 1] - py, 0.0), py - rects[None, :, 3])
-    return np.hypot(dx, dy)
-
-
-def points_within_box_union(
-    points: np.ndarray,
-    params: np.ndarray,
-    envelopes: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Per (point, box): is the point within ``eps`` of the box, as
-    :meth:`DPFeatures.point_exceeds_boxes` decides it?
-
-    The scalar method skips the exact rotated-frame test for boxes whose
-    envelope is already beyond ``eps``; a box therefore only counts as
-    "within" when both its envelope *and* the box itself are within
-    ``eps``.  Replaying that conjunction — instead of the box distance
-    alone — keeps the vectorised decision identical even when rounding
-    makes an envelope distance land on the far side of ``eps``.
-    """
-    env_d = point_rect_distance_matrix(points, envelopes)
-    box_d = point_box_distance_matrix(points, params)
-    return (env_d <= eps) & (box_d <= eps)

@@ -204,17 +204,6 @@ def record_cache(capacity_bytes: int) -> ObjectLRUCache:
     return ObjectLRUCache(capacity_bytes)
 
 
-def columnar_cache(capacity_bytes: int) -> ObjectLRUCache:
-    """The columnar decoded-candidate cache for the vectorised filter
-    path (skips ``decode_row_columnar``), keyed by ``(row key,
-    generation)`` and cost-accounted in encoded row bytes.
-
-    Entries also carry their lazily derived scalar views (``features``,
-    ``as_record()``), so a warm row pays decoding and feature
-    reconstruction exactly once per table generation."""
-    return ObjectLRUCache(capacity_bytes)
-
-
 class CachedKVTable:
     """A :class:`KVTable` front with an LRU over point reads.
 

@@ -21,19 +21,6 @@ class RowFilter(abc.ABC):
     def accept(self, key: bytes, value: bytes) -> bool:
         """True to return the row to the client."""
 
-    # ------------------------------------------------------------------
-    # Parallel-scan protocol: each worker screens rows through its own
-    # clone so per-filter state (stats, accepted-row caches) is never
-    # mutated concurrently; the executor merges the clones back in plan
-    # order.  Stateless filters are their own clone.
-    # ------------------------------------------------------------------
-    def spawn(self) -> "RowFilter":
-        """An independent clone for one parallel scan worker."""
-        return self
-
-    def absorb(self, worker: "RowFilter") -> None:
-        """Merge a spawned clone's state back (no-op when stateless)."""
-
 
 class AcceptAllFilter(RowFilter):
     """The identity filter."""
@@ -70,16 +57,3 @@ class ConjunctionFilter(RowFilter):
 
     def accept(self, key: bytes, value: bytes) -> bool:
         return all(f.accept(key, value) for f in self._filters)
-
-    def spawn(self) -> "RowFilter":
-        spawned = [f.spawn() for f in self._filters]
-        if all(s is f for s, f in zip(spawned, self._filters)):
-            return self  # every member is stateless
-        return ConjunctionFilter(spawned)
-
-    def absorb(self, worker: "RowFilter") -> None:
-        if worker is self:
-            return
-        for mine, theirs in zip(self._filters, worker._filters):
-            if theirs is not mine:
-                mine.absorb(theirs)

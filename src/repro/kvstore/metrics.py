@@ -115,11 +115,8 @@ class IOMetrics:
     #: global-pruning plan cache (skips Algorithm 1 re-planning)
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: columnar decoded-candidate cache (skips ``decode_row_columnar``)
-    columnar_cache_hits: int = 0
-    columnar_cache_misses: int = 0
     # ------------------------------------------------------------------
-    # Scan-plan coalescing (the vectorised batch query pipeline).
+    # Scan-plan coalescing (gap merging and multi-query batches).
     # ------------------------------------------------------------------
     #: single-query scan ranges eliminated by gap coalescing in the
     #: planner (``range_merge_gap`` > 0)
@@ -157,16 +154,3 @@ class IOMetrics:
         """Counter deltas since a :meth:`snapshot`."""
         now = self.snapshot()
         return {name: now[name] - before.get(name, 0) for name in now}
-
-    def merge_from(self, other: "IOMetrics") -> None:
-        """Add every counter of ``other`` into this bundle.
-
-        The parallel scan executor gives each worker thread a private
-        ``IOMetrics`` sink and merges them here — under the caller's
-        lock discipline — so concurrent scans keep counters exact
-        without per-increment synchronisation.
-        """
-        for f in dataclasses.fields(self):
-            setattr(
-                self, f.name, getattr(self, f.name) + getattr(other, f.name)
-            )

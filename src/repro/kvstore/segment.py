@@ -33,7 +33,7 @@ data, the common case) — otherwise the raw float64 bytes are kept.
 
 The class duck-types the SSTable run interface (``scan`` / ``get`` /
 ``might_contain`` / ``min_key`` / ``max_key`` / ``size_bytes`` /
-telemetry counters), so LSM merges, region scans, caches, the parallel
+telemetry counters), so LSM merges, region scans, caches, the resilient
 executor and fault injection all work over mixed run stacks unchanged.
 """
 
@@ -814,7 +814,7 @@ class Segment:
         self.bytes_compressed_read = 0
         self.bytes_logical_read = 0
         #: optional zero-arg callable returning the owning table's
-        #: thread-local :class:`~repro.kvstore.metrics.IOMetrics` sink
+        #: :class:`~repro.kvstore.metrics.IOMetrics` sink
         self.metrics_provider = None
 
         try:

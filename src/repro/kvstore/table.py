@@ -10,7 +10,6 @@ whether or not the filter lets it through.
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,11 +55,7 @@ class KVTable:
         self.name = name
         self.max_region_rows = max_region_rows
         self.flush_threshold = flush_threshold
-        self._metrics = metrics if metrics is not None else IOMetrics()
-        # Parallel scan workers bind a private sink here so counters
-        # stay exact without per-increment locking; the executor merges
-        # the sinks back into ``_metrics`` in plan order.
-        self._thread_metrics = threading.local()
+        self.metrics = metrics if metrics is not None else IOMetrics()
         #: optional :class:`~repro.obs.storage_stats.StorageTelemetry`
         #: (per-region scan stats + key-space heat); ``None`` keeps the
         #: scan path free of telemetry work entirely
@@ -80,39 +75,6 @@ class KVTable:
         # routing; regions only change by growing, so the count is a
         # sufficient invalidation key.
         self._starts_cache: Tuple[int, List[bytes]] = (0, [])
-
-    # ------------------------------------------------------------------
-    # Metrics (thread-local sinks for parallel scans)
-    # ------------------------------------------------------------------
-    @property
-    def metrics(self) -> IOMetrics:
-        sink = getattr(self._thread_metrics, "sink", None)
-        return sink if sink is not None else self._metrics
-
-    @metrics.setter
-    def metrics(self, value: IOMetrics) -> None:
-        self._metrics = value
-
-    @property
-    def telemetry(self):
-        """The storage telemetry sink for the current thread.
-
-        Scan workers bound via :meth:`bind_thread_metrics` get their
-        private spawn; everyone else the table-wide sink (or ``None``
-        when storage telemetry is disabled).
-        """
-        sink = getattr(self._thread_metrics, "telemetry", None)
-        return sink if sink is not None else self.storage_telemetry
-
-    def bind_thread_metrics(self, sink: IOMetrics, telemetry=None) -> None:
-        """Route this thread's counter updates into ``sink`` (and its
-        telemetry into ``telemetry`` when given)."""
-        self._thread_metrics.sink = sink
-        self._thread_metrics.telemetry = telemetry
-
-    def unbind_thread_metrics(self) -> None:
-        self._thread_metrics.sink = None
-        self._thread_metrics.telemetry = None
 
     # ------------------------------------------------------------------
     # Caching
@@ -259,12 +221,8 @@ class KVTable:
         return paths
 
     def adopt_segment(self, segment) -> None:
-        """Point a segment's counters at this table's metrics sink.
-
-        Late-bound through the ``metrics`` property so parallel scan
-        workers report into their thread-local sinks, exactly like
-        every other ``IOMetrics`` counter.
-        """
+        """Point a segment's counters at this table's metrics sink
+        (late-bound, so replacing ``table.metrics`` re-routes them)."""
         segment.metrics_provider = lambda: self.metrics
 
     # ------------------------------------------------------------------
@@ -277,7 +235,7 @@ class KVTable:
         value = region.get(key)
         if value is not None:
             self.metrics.bytes_read += len(key) + len(value)
-        tel = self.telemetry
+        tel = self.storage_telemetry
         if tel is not None:
             tel.region_stats(region).gets += 1
             if tel.heatmap is not None:
@@ -311,7 +269,7 @@ class KVTable:
         structures, so delivery stays exactly-once.
         """
         injector = self.fault_injector
-        tel = self.telemetry
+        tel = self.storage_telemetry
         self.metrics.range_seeks += 1
         for region in self._regions_overlapping(start, stop):
             if injector is not None:

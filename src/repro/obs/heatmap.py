@@ -84,25 +84,9 @@ class KeySpaceHeatmap:
         self.tick = 0
 
     # ------------------------------------------------------------------
-    def spawn(self) -> "KeySpaceHeatmap":
-        """An empty sink sharing this map's bucket grid.
-
-        Parallel scan workers record into private spawns (no locking on
-        the hot path) which :meth:`merge_from` folds back; merging is
-        elementwise addition, so the merged map is identical to what
-        sequential execution would have recorded.
-        """
-        child = KeySpaceHeatmap.__new__(KeySpaceHeatmap)
-        child.boundaries = self.boundaries  # shared, immutable by use
-        child.half_life = self.half_life
-        child._decay = self._decay
-        n = len(self.boundaries) + 1
-        child.heat = [0.0] * n
-        child.rows = [0] * n
-        child.tick = 0
-        return child
-
     def merge_from(self, other: "KeySpaceHeatmap") -> None:
+        """Add another map's heat and row counts bucket by bucket (the
+        cluster heatmap folds per-partition grids this way)."""
         for i, h in enumerate(other.heat):
             if h:
                 self.heat[i] += h

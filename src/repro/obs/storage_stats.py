@@ -4,11 +4,7 @@ Two complementary halves:
 
 * :class:`StorageTelemetry` — the **write side**: a per-table sink the
   scan and get paths feed (per-region rows scanned / returned / bytes,
-  read amplification, key-space heat).  It follows the same
-  thread-local discipline as :class:`~repro.kvstore.metrics.IOMetrics`:
-  the parallel scan executor binds one private spawn per worker and
-  merges them back in plan order, so telemetry stays exact without a
-  single lock on the row loop.  Gated by
+  read amplification, key-space heat).  Gated by
   ``TraSSConfig.storage_telemetry`` — disabled, the scan path does not
   execute one extra instruction per row, and query answers plus
   ``IOMetrics`` totals are byte-identical either way (telemetry never
@@ -65,13 +61,6 @@ class RegionScanStats:
             return float(self.rows_scanned) if self.rows_scanned else 0.0
         return self.rows_scanned / self.rows_returned
 
-    def merge_from(self, other: "RegionScanStats") -> None:
-        self.scans += other.scans
-        self.rows_scanned += other.rows_scanned
-        self.rows_returned += other.rows_returned
-        self.bytes_read += other.bytes_read
-        self.gets += other.gets
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "start": self.start_label,
@@ -88,10 +77,7 @@ class RegionScanStats:
 class StorageTelemetry:
     """The per-table storage telemetry sink.
 
-    One instance hangs off the table (``table.storage_telemetry``);
-    parallel scan workers bind private :meth:`spawn`\\ s through
-    ``table.bind_thread_metrics`` exactly like their ``IOMetrics``
-    sinks, and the executor merges them back in plan order.
+    One instance hangs off the table (``table.storage_telemetry``).
     """
 
     def __init__(self, heatmap: Optional[KeySpaceHeatmap] = None):
@@ -99,23 +85,6 @@ class StorageTelemetry:
         #: region id -> scan stats; ids are never reused, so a split
         #: retires the parent's entry rather than aliasing a daughter
         self.regions: Dict[int, RegionScanStats] = {}
-
-    # ------------------------------------------------------------------
-    def spawn(self) -> "StorageTelemetry":
-        """A private empty sink for one scan worker."""
-        return StorageTelemetry(
-            self.heatmap.spawn() if self.heatmap is not None else None
-        )
-
-    def merge_from(self, other: "StorageTelemetry") -> None:
-        for region_id, stats in other.regions.items():
-            mine = self.regions.get(region_id)
-            if mine is None:
-                self.regions[region_id] = stats
-            else:
-                mine.merge_from(stats)
-        if self.heatmap is not None and other.heatmap is not None:
-            self.heatmap.merge_from(other.heatmap)
 
     # ------------------------------------------------------------------
     # Write side (called from the table's scan/get hot paths)

@@ -3,8 +3,8 @@
 One query produces one span tree: a root ``query.threshold`` /
 ``query.topk`` span with ``plan`` / ``scan`` / ``refine`` (or per-unit)
 children, and one ``scan.range`` grandchild per key range the executor
-ran — carrying retries, breaker rejections, cache hits and the worker
-thread that executed it.  Spans hold attributes (set once, rendered in
+ran — carrying retries, breaker rejections, cache hits and the thread
+that executed it.  Spans hold attributes (set once, rendered in
 EXPLAIN ANALYZE) and events (timestamped occurrences, e.g. per-lemma
 filter rejections).
 
@@ -16,10 +16,9 @@ Two tracer implementations share the interface:
   costs one attribute load and a truthiness check when tracing is off —
   the zero-overhead-when-off contract.
 * :class:`Tracer` — records real spans.  The active span is tracked on
-  a *per-thread* stack; parallel scan workers receive the parent span
-  explicitly (trace-context propagation across the pool) and tag their
-  spans with ``plan.index`` so the tree can be reassembled in plan
-  order regardless of completion order.
+  a *per-thread* stack; a span opened on another thread passes its
+  parent explicitly (``span(parent=...)``), and ``scan.range`` spans
+  carry their ``plan.index``.
 
 The clock is injectable.  Query paths use the executor's
 ``trace_clock`` — wall time plus virtual charges normally, *purely
@@ -98,8 +97,8 @@ NULL_TRACER = NoopTracer()
 
 class Span:
     """One traced operation: name, time range, attributes, events,
-    children.  Thread-safe for the parallel scan path (children and
-    events may be appended from worker threads)."""
+    children.  Thread-safe: children and events may be appended from
+    other threads (``span(parent=...)``)."""
 
     #: cap on recorded events per span (per-record filter events can be
     #: plentiful on large scans); overflow is counted, not stored
@@ -273,9 +272,8 @@ class Tracer:
         """Create (but not yet activate) a span.
 
         With no explicit ``parent`` the current thread's active span is
-        the parent; parallel workers pass the submitting thread's span
-        explicitly to carry the trace context across the pool.  Use as
-        a context manager to time it.
+        the parent; code running on another thread passes the span to
+        attach to explicitly.  Use as a context manager to time it.
         """
         if parent is None:
             parent = self.current_span
@@ -316,19 +314,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._roots.clear()
-
-    @staticmethod
-    def sort_children(span: Span, attr: str = "plan.index") -> None:
-        """Reassemble ``span.children`` in plan order after a parallel
-        fan-out (stable: spans without the attribute keep their place
-        at the end)."""
-        with span._lock:
-            span.children.sort(
-                key=lambda child: (
-                    attr not in child.attrs,
-                    child.attrs.get(attr, 0),
-                )
-            )
 
 
 # ----------------------------------------------------------------------

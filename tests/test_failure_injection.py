@@ -93,3 +93,7 @@ class TestConfigValidation:
     def test_bad_measure(self):
         with pytest.raises(QueryError):
             TraSSConfig(measure_name="nope").make_measure()
+
+    def test_bounds_must_be_space_bounds(self):
+        with pytest.raises(QueryError, match="SpaceBounds"):
+            TraSSConfig(bounds=(0, 0, 1, 1))

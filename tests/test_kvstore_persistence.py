@@ -1,6 +1,8 @@
 """Tests for the WAL, table persistence, and engine save/load."""
 
+import json
 import os
+import shutil
 import random
 
 import pytest
@@ -206,6 +208,41 @@ class TestEngineSaveLoad:
         a = [tid for _, tid in engine.topk_search(q, 5).answers]
         b = [tid for _, tid in restored.topk_search(q, 5).answers]
         assert a == b
+
+    def test_load_ignores_removed_config_keys(self, tmp_path):
+        """A ``STORE.json`` written when ``scan_workers`` and
+        ``vectorized_filter`` still existed loads, and answers and
+        counts exactly like the snapshot without them."""
+        data = tdrive_like(80, seed=33)
+        cfg = TraSSConfig(
+            bounds=TDRIVE_BOUNDS, max_resolution=12, dp_tolerance=0.005, shards=3
+        )
+        plain_dir = str(tmp_path / "plain")
+        old_dir = str(tmp_path / "old")
+        TraSS.build(data, cfg).save(plain_dir)
+        shutil.copytree(plain_dir, old_dir)
+        meta_path = os.path.join(old_dir, "STORE.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        assert "scan_workers" not in meta["config"]
+        assert "vectorized_filter" not in meta["config"]
+        meta["config"].update(scan_workers=4, vectorized_filter=True)
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+
+        def observe(directory):
+            engine = TraSS.load(directory)
+            before = engine.metrics.snapshot()
+            answers = [
+                (
+                    sorted(engine.threshold_search(q, 0.02).answers.items()),
+                    engine.topk_search(q, 5).answers,
+                )
+                for q in data[:6]
+            ]
+            return answers, engine.metrics.diff(before)
+
+        assert observe(old_dir) == observe(plain_dir)
 
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(KVStoreError):

@@ -19,8 +19,6 @@ from repro.features.dp_features import (
     MIN_AREA_BOXES,
     DPFeatures,
     extract_dp_features,
-    oriented_box_envelopes,
-    pack_boxes,
 )
 from repro.geometry.distance import segment_distance
 from repro.geometry.mbr import MBR
@@ -204,8 +202,6 @@ def test_envelopes_bit_identical_to_corner_mbr():
     want = [MBR.of_points(reference_corners(box)) for box in boxes]
     assert list(features.envelopes) == want
     assert [box.mbr() for box in boxes] == want
-    packed = oriented_box_envelopes(pack_boxes(boxes))
-    assert [MBR(*row) for row in packed.tolist()] == want
 
 
 def test_box_geometry_is_lazy_and_kept():
@@ -260,7 +256,7 @@ def test_decision_agrees_with_bound_value(q, t, eps):
 
 # ----------------------------------------------------------------------
 # Boundary exactness end to end: eps equal to an exact distance keeps
-# that trajectory, through every filter stage and both filter paths.
+# that trajectory, through every filter stage.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def boundary_data():
@@ -277,17 +273,15 @@ def boundary_data():
     return data
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
 @pytest.mark.parametrize("measure", MEASURES)
 def test_threshold_at_exact_distance_keeps_the_trajectory(
-    boundary_data, measure, vectorized
+    boundary_data, measure
 ):
     cfg = TraSSConfig(
         bounds=SpaceBounds(0, 0, 1, 1),
         max_resolution=8,
         dp_tolerance=0.004,
         shards=2,
-        vectorized_filter=vectorized,
     )
     engine = TraSS.build(boundary_data, cfg)
     m = get_measure(measure)

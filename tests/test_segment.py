@@ -417,7 +417,9 @@ def test_compact_save_load_equivalence(tmp_path):
     assert snap["segment_bytes_logical"] > snap["segment_bytes_compressed"]
 
 
-def test_compact_save_load_parallel_and_vectorized(tmp_path):
+def test_compact_save_load_cached(tmp_path):
+    """A re-tuned (cached) engine over a loaded compact store answers
+    what the in-memory engine answers, cold and warm."""
     trajs = tdrive_like(80, seed=5, decimals=5)
     probes = tdrive_like(5, seed=88, decimals=5)
     base_engine = TraSS.build(
@@ -429,10 +431,11 @@ def test_compact_save_load_parallel_and_vectorized(tmp_path):
     base_engine.save(compact_dir, compact=True)
 
     loaded = TraSS.load(compact_dir)
-    loaded.configure_execution(scan_workers=2)
     assert _answers(loaded, probes) == base
-    loaded.configure_execution(scan_workers=1, vectorized_filter=True)
+    loaded.configure_execution(cache_mb=8.0)
     assert _answers(loaded, probes) == base
+    assert _answers(loaded, probes) == base
+    assert loaded.metrics.block_cache_hits > 0
 
 
 @pytest.mark.chaos

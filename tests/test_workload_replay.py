@@ -187,14 +187,12 @@ class TestReplay:
         payload = report.to_json()
         assert payload["mismatched"] == 1 and payload["ok"] is False
 
-    def test_replay_parallel_engine_matches_sequential_recording(self):
+    def test_replay_on_rebuilt_engine_matches_recording(self):
         engine, trajectories = build_engine()
         run_mixed_workload(engine, trajectories, 8)
         entries = engine.workload_recorder.entries()
-        parallel = TraSS.build(
-            trajectories, small_config(scan_workers=4)
-        )
-        report = replay_workload(parallel, entries)
+        rebuilt = TraSS.build(trajectories, small_config())
+        report = replay_workload(rebuilt, entries)
         assert report.ok, report.render()
 
 
