@@ -40,6 +40,7 @@ import argparse
 import dataclasses
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.core.config import TraSSConfig
@@ -79,6 +80,31 @@ def _load_engine(args: argparse.Namespace) -> TraSS:
     engine = TraSS.load(args.store)
     engine.configure_execution(cache_mb=getattr(args, "cache_mb", None))
     return engine
+
+
+@contextmanager
+def _borrowed_cluster(engine: TraSS, args: argparse.Namespace, **kwargs):
+    """Answer ``engine``'s queries through a ``--cluster N`` serving
+    cluster for the duration of the block (``kwargs`` go to
+    ``ServingCluster.from_engine``); yields the started cluster, or
+    ``None`` — and leaves the engine local — without the flag."""
+    if not getattr(args, "cluster", None):
+        yield None
+        return
+    from repro.serve import ServingCluster
+
+    cluster = ServingCluster.from_engine(
+        engine,
+        partitions=args.cluster,
+        replication=args.replication,
+        **kwargs,
+    ).start()
+    engine.set_remote_executor(cluster)
+    try:
+        yield cluster
+    finally:
+        engine.set_remote_executor(None)
+        cluster.stop()
 
 
 def _resolve_query(engine: TraSS, args: argparse.Namespace) -> Trajectory:
@@ -168,18 +194,9 @@ def _query(args: argparse.Namespace) -> int:
     if not queries:
         raise ReproError("no queries to run")
 
-    cluster = None
-    if getattr(args, "cluster", None):
-        from repro.serve import ServingCluster
-
-        cluster = ServingCluster.from_engine(
-            engine,
-            partitions=args.cluster,
-            replication=args.replication,
-            hedge_delay_seconds=args.hedge_delay,
-        ).start()
-        engine.set_remote_executor(cluster)
-    try:
+    with _borrowed_cluster(
+        engine, args, hedge_delay_seconds=args.hedge_delay
+    ) as cluster:
         before = engine.metrics.snapshot()
         started = time.perf_counter()
         if args.batch:
@@ -193,10 +210,6 @@ def _query(args: argparse.Namespace) -> int:
             ]
         wall = time.perf_counter() - started
         delta = engine.metrics.diff(before)
-    finally:
-        if cluster is not None:
-            engine.set_remote_executor(None)
-            cluster.stop()
 
     for query, result in zip(queries, results):
         for tid, dist in sorted(result.answers.items(), key=lambda kv: kv[1]):
@@ -262,36 +275,17 @@ def _trace(args: argparse.Namespace) -> int:
     query = _resolve_query(engine, args)
     if (args.eps is None) == (args.k is None):
         raise ReproError("provide exactly one of --eps or --k")
-    if getattr(args, "cluster", None):
-        from repro.serve import ServingCluster
-
-        tracer = engine.make_tracer()
-        cluster = ServingCluster.from_engine(
-            engine,
-            partitions=args.cluster,
-            replication=args.replication,
-            tracer=tracer,
-            observability=True,
-        ).start()
-        engine.set_remote_executor(cluster)
-        try:
-            if args.eps is not None:
-                engine.threshold_search(
-                    query, args.eps, measure=args.measure
-                )
-            else:
-                engine.topk_search(query, args.k, measure=args.measure)
-        finally:
-            engine.set_remote_executor(None)
-            cluster.stop()
-    else:
-        with engine.traced() as tracer:
-            if args.eps is not None:
-                engine.threshold_search(
-                    query, args.eps, measure=args.measure
-                )
-            else:
-                engine.topk_search(query, args.k, measure=args.measure)
+    # One tracer on both substrates: the cluster's coordinator records
+    # into it when there is one (the engine then opens no span of its
+    # own), the local pipeline otherwise.
+    tracer = engine.make_tracer()
+    with _borrowed_cluster(
+        engine, args, tracer=tracer, observability=True
+    ), engine.traced(tracer):
+        if args.eps is not None:
+            engine.threshold_search(query, args.eps, measure=args.measure)
+        else:
+            engine.topk_search(query, args.k, measure=args.measure)
     root = tracer.traces()[-1]
     if args.json:
         import json
@@ -347,23 +341,8 @@ def _stats(args: argparse.Namespace) -> int:
     """
     engine = _load_engine(args)
     cfg = engine.config
-    cluster = None
-    if getattr(args, "cluster", None):
-        from repro.serve import ServingCluster
-
-        cluster = ServingCluster.from_engine(
-            engine,
-            partitions=args.cluster,
-            replication=args.replication,
-            observability=True,
-        ).start()
-        engine.set_remote_executor(cluster)
-    try:
+    with _borrowed_cluster(engine, args, observability=True) as cluster:
         return _stats_report(engine, cluster, args, cfg)
-    finally:
-        if cluster is not None:
-            engine.set_remote_executor(None)
-            cluster.stop()
 
 
 def _stats_report(engine, cluster, args, cfg) -> int:

@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.executor import ScanReport
 from repro.core.local_filter import LocalFilter
-from repro.core.threshold import ThresholdSearchResult, threshold_search
+from repro.core.threshold import (
+    ThresholdSearchResult,
+    check_threshold,
+    threshold_search,
+)
 from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
 from repro.kvstore.table import ScanRange
@@ -110,6 +114,30 @@ def _segment_subscribers(
     return segments
 
 
+def normalise_thresholds(
+    queries: Iterable[Trajectory], eps
+) -> Tuple[List[Trajectory], List[float]]:
+    """``(queries, eps_list)`` as aligned lists, validated.
+
+    ``eps`` is one threshold for the whole batch or any iterable
+    aligned with ``queries``; every batch front door (engine, serving
+    coordinator) normalises through here, so they cannot disagree on
+    what a bad argument is.
+    """
+    queries = list(queries)
+    try:
+        eps_list = [float(e) for e in eps]
+    except TypeError:
+        eps_list = [float(eps)] * len(queries)
+    if len(eps_list) != len(queries):
+        raise QueryError(
+            f"got {len(queries)} queries but {len(eps_list)} thresholds"
+        )
+    for e in eps_list:
+        check_threshold(e)
+    return queries, eps_list
+
+
 def threshold_search_many(
     store,
     pruner,
@@ -118,7 +146,9 @@ def threshold_search_many(
     eps_list: Sequence[float],
     tracer=None,
 ) -> List[ThresholdSearchResult]:
-    """Answer a batch of threshold queries over one shared scan.
+    """Answer a batch of threshold queries over one shared scan
+    (``queries`` / ``eps_list`` as :func:`normalise_thresholds` returns
+    them: aligned and validated).
 
     Results are positionally aligned with ``queries`` and bit-identical
     to running :func:`~repro.core.threshold.threshold_search` per query;
@@ -129,13 +159,6 @@ def threshold_search_many(
     """
     if tracer is None:
         tracer = NULL_TRACER
-    if len(eps_list) != len(queries):
-        raise QueryError(
-            f"got {len(queries)} queries but {len(eps_list)} thresholds"
-        )
-    for eps in eps_list:
-        if eps < 0:
-            raise QueryError(f"threshold must be non-negative, got {eps}")
     if not queries:
         return []
 
@@ -271,29 +294,4 @@ def threshold_search_many(
             filter_stats=state.local.stats,
         )
         for state in states
-    ]
-
-
-def topk_search_many(
-    store,
-    pruner,
-    measure: Measure,
-    queries: Sequence[Trajectory],
-    k: int,
-    tracer=None,
-):
-    """Answer a batch of top-k queries (sequentially).
-
-    Top-k's best-first traversal tightens its working threshold as
-    answers arrive, so its scan plan is adaptive and per-query — there
-    is no up-front range set to coalesce across queries the way
-    :func:`threshold_search_many` does.  This wrapper exists for API
-    symmetry (and so callers batch-agnostically); it runs the queries
-    one at a time and returns positionally aligned results.
-    """
-    from repro.core.topk import topk_search
-
-    return [
-        topk_search(store, pruner, measure, query, k, tracer)
-        for query in queries
     ]

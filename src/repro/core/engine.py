@@ -17,15 +17,21 @@ Per-call ``measure`` overrides support the Section VII experiments
 
 from __future__ import annotations
 
+import heapq
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
+from repro.core.batch import normalise_thresholds, threshold_search_many
 from repro.core.config import TraSSConfig
 from repro.core.pruning import GlobalPruner, PruningResult
 from repro.core.storage import INTEGER_KEYS, TrajectoryStore
-from repro.core.threshold import ThresholdSearchResult, threshold_search
-from repro.core.topk import TopKSearchResult, topk_search
+from repro.core.threshold import (
+    ThresholdSearchResult,
+    check_threshold,
+    threshold_search,
+)
+from repro.core.topk import TopKSearchResult, check_k, topk_search
 from repro.exceptions import QueryError
 from repro.geometry.mbr import MBR
 from repro.geometry.trajectory import Trajectory
@@ -34,6 +40,10 @@ from repro.measures.base import Measure, get_measure
 from repro.obs.registry import MetricsRegistry, update_registry_from_engine
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import NULL_TRACER, Tracer
+
+
+#: query kind -> the name of its parameter (span attribute, wire key)
+QUERY_PARAMETER = {"threshold": "eps", "topk": "k"}
 
 
 class TraSS:
@@ -340,50 +350,8 @@ class TraSS:
         Measures lacking the Lemma 5 point lower bound (EDR, ERP) cannot
         be index-pruned; they are answered by a verified full scan.
         """
-        if self._remote_executor is not None:
-            remote = self._remote_executor
-            started = time.perf_counter()
-            result = remote.threshold_search(query, eps, measure=measure)
-            self._observe_query(
-                "threshold",
-                query,
-                eps,
-                time.perf_counter() - started,
-                result,
-                measure=measure,
-                origin="cluster",
-                fanout=getattr(remote, "last_fanout", None),
-            )
-            return result
-        resolved = self._resolve_measure(measure)
-        tracer = self._tracer
-        io_before = self._io_before_query()
-        started = time.perf_counter()
-        with tracer.span(
-            "query.threshold", tid=query.tid, eps=eps, measure=resolved.name
-        ) as root:
-            if not resolved.supports_point_lower_bound:
-                result = self._full_scan_threshold(query, eps, resolved)
-            else:
-                result = threshold_search(
-                    self.store, self.pruner, resolved, query, eps, tracer
-                )
-            root.set_attrs(
-                answers=len(result.answers),
-                candidates=result.candidates,
-                rows_retrieved=result.retrieved_rows,
-                completeness=result.completeness,
-            )
-        self._observe_query(
-            "threshold",
-            query,
-            eps,
-            time.perf_counter() - started,
-            result,
-            measure=resolved.name,
-            io_before=io_before,
-        )
-        return result
+        check_threshold(eps)
+        return self._answer("threshold", query, eps, measure)
 
     def topk_search(
         self,
@@ -396,191 +364,168 @@ class TraSS:
         Measures lacking the Lemma 5 lower bound fall back to a ranked
         full scan (the index's geometric bounds do not bound them).
         """
-        if self._remote_executor is not None:
-            remote = self._remote_executor
-            started = time.perf_counter()
-            result = remote.topk_search(query, k, measure=measure)
-            self._observe_query(
-                "topk",
-                query,
-                k,
-                time.perf_counter() - started,
-                result,
-                measure=measure,
-                origin="cluster",
-                fanout=getattr(remote, "last_fanout", None),
-            )
-            return result
-        resolved = self._resolve_measure(measure)
-        tracer = self._tracer
-        io_before = self._io_before_query()
-        started = time.perf_counter()
-        with tracer.span(
-            "query.topk", tid=query.tid, k=k, measure=resolved.name
-        ) as root:
-            if not resolved.supports_point_lower_bound:
-                result = self._full_scan_topk(query, k, resolved)
-            else:
-                result = topk_search(
-                    self.store, self.pruner, resolved, query, k, tracer
-                )
-            root.set_attrs(
-                answers=len(result.answers),
-                candidates=result.candidates,
-                rows_retrieved=result.retrieved_rows,
-                completeness=result.completeness,
-            )
-        self._observe_query(
-            "topk",
-            query,
-            k,
-            time.perf_counter() - started,
-            result,
-            measure=resolved.name,
-            io_before=io_before,
-        )
-        return result
+        check_k(k)
+        return self._answer("topk", query, k, measure)
 
-    # ------------------------------------------------------------------
-    # Batched queries (shared-scan execution)
-    # ------------------------------------------------------------------
     def threshold_search_many(
         self,
-        queries: Sequence[Trajectory],
+        queries: Iterable[Trajectory],
         eps,
         measure: Optional[str] = None,
     ) -> List[ThresholdSearchResult]:
         """Answer many threshold queries over one deduplicated scan.
 
-        ``eps`` is a single threshold for the whole batch or a sequence
-        aligned with ``queries``.  The per-query ranges are planned up
-        front, coalesced (overlapping or touching byte ranges merge, so
-        a shared key region is scanned once), and every scanned row is
-        demultiplexed to the queries whose plan covers it.  Results are
-        positionally aligned and bit-identical to calling
-        :meth:`threshold_search` per query; only the I/O differs —
-        ``metrics.batch_ranges_merged`` / ``batch_rows_shared`` say by
+        ``eps`` is a single threshold for the whole batch or any
+        iterable aligned with ``queries``.  The per-query ranges are
+        planned up front, coalesced (overlapping or touching byte ranges
+        merge, so a shared key region is scanned once), and every
+        scanned row is demultiplexed to the queries whose plan covers
+        it.  Results are positionally aligned and bit-identical to
+        calling :meth:`threshold_search` per query; only the I/O differs
+        — ``metrics.batch_ranges_merged`` / ``batch_rows_shared`` say by
         how much.
 
         Batched queries skip the workload recorder: per-query I/O
         deltas are meaningless under a shared scan.
         """
-        if self._remote_executor is not None:
-            remote = self._remote_executor
-            queries = list(queries)
-            try:
-                eps_list = [float(e) for e in eps]
-            except TypeError:
-                eps_list = [float(eps)] * len(queries)
-            started = time.perf_counter()
-            results = remote.threshold_search_many(
-                queries, eps, measure=measure
-            )
-            per_query = (
-                (time.perf_counter() - started) / len(queries)
-                if queries
-                else 0.0
-            )
-            for query, eps_value, result in zip(
-                queries, eps_list, results
-            ):
-                self._observe_query(
-                    "threshold",
-                    query,
-                    eps_value,
-                    per_query,
-                    result,
-                    measure=measure,
-                    origin="cluster",
-                )
-            return results
-        queries = list(queries)
-        try:
-            eps_list = [float(e) for e in eps]
-        except TypeError:
-            eps_list = [float(eps)] * len(queries)
-        if len(eps_list) != len(queries):
-            raise QueryError(
-                f"got {len(queries)} queries but {len(eps_list)} thresholds"
-            )
-        resolved = self._resolve_measure(measure)
-        tracer = self._tracer
-        started = time.perf_counter()
-        with tracer.span(
-            "query.threshold_batch",
-            queries=len(queries),
-            measure=resolved.name,
-        ) as root:
-            if not resolved.supports_point_lower_bound:
-                # No index pruning, hence no range plans to share.
-                results = [
-                    self._full_scan_threshold(q, e, resolved)
-                    for q, e in zip(queries, eps_list)
-                ]
-            else:
-                from repro.core.batch import threshold_search_many
-
-                results = threshold_search_many(
-                    self.store,
-                    self.pruner,
-                    resolved,
-                    queries,
-                    eps_list,
-                    tracer,
-                )
-            root.set_attrs(
-                answers=sum(len(r.answers) for r in results),
-                candidates=sum(r.candidates for r in results),
-            )
-        elapsed = time.perf_counter() - started
-        per_query = elapsed / len(queries) if queries else 0.0
-        for query, eps_value, result in zip(queries, eps_list, results):
-            self._observe_query(
-                "threshold",
-                query,
-                eps_value,
-                per_query,
-                result,
-                measure=resolved.name,
-                io_before=None,
-            )
-        return results
+        queries, eps_list = normalise_thresholds(queries, eps)
+        return self._answer_many("threshold", queries, eps_list, measure)
 
     def topk_search_many(
         self,
-        queries: Sequence[Trajectory],
+        queries: Iterable[Trajectory],
         k: int,
         measure: Optional[str] = None,
     ) -> List[TopKSearchResult]:
         """Answer many top-k queries; results align with ``queries``.
 
         Top-k plans adaptively (each answer tightens the working
-        threshold), so there is no up-front range set to share — this
-        runs the queries one at a time and exists so batch callers can
-        stay mode-agnostic.
+        threshold), so there is no up-front range set to share — a
+        local engine runs the queries one at a time; this exists so
+        batch callers can stay mode-agnostic.
         """
-        if self._remote_executor is not None:
-            remote = self._remote_executor
-            queries = list(queries)
+        check_k(k)
+        return self._answer_many("topk", list(queries), k, measure)
+
+    def _answer(
+        self, kind: str, query: Trajectory, parameter, measure: Optional[str]
+    ):
+        """One query of ``kind`` on the attached cluster or the local
+        pipeline, timed and observed identically on both."""
+        remote = self._remote_executor
+        io_before = fanout = None
+        if remote is not None:
             started = time.perf_counter()
-            results = remote.topk_search_many(queries, k, measure=measure)
-            per_query = (
-                (time.perf_counter() - started) / len(queries)
-                if queries
-                else 0.0
-            )
-            for query, result in zip(queries, results):
-                self._observe_query(
-                    "topk",
-                    query,
-                    k,
-                    per_query,
-                    result,
-                    measure=measure,
-                    origin="cluster",
+            search = getattr(remote, f"{kind}_search")
+            result = search(query, parameter, measure=measure)
+            fanout = getattr(remote, "last_fanout", None)
+        else:
+            resolved = self._resolve_measure(measure)
+            measure = resolved.name
+            io_before = self._io_before_query()
+            started = time.perf_counter()
+            with self._tracer.span(
+                f"query.{kind}",
+                tid=query.tid,
+                **{QUERY_PARAMETER[kind]: parameter},
+                measure=measure,
+            ) as root:
+                result = self._run_local(kind, query, parameter, resolved)
+                root.set_attrs(
+                    answers=len(result.answers),
+                    candidates=result.candidates,
+                    rows_retrieved=result.retrieved_rows,
+                    completeness=result.completeness,
                 )
-            return results
-        return [self.topk_search(q, k, measure=measure) for q in queries]
+        self._observe_query(
+            kind,
+            query,
+            parameter,
+            time.perf_counter() - started,
+            result,
+            measure=measure,
+            io_before=io_before,
+            origin="local" if remote is None else "cluster",
+            fanout=fanout,
+        )
+        return result
+
+    def _run_local(
+        self, kind: str, query: Trajectory, parameter, measure: Measure
+    ):
+        """The local pipeline of one query: Algorithm 3 / 4, or the
+        verified full scan for measures the index cannot prune."""
+        prunable = measure.supports_point_lower_bound
+        if kind == "threshold":
+            if not prunable:
+                return self._full_scan_threshold(query, parameter, measure)
+            return threshold_search(
+                self.store, self.pruner, measure, query, parameter, self._tracer
+            )
+        if not prunable:
+            return self._full_scan_topk(query, parameter, measure)
+        return topk_search(
+            self.store, self.pruner, measure, query, parameter, self._tracer
+        )
+
+    def _answer_many(
+        self, kind: str, queries: List[Trajectory], parameter, measure
+    ) -> list:
+        """A batch of ``kind`` queries; ``parameter`` is what the batch
+        call takes — the aligned threshold list, or the one ``k``."""
+        remote = self._remote_executor
+        if remote is None and kind == "topk":
+            # Nothing to share across adaptive plans: one query at a
+            # time, each observing itself.
+            return [
+                self.topk_search(q, parameter, measure=measure)
+                for q in queries
+            ]
+        started = time.perf_counter()
+        if remote is not None:
+            search_many = getattr(remote, f"{kind}_search_many")
+            results = search_many(queries, parameter, measure=measure)
+        else:
+            resolved = self._resolve_measure(measure)
+            measure = resolved.name
+            with self._tracer.span(
+                "query.threshold_batch", queries=len(queries), measure=measure
+            ) as root:
+                if not resolved.supports_point_lower_bound:
+                    # No index pruning, hence no range plans to share.
+                    results = [
+                        self._full_scan_threshold(q, e, resolved)
+                        for q, e in zip(queries, parameter)
+                    ]
+                else:
+                    results = threshold_search_many(
+                        self.store,
+                        self.pruner,
+                        resolved,
+                        queries,
+                        parameter,
+                        self._tracer,
+                    )
+                root.set_attrs(
+                    answers=sum(len(r.answers) for r in results),
+                    candidates=sum(r.candidates for r in results),
+                )
+        elapsed = time.perf_counter() - started
+        per_query = elapsed / len(queries) if queries else 0.0
+        parameters = (
+            parameter if kind == "threshold" else [parameter] * len(queries)
+        )
+        for query, value, result in zip(queries, parameters, results):
+            self._observe_query(
+                kind,
+                query,
+                value,
+                per_query,
+                result,
+                measure=measure,
+                origin="local" if remote is None else "cluster",
+            )
+        return results
 
     # ------------------------------------------------------------------
     # Fallbacks for non-prunable measures (Section IX future work)
@@ -588,14 +533,8 @@ class TraSS:
     def _full_scan_threshold(
         self, query: Trajectory, eps: float, measure: Measure
     ) -> ThresholdSearchResult:
-        import time
-
-        from repro.core.pruning import PruningResult
-
-        if eps < 0:
-            raise QueryError(f"threshold must be non-negative, got {eps}")
         started = time.perf_counter()
-        before = self.metrics.snapshot()
+        rows_before = self.metrics.rows_scanned
         answers = {}
         candidates = 0
         for record in self.store.all_records():
@@ -604,34 +543,21 @@ class TraSS:
                 answers[record.tid] = measure.distance(
                     query.points, record.points
                 )
-        retrieved = self.metrics.diff(before)["rows_scanned"]
-        elapsed = time.perf_counter() - started
-        empty_plan = PruningResult(
-            values=[],
-            ranges=[],
-            min_resolution=0,
-            max_resolution=self.config.max_resolution,
-        )
         return ThresholdSearchResult(
             answers=answers,
             candidates=candidates,
-            retrieved_rows=retrieved,
-            pruning=empty_plan,
+            retrieved_rows=self.metrics.rows_scanned - rows_before,
+            pruning=PruningResult.empty(self.config.max_resolution),
             pruning_seconds=0.0,
-            scan_seconds=elapsed,
+            scan_seconds=time.perf_counter() - started,
             refine_seconds=0.0,
         )
 
     def _full_scan_topk(
         self, query: Trajectory, k: int, measure: Measure
     ) -> TopKSearchResult:
-        import heapq
-        import time
-
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        before = self.metrics.snapshot()
+        rows_before = self.metrics.rows_scanned
         heap: List[tuple] = []
         candidates = 0
         for record in self.store.all_records():
@@ -641,11 +567,10 @@ class TraSS:
                 heapq.heappush(heap, (-dist, record.tid))
             elif dist < -heap[0][0]:
                 heapq.heapreplace(heap, (-dist, record.tid))
-        retrieved = self.metrics.diff(before)["rows_scanned"]
         return TopKSearchResult(
             answers=sorted((-neg, tid) for neg, tid in heap),
             candidates=candidates,
-            retrieved_rows=retrieved,
+            retrieved_rows=self.metrics.rows_scanned - rows_before,
             units_scanned=1,
             elements_expanded=0,
             total_seconds=time.perf_counter() - started,

@@ -72,6 +72,14 @@ class PruningResult:
     collapsed_subtrees: int = 0
     truncated: bool = False
 
+    @classmethod
+    def empty(cls, max_resolution: int) -> "PruningResult":
+        """The plan of a query that was not index-pruned (full-scan
+        fallbacks for measures without the Lemma 5 bound)."""
+        return cls(
+            values=[], ranges=[], min_resolution=0, max_resolution=max_resolution
+        )
+
     @property
     def num_index_spaces(self) -> int:
         return sum(len(r) for r in self.ranges)

@@ -8,8 +8,8 @@ pushed into the store, and refine the survivors with the exact
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.executor import ScanReport
 from repro.core.local_filter import (
@@ -18,9 +18,10 @@ from repro.core.local_filter import (
     LocalFilterStats,
 )
 from repro.core.pruning import GlobalPruner, PruningResult
-from repro.core.storage import TrajectoryRecord, TrajectoryStore
+from repro.core.storage import TrajectoryStore
 from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
+from repro.index.ranges import IndexRange
 from repro.kvstore.table import ScanRange
 from repro.measures.base import Measure
 from repro.obs.tracing import NULL_TRACER
@@ -36,7 +37,9 @@ class ThresholdSearchResult:
     candidates: int
     #: rows the store touched inside the scan ranges
     retrieved_rows: int
-    pruning: PruningResult
+    #: the global-pruning plan (``None`` only on a shard worker's
+    #: partial result: the coordinator planned, and keeps the plan)
+    pruning: Optional[PruningResult]
     pruning_seconds: float
     scan_seconds: float
     refine_seconds: float
@@ -82,6 +85,13 @@ def make_row_filter(
     return LocalFilterRowFilter(local, decoder=store.record_decoder)
 
 
+def check_threshold(eps: float) -> None:
+    """The one definition of a bad threshold, shared by every front
+    door (engine, batch, serving coordinator)."""
+    if eps < 0:
+        raise QueryError(f"threshold must be non-negative, got {eps}")
+
+
 def threshold_search(
     store: TrajectoryStore,
     pruner: GlobalPruner,
@@ -90,21 +100,47 @@ def threshold_search(
     eps: float,
     tracer=None,
 ) -> ThresholdSearchResult:
-    """Run Algorithm 3 against a trajectory store.
+    """Run Algorithm 3 against a trajectory store: plan with global
+    pruning, then :func:`scan_and_refine` the planned ranges.
 
     ``tracer`` (a :class:`~repro.obs.tracing.Tracer`) records the
-    prune / scan / refine phase spans; refinement is pipelined inside
-    the scan, so its span carries the accumulated callback time rather
-    than a contiguous interval.
+    prune / scan / refine phase spans.
     """
-    if eps < 0:
-        raise QueryError(f"threshold must be non-negative, got {eps}")
+    check_threshold(eps)
     if tracer is None:
         tracer = NULL_TRACER
-
     started = time.perf_counter()
     pruning = pruner.prune(query, eps, tracer)
-    scan_ranges = store.scan_ranges_for(pruning.ranges)
+    prune_seconds = time.perf_counter() - started
+    result = scan_and_refine(
+        store, measure, query, eps, pruning.ranges, tracer
+    )
+    result.pruning = pruning
+    result.pruning_seconds += prune_seconds
+    return result
+
+
+def scan_and_refine(
+    store: TrajectoryStore,
+    measure: Measure,
+    query: Trajectory,
+    eps: float,
+    ranges: Sequence[IndexRange],
+    tracer=NULL_TRACER,
+    shards: Optional[Sequence[int]] = None,
+) -> ThresholdSearchResult:
+    """The region-server half of Algorithm 3: scan the planned
+    index-value ``ranges`` with local filtering pushed into the store
+    and refine the survivors with the exact measure.
+
+    ``shards`` restricts the scan to a subset of salts — a serving
+    shard worker passes the salts it owns, so the union of the workers'
+    results is field-for-field the all-shards result.  The plan is the
+    caller's: ``pruning`` is left ``None`` and ``pruning_seconds``
+    covers only the range -> row-key mapping.
+    """
+    started = time.perf_counter()
+    scan_ranges = store.scan_ranges_for(ranges, shards=shards)
     pruning_seconds = time.perf_counter() - started
 
     local = LocalFilter(
@@ -143,14 +179,14 @@ def threshold_search(
                 abandoned_count[0] += 1
         refine_clock[0] += time.perf_counter() - refine_started
 
-    before = store.metrics.snapshot()
+    rows_before = store.metrics.rows_scanned
     started = time.perf_counter()
     with tracer.span("scan", ranges=len(scan_ranges)) as scan_span:
         rows, scan_report = store.executor.scan_ranges(
             scan_ranges, row_filter, on_range_rows=refine
         )
     elapsed = time.perf_counter() - started
-    retrieved = store.metrics.diff(before)["rows_scanned"]
+    retrieved = store.metrics.rows_scanned - rows_before
     # The refine callbacks ran inside the scan wall time; split the
     # accounting so the phase totals still sum to the wall clock.
     refine_seconds = min(refine_clock[0], elapsed)
@@ -178,7 +214,7 @@ def threshold_search(
         answers=answers,
         candidates=len(rows),
         retrieved_rows=retrieved,
-        pruning=pruning,
+        pruning=None,
         pruning_seconds=pruning_seconds,
         scan_seconds=scan_seconds,
         refine_seconds=refine_seconds,

@@ -91,6 +91,12 @@ class TopKSearchResult:
         return list(self.resilience.skipped_ranges)
 
 
+def check_k(k: int) -> None:
+    """The one definition of a bad ``k``, shared by every front door."""
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+
+
 def topk_search(
     store: TrajectoryStore,
     pruner: GlobalPruner,
@@ -105,8 +111,7 @@ def topk_search(
     unit (nearest-first order is the trace order) under a ``search``
     span carrying the queue tallies.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
+    check_k(k)
     if tracer is None:
         tracer = NULL_TRACER
     started = time.perf_counter()

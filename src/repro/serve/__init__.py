@@ -11,13 +11,7 @@ See DESIGN.md §12 for the topology and the exactness argument.
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.coordinator import ServingCluster
 from repro.serve.obs import ClusterObservability
-from repro.serve.protocol import (
-    Reply,
-    Request,
-    ThresholdPartial,
-    TopKPartial,
-    TraceContext,
-)
+from repro.serve.protocol import Reply, Request, TraceContext
 from repro.serve.supervisor import ReplicaHandle, ShardSupervisor
 from repro.serve.worker import WorkerSpec, worker_main
 
@@ -28,8 +22,6 @@ __all__ = [
     "ServingCluster",
     "Request",
     "Reply",
-    "ThresholdPartial",
-    "TopKPartial",
     "TraceContext",
     "ReplicaHandle",
     "ShardSupervisor",

@@ -36,18 +36,14 @@ from collections import deque
 from multiprocessing.connection import wait as _mp_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import TraSS
+from repro.core.batch import normalise_thresholds
+from repro.core.engine import QUERY_PARAMETER, TraSS
 from repro.core.executor import CircuitBreaker, ScanReport
 from repro.core.local_filter import LocalFilterStats
 from repro.core.pruning import PruningResult
 from repro.core.threshold import ThresholdSearchResult
-from repro.core.topk import TopKSearchResult
-from repro.exceptions import (
-    ClusterError,
-    DegradedResult,
-    QueryError,
-    ShardUnavailableError,
-)
+from repro.core.topk import TopKSearchResult, check_k
+from repro.exceptions import ClusterError, DegradedResult
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
 from repro.kvstore.rowkey import shard_of
@@ -62,6 +58,8 @@ from repro.serve.protocol import (
     KIND_STATS,
     KIND_THRESHOLD,
     KIND_TOPK,
+    PROTOCOL_VERSION,
+    Reply,
     Request,
     TraceContext,
     decode_error,
@@ -85,9 +83,7 @@ class _Flight:
         "hedge_handle",
         "done",
         "exhausted",
-        "result",
-        "error",
-        "spans",
+        "reply",
         "winner_slot",
         "service_seconds",
     )
@@ -104,10 +100,9 @@ class _Flight:
         self.hedge_handle: Optional[ReplicaHandle] = None
         self.done = False
         self.exhausted = False
-        self.result = None
-        self.error = None
-        #: worker span subtree shipped on the winning reply (traced runs)
-        self.spans = None
+        #: the reply that settled the flight: the winning answer, or a
+        #: non-transient worker error (``None`` while unreachable)
+        self.reply: Optional[Reply] = None
         #: replica slot that produced the winning reply
         self.winner_slot: Optional[int] = None
         #: launch-to-reply wall seconds of the winning attempt
@@ -355,30 +350,39 @@ class ServingCluster:
                 request = Request(self._next_id(), KIND_PING)
                 handle.conn.send(request)
                 pings.append((handle, request.id))
-        for handle, request_id in pings:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not handle.conn.poll(remaining):
-                self.stop()
-                raise ClusterError(
-                    f"worker p{handle.partition}r{handle.replica} did not "
-                    f"come up within {self.startup_timeout}s"
-                )
-            try:
-                reply = handle.conn.recv()
-            except (EOFError, OSError):
-                self.stop()
-                raise ClusterError(
-                    f"worker p{handle.partition}r{handle.replica} died "
-                    "during startup"
-                )
-            if reply.id != request_id or not reply.ok:
-                self.stop()
-                raise ClusterError(
-                    f"worker p{handle.partition}r{handle.replica} failed "
-                    f"its startup ping: {reply!r}"
-                )
+        try:
+            for handle, request_id in pings:
+                self._await_ping(handle, request_id, deadline)
+        except ClusterError:
+            self.stop()
+            raise
         self._started = True
         return self
+
+    def _await_ping(
+        self, handle: ReplicaHandle, request_id: int, deadline: float
+    ) -> None:
+        """Block until ``handle`` answers its start-up ping, speaking
+        this coordinator's protocol version; :class:`ClusterError`
+        otherwise."""
+        worker = f"worker p{handle.partition}r{handle.replica}"
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not handle.conn.poll(remaining):
+            raise ClusterError(
+                f"{worker} did not come up within {self.startup_timeout}s"
+            )
+        try:
+            reply = handle.conn.recv()
+        except (EOFError, OSError):
+            raise ClusterError(f"{worker} died during startup")
+        if reply.id != request_id or not reply.ok:
+            raise ClusterError(f"{worker} failed its startup ping: {reply!r}")
+        version = reply.payload.get("protocol")
+        if version != PROTOCOL_VERSION:
+            raise ClusterError(
+                f"{worker} speaks protocol version {version!r}, this "
+                f"coordinator speaks {PROTOCOL_VERSION}"
+            )
 
     def stop(self) -> None:
         self.supervisor.stop_all()
@@ -584,17 +588,14 @@ class ServingCluster:
                 if reply.ok:
                     slot = flight.active[handle]
                     self.breaker.record_success((flight.partition, slot))
-                    flight.result = reply.payload
+                    flight.reply = reply
                     flight.done = True
-                    flight.spans = reply.spans
                     flight.winner_slot = slot
                     flight.service_seconds = (
                         time.monotonic() - flight.attempt_started
                     )
                     if self.obs is not None:
-                        self.obs.absorb_reply(
-                            flight.partition, slot, reply.payload
-                        )
+                        self.obs.absorb_reply(flight.partition, slot, reply)
                         self.obs.observe_partition_service(
                             flight.partition, flight.service_seconds
                         )
@@ -608,7 +609,7 @@ class ServingCluster:
                     self._drop_active(flight, handle, failed=True)
                 else:
                     self.counters["worker_errors"] += 1
-                    flight.error = reply.error
+                    flight.reply = reply
                     flight.done = True
                     flight.active.clear()
             now = time.monotonic()
@@ -743,7 +744,7 @@ class ServingCluster:
                     state.results[request.id] = reply
                     if self.obs is not None:
                         self.obs.absorb_reply(
-                            state.partition, state.slot, reply.payload
+                            state.partition, state.slot, reply
                         )
                 elif error_is_transient(reply.error):
                     self.counters["worker_errors"] += 1
@@ -765,31 +766,29 @@ class ServingCluster:
     # ------------------------------------------------------------------
     # Planning / merging
     # ------------------------------------------------------------------
-    def _empty_pruning(self) -> PruningResult:
-        return PruningResult(
-            values=[],
-            ranges=[],
-            min_resolution=0,
-            max_resolution=self.config.max_resolution,
-        )
-
-    def _threshold_payload(self, query, eps: float, measure) -> Tuple[dict, PruningResult, Optional[List[Tuple[int, int]]], float]:
-        started = time.perf_counter()
-        if measure.supports_point_lower_bound:
-            pruning = self.pruner.prune(query, eps)
-            wire_ranges = [(r.start, r.stop) for r in pruning.ranges]
-        else:
-            pruning = self._empty_pruning()
-            wire_ranges = None
-        pruning_seconds = time.perf_counter() - started
+    def _payload(
+        self, kind: str, query, parameter, measure
+    ) -> Tuple[dict, Optional[PruningResult], float]:
+        """One query's wire payload, plus — for a threshold query — the
+        plan the coordinator keeps (workers get only its ranges;
+        ``ranges=None`` tells them the measure cannot be index-pruned)
+        and the seconds planning took."""
         payload = {
             "tid": query.tid,
             "points": list(query.points),
-            "eps": float(eps),
+            QUERY_PARAMETER[kind]: parameter,
             "measure": measure.name,
-            "ranges": wire_ranges,
         }
-        return payload, pruning, wire_ranges, pruning_seconds
+        if kind == KIND_TOPK:
+            return payload, None, 0.0
+        started = time.perf_counter()
+        if measure.supports_point_lower_bound:
+            pruning = self.pruner.prune(query, parameter)
+            payload["ranges"] = [(r.start, r.stop) for r in pruning.ranges]
+        else:
+            pruning = PruningResult.empty(self.config.max_resolution)
+            payload["ranges"] = None
+        return payload, pruning, time.perf_counter() - started
 
     def _skipped_spans(
         self,
@@ -811,25 +810,24 @@ class ServingCluster:
             spans.append(ScanRange(bytes([salt]), stop))
         return spans
 
-    def _merge_threshold(
+    def _merge(
         self,
-        partials: Dict[int, object],
-        unreachable: List[int],
-        pruning: PruningResult,
-        wire_ranges,
+        kind: str,
+        parameter,
+        partials: List[object],
+        skipped: List[ScanRange],
+        pruning: Optional[PruningResult],
         pruning_seconds: float,
         wall_seconds: float,
-    ) -> Tuple[ThresholdSearchResult, List[ScanRange]]:
-        answers: Dict[str, float] = {}
-        candidates = 0
-        retrieved = 0
+    ):
+        """Fold the reached partitions' results (in partition order)
+        into the single-process result: disjoint union of answers for a
+        threshold query, the k smallest ``(distance, tid)`` for top-k;
+        the accounting sums, and ``skipped`` — the ranges unreachable
+        partitions left unscanned — lands in the scan report."""
         report: Optional[ScanReport] = None
         filter_stats: Optional[LocalFilterStats] = None
-        for partition in sorted(partials):
-            part = partials[partition]
-            answers.update(part.answers)
-            candidates += part.candidates
-            retrieved += part.retrieved_rows
+        for part in partials:
             if part.resilience is not None:
                 if report is None:
                     report = ScanReport()
@@ -838,76 +836,39 @@ class ServingCluster:
                 if filter_stats is None:
                     filter_stats = LocalFilterStats()
                 filter_stats.merge_from(part.filter_stats)
-        skipped: List[ScanRange] = []
-        for partition in unreachable:
-            skipped.extend(self._skipped_spans(partition, wire_ranges))
         if skipped:
             if report is None:
                 report = ScanReport()
             report.ranges_total += len(skipped)
             report.skipped_ranges.extend(skipped)
-        result = ThresholdSearchResult(
-            answers=answers,
+        candidates = sum(part.candidates for part in partials)
+        retrieved = sum(part.retrieved_rows for part in partials)
+        if kind == KIND_THRESHOLD:
+            answers: Dict[str, float] = {}
+            for part in partials:
+                answers.update(part.answers)
+            return ThresholdSearchResult(
+                answers=answers,
+                candidates=candidates,
+                retrieved_rows=retrieved,
+                pruning=pruning,
+                pruning_seconds=pruning_seconds,
+                scan_seconds=wall_seconds,
+                refine_seconds=0.0,
+                resilience=report,
+                filter_stats=filter_stats,
+            )
+        merged = sorted(a for part in partials for a in part.answers)
+        return TopKSearchResult(
+            answers=merged[:parameter],
             candidates=candidates,
             retrieved_rows=retrieved,
-            pruning=pruning,
-            pruning_seconds=pruning_seconds,
-            scan_seconds=wall_seconds,
-            refine_seconds=0.0,
-            resilience=report,
-            filter_stats=filter_stats,
-        )
-        return result, skipped
-
-    def _merge_topk(
-        self,
-        partials: Dict[int, object],
-        unreachable: List[int],
-        k: int,
-        wall_seconds: float,
-    ) -> Tuple[TopKSearchResult, List[ScanRange]]:
-        merged: List[Tuple[float, str]] = []
-        candidates = 0
-        retrieved = 0
-        units = 0
-        expanded = 0
-        report: Optional[ScanReport] = None
-        filter_stats: Optional[LocalFilterStats] = None
-        for partition in sorted(partials):
-            part = partials[partition]
-            merged.extend(part.answers)
-            candidates += part.candidates
-            retrieved += part.retrieved_rows
-            units += part.units_scanned
-            expanded += part.elements_expanded
-            if part.resilience is not None:
-                if report is None:
-                    report = ScanReport()
-                report.merge_from(part.resilience)
-            if part.filter_stats is not None:
-                if filter_stats is None:
-                    filter_stats = LocalFilterStats()
-                filter_stats.merge_from(part.filter_stats)
-        merged.sort()
-        skipped: List[ScanRange] = []
-        for partition in unreachable:
-            skipped.extend(self._skipped_spans(partition, None))
-        if skipped:
-            if report is None:
-                report = ScanReport()
-            report.ranges_total += len(skipped)
-            report.skipped_ranges.extend(skipped)
-        result = TopKSearchResult(
-            answers=merged[:k],
-            candidates=candidates,
-            retrieved_rows=retrieved,
-            units_scanned=units,
-            elements_expanded=expanded,
+            units_scanned=sum(part.units_scanned for part in partials),
+            elements_expanded=sum(part.elements_expanded for part in partials),
             total_seconds=wall_seconds,
             resilience=report,
             filter_stats=filter_stats,
         )
-        return result, skipped
 
     def _finish(self, result, skipped: List[ScanRange], kind: str):
         if skipped:
@@ -922,83 +883,65 @@ class ServingCluster:
                 )
         return result
 
-    @staticmethod
-    def _split_flights(
-        flights: Dict[int, _Flight]
-    ) -> Tuple[Dict[int, object], List[int]]:
-        partials: Dict[int, object] = {}
-        unreachable: List[int] = []
-        for partition, flight in flights.items():
-            if flight.error is not None:
-                raise decode_error(flight.error)
-            if flight.done and flight.result is not None:
-                partials[partition] = flight.result
-            else:
-                unreachable.append(partition)
-        return partials, unreachable
-
     # ------------------------------------------------------------------
     # Public query API
     # ------------------------------------------------------------------
     def threshold_search(
         self, query, eps: float, measure=None, tenant: str = "default"
     ) -> ThresholdSearchResult:
-        if eps < 0:
-            raise QueryError(f"threshold must be non-negative, got {eps}")
-        resolved = self._plan_engine._resolve_measure(measure)
-        query_started = time.perf_counter()
-        self.admission.admit(tenant)
-        if self.obs is not None:
-            self.obs.observe_slo(
-                "admission_wait", time.perf_counter() - query_started
-            )
-        try:
-            with self.tracer.span(
-                "serve.query", kind="threshold", tid=query.tid, eps=eps
-            ) as root:
-                payload, pruning, wire_ranges, pruning_seconds = (
-                    self._threshold_payload(query, eps, resolved)
-                )
-                started = time.perf_counter()
-                flights = self._scatter(KIND_THRESHOLD, payload)
-                wall = time.perf_counter() - started
-                if self.obs is not None:
-                    self.obs.observe_slo("fanout", wall)
-                self._trace_flights(flights)
-                partials, unreachable = self._split_flights(flights)
-                merge_started = time.perf_counter()
-                result, skipped = self._merge_threshold(
-                    partials,
-                    unreachable,
-                    pruning,
-                    wire_ranges,
-                    pruning_seconds,
-                    wall,
-                )
-                if self.obs is not None:
-                    self.obs.observe_slo(
-                        "merge", time.perf_counter() - merge_started
-                    )
-                root.set_attrs(
-                    answers=len(result.answers),
-                    partitions=self.partitions,
-                    unreachable=len(unreachable),
-                )
-            self.counters["threshold_queries"] += 1
-            if self.obs is not None:
-                self.obs.observe_query(
-                    time.perf_counter() - query_started, ok=not skipped
-                )
-            return self._finish(result, skipped, "threshold")
-        finally:
-            self.admission.release()
+        return self._serve(
+            KIND_THRESHOLD, [query], eps, measure, tenant, pipelined=False
+        )[0]
 
     def topk_search(
         self, query, k: int, measure=None, tenant: str = "default"
     ) -> TopKSearchResult:
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
+        return self._serve(
+            KIND_TOPK, [query], k, measure, tenant, pipelined=False
+        )[0]
+
+    def threshold_search_many(
+        self, queries, eps, measure=None, tenant: str = "default"
+    ) -> List[ThresholdSearchResult]:
+        """Answer many threshold queries over pipelined worker FIFOs.
+
+        Results align positionally with ``queries`` and match
+        per-query :meth:`threshold_search` answers exactly; admission
+        charges the batch as one request.
+        """
+        return self._serve(
+            KIND_THRESHOLD, queries, eps, measure, tenant, pipelined=True
+        )
+
+    def topk_search_many(
+        self, queries, k: int, measure=None, tenant: str = "default"
+    ) -> List[TopKSearchResult]:
+        """Batch top-k over the same pipelined FIFO transport."""
+        return self._serve(
+            KIND_TOPK, queries, k, measure, tenant, pipelined=True
+        )
+
+    def _serve(
+        self, kind: str, queries, parameter, measure, tenant, pipelined: bool
+    ) -> list:
+        """The one way a query of ``kind`` is served: validate -> admit
+        -> build each query's payload (planning threshold queries) ->
+        scatter -> per query, split reached from unreachable partitions
+        and merge -> :meth:`_finish`.
+
+        ``pipelined`` picks the transport: one hedged request per
+        partition (:meth:`_scatter`, single queries) or a windowed FIFO
+        pipeline per partition (:meth:`_batch_scatter`, batches).
+        """
+        if kind == KIND_THRESHOLD:
+            queries, parameters = normalise_thresholds(queries, parameter)
+        else:
+            check_k(parameter)
+            queries = list(queries)
+            parameters = [int(parameter)] * len(queries)
         resolved = self._plan_engine._resolve_measure(measure)
+        if not queries:
+            return []
         query_started = time.perf_counter()
         self.admission.admit(tenant)
         if self.obs is not None:
@@ -1006,43 +949,106 @@ class ServingCluster:
                 "admission_wait", time.perf_counter() - query_started
             )
         try:
-            with self.tracer.span(
-                "serve.query", kind="topk", tid=query.tid, k=k
-            ) as root:
-                payload = {
-                    "tid": query.tid,
-                    "points": list(query.points),
-                    "k": int(k),
-                    "measure": resolved.name,
-                }
-                started = time.perf_counter()
-                flights = self._scatter(KIND_TOPK, payload)
-                wall = time.perf_counter() - started
+            if pipelined:
+                root_span = self.tracer.span(
+                    "serve.query_batch", kind=kind, queries=len(queries)
+                )
+            else:
+                root_span = self.tracer.span(
+                    "serve.query",
+                    kind=kind,
+                    tid=queries[0].tid,
+                    **{QUERY_PARAMETER[kind]: parameters[0]},
+                )
+            with root_span as root:
+                plans = [
+                    self._payload(kind, query, value, resolved)
+                    for query, value in zip(queries, parameters)
+                ]
+                wall, replies = self._gather(
+                    kind, [payload for payload, _, _ in plans], pipelined
+                )
                 if self.obs is not None:
                     self.obs.observe_slo("fanout", wall)
-                self._trace_flights(flights)
-                partials, unreachable = self._split_flights(flights)
-                merge_started = time.perf_counter()
-                result, skipped = self._merge_topk(
-                    partials, unreachable, k, wall
-                )
-                if self.obs is not None:
-                    self.obs.observe_slo(
-                        "merge", time.perf_counter() - merge_started
+                merged = []
+                lost = set()
+                for (payload, pruning, pruning_seconds), value, row in zip(
+                    plans, parameters, replies
+                ):
+                    partials = []
+                    skipped: List[ScanRange] = []
+                    for partition, reply in sorted(row.items()):
+                        if reply is None:
+                            lost.add(partition)
+                            skipped.extend(
+                                self._skipped_spans(
+                                    partition, payload.get("ranges")
+                                )
+                            )
+                        elif reply.ok:
+                            partials.append(reply.payload)
+                        else:
+                            raise decode_error(reply.error)
+                    merge_started = time.perf_counter()
+                    result = self._merge(
+                        kind,
+                        value,
+                        partials,
+                        skipped,
+                        pruning,
+                        pruning_seconds,
+                        wall / len(queries),
                     )
+                    if self.obs is not None:
+                        self.obs.observe_slo(
+                            "merge", time.perf_counter() - merge_started
+                        )
+                    merged.append((result, skipped))
                 root.set_attrs(
-                    answers=len(result.answers),
+                    answers=sum(len(r.answers) for r, _ in merged),
                     partitions=self.partitions,
-                    unreachable=len(unreachable),
+                    unreachable=len(lost),
                 )
-            self.counters["topk_queries"] += 1
-            if self.obs is not None:
-                self.obs.observe_query(
-                    time.perf_counter() - query_started, ok=not skipped
-                )
-            return self._finish(result, skipped, "topk")
+            seconds = (time.perf_counter() - query_started) / len(queries)
+            results = []
+            for result, skipped in merged:
+                self.counters[f"{kind}_queries"] += 1
+                if self.obs is not None:
+                    self.obs.observe_query(seconds, ok=not skipped)
+                results.append(self._finish(result, skipped, kind))
+            return results
         finally:
             self.admission.release()
+
+    def _gather(
+        self, kind: str, payloads: List[dict], pipelined: bool
+    ) -> Tuple[float, List[Dict[int, Optional[Reply]]]]:
+        """Scatter the payloads over the transport the call shape picks.
+        Returns the scatter's wall seconds and, per query,
+        ``{partition: its settling reply}`` — ``None`` where the
+        partition stayed unreachable."""
+        if not pipelined:
+            started = time.perf_counter()
+            flights = self._scatter(kind, payloads[0])
+            wall = time.perf_counter() - started
+            self._trace_flights(flights)
+            return wall, [{p: f.reply for p, f in flights.items()}]
+        self.counters["requests"] += 1
+        requests = {
+            p: [self._make_request(kind, payload) for payload in payloads]
+            for p in range(self.partitions)
+        }
+        started = time.perf_counter()
+        streams = self._batch_scatter(requests)
+        wall = time.perf_counter() - started
+        self._trace_batch(streams)
+        return wall, [
+            {
+                p: stream.results.get(stream.requests[i].id)
+                for p, stream in streams.items()
+            }
+            for i in range(len(payloads))
+        ]
 
     def _trace_flights(self, flights: Dict[int, _Flight]) -> None:
         """One ``serve.partition`` span per flight; a traced reply's
@@ -1062,8 +1068,9 @@ class ServingCluster:
                     reached=flight.done,
                     replica=flight.winner_slot,
                 )
-            if flight.spans is not None:
-                graft_span_dict(self.tracer, flight.spans, span)
+            reply = flight.reply
+            if reply is not None and reply.spans is not None:
+                graft_span_dict(self.tracer, reply.spans, span)
 
     def _trace_batch(self, states: Dict[int, _PartitionBatch]) -> None:
         """The batch analogue of :meth:`_trace_flights`: one
@@ -1086,151 +1093,6 @@ class ServingCluster:
                 reply = state.results.get(request.id)
                 if reply is not None and reply.spans is not None:
                     graft_span_dict(self.tracer, reply.spans, span)
-
-    def threshold_search_many(
-        self, queries, eps, measure=None, tenant: str = "default"
-    ) -> List[ThresholdSearchResult]:
-        """Answer many threshold queries over pipelined worker FIFOs.
-
-        Results align positionally with ``queries`` and match
-        per-query :meth:`threshold_search` answers exactly; admission
-        charges the batch as one request.
-        """
-        queries = list(queries)
-        try:
-            eps_list = [float(e) for e in eps]
-        except TypeError:
-            eps_list = [float(eps)] * len(queries)
-        if len(eps_list) != len(queries):
-            raise QueryError(
-                f"got {len(queries)} queries but {len(eps_list)} thresholds"
-            )
-        for e in eps_list:
-            if e < 0:
-                raise QueryError(f"threshold must be non-negative, got {e}")
-        if not queries:
-            return []
-        resolved = self._plan_engine._resolve_measure(measure)
-        self.admission.admit(tenant)
-        try:
-            plans = []
-            payloads = []
-            for query, e in zip(queries, eps_list):
-                payload, pruning, wire_ranges, pruning_seconds = (
-                    self._threshold_payload(query, e, resolved)
-                )
-                plans.append((pruning, wire_ranges, pruning_seconds))
-                payloads.append(payload)
-            requests_by_partition = {
-                p: [
-                    self._make_request(KIND_THRESHOLD, payload)
-                    for payload in payloads
-                ]
-                for p in range(self.partitions)
-            }
-            self.counters["requests"] += 1
-            with self.tracer.span(
-                "serve.query_batch", kind="threshold", queries=len(queries)
-            ):
-                started = time.perf_counter()
-                states = self._batch_scatter(requests_by_partition)
-                wall = time.perf_counter() - started
-                self._trace_batch(states)
-            if self.obs is not None:
-                self.obs.observe_slo("fanout", wall)
-            results = []
-            for i in range(len(queries)):
-                partials: Dict[int, object] = {}
-                unreachable: List[int] = []
-                for p, state in states.items():
-                    reply = state.results.get(state.requests[i].id)
-                    if reply is None:
-                        unreachable.append(p)
-                    elif reply.ok:
-                        partials[p] = reply.payload
-                    else:
-                        raise decode_error(reply.error)
-                pruning, wire_ranges, pruning_seconds = plans[i]
-                result, skipped = self._merge_threshold(
-                    partials,
-                    unreachable,
-                    pruning,
-                    wire_ranges,
-                    pruning_seconds,
-                    wall / len(queries),
-                )
-                self.counters["threshold_queries"] += 1
-                if self.obs is not None:
-                    self.obs.observe_query(
-                        wall / len(queries), ok=not skipped
-                    )
-                results.append(self._finish(result, skipped, "threshold"))
-            return results
-        finally:
-            self.admission.release()
-
-    def topk_search_many(
-        self, queries, k: int, measure=None, tenant: str = "default"
-    ) -> List[TopKSearchResult]:
-        """Batch top-k over the same pipelined FIFO transport."""
-        queries = list(queries)
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not queries:
-            return []
-        resolved = self._plan_engine._resolve_measure(measure)
-        self.admission.admit(tenant)
-        try:
-            payloads = [
-                {
-                    "tid": query.tid,
-                    "points": list(query.points),
-                    "k": int(k),
-                    "measure": resolved.name,
-                }
-                for query in queries
-            ]
-            requests_by_partition = {
-                p: [
-                    self._make_request(KIND_TOPK, payload)
-                    for payload in payloads
-                ]
-                for p in range(self.partitions)
-            }
-            self.counters["requests"] += 1
-            with self.tracer.span(
-                "serve.query_batch", kind="topk", queries=len(queries)
-            ):
-                started = time.perf_counter()
-                states = self._batch_scatter(requests_by_partition)
-                wall = time.perf_counter() - started
-                self._trace_batch(states)
-            if self.obs is not None:
-                self.obs.observe_slo("fanout", wall)
-            results = []
-            for i in range(len(queries)):
-                partials: Dict[int, object] = {}
-                unreachable: List[int] = []
-                for p, state in states.items():
-                    reply = state.results.get(state.requests[i].id)
-                    if reply is None:
-                        unreachable.append(p)
-                    elif reply.ok:
-                        partials[p] = reply.payload
-                    else:
-                        raise decode_error(reply.error)
-                result, skipped = self._merge_topk(
-                    partials, unreachable, k, wall / len(queries)
-                )
-                self.counters["topk_queries"] += 1
-                if self.obs is not None:
-                    self.obs.observe_query(
-                        wall / len(queries), ok=not skipped
-                    )
-                results.append(self._finish(result, skipped, "topk"))
-            return results
-        finally:
-            self.admission.release()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -110,16 +110,14 @@ class ClusterObservability:
         bucket[1] += 1
         self.histograms["partition_service"].observe(seconds)
 
-    def absorb_reply(
-        self, partition: int, slot: int, payload: Any
-    ) -> None:
+    def absorb_reply(self, partition: int, slot: int, reply: Any) -> None:
         """Fold one successful reply's ``IOMetrics`` delta into the
         slot's running totals."""
         agg = self.workers.setdefault(
             (partition, slot), {"queries": 0, "io": {}}
         )
         agg["queries"] += 1
-        delta = getattr(payload, "io_delta", None)
+        delta = reply.io_delta
         if delta:
             io = agg["io"]
             for field, value in delta.items():

@@ -4,10 +4,10 @@ One envelope each way: the coordinator sends :class:`Request` objects
 down a ``multiprocessing`` pipe and the worker answers each with one
 :class:`Reply` carrying the same ``id``.  Pipes already frame and
 pickle messages, so the protocol stays declarative — dataclasses of
-primitives plus the two accounting dataclasses
-(:class:`~repro.core.executor.ScanReport`,
-:class:`~repro.core.local_filter.LocalFilterStats`) that the
-coordinator folds into its merged results.
+primitives, with a query reply's ``payload`` being the shard's ordinary
+:class:`~repro.core.threshold.ThresholdSearchResult` /
+:class:`~repro.core.topk.TopKSearchResult` over its own slice, which
+the coordinator merges.
 
 Errors cross the boundary as ``(type name, message, transient)``
 triples rather than pickled exceptions: the coordinator re-raises by
@@ -19,14 +19,15 @@ pickled objects from a worker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import exceptions as _exceptions
-from repro.core.executor import ScanReport
-from repro.core.local_filter import LocalFilterStats
 from repro.exceptions import ClusterError, TransientError
 
-PROTOCOL_VERSION = 2
+#: stamped on every ping reply; ``ServingCluster.start`` refuses workers
+#: that report another value.  3: query replies carry the ordinary
+#: result object, with the request's ``io_delta`` beside it.
+PROTOCOL_VERSION = 3
 
 #: query kinds
 KIND_THRESHOLD = "threshold"
@@ -84,49 +85,9 @@ class Reply:
     #: the worker's completed span subtree (``Span.to_dict`` form) when
     #: the request carried a :class:`TraceContext`
     spans: Optional[Dict[str, Any]] = None
-
-
-@dataclass
-class ThresholdPartial:
-    """One shard's contribution to a threshold query.
-
-    Shards own disjoint salt slices, so ``answers`` dicts are disjoint
-    across partials and the coordinator merge is a plain union.
-    """
-
-    answers: Dict[str, float]
-    candidates: int
-    retrieved_rows: int
-    pruning_seconds: float
-    scan_seconds: float
-    refine_seconds: float
-    resilience: Optional[ScanReport] = None
-    filter_stats: Optional[LocalFilterStats] = None
-    #: full IOMetrics counter delta for this request (field -> count),
-    #: so coordinator-side accounting matches the single-process engine
-    #: field-for-field instead of carrying only ``rows_scanned``
-    io_delta: Optional[Dict[str, int]] = None
-
-
-@dataclass
-class TopKPartial:
-    """One shard's local top-k over its own trajectories.
-
-    Every stored trajectory lives in exactly one shard, so the global
-    top-k is contained in the union of per-shard top-k lists; the
-    coordinator keeps the k smallest by ``(distance, tid)``.
-    """
-
-    answers: List[Tuple[float, str]]
-    candidates: int
-    retrieved_rows: int
-    units_scanned: int
-    elements_expanded: int
-    total_seconds: float
-    resilience: Optional[ScanReport] = None
-    filter_stats: Optional[LocalFilterStats] = None
-    #: full IOMetrics counter delta for this request (see
-    #: :class:`ThresholdPartial`)
+    #: query replies: the full ``IOMetrics`` counter delta of this
+    #: request (field -> count), so coordinator-side accounting matches
+    #: the single-process engine field-for-field
     io_delta: Optional[Dict[str, int]] = None
 
 

@@ -27,8 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import TraSS
 from repro.core.config import TraSSConfig
-from repro.core.local_filter import LocalFilter
-from repro.core.threshold import make_row_filter
+from repro.core.threshold import ThresholdSearchResult, scan_and_refine
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
 from repro.kvstore.faults import FaultInjector, FaultSchedule, SimulatedCrash
@@ -40,10 +39,9 @@ from repro.serve.protocol import (
     KIND_STATS,
     KIND_THRESHOLD,
     KIND_TOPK,
+    PROTOCOL_VERSION,
     Reply,
     Request,
-    ThresholdPartial,
-    TopKPartial,
     TraceContext,
     encode_error,
 )
@@ -99,104 +97,29 @@ def threshold_partial(
     eps: float,
     measure,
     index_ranges: Optional[Sequence[Tuple[int, int]]],
-) -> ThresholdPartial:
+) -> ThresholdSearchResult:
     """This shard's share of Algorithm 3.
 
     The coordinator already ran global pruning, so the worker gets the
-    planned index-value ranges and only maps them to row-key ranges
-    over its *owned* salts — the per-shard half of the single-process
-    scan plan.  Everything downstream (local filter, resilient scan,
-    pipelined refine) is the same code path as
-    :func:`repro.core.threshold.threshold_search`, so a merged set of
-    partials is field-for-field the single-process result.
+    planned index-value ranges and runs the scan-and-refine half of the
+    single-process query — the very function
+    :func:`repro.core.threshold.threshold_search` runs — restricted to
+    its *owned* salts, so a merged set of partials is field-for-field
+    the single-process result.
 
     ``index_ranges is None`` means the measure cannot be index-pruned:
-    fall back to a full scan of the worker's slice, mirroring
-    ``TraSS._full_scan_threshold`` over this partition's trajectories.
+    fall back to the engine's full scan over this partition's slice.
     """
-    store = engine.store
     if index_ranges is None:
-        before = store.metrics.snapshot()
-        result = engine._full_scan_threshold(query, eps, measure)
-        return ThresholdPartial(
-            answers=result.answers,
-            candidates=result.candidates,
-            retrieved_rows=result.retrieved_rows,
-            pruning_seconds=0.0,
-            scan_seconds=result.scan_seconds,
-            refine_seconds=result.refine_seconds,
-            io_delta=store.metrics.diff(before),
-        )
-
-    started = time.perf_counter()
-    ranges = [IndexRange(start, stop) for start, stop in index_ranges]
-    scan_ranges = store.scan_ranges_for(ranges, shards=owned_salts)
-    pruning_seconds = time.perf_counter() - started
-
-    local = LocalFilter(
-        query,
+        return engine._full_scan_threshold(query, eps, measure)
+    return scan_and_refine(
+        engine.store,
         measure,
+        query,
         eps,
-        store.config.dp_tolerance,
-        box_mode=store.config.box_mode,
-    )
-    row_filter = make_row_filter(store, local)
-
-    answers = {}
-    refine_clock = [0.0]
-    query_points = query.points
-
-    def refine(chunk, used_filter) -> None:
-        refine_started = time.perf_counter()
-        accepted = used_filter.accepted
-        for key, _ in chunk:
-            record = accepted[key]
-            dist = measure.distance_within(query_points, record.points, eps)
-            if dist is not None:
-                answers[record.tid] = dist
-        refine_clock[0] += time.perf_counter() - refine_started
-
-    before = store.metrics.snapshot()
-    scan_started = time.perf_counter()
-    rows, scan_report = store.executor.scan_ranges(
-        scan_ranges, row_filter, on_range_rows=refine
-    )
-    elapsed = time.perf_counter() - scan_started
-    io_delta = store.metrics.diff(before)
-    refine_seconds = min(refine_clock[0], elapsed)
-
-    return ThresholdPartial(
-        answers=answers,
-        candidates=len(rows),
-        retrieved_rows=io_delta["rows_scanned"],
-        pruning_seconds=pruning_seconds,
-        scan_seconds=elapsed - refine_seconds,
-        refine_seconds=refine_seconds,
-        resilience=scan_report,
-        filter_stats=local.stats,
-        io_delta=io_delta,
-    )
-
-
-def topk_partial(engine: TraSS, query: Trajectory, k: int, measure_name):
-    """This shard's local top-k (Algorithm 4 over the worker's slice).
-
-    Top-k plans adaptively, so there is no coordinator plan to share;
-    each worker runs the full best-first search on its own store and
-    the coordinator keeps the global k smallest.
-    """
-    before = engine.metrics.snapshot()
-    result = engine.topk_search(query, k, measure=measure_name)
-    return TopKPartial(
-        answers=result.answers,
-        candidates=result.candidates,
-        retrieved_rows=result.retrieved_rows,
-        units_scanned=result.units_scanned,
-        elements_expanded=result.elements_expanded,
-        total_seconds=result.total_seconds,
-        resilience=result.resilience,
-        filter_stats=result.filter_stats,
-        io_delta=engine.metrics.diff(before),
+        [IndexRange(start, stop) for start, stop in index_ranges],
+        engine.tracer,
+        shards=owned_salts,
     )
 
 
@@ -225,21 +148,27 @@ def worker_stats(engine: TraSS, spec: WorkerSpec) -> dict:
     }
 
 
-def _handle(engine: TraSS, spec: WorkerSpec, request: Request):
+def _handle(engine: TraSS, spec: WorkerSpec, request: Request) -> Reply:
     payload = request.payload
     if request.kind == KIND_PING:
-        return {
-            "partition": spec.partition,
-            "replica": spec.replica,
-            "trajectories": len(engine),
-            "pid": os.getpid(),
-        }
+        return Reply(
+            request.id,
+            True,
+            payload={
+                "partition": spec.partition,
+                "replica": spec.replica,
+                "trajectories": len(engine),
+                "pid": os.getpid(),
+                "protocol": PROTOCOL_VERSION,
+            },
+        )
     if request.kind == KIND_STATS:
-        return worker_stats(engine, spec)
+        return Reply(request.id, True, payload=worker_stats(engine, spec))
     query = Trajectory(payload["tid"], payload["points"])
     measure = engine._resolve_measure(payload.get("measure"))
+    before = engine.metrics.snapshot()
     if request.kind == KIND_THRESHOLD:
-        return threshold_partial(
+        result = threshold_partial(
             engine,
             spec.owned_salts,
             query,
@@ -247,9 +176,19 @@ def _handle(engine: TraSS, spec: WorkerSpec, request: Request):
             measure,
             payload.get("ranges"),
         )
-    if request.kind == KIND_TOPK:
-        return topk_partial(engine, query, payload["k"], measure.name)
-    raise ValueError(f"unknown request kind {request.kind!r}")
+    elif request.kind == KIND_TOPK:
+        # Top-k plans adaptively, so there is no coordinator plan to
+        # share: each worker runs the full best-first search on its own
+        # slice and the coordinator keeps the global k smallest.
+        result = engine.topk_search(query, payload["k"], measure=measure.name)
+    else:
+        raise ValueError(f"unknown request kind {request.kind!r}")
+    return Reply(
+        request.id,
+        True,
+        payload=result,
+        io_delta=engine.metrics.diff(before),
+    )
 
 
 def worker_main(spec: WorkerSpec, conn) -> None:
@@ -283,8 +222,7 @@ def worker_main(spec: WorkerSpec, conn) -> None:
             if trace is not None:
                 reply = _handle_traced(engine, spec, request, trace)
             else:
-                result = _handle(engine, spec, request)
-                reply = Reply(request.id, True, payload=result)
+                reply = _handle(engine, spec, request)
         except SimulatedCrash:
             os._exit(1)
         except Exception as exc:  # typed error crosses the wire
@@ -303,8 +241,8 @@ def _handle_traced(
     The tracer rides the engine's ``trace_clock`` — wall time plus
     virtual charges normally, purely virtual under fault injection —
     so shipped durations are deterministic in chaos drills.  Tracing is
-    observational: the handler result is byte-identical to an untraced
-    run, only the reply gains the ``spans`` envelope.
+    observational: the handler's reply is byte-identical to an untraced
+    run, it only gains the ``spans`` subtree.
     """
     tracer = engine.make_tracer()
     with engine.traced(tracer):
@@ -316,10 +254,6 @@ def _handle_traced(
             replica=spec.replica,
             pid=os.getpid(),
         ) as root:
-            result = _handle(engine, spec, request)
-    return Reply(
-        request.id,
-        True,
-        payload=result,
-        spans=root.to_dict(include_events=trace.include_events),
-    )
+            reply = _handle(engine, spec, request)
+    reply.spans = root.to_dict(include_events=trace.include_events)
+    return reply

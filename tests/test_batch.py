@@ -98,8 +98,10 @@ class TestBatchExecution:
             batch_engine.threshold_search(q, e)
             for q, e in zip(batch_queries, eps_list)
         ]
-        results = batch_engine.threshold_search_many(batch_queries, eps_list)
-        _assert_same(expected, results)
+        # a list, a tuple or a one-shot iterator: any iterable of eps
+        for eps in (eps_list, tuple(eps_list), iter(eps_list)):
+            results = batch_engine.threshold_search_many(batch_queries, eps)
+            _assert_same(expected, results)
 
     def test_other_measures(self, batch_engine, batch_queries):
         for name in ("hausdorff", "dtw"):
@@ -135,6 +137,11 @@ class TestBatchExecution:
             batch_engine.threshold_search_many(batch_queries[:2], [0.01])
         with pytest.raises(QueryError):
             batch_engine.threshold_search_many(batch_queries[:1], -1.0)
+        # k is validated whether or not there is anything to answer
+        with pytest.raises(QueryError):
+            batch_engine.topk_search_many(batch_queries[:2], 0)
+        with pytest.raises(QueryError):
+            batch_engine.topk_search_many([], 0)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.exceptions import (
     ClusterError,
     DegradedResult,
     OverloadedError,
+    QueryError,
 )
 from repro.serve import AdmissionController, ServingCluster, TokenBucket
 
@@ -121,20 +122,106 @@ class TestExactness:
         served = cluster.threshold_search(q, EPS, measure="edr")
         assert served.answers == local.answers
 
-    def test_remote_executor_delegation(self, engine, dataset, cluster):
-        """engine.set_remote_executor routes the public search API
-        through the cluster (the `repro query --cluster` path)."""
-        q = dataset[1]
-        local = engine.threshold_search(q, EPS)
-        engine.set_remote_executor(cluster)
+    @pytest.mark.parametrize("measure", [None, "edr"])
+    @pytest.mark.parametrize("many", [False, True])
+    @pytest.mark.parametrize("kind", ["threshold", "topk"])
+    def test_remote_executor_delegation(
+        self, engine, dataset, cluster, kind, many, measure
+    ):
+        """engine.set_remote_executor routes every public entry point
+        through the cluster (the `repro query --cluster` path): same
+        answers, and the engine-side read models move exactly as they
+        do for a local query.  ``edr`` takes the full-scan fallback."""
+        queries = dataset[1:4] if many else dataset[1:2]
+        if kind == "topk":
+            parameter = 4
+        else:
+            parameter = EPS if measure is None else 3.0
+
+        def run():
+            """(results, query-counter delta, latency observations,
+            slow-log entries) of one call on the current substrate."""
+            count = engine.registry.counter(f"trass.query.{kind}.count")
+            seconds = engine.registry.histogram("trass.query.seconds")
+            before = (count.value, seconds.count)
+            engine.slow_query_log.clear()
+            if many:
+                search = getattr(engine, f"{kind}_search_many")
+                results = search(queries, parameter, measure=measure)
+            else:
+                search = getattr(engine, f"{kind}_search")
+                results = [search(queries[0], parameter, measure=measure)]
+            return (
+                results,
+                count.value - before[0],
+                seconds.count - before[1],
+                engine.slow_query_log.entries(),
+            )
+
+        engine.slow_query_log.threshold_seconds = 0.0  # log every query
         try:
+            local, local_count, local_seconds, local_log = run()
+            engine.set_remote_executor(cluster)
             assert engine.remote_executor is cluster
-            delegated = engine.threshold_search(q, EPS)
-            topk_delegated = engine.topk_search(q, 4)
+            served, served_count, served_seconds, served_log = run()
         finally:
             engine.set_remote_executor(None)
-        assert delegated.answers == local.answers
-        assert topk_delegated.answers == engine.topk_search(q, 4).answers
+            engine.slow_query_log.threshold_seconds = None
+        if kind == "topk" and measure == "edr":
+            # Integer distances tie at the k-th boundary, where the
+            # local scan keeps the first seen and the merge the smallest
+            # tid (ServingCluster's documented caveat): compare distances.
+            def answers(result):
+                return [dist for dist, _ in result.answers]
+        else:
+            def answers(result):
+                return result.answers
+        assert [answers(r) for r in served] == [answers(r) for r in local]
+        assert all(r.completeness == 1.0 for r in served)
+        assert served_count == local_count == len(queries)
+        assert served_seconds == local_seconds == len(queries)
+        assert [e.origin for e in local_log] == ["local"] * len(queries)
+        assert [e.origin for e in served_log] == ["cluster"] * len(queries)
+        assert [e.query_tid for e in served_log] == [q.tid for q in queries]
+        if not many:
+            assert {leg["partition"] for leg in served_log[0].fanout} == {0, 1}
+
+    def test_front_door_validation_matches_local(
+        self, engine, dataset, cluster
+    ):
+        """Local and cluster-routed entry points agree on what a bad
+        argument is, and on every accepted shape of ``eps``."""
+        queries = dataset[:3]
+        eps_list = [EPS, 2 * EPS, 3 * EPS]
+        bad_calls = [
+            lambda: engine.threshold_search_many(queries, [EPS]),
+            lambda: engine.threshold_search_many(queries, [EPS, -EPS, EPS]),
+            lambda: engine.threshold_search(queries[0], -EPS),
+            lambda: engine.topk_search(queries[0], 0),
+            lambda: engine.topk_search_many(queries, 0),
+            lambda: engine.topk_search_many([], 0),
+        ]
+
+        def outcomes():
+            answers = [
+                [r.answers for r in engine.threshold_search_many(queries, e)]
+                for e in (eps_list, tuple(eps_list), (e for e in eps_list))
+            ]
+            errors = []
+            for call in bad_calls:
+                with pytest.raises(QueryError) as caught:
+                    call()
+                errors.append(str(caught.value))
+            return answers, errors
+
+        local = outcomes()
+        engine.set_remote_executor(cluster)
+        try:
+            served = outcomes()
+        finally:
+            engine.set_remote_executor(None)
+        assert served == local
+        assert local[0][0] == local[0][1] == local[0][2]
 
     def test_string_key_encoding_matches(self, dataset):
         config = TraSSConfig(
@@ -379,6 +466,31 @@ class TestValidationAndObservability:
             ServingCluster.from_engine(
                 engine, partitions=2, hedge_delay_seconds=-1.0
             )
+
+    def test_protocol_version_mismatch_fails_start(self, engine, monkeypatch):
+        """A worker that speaks another protocol version is refused at
+        the handshake, and the failed start leaves no child behind."""
+        from repro.serve import worker
+
+        # Workers are forked from this process, so they report the
+        # patched value while the coordinator expects the real one.
+        monkeypatch.setattr(
+            worker, "PROTOCOL_VERSION", worker.PROTOCOL_VERSION + 1
+        )
+        cluster = ServingCluster.from_engine(engine, partitions=2)
+        spawned = []
+        spawn = cluster.supervisor.spawn
+
+        def recording_spawn(spec):
+            spawned.append(spawn(spec))
+            return spawned[-1]
+
+        monkeypatch.setattr(cluster.supervisor, "spawn", recording_spawn)
+        with pytest.raises(ClusterError, match="protocol version"):
+            cluster.start()
+        assert len(spawned) == 2
+        assert not any(handle.alive() for handle in spawned)
+        assert cluster.stats()["started"] is False
 
     def test_owned_salts_partition_the_shards(self, engine):
         cluster = ServingCluster.from_engine(engine, partitions=2)
