@@ -539,10 +539,9 @@ class TraSS:
         candidates = 0
         for record in self.store.all_records():
             candidates += 1
-            if measure.within(query.points, record.points, eps):
-                answers[record.tid] = measure.distance(
-                    query.points, record.points
-                )
+            dist = measure.distance_within(query.points, record.points, eps)
+            if dist is not None:
+                answers[record.tid] = dist
         return ThresholdSearchResult(
             answers=answers,
             candidates=candidates,

@@ -47,7 +47,7 @@ from repro.geometry.distance import (
 )
 from repro.geometry.trajectory import Trajectory
 from repro.index.position_code import CODE_QUADS, codes_for_element
-from repro.index.quadrant import ROOT, Element
+from repro.index.quadrant import ROOT, Element, smallest_enlarged_element
 from repro.index.ranges import IndexRange
 from repro.measures.base import Measure
 from repro.obs.tracing import NULL_TRACER
@@ -132,8 +132,6 @@ def topk_search(
     )
     local.tracer = tracer
     budget = pruner.max_planned_elements
-    from repro.index.quadrant import smallest_enlarged_element
-
     query_see_level = smallest_enlarged_element(
         bounds.normalize_mbr(query_mbr), index.max_resolution
     ).level

@@ -12,16 +12,67 @@ Lemma 12:
   ``f >= d(q_n, t_m)``.  True for Fréchet and DTW, *false* for
   Hausdorff (its matching is unordered), so the start/end filter must be
   skipped there (Section VII-A).
+
+It also holds what the two lattice measures, discrete Fréchet and DTW,
+share: coordinate extraction and the greedy coupling that bounds their
+unbounded runs.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Sequence, Tuple, Type
 
 from repro.exceptions import QueryError
 
 PointSeq = Sequence[Tuple[float, float]]
+
+
+def coordinates(points: PointSeq, measure: str) -> Tuple[List[float], List[float]]:
+    """The x and y coordinates of ``points`` as two lists of floats,
+    which is what the lattice kernels index per cell."""
+    if len(points) == 0:
+        raise ValueError(f"{measure} distance of an empty sequence")
+    return [float(p[0]) for p in points], [float(p[1]) for p in points]
+
+
+def greedy_coupling(
+    ax: List[float], ay: List[float], bx: List[float], by: List[float]
+) -> Iterator[float]:
+    """Squared point distances along one monotone coupling, in order.
+
+    From ``(0, 0)`` the coupling always steps to the cheapest of its
+    three successors (the diagonal on ties) and, once one sequence is
+    exhausted, walks the other to the end.  Any coupling's cost bounds
+    the optimal one's from above; each value is computed the way the
+    lattice kernels compute a cell (``dx*dx + dy*dy``), so the bound
+    holds for their floats exactly.
+    """
+    n, m = len(ax), len(bx)
+
+    def sq(i: int, j: int) -> float:
+        dx = ax[i] - bx[j]
+        dy = ay[i] - by[j]
+        return dx * dx + dy * dy
+
+    i = j = 0
+    yield sq(0, 0)
+    while i < n - 1 and j < m - 1:
+        diag, down, right = sq(i + 1, j + 1), sq(i + 1, j), sq(i, j + 1)
+        if diag <= down and diag <= right:
+            i += 1
+            j += 1
+            yield diag
+        elif down <= right:
+            i += 1
+            yield down
+        else:
+            j += 1
+            yield right
+    for i in range(i + 1, n):
+        yield sq(i, j)
+    for j in range(j + 1, m):
+        yield sq(i, j)
 
 
 class Measure(abc.ABC):

@@ -5,93 +5,119 @@ Because every matched pair contributes non-negatively, DTW dominates
 each individual pair distance, so both Lemma 5 and Lemma 12 hold
 (Section VII-B) and the full pruning pipeline applies unchanged.
 
-The threshold variant abandons once every cell of a row exceeds the
-threshold — path costs only grow, so no alignment through such a row
-can finish at or under it.
+The dynamic program walks the same free-space band as discrete Fréchet
+(:mod:`repro.measures.frechet`), with ``+`` where Fréchet takes ``max``.
+Path costs only grow along an alignment — each cell adds a
+non-negative distance, and rounded addition is monotone — so a cell
+whose cost exceeds a ``limit`` lies on no alignment that ends within
+it.  A row is visited from the previous row's first live column to one
+past its last, then rightward while the cell to its left stays live;
+every cell an alignment within the limit can reach is among those, so
+each holds exactly the dense table's value, and a row with no live cell
+ends the search.  Threshold decisions take the limit from ``eps``; the
+exact distance takes it from the greedy coupling's summed cost
+(:func:`~repro.measures.base.greedy_coupling`), which is never below the
+optimum when summed in the same order as the program sums.
 
-DTW sums *linear* distances, so the square root cannot be removed from
-the recurrence — but it can be hoisted: all n*m pairwise distances are
-computed as one vectorised matrix (a single ``np.sqrt``), and the DP
-loop reads plain floats instead of calling ``hypot`` per cell.
+DTW sums *linear* distances, so the square root stays in the
+recurrence: one ``math.sqrt(dx*dx + dy*dy)`` per visited cell, which is
+correctly rounded and so the same float a vectorised ``np.sqrt`` gives.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.measures.base import Measure, PointSeq, register_measure
+from repro.measures.base import (
+    Measure,
+    PointSeq,
+    coordinates,
+    greedy_coupling,
+    register_measure,
+)
 
 _INF = math.inf
+_NAME = "DTW"
 
 
-def _dist_rows(a: PointSeq, b: PointSeq) -> List[List[float]]:
-    """The n x m pairwise distance matrix, as row lists."""
-    n, m = len(a), len(b)
-    ax = np.fromiter((p[0] for p in a), dtype=float, count=n)
-    ay = np.fromiter((p[1] for p in a), dtype=float, count=n)
-    bx = np.fromiter((p[0] for p in b), dtype=float, count=m)
-    by = np.fromiter((p[1] for p in b), dtype=float, count=m)
-    dx = ax[:, None] - bx[None, :]
-    dy = ay[:, None] - by[None, :]
-    return np.sqrt(dx * dx + dy * dy).tolist()
+def _greedy_sum(a: PointSeq, b: PointSeq) -> float:
+    """An upper bound on DTW: the greedy coupling's cost, summed from
+    ``(0, 0)`` in path order."""
+    total = 0.0
+    for d in greedy_coupling(*coordinates(a, _NAME), *coordinates(b, _NAME)):
+        total += math.sqrt(d)
+    return total
+
+
+def _banded_sum(a: PointSeq, b: PointSeq, limit: float) -> Optional[float]:
+    """DTW when it is ``<= limit``, else ``None``, visiting only the
+    cells the limit leaves live."""
+    ax, ay = coordinates(a, _NAME)
+    bx, by = coordinates(b, _NAME)
+    m = len(bx)
+    sqrt = math.sqrt
+    # Column j of a row sits at index j + 1.  Index 0 is column -1: dead,
+    # except in the virtual row above row 0, where its 0.0 seeds (0, 0).
+    blank = [_INF] * (m + 1)
+    prev = blank[:]
+    prev[0] = 0.0
+    cur = blank[:]
+    lo, hi = 0, -1  # the previous row's live span
+    for x, y in zip(ax, ay):
+        first = last = -1
+        # Columns the previous row reaches downward or diagonally.
+        for j in range(lo, hi + 1):
+            dx = x - bx[j]
+            dy = y - by[j]
+            r = prev[j + 1]
+            t = prev[j]
+            if t < r:
+                r = t
+            t = cur[j]
+            if t < r:
+                r = t
+            r += sqrt(dx * dx + dy * dy)
+            if r <= limit:
+                cur[j + 1] = r
+                if first < 0:
+                    first = j
+                last = j
+        # Column hi + 1 still has the live diagonal (hi, or the seed);
+        # past it, only the cell to the left.
+        j = start = hi + 1
+        r = prev[j]
+        t = cur[j]
+        if t < r:
+            r = t
+        while j < m:
+            dx = x - bx[j]
+            dy = y - by[j]
+            r += sqrt(dx * dx + dy * dy)
+            if r > limit:
+                break
+            j += 1
+            cur[j] = r
+        if j > start:
+            last = j - 1
+            if first < 0:
+                first = start
+        if first < 0:
+            return None
+        prev[lo : hi + 2] = blank[lo : hi + 2]
+        prev, cur = cur, prev
+        lo, hi = first, last
+    return prev[m] if hi == m - 1 else None
 
 
 def dtw(a: PointSeq, b: PointSeq) -> float:
     """Exact DTW distance between point sequences."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        raise ValueError("DTW distance of an empty sequence")
-    dist = _dist_rows(a, b)
-    # Boundary row: only the (0, 0) entry point is free.
-    prev = [0.0] + [_INF] * m
-    for i in range(n):
-        row = dist[i]
-        cur = [_INF] * (m + 1)
-        for j in range(1, m + 1):
-            best = min(prev[j], prev[j - 1], cur[j - 1])
-            if best == _INF:
-                continue
-            cur[j] = best + row[j - 1]
-        prev = cur
-    return prev[m]
-
-
-def _dtw_within_value(
-    a: PointSeq, b: PointSeq, eps: float
-) -> Optional[float]:
-    """Final DP value when some alignment stays within ``eps``, else
-    ``None`` (the shared early-abandoning kernel)."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        raise ValueError("DTW distance of an empty sequence")
-    dist = _dist_rows(a, b)
-    prev = [_INF] * (m + 1)
-    prev[0] = 0.0
-    for i in range(n):
-        row = dist[i]
-        cur = [_INF] * (m + 1)
-        alive = False
-        for j in range(1, m + 1):
-            best = min(prev[j], prev[j - 1], cur[j - 1])
-            if best == _INF:
-                continue
-            v = best + row[j - 1]
-            if v <= eps:
-                cur[j] = v
-                alive = True
-        if not alive:
-            return None
-        prev = cur
-        prev[0] = _INF  # only the very first row may start at (0,0)
-    return prev[m] if prev[m] <= eps else None
+    return _banded_sum(a, b, _greedy_sum(a, b))
 
 
 def dtw_within(a: PointSeq, b: PointSeq, eps: float) -> bool:
     """Early-abandoning decision ``DTW(a, b) <= eps``."""
-    return _dtw_within_value(a, b, eps) is not None
+    return _banded_sum(a, b, eps) is not None
 
 
 @register_measure
@@ -120,4 +146,4 @@ class DTW(Measure):
         """
         if eps == _INF:
             return dtw(a, b)
-        return _dtw_within_value(a, b, eps)
+        return _banded_sum(a, b, eps)

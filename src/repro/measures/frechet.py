@@ -1,46 +1,47 @@
 """Discrete Fréchet distance (Definition 2) — the paper's default measure.
 
-Implemented with the standard O(n*m) dynamic program over the coupling
-lattice, rolled to two rows.  The threshold variant abandons a row as
-soon as every cell in it exceeds the threshold: once that happens no
-coupling through the row can come back under it, because values along
-any monotone path are combined with ``max``.
+One dynamic program over the coupling lattice, run in the
+*squared-distance* domain: ``max`` and ``min`` commute with the
+monotone map ``x -> x*x``, so the recurrence is unchanged and the one
+``sqrt`` happens at the end.
 
-The DP runs in the *squared-distance* domain: pairwise squared
-distances are precomputed as one vectorised matrix, and because both
-``max`` and ``min`` commute with the monotone map ``x -> x*x`` the
-lattice recurrence is unchanged — the single ``sqrt`` happens once at
-the end instead of once per cell.  Threshold decisions clamp at a
-marginally relaxed squared bound and make the final comparison in the
-sqrt domain, so ``within`` stays bit-consistent with ``distance``.
+The program visits only the lattice's free space under a ``limit`` on
+the squared value.  A cell whose value exceeds the limit is dead: values
+along a monotone coupling combine with ``max``, so no coupling through
+it ends within the limit.  Each row keeps its live span — first to last
+live column — and, because a cell's predecessors are ``(i-1, j)``,
+``(i-1, j-1)`` and ``(i, j-1)``, row ``i`` can be live only from the
+previous row's first live column to one past its last, and beyond that
+only while the cell to its left stays live.  Those are the cells
+visited: every cell a coupling within the limit can reach is among
+them, so each holds exactly the dense table's value, and a row with no
+live cell ends the search.
+
+The limit comes from the question.  Threshold decisions take it from
+``eps``, marginally relaxed (:func:`_relaxed_sq`), and compare in the
+sqrt domain, which keeps ``within`` bit-consistent with ``distance``.
+The exact distance takes it from a greedy coupling
+(:func:`~repro.measures.base.greedy_coupling`): its largest squared
+distance bounds the optimum from above, so the optimal coupling
+survives the clamp, and the band is a strip around it rather than the
+whole table whenever the points are spread wider than the distance.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.measures.base import Measure, PointSeq, register_measure
+from repro.measures.base import (
+    Measure,
+    PointSeq,
+    coordinates,
+    greedy_coupling,
+    register_measure,
+)
 
 _INF = math.inf
-
-
-def _sq_dist_rows(a: PointSeq, b: PointSeq) -> List[List[float]]:
-    """The n x m matrix of squared pairwise distances, as row lists.
-
-    Vectorised once up front; the DP then reads plain Python floats,
-    which is far cheaper than per-cell ``hypot`` calls.
-    """
-    n, m = len(a), len(b)
-    ax = np.fromiter((p[0] for p in a), dtype=float, count=n)
-    ay = np.fromiter((p[1] for p in a), dtype=float, count=n)
-    bx = np.fromiter((p[0] for p in b), dtype=float, count=m)
-    by = np.fromiter((p[1] for p in b), dtype=float, count=m)
-    dx = ax[:, None] - bx[None, :]
-    dy = ay[:, None] - by[None, :]
-    return (dx * dx + dy * dy).tolist()
+_NAME = "discrete Fréchet"
 
 
 def _relaxed_sq(eps: float) -> float:
@@ -53,104 +54,88 @@ def _relaxed_sq(eps: float) -> float:
     return (eps * (1.0 + 1e-12)) ** 2 if eps > 0 else 0.0
 
 
+def _greedy_sq(a: PointSeq, b: PointSeq) -> float:
+    """An upper bound on the squared discrete Fréchet distance: the
+    largest squared distance along the greedy coupling."""
+    return max(greedy_coupling(*coordinates(a, _NAME), *coordinates(b, _NAME)))
+
+
+def _banded_sq(a: PointSeq, b: PointSeq, limit: float) -> Optional[float]:
+    """The squared discrete Fréchet distance when it is ``<= limit``,
+    else ``None``, visiting only the cells the limit leaves live."""
+    ax, ay = coordinates(a, _NAME)
+    bx, by = coordinates(b, _NAME)
+    m = len(bx)
+    # Column j of a row sits at index j + 1.  Index 0 is column -1: dead,
+    # except in the virtual row above row 0, where its 0.0 seeds (0, 0).
+    blank = [_INF] * (m + 1)
+    prev = blank[:]
+    prev[0] = 0.0
+    cur = blank[:]
+    lo, hi = 0, -1  # the previous row's live span
+    for x, y in zip(ax, ay):
+        first = last = -1
+        # Columns the previous row reaches downward or diagonally.
+        for j in range(lo, hi + 1):
+            dx = x - bx[j]
+            dy = y - by[j]
+            d = dx * dx + dy * dy
+            r = prev[j + 1]
+            t = prev[j]
+            if t < r:
+                r = t
+            t = cur[j]
+            if t < r:
+                r = t
+            if d > r:
+                r = d
+            if r <= limit:
+                cur[j + 1] = r
+                if first < 0:
+                    first = j
+                last = j
+        # Column hi + 1 still has the live diagonal (hi, or the seed);
+        # past it, only the cell to the left.
+        j = start = hi + 1
+        r = prev[j]
+        t = cur[j]
+        if t < r:
+            r = t
+        while j < m:
+            dx = x - bx[j]
+            dy = y - by[j]
+            d = dx * dx + dy * dy
+            if d > r:
+                r = d
+            if r > limit:
+                break
+            j += 1
+            cur[j] = r
+        if j > start:
+            last = j - 1
+            if first < 0:
+                first = start
+        if first < 0:
+            return None
+        prev[lo : hi + 2] = blank[lo : hi + 2]
+        prev, cur = cur, prev
+        lo, hi = first, last
+    return prev[m] if hi == m - 1 else None
+
+
 def discrete_frechet(a: PointSeq, b: PointSeq) -> float:
     """Exact discrete Fréchet distance between point sequences."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        raise ValueError("discrete Fréchet distance of an empty sequence")
-    d2 = _sq_dist_rows(a, b)
-    # Degenerate rows of Definition 2.
-    if n == 1:
-        return math.sqrt(max(d2[0]))
-    if m == 1:
-        return math.sqrt(max(row[0] for row in d2))
-
-    prev = [0.0] * m
-    row = d2[0]
-    acc = row[0]
-    prev[0] = acc
-    for j in range(1, m):
-        d = row[j]
-        if d > acc:
-            acc = d
-        prev[j] = acc
-    cur = [0.0] * m
-    for i in range(1, n):
-        row = d2[i]
-        d = row[0]
-        cur[0] = prev[0] if prev[0] > d else d
-        for j in range(1, m):
-            reach = min(prev[j], prev[j - 1], cur[j - 1])
-            d = row[j]
-            cur[j] = reach if reach > d else d
-        prev, cur = cur, prev
-    return math.sqrt(prev[m - 1])
-
-
-def _frechet_within_value(
-    a: PointSeq, b: PointSeq, eps: float
-) -> Optional[float]:
-    """Squared final DP value when some coupling stays within the
-    relaxed bound, else ``None`` (the shared early-abandoning kernel).
-    """
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        raise ValueError("discrete Fréchet distance of an empty sequence")
-    d2 = _sq_dist_rows(a, b)
-    limit = _relaxed_sq(eps)
-    if n == 1:
-        worst = max(d2[0])
-        return worst if worst <= limit else None
-    if m == 1:
-        worst = max(row[0] for row in d2)
-        return worst if worst <= limit else None
-
-    prev = [_INF] * m
-    row = d2[0]
-    acc = row[0]
-    prev[0] = acc if acc <= limit else _INF
-    for j in range(1, m):
-        if acc > limit:
-            break
-        d = row[j]
-        if d > acc:
-            acc = d
-        prev[j] = acc if acc <= limit else _INF
-    cur = [_INF] * m
-    for i in range(1, n):
-        row = d2[i]
-        d = row[0]
-        v = prev[0] if prev[0] > d else d
-        cur[0] = v if v <= limit else _INF
-        alive = cur[0] < _INF
-        for j in range(1, m):
-            reach = min(prev[j], prev[j - 1], cur[j - 1])
-            if reach == _INF:
-                cur[j] = _INF
-                continue
-            d = row[j]
-            v = reach if reach > d else d
-            if v <= limit:
-                cur[j] = v
-                alive = True
-            else:
-                cur[j] = _INF
-        if not alive:
-            return None
-        prev, cur = cur, prev
-    final = prev[m - 1]
-    return final if final < _INF else None
+    return math.sqrt(_banded_sq(a, b, _greedy_sq(a, b)))
 
 
 def discrete_frechet_within(a: PointSeq, b: PointSeq, eps: float) -> bool:
     """Early-abandoning decision ``D_F(a, b) <= eps``.
 
     Cells whose squared value already exceeds the (relaxed) squared
-    threshold are clamped to ``inf`` so they can never seed a path;
-    when a whole row is ``inf`` the answer is ``False`` without
-    finishing the table.
+    threshold are dead and never seed a path; when a whole row is dead
+    the answer is ``False`` without finishing the table.
     """
-    final = _frechet_within_value(a, b, eps)
+    final = _banded_sq(a, b, _relaxed_sq(eps))
     return final is not None and math.sqrt(final) <= eps
 
 
@@ -180,7 +165,7 @@ class DiscreteFrechet(Measure):
         """
         if eps == _INF:
             return discrete_frechet(a, b)
-        final = _frechet_within_value(a, b, eps)
+        final = _banded_sq(a, b, _relaxed_sq(eps))
         if final is None:
             return None
         value = math.sqrt(final)

@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.measures.base import Measure, PointSeq, register_measure
+from repro.measures.frechet import _relaxed_sq
 
 #: below this many candidate points the vectorisation overhead beats
 #: the plain loop; both branches compute identical floats
@@ -88,7 +89,7 @@ def _hausdorff_within_value(
     ``None`` (the shared early-abandoning kernel)."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("Hausdorff distance of an empty sequence")
-    abandon_sq = (eps * (1.0 + 1e-12)) ** 2 if eps > 0 else 0.0
+    abandon_sq = _relaxed_sq(eps)
     forward = _directed_sq(a, b, abandon_sq)
     if forward > abandon_sq:
         return None
