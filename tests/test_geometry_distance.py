@@ -5,9 +5,6 @@ import math
 import pytest
 
 from repro.geometry.distance import (
-    edge_min_rect_distance,
-    min_dist_edges_to_rect,
-    min_dist_edges_to_rects,
     point_distance,
     point_polyline_distance,
     point_rect_distance,
@@ -106,64 +103,3 @@ class TestPolylines:
         with pytest.raises(ValueError):
             point_polyline_distance((0, 0), [])
 
-
-class TestMinDistEE:
-    """Definition 10 semantics: max over MBR edges of the edge minimum."""
-
-    def test_rect_containing_mbr_is_zero(self):
-        mbr = MBR(1, 1, 2, 2)
-        assert min_dist_edges_to_rect(mbr, MBR(0, 0, 3, 3)) == 0.0
-
-    def test_tiny_centered_rect_is_large(self):
-        # A tiny enlarged element centred in a big query MBR: every edge
-        # of the MBR is far from it — Lemma 7's "too small" case.
-        mbr = MBR(0, 0, 10, 10)
-        tiny = MBR(4.9, 4.9, 5.1, 5.1)
-        assert min_dist_edges_to_rect(mbr, tiny) == pytest.approx(4.9)
-
-    def test_far_rect(self):
-        mbr = MBR(0, 0, 1, 1)
-        rect = MBR(5, 0, 6, 1)
-        # The binding edge is the MBR's *left* edge: the point that must
-        # exist on it is at least 5 away from the rect, so the max over
-        # edges — Definition 10 — is 5, not the right edge's 4.
-        assert min_dist_edges_to_rect(mbr, rect) == pytest.approx(5.0)
-
-    def test_union_version_uses_nearest_member(self):
-        mbr = MBR(0, 0, 1, 1)
-        near = MBR(1.5, 0, 2, 1)
-        far = MBR(9, 9, 10, 10)
-        d_union = min_dist_edges_to_rects(mbr, [near, far])
-        d_near = min_dist_edges_to_rect(mbr, near)
-        assert d_union == pytest.approx(d_near)
-
-    def test_union_empty_is_inf(self):
-        assert min_dist_edges_to_rects(MBR(0, 0, 1, 1), []) == math.inf
-
-    def test_lower_bounds_any_point_pair(self):
-        """minDistEE must never exceed the distance between a point on
-        an MBR edge and a point inside the rect (soundness)."""
-        import random
-
-        rng = random.Random(3)
-        for _ in range(200):
-            mbr = MBR.of_points([(rng.random(), rng.random()) for _ in range(2)])
-            rect = MBR.of_points(
-                [(rng.random() + 2, rng.random()) for _ in range(2)]
-            )
-            bound = min_dist_edges_to_rect(mbr, rect)
-            # Points on each MBR edge vs points in the rect.
-            for a, b in mbr.edges():
-                t = rng.random()
-                px = a.x + (b.x - a.x) * t
-                py = a.y + (b.y - a.y) * t
-                qx = rng.uniform(rect.min_x, rect.max_x)
-                qy = rng.uniform(rect.min_y, rect.max_y)
-                # There exists a point on SOME edge at >= bound from the
-                # rect; every point in the rect is >= its edge-min away.
-                # The max-over-edges bound must stay below the *maximum*
-                # edge point distance, so check the defining inequality:
-                assert edge_min_rect_distance((a, b), rect) <= math.hypot(
-                    px - qx, py - qy
-                ) + 1e-9
-            assert bound >= 0.0
