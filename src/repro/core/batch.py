@@ -25,11 +25,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.executor import ScanReport
 from repro.core.local_filter import LocalFilter
-from repro.core.threshold import (
-    ThresholdSearchResult,
-    check_threshold,
-    threshold_search,
-)
+from repro.core.pruning import check_threshold
+from repro.core.threshold import ThresholdSearchResult, threshold_search
 from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
 from repro.kvstore.table import ScanRange

@@ -24,13 +24,9 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.core.batch import normalise_thresholds, threshold_search_many
 from repro.core.config import TraSSConfig
-from repro.core.pruning import GlobalPruner, PruningResult
+from repro.core.pruning import GlobalPruner, PruningResult, check_threshold
 from repro.core.storage import INTEGER_KEYS, TrajectoryStore
-from repro.core.threshold import (
-    ThresholdSearchResult,
-    check_threshold,
-    threshold_search,
-)
+from repro.core.threshold import ThresholdSearchResult, threshold_search
 from repro.core.topk import TopKSearchResult, check_k, topk_search
 from repro.exceptions import QueryError
 from repro.geometry.mbr import MBR

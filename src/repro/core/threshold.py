@@ -17,9 +17,8 @@ from repro.core.local_filter import (
     LocalFilterRowFilter,
     LocalFilterStats,
 )
-from repro.core.pruning import GlobalPruner, PruningResult
+from repro.core.pruning import GlobalPruner, PruningResult, check_threshold
 from repro.core.storage import TrajectoryStore
-from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
 from repro.kvstore.table import ScanRange
@@ -83,13 +82,6 @@ def make_row_filter(
     """The scan-side adapter for one query's local filter, decoding
     through the store's record cache."""
     return LocalFilterRowFilter(local, decoder=store.record_decoder)
-
-
-def check_threshold(eps: float) -> None:
-    """The one definition of a bad threshold, shared by every front
-    door (engine, batch, serving coordinator)."""
-    if eps < 0:
-        raise QueryError(f"threshold must be non-negative, got {eps}")
 
 
 def threshold_search(

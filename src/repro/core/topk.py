@@ -23,6 +23,11 @@ every trajectory stored below them and are monotone along the tree, so
 nearest-first order never misses a closer trajectory; rows a unit
 over-fetches are removed by local filtering and exact refinement, so
 the answer set is exact regardless of granularity choices.
+
+Both come from the planner's per-element kernel
+(:class:`~repro.core.pruning.PruningKernel`): the element queue holds
+its cells, and an expanded element pushes the kernel's surviving
+``(minDistIS, index value)`` pairs at the working threshold.
 """
 
 from __future__ import annotations
@@ -33,21 +38,14 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.executor import ScanReport
 from repro.core.local_filter import LocalFilter, LocalFilterStats
-from repro.core.pruning import GlobalPruner, min_points_rect_distance
+from repro.core.pruning import ROOT_CELL, Cell, GlobalPruner, PruningKernel
 from repro.core.threshold import make_row_filter
 from repro.core.storage import TrajectoryStore
 from repro.exceptions import QueryError
-from repro.geometry.distance import (
-    min_dist_edges_to_rect,
-    min_dist_edges_to_rects,
-)
 from repro.geometry.trajectory import Trajectory
-from repro.index.position_code import CODE_QUADS, codes_for_element
-from repro.index.quadrant import ROOT, Element, smallest_enlarged_element
+from repro.index.quadrant import smallest_enlarged_element
 from repro.index.ranges import IndexRange
 from repro.measures.base import Measure
 from repro.obs.tracing import NULL_TRACER
@@ -121,8 +119,7 @@ def topk_search(
     world_scale = min(bounds.width, bounds.height)
     query_mbr = query.mbr
     query_points = query.points
-    qxs = np.fromiter((p[0] for p in query_points), dtype=float)
-    qys = np.fromiter((p[1] for p in query_points), dtype=float)
+    kernel = PruningKernel(index, query)
     local = LocalFilter(
         query,
         measure,
@@ -145,27 +142,25 @@ def topk_search(
 
     # Element queue (EQ) and scan-unit queue (IQ); the tiebreak counter
     # keeps heap comparisons away from non-comparable payloads.
-    eq: List[Tuple[float, int, Element]] = []
+    eq: List[Tuple[float, int, Cell]] = []
     iq: List[Tuple[float, int, IndexRange]] = []
     tick = 0
 
-    def push_element(element: Element) -> float:
+    def push_element(cell: Cell) -> None:
         nonlocal tick
-        dist = min_dist_edges_to_rect(query_mbr, index.element_world_mbr(element))
-        heapq.heappush(eq, (dist, tick, element))
+        heapq.heappush(eq, (kernel.min_dist_ee(kernel.lines(cell)), tick, cell))
         tick += 1
-        return dist
 
-    push_element(ROOT)
+    push_element(ROOT_CELL)
     elements_expanded = 0
     units_scanned = 0
     candidates = 0
     retrieved = 0
 
-    def push_subtree_unit(element: Element, dist: float) -> None:
+    def push_subtree_unit(cell: Cell, dist: float) -> None:
         """One contiguous range covering the element's whole subtree."""
         nonlocal tick
-        if element.level == 0:
+        if cell[0] == 0:
             # The root's subtree is the entire main block plus its own
             # tail-block codes.
             heapq.heappush(
@@ -173,16 +168,17 @@ def topk_search(
             )
         else:
             heapq.heappush(
-                iq, (dist, tick, IndexRange(*index.subtree_span(element)))
+                iq, (dist, tick, IndexRange(*kernel.subtree_span(cell)))
             )
         tick += 1
 
-    def expand_element(element: Element, element_dist: float) -> None:
+    def expand_element(cell: Cell, element_dist: float) -> None:
         """Emit the element's surviving index spaces and either descend
         or collapse the subtree into a single scan unit."""
         nonlocal tick, elements_expanded
         elements_expanded += 1
         threshold = current_eps()
+        level = cell[0]
         emit_codes = True
         max_level = index.max_resolution
         if math.isfinite(threshold):
@@ -190,47 +186,34 @@ def topk_search(
             # answers — too-shallow ones still need descending, but
             # their own codes are skipped; too-deep ones stop here.
             min_r, max_r = pruner.resolution_band(query, threshold)
-            if element.level > max_r:
+            if level > max_r:
                 return
-            emit_codes = element.level >= min_r
+            emit_codes = level >= min_r
             max_level = min(max_level, max_r)
 
-        can_descend = element.level < max_level
-        cell_world = element.cell_width * world_scale
+        can_descend = level < max_level
+        cell_world = 0.5**level * world_scale
         if math.isfinite(threshold):
             # Splitting below the threshold's own scale cannot prune.
             refine_pays = cell_world > threshold
         else:
             # No threshold yet: refine down to the query's own element
             # size so nearby subtrees materialise quickly and seed eps.
-            refine_pays = element.level < query_see_level
+            refine_pays = level < query_see_level
         if elements_expanded >= budget:
             refine_pays = False
         if can_descend and not refine_pays:
             # Collapse: the subtree becomes one contiguous scan.
-            push_subtree_unit(element, element_dist)
+            push_subtree_unit(cell, element_dist)
             return
 
         if emit_codes:
-            quad_rects = index.quad_world_rects(element)
-            far_quads = {
-                quad
-                for quad, rect in quad_rects.items()
-                if min_points_rect_distance(qxs, qys, rect) > threshold
-            }
-            for code in codes_for_element(element, index.max_resolution):
-                quads = CODE_QUADS[code]
-                if quads & far_quads:
-                    continue
-                rects = [quad_rects[q] for q in quads]
-                dist = min_dist_edges_to_rects(query_mbr, rects)
-                if dist > threshold:
-                    continue
-                value = index.value(element, code)
+            spaces, _, _ = kernel.index_spaces(cell, kernel.lines(cell), threshold)
+            for dist, value in spaces:
                 heapq.heappush(iq, (dist, tick, IndexRange(value, value + 1)))
                 tick += 1
         if can_descend:
-            for child in element.children():
+            for child in kernel.children(cell):
                 push_element(child)
 
     scan_report = ScanReport()
@@ -338,8 +321,8 @@ def topk_search(
                 _, _, unit = heapq.heappop(iq)
                 materialise(unit)
             else:
-                dist, _, element = heapq.heappop(eq)
-                expand_element(element, dist)
+                dist, _, cell = heapq.heappop(eq)
+                expand_element(cell, dist)
         search_span.set_attrs(
             units_scanned=units_scanned,
             elements_expanded=elements_expanded,

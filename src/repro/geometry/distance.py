@@ -167,60 +167,3 @@ def edge_min_rect_distance(edge: Tuple[Point, Point], rect: MBR) -> float:
     """
     return segment_rect_distance(edge[0], edge[1], rect)
 
-
-def _interval_gap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
-    """Gap between two closed intervals (0 when they overlap)."""
-    return max(0.0, lo2 - hi1, lo1 - hi2)
-
-
-def _axis_edge_rect_distance(
-    x_lo: float, x_hi: float, y_lo: float, y_hi: float, rect: MBR
-) -> float:
-    """Exact min distance from an axis-aligned segment (a degenerate
-    rectangle) to ``rect`` — O(1) interval arithmetic."""
-    dx = _interval_gap(x_lo, x_hi, rect.min_x, rect.max_x)
-    dy = _interval_gap(y_lo, y_hi, rect.min_y, rect.max_y)
-    if dx == 0.0:
-        return dy
-    if dy == 0.0:
-        return dx
-    return math.hypot(dx, dy)
-
-
-def mbr_edge_rect_distances(mbr: MBR, rect: MBR) -> Tuple[float, float, float, float]:
-    """Min distance from each MBR edge (bottom, right, top, left) to
-    ``rect``.  Everything is axis-aligned, so each edge is O(1)."""
-    return (
-        _axis_edge_rect_distance(mbr.min_x, mbr.max_x, mbr.min_y, mbr.min_y, rect),
-        _axis_edge_rect_distance(mbr.max_x, mbr.max_x, mbr.min_y, mbr.max_y, rect),
-        _axis_edge_rect_distance(mbr.min_x, mbr.max_x, mbr.max_y, mbr.max_y, rect),
-        _axis_edge_rect_distance(mbr.min_x, mbr.min_x, mbr.min_y, mbr.max_y, rect),
-    )
-
-
-def min_dist_edges_to_rect(mbr: MBR, rect: MBR) -> float:
-    """``minDistEE`` (Definition 10): max over MBR edges of the edge min.
-
-    This is a *sound* lower bound on ``f(Q, T)`` for every ``T`` inside
-    ``rect``: each edge of ``Q``'s MBR holds at least one point of ``Q``,
-    and that point is at least ``min_{p in edge} d(p, rect)`` away from
-    everything inside ``rect``.
-    """
-    return max(mbr_edge_rect_distances(mbr, rect))
-
-
-def min_dist_edges_to_rects(mbr: MBR, rects: Sequence[MBR]) -> float:
-    """``minDistIS`` (Definition 11) against a union of rectangles.
-
-    An XZ* index space is a union of sub-quads; the distance from an edge
-    to the union is the minimum over members, and the bound is again the
-    maximum over the four MBR edges.
-    """
-    if not rects:
-        return math.inf
-    per_edge = [math.inf, math.inf, math.inf, math.inf]
-    for rect in rects:
-        for i, dist in enumerate(mbr_edge_rect_distances(mbr, rect)):
-            if dist < per_edge[i]:
-                per_edge[i] = dist
-    return max(per_edge)

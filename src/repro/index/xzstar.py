@@ -41,7 +41,6 @@ from repro.index.position_code import (
     NON_MAX_CODES,
     position_code_of,
     quad_rects,
-    index_space_rects,
 )
 from repro.index.quadrant import ROOT, Element, smallest_enlarged_element
 
@@ -213,14 +212,6 @@ class XZStarIndex:
     def element_world_mbr(self, element: Element) -> MBR:
         """The enlarged element's rectangle in world coordinates."""
         return self._denorm(element.enlarged_mbr())
-
-    def quad_world_rects(self, element: Element) -> Dict[str, MBR]:
-        """World rectangles of the element's four sub-quads."""
-        return {q: self._denorm(r) for q, r in quad_rects(element).items()}
-
-    def index_space_world_rects(self, element: Element, code: int) -> List[MBR]:
-        """World rectangles of an index space (a union of sub-quads)."""
-        return [self._denorm(r) for r in index_space_rects(element, code)]
 
     def _denorm(self, rect: MBR) -> MBR:
         lo = self.bounds.denormalize(rect.min_x, rect.min_y)

@@ -137,6 +137,11 @@ class TestBatchExecution:
             batch_engine.threshold_search_many(batch_queries[:2], [0.01])
         with pytest.raises(QueryError):
             batch_engine.threshold_search_many(batch_queries[:1], -1.0)
+        for nan in (float("nan"), [float("nan")]):
+            with pytest.raises(QueryError):
+                batch_engine.threshold_search_many(batch_queries[:1], nan)
+        with pytest.raises(QueryError):
+            batch_engine.threshold_search(batch_queries[0], float("nan"))
         # k is validated whether or not there is anything to answer
         with pytest.raises(QueryError):
             batch_engine.topk_search_many(batch_queries[:2], 0)

@@ -11,6 +11,7 @@ racing real kills against real queries.
 """
 
 import gc
+import math
 import os
 import random
 import threading
@@ -197,6 +198,8 @@ class TestExactness:
             lambda: engine.threshold_search_many(queries, [EPS]),
             lambda: engine.threshold_search_many(queries, [EPS, -EPS, EPS]),
             lambda: engine.threshold_search(queries[0], -EPS),
+            lambda: engine.threshold_search(queries[0], math.nan),
+            lambda: engine.threshold_search_many(queries, [EPS, math.nan, EPS]),
             lambda: engine.topk_search(queries[0], 0),
             lambda: engine.topk_search_many(queries, 0),
             lambda: engine.topk_search_many([], 0),
