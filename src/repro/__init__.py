@@ -44,7 +44,6 @@ from repro.geometry.trajectory import Trajectory
 from repro.index.bounds import SpaceBounds
 from repro.index.xz2 import XZ2Index
 from repro.index.xzstar import XZStarIndex
-from repro.core.join import JoinResult, similarity_join
 from repro.measures import available_measures, get_measure
 from repro.obs import (
     ExplainAnalyzeReport,
@@ -67,8 +66,6 @@ __all__ = [
     "XZStarIndex",
     "XZ2Index",
     "available_measures",
-    "similarity_join",
-    "JoinResult",
     "get_measure",
     "ReproError",
     "GeometryError",

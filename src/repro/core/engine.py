@@ -12,12 +12,13 @@ The engine owns a :class:`~repro.core.storage.TrajectoryStore` (the
 key-value table plus XZ* placement), a
 :class:`~repro.core.pruning.GlobalPruner`, and the configured measure.
 Per-call ``measure`` overrides support the Section VII experiments
-(Hausdorff, DTW) without rebuilding the store.
+(Hausdorff, DTW) without rebuilding the store.  Every registered
+measure satisfies the Lemma 5 point lower bound, so every query runs
+the pruned path (Algorithms 3 and 4).
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
@@ -341,11 +342,7 @@ class TraSS:
         eps: float,
         measure: Optional[str] = None,
     ) -> ThresholdSearchResult:
-        """All trajectories with ``f(query, T) <= eps`` (Definition 3).
-
-        Measures lacking the Lemma 5 point lower bound (EDR, ERP) cannot
-        be index-pruned; they are answered by a verified full scan.
-        """
+        """All trajectories with ``f(query, T) <= eps`` (Definition 3)."""
         check_threshold(eps)
         return self._answer("threshold", query, eps, measure)
 
@@ -355,11 +352,7 @@ class TraSS:
         k: int,
         measure: Optional[str] = None,
     ) -> TopKSearchResult:
-        """The ``k`` most similar trajectories (Definition 4).
-
-        Measures lacking the Lemma 5 lower bound fall back to a ranked
-        full scan (the index's geometric bounds do not bound them).
-        """
+        """The ``k`` most similar trajectories (Definition 4)."""
         check_k(k)
         return self._answer("topk", query, k, measure)
 
@@ -426,7 +419,17 @@ class TraSS:
                 **{QUERY_PARAMETER[kind]: parameter},
                 measure=measure,
             ) as root:
-                result = self._run_local(kind, query, parameter, resolved)
+                search = (
+                    threshold_search if kind == "threshold" else topk_search
+                )
+                result = search(
+                    self.store,
+                    self.pruner,
+                    resolved,
+                    query,
+                    parameter,
+                    self._tracer,
+                )
                 root.set_attrs(
                     answers=len(result.answers),
                     candidates=result.candidates,
@@ -445,24 +448,6 @@ class TraSS:
             fanout=fanout,
         )
         return result
-
-    def _run_local(
-        self, kind: str, query: Trajectory, parameter, measure: Measure
-    ):
-        """The local pipeline of one query: Algorithm 3 / 4, or the
-        verified full scan for measures the index cannot prune."""
-        prunable = measure.supports_point_lower_bound
-        if kind == "threshold":
-            if not prunable:
-                return self._full_scan_threshold(query, parameter, measure)
-            return threshold_search(
-                self.store, self.pruner, measure, query, parameter, self._tracer
-            )
-        if not prunable:
-            return self._full_scan_topk(query, parameter, measure)
-        return topk_search(
-            self.store, self.pruner, measure, query, parameter, self._tracer
-        )
 
     def _answer_many(
         self, kind: str, queries: List[Trajectory], parameter, measure
@@ -487,21 +472,14 @@ class TraSS:
             with self._tracer.span(
                 "query.threshold_batch", queries=len(queries), measure=measure
             ) as root:
-                if not resolved.supports_point_lower_bound:
-                    # No index pruning, hence no range plans to share.
-                    results = [
-                        self._full_scan_threshold(q, e, resolved)
-                        for q, e in zip(queries, parameter)
-                    ]
-                else:
-                    results = threshold_search_many(
-                        self.store,
-                        self.pruner,
-                        resolved,
-                        queries,
-                        parameter,
-                        self._tracer,
-                    )
+                results = threshold_search_many(
+                    self.store,
+                    self.pruner,
+                    resolved,
+                    queries,
+                    parameter,
+                    self._tracer,
+                )
                 root.set_attrs(
                     answers=sum(len(r.answers) for r in results),
                     candidates=sum(r.candidates for r in results),
@@ -522,54 +500,6 @@ class TraSS:
                 origin="local" if remote is None else "cluster",
             )
         return results
-
-    # ------------------------------------------------------------------
-    # Fallbacks for non-prunable measures (Section IX future work)
-    # ------------------------------------------------------------------
-    def _full_scan_threshold(
-        self, query: Trajectory, eps: float, measure: Measure
-    ) -> ThresholdSearchResult:
-        started = time.perf_counter()
-        rows_before = self.metrics.rows_scanned
-        answers = {}
-        candidates = 0
-        for record in self.store.all_records():
-            candidates += 1
-            dist = measure.distance_within(query.points, record.points, eps)
-            if dist is not None:
-                answers[record.tid] = dist
-        return ThresholdSearchResult(
-            answers=answers,
-            candidates=candidates,
-            retrieved_rows=self.metrics.rows_scanned - rows_before,
-            pruning=PruningResult.empty(self.config.max_resolution),
-            pruning_seconds=0.0,
-            scan_seconds=time.perf_counter() - started,
-            refine_seconds=0.0,
-        )
-
-    def _full_scan_topk(
-        self, query: Trajectory, k: int, measure: Measure
-    ) -> TopKSearchResult:
-        started = time.perf_counter()
-        rows_before = self.metrics.rows_scanned
-        heap: List[tuple] = []
-        candidates = 0
-        for record in self.store.all_records():
-            candidates += 1
-            dist = measure.distance(query.points, record.points)
-            if len(heap) < k:
-                heapq.heappush(heap, (-dist, record.tid))
-            elif dist < -heap[0][0]:
-                heapq.heapreplace(heap, (-dist, record.tid))
-        return TopKSearchResult(
-            answers=sorted((-neg, tid) for neg, tid in heap),
-            candidates=candidates,
-            retrieved_rows=self.metrics.rows_scanned - rows_before,
-            units_scanned=1,
-            elements_expanded=0,
-            total_seconds=time.perf_counter() - started,
-        )
 
     def plan(self, query: Trajectory, eps: float) -> PruningResult:
         """Global pruning only — expose the scan plan for inspection."""

@@ -173,6 +173,7 @@ class TrajectoryStore:
 
     def _prepare(self, trajectory: Trajectory) -> Tuple[bytes, bytes, int]:
         """Row key, row blob and index value for one trajectory."""
+        self.config.bounds.check_stored(trajectory.tid, trajectory.mbr)
         placed = self.index.index(trajectory)
         features = extract_dp_features(
             trajectory.points,

@@ -42,11 +42,10 @@ class ThresholdSearchResult:
     pruning_seconds: float
     scan_seconds: float
     refine_seconds: float
-    #: retry / degraded-mode accounting for the scan phase (None for
-    #: paths that bypass the key-value scan, e.g. full-scan fallbacks)
+    #: retry / degraded-mode accounting for the scan phase
     resilience: Optional[ScanReport] = None
-    #: per-lemma rejection funnel from local filtering (None for
-    #: full-scan fallbacks, which bypass Algorithm 2)
+    #: per-lemma rejection funnel from local filtering (None only on a
+    #: cluster result no partition answered)
     filter_stats: Optional[LocalFilterStats] = None
 
     @property

@@ -63,10 +63,9 @@ class TopKSearchResult:
     elements_expanded: int
     total_seconds: float
     #: retry / degraded-mode accounting across every scanned unit
-    #: (None for paths that bypass the key-value scan)
     resilience: Optional[ScanReport] = None
-    #: per-lemma rejection funnel from local filtering (None for
-    #: full-scan fallbacks, which bypass Algorithm 2)
+    #: per-lemma rejection funnel from local filtering (None only on a
+    #: cluster result no partition answered)
     filter_stats: Optional[LocalFilterStats] = None
 
     @property

@@ -22,7 +22,6 @@ from repro.data.datasets import load_dataset, dataset_names
 from repro.data.workload import sample_queries
 from repro.data.io import save_csv, load_csv
 from repro.data.noise import jitter, downsample, add_outliers, duplicate_pings
-from repro.data.segmentation import split_by_gap, split_by_dwell, segment_stream
 
 __all__ = [
     "tdrive_like",
@@ -40,7 +39,4 @@ __all__ = [
     "downsample",
     "add_outliers",
     "duplicate_pings",
-    "split_by_gap",
-    "split_by_dwell",
-    "segment_stream",
 ]

@@ -9,18 +9,10 @@ what makes it cheap relative to the exact measures.
 
 from repro.features.douglas_peucker import douglas_peucker, douglas_peucker_mask
 from repro.features.dp_features import DPFeatures, extract_dp_features
-from repro.features.simplify import (
-    sliding_window,
-    opening_window,
-    max_chord_error,
-)
 
 __all__ = [
     "douglas_peucker",
     "douglas_peucker_mask",
     "DPFeatures",
     "extract_dp_features",
-    "sliding_window",
-    "opening_window",
-    "max_chord_error",
 ]

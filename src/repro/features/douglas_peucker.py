@@ -30,7 +30,7 @@ def douglas_peucker_mask(
         raise ValueError(f"DP tolerance must be non-negative, got {theta}")
     n = len(points)
     if n == 0:
-        raise ValueError("cannot simplify zero points")
+        raise ValueError("Douglas-Peucker of zero points")
     keep = [False] * n
     keep[0] = keep[n - 1] = True
     if n <= 2:

@@ -46,7 +46,11 @@ class SpaceBounds:
 
     # ------------------------------------------------------------------
     def normalize(self, x: float, y: float) -> Tuple[float, float]:
-        """World point -> unit-square point (clamped to [0, 1])."""
+        """World point -> unit-square point (clamped to [0, 1]).
+
+        Only queries can reach the clamp: stored trajectories pass
+        :meth:`check_stored` first.
+        """
         nx = (x - self.min_x) / self.width
         ny = (y - self.min_y) / self.height
         return min(max(nx, 0.0), 1.0), min(max(ny, 0.0), 1.0)
@@ -71,3 +75,21 @@ class SpaceBounds:
 
     def contains(self, x: float, y: float) -> bool:
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
+
+    def check_stored(self, tid: str, mbr: MBR) -> None:
+        """Reject a trajectory to be stored whose MBR leaves the bounds.
+
+        :meth:`normalize` would clamp it into an edge cell whose world
+        rectangle does not contain it, and global pruning (Lemmas 8-11)
+        would then drop it from threshold queries that should find it.
+        """
+        if not (
+            self.contains(mbr.min_x, mbr.min_y)
+            and self.contains(mbr.max_x, mbr.max_y)
+        ):
+            raise GeometryError(
+                f"trajectory {tid!r} leaves the space bounds "
+                f"({self.min_x}, {self.min_y}) .. ({self.max_x}, {self.max_y}):"
+                f" its MBR is ({mbr.min_x}, {mbr.min_y}) .. "
+                f"({mbr.max_x}, {mbr.max_y})"
+            )

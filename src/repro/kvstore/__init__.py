@@ -31,7 +31,6 @@ from repro.kvstore.faults import (
     FaultSchedule,
     SimulatedCrash,
 )
-from repro.kvstore.cache import LRUCache, CachedKVTable
 from repro.kvstore.cluster import ClusterModel
 from repro.kvstore.compaction import (
     CompactingLSMStore,
@@ -66,8 +65,6 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "SimulatedCrash",
-    "LRUCache",
-    "CachedKVTable",
     "ClusterModel",
     "CompactingLSMStore",
     "CompactionPolicy",

@@ -106,9 +106,6 @@ class IOMetrics:
     #: LSM scan block cache (materialised merged runs per key range)
     block_cache_hits: int = 0
     block_cache_misses: int = 0
-    #: point-read row cache (the HBase BlockCache stand-in for gets)
-    row_cache_hits: int = 0
-    row_cache_misses: int = 0
     #: decoded-``TrajectoryRecord`` cache (skips ``decode_row``)
     record_cache_hits: int = 0
     record_cache_misses: int = 0

@@ -12,9 +12,6 @@ from repro.measures.base import Measure, get_measure, available_measures
 from repro.measures.frechet import DiscreteFrechet, discrete_frechet
 from repro.measures.hausdorff import Hausdorff, hausdorff
 from repro.measures.dtw import DTW, dtw
-from repro.measures.edr import EDR, edr
-from repro.measures.erp import ERP, erp
-from repro.measures.lcss import LCSS, lcss_distance
 
 __all__ = [
     "Measure",
@@ -26,10 +23,4 @@ __all__ = [
     "hausdorff",
     "DTW",
     "dtw",
-    "EDR",
-    "edr",
-    "ERP",
-    "erp",
-    "LCSS",
-    "lcss_distance",
 ]

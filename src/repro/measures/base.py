@@ -4,10 +4,10 @@ A measure maps two point sequences to a non-negative number.  Pruning
 correctness requires two properties the paper states as Lemma 5 and
 Lemma 12:
 
-* ``supports_point_lower_bound`` — Lemma 5: for every point ``t`` of one
-  trajectory, ``f(T1, T2) >= d(t, T2)``.  All three shipped measures
-  have it, which is why the global pruning and DP-feature filters apply
-  to all of them (Section VII).
+* Lemma 5: for every point ``t`` of one trajectory,
+  ``f(T1, T2) >= d(t, T2)``.  Every registered measure must have it:
+  global pruning, local filtering and top-k's bounds all rest on it
+  (Section VII), and the engine has no other query path.
 * ``supports_start_end_filter`` — Lemma 12: ``f >= d(q_1, t_1)`` and
   ``f >= d(q_n, t_m)``.  True for Fréchet and DTW, *false* for
   Hausdorff (its matching is unordered), so the start/end filter must be
@@ -21,7 +21,7 @@ unbounded runs.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, List, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import QueryError
 
@@ -80,8 +80,6 @@ class Measure(abc.ABC):
 
     #: registry key, e.g. ``"frechet"``
     name: str = ""
-    #: Lemma 5 holds (point-to-trajectory distance lower-bounds f).
-    supports_point_lower_bound: bool = True
     #: Lemma 12 holds (start/end point distances lower-bound f).
     supports_start_end_filter: bool = True
 
@@ -89,29 +87,22 @@ class Measure(abc.ABC):
     def distance(self, a: PointSeq, b: PointSeq) -> float:
         """Exact distance between point sequences ``a`` and ``b``."""
 
+    @abc.abstractmethod
     def within(self, a: PointSeq, b: PointSeq, eps: float) -> bool:
-        """True iff ``distance(a, b) <= eps``.
+        """True iff ``distance(a, b) <= eps``, abandoning early once the
+        answer is provably ``False``."""
 
-        Subclasses override with early-abandoning implementations; the
-        default just computes the exact distance.
-        """
-        return self.distance(a, b) <= eps
-
-    def distance_within(self, a: PointSeq, b: PointSeq, eps: float):
+    @abc.abstractmethod
+    def distance_within(
+        self, a: PointSeq, b: PointSeq, eps: float
+    ) -> Optional[float]:
         """The exact distance when it is ``<= eps``, else ``None``.
 
         The fused refinement kernel: a threshold refinement needs both
-        the decision and, for answers, the exact value — computing them
-        in one early-abandoning pass halves the refinement cost.  The
-        default runs the two-pass equivalent; optimised measures
-        override with a single DP.  With ``eps == inf`` this is exactly
+        the decision and, for answers, the exact value, computed in one
+        early-abandoning pass.  With ``eps == inf`` this is exactly
         :meth:`distance`.
         """
-        if eps == float("inf"):
-            return self.distance(a, b)
-        if not self.within(a, b, eps):
-            return None
-        return self.distance(a, b)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

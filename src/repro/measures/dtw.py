@@ -125,7 +125,6 @@ class DTW(Measure):
     """Dynamic Time Warping; supports Lemmas 5 and 12."""
 
     name = "dtw"
-    supports_point_lower_bound = True
     supports_start_end_filter = True
 
     def distance(self, a: PointSeq, b: PointSeq) -> float:

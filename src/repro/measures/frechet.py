@@ -144,7 +144,6 @@ class DiscreteFrechet(Measure):
     """Discrete Fréchet distance; supports Lemmas 5 and 12."""
 
     name = "frechet"
-    supports_point_lower_bound = True
     supports_start_end_filter = True
 
     def distance(self, a: PointSeq, b: PointSeq) -> float:

@@ -115,7 +115,6 @@ class Hausdorff(Measure):
     """Symmetric Hausdorff distance; Lemma 5 yes, Lemma 12 no."""
 
     name = "hausdorff"
-    supports_point_lower_bound = True
     supports_start_end_filter = False
 
     def distance(self, a: PointSeq, b: PointSeq) -> float:

@@ -43,9 +43,10 @@ class ExplainAnalyzeReport:
     io_delta: Dict[str, int]
     #: the query's root span
     root: Span
-    #: per-lemma rejection funnel (None for full-scan fallbacks)
+    #: per-lemma rejection funnel (None when no partition of a
+    #: cluster-routed query answered)
     filter_stats: Optional[Dict[str, int]] = None
-    #: ScanReport summary (None for paths that bypass the executor)
+    #: ScanReport summary
     resilience: Optional[Dict[str, Any]] = None
     #: per-region scan distribution + read amplification for this query
     #: (None when storage telemetry is disabled)
@@ -224,32 +225,24 @@ def explain_analyze(
         raise QueryError("tracer recorded no spans for the query")
     root = roots[-1]
 
-    filter_stats = getattr(result, "filter_stats", None)
-    resilience = getattr(result, "resilience", None)
     if eps is not None:
         kind = "threshold"
         parameter = float(eps)
-        answers = len(result.answers)
     else:
         kind = "topk"
         parameter = float(k)
-        answers = len(result.answers)
     return ExplainAnalyzeReport(
         kind=kind,
         query_tid=query.tid,
         parameter=parameter,
         measure=engine._resolve_measure(measure).name,
-        answers=answers,
+        answers=len(result.answers),
         candidates=result.candidates,
         retrieved_rows=result.retrieved_rows,
         io_delta=io_delta,
         root=root,
-        filter_stats=(
-            filter_stats.as_dict() if filter_stats is not None else None
-        ),
-        resilience=(
-            resilience.summary() if resilience is not None else None
-        ),
+        filter_stats=result.filter_stats.as_dict(),
+        resilience=result.resilience.summary(),
         storage=_storage_delta(telemetry, regions_before, io_delta),
         result=result,
     )

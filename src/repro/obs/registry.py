@@ -311,8 +311,6 @@ IO_METRIC_NAMES: Dict[str, str] = {
     "breaker_trips": "trass.resilience.breaker_trips",
     "block_cache_hits": "trass.cache.block.hits",
     "block_cache_misses": "trass.cache.block.misses",
-    "row_cache_hits": "trass.cache.row.hits",
-    "row_cache_misses": "trass.cache.row.misses",
     "record_cache_hits": "trass.cache.record.hits",
     "record_cache_misses": "trass.cache.record.misses",
     "plan_cache_hits": "trass.cache.plan.hits",

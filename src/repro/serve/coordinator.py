@@ -254,11 +254,13 @@ class ServingCluster:
             "worker_errors": 0,
         }
 
-        # Partition the dataset by the salt byte of each row key.
+        # Partition the dataset by the salt byte of each row key, and
+        # reject here, before any fork, what a worker's ingest would.
         slices: List[List[Tuple[str, tuple]]] = [
             [] for _ in range(partitions)
         ]
         for tid, points in trajectories:
+            config.bounds.check_stored(tid, Trajectory(tid, points).mbr)
             slices[self._partition_of(tid)].append((tid, points))
         # Shared-memory serving: materialise each partition's slice
         # once as a compact-segment store on disk; every replica of the
@@ -770,9 +772,8 @@ class ServingCluster:
         self, kind: str, query, parameter, measure
     ) -> Tuple[dict, Optional[PruningResult], float]:
         """One query's wire payload, plus — for a threshold query — the
-        plan the coordinator keeps (workers get only its ranges;
-        ``ranges=None`` tells them the measure cannot be index-pruned)
-        and the seconds planning took."""
+        plan the coordinator keeps (workers get only its ranges) and the
+        seconds planning took."""
         payload = {
             "tid": query.tid,
             "points": list(query.points),
@@ -782,12 +783,8 @@ class ServingCluster:
         if kind == KIND_TOPK:
             return payload, None, 0.0
         started = time.perf_counter()
-        if measure.supports_point_lower_bound:
-            pruning = self.pruner.prune(query, parameter)
-            payload["ranges"] = [(r.start, r.stop) for r in pruning.ranges]
-        else:
-            pruning = PruningResult.empty(self.config.max_resolution)
-            payload["ranges"] = None
+        pruning = self.pruner.prune(query, parameter)
+        payload["ranges"] = [(r.start, r.stop) for r in pruning.ranges]
         return payload, pruning, time.perf_counter() - started
 
     def _skipped_spans(
@@ -797,7 +794,7 @@ class ServingCluster:
     ) -> List[ScanRange]:
         """Exactly the row-key ranges an unreachable partition would
         have scanned: the planned ranges mapped onto its owned salts,
-        or — for plan-free paths (top-k, full-scan fallbacks) — the
+        or — for top-k, which plans adaptively inside each worker — the
         partition's whole salt spans."""
         if wire_ranges is not None:
             ranges = [IndexRange(s, t) for s, t in wire_ranges]

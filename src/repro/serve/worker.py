@@ -96,7 +96,7 @@ def threshold_partial(
     query: Trajectory,
     eps: float,
     measure,
-    index_ranges: Optional[Sequence[Tuple[int, int]]],
+    index_ranges: Sequence[Tuple[int, int]],
 ) -> ThresholdSearchResult:
     """This shard's share of Algorithm 3.
 
@@ -106,12 +106,7 @@ def threshold_partial(
     :func:`repro.core.threshold.threshold_search` runs — restricted to
     its *owned* salts, so a merged set of partials is field-for-field
     the single-process result.
-
-    ``index_ranges is None`` means the measure cannot be index-pruned:
-    fall back to the engine's full scan over this partition's slice.
     """
-    if index_ranges is None:
-        return engine._full_scan_threshold(query, eps, measure)
     return scan_and_refine(
         engine.store,
         measure,
@@ -174,7 +169,7 @@ def _handle(engine: TraSS, spec: WorkerSpec, request: Request) -> Reply:
             query,
             payload["eps"],
             measure,
-            payload.get("ranges"),
+            payload["ranges"],
         )
     elif request.kind == KIND_TOPK:
         # Top-k plans adaptively, so there is no coordinator plan to

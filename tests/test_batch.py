@@ -114,17 +114,6 @@ class TestBatchExecution:
             )
             _assert_same(expected, results)
 
-    def test_non_prunable_measure_falls_back(self, batch_engine, batch_queries):
-        expected = [
-            batch_engine.threshold_search(q, 3.0, measure="edr")
-            for q in batch_queries[:3]
-        ]
-        results = batch_engine.threshold_search_many(
-            batch_queries[:3], 3.0, measure="edr"
-        )
-        for a, b in zip(expected, results):
-            assert b.answers == a.answers
-
     def test_topk_many_matches_single(self, batch_engine, batch_queries):
         expected = [batch_engine.topk_search(q, 4) for q in batch_queries[:4]]
         results = batch_engine.topk_search_many(batch_queries[:4], 4)

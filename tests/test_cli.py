@@ -143,22 +143,34 @@ class TestQueries:
             main(["topk", "--store", store_path, "--k", "3"]) == 2
         )
 
-    def test_edr_measure_via_cli(self, built_store, capsys):
+    def test_measure_via_cli(self, built_store, capsys):
         _, store_path, data = built_store
-        code = main(
-            [
-                "topk",
-                "--store",
-                store_path,
-                "--query-tid",
-                data[0].tid,
-                "--k",
-                "2",
-                "--measure",
-                "edr",
-            ]
-        )
-        assert code == 0
+
+        def topk(measure):
+            return main(
+                [
+                    "topk",
+                    "--store",
+                    store_path,
+                    "--query-tid",
+                    data[0].tid,
+                    "--k",
+                    "2",
+                    "--measure",
+                    measure,
+                ]
+            )
+
+        assert topk("dtw") == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l]
+        assert len(lines) == 2
+        assert lines[0].startswith(data[0].tid)
+        # Only measures the index prunes are choices: argparse rejects
+        # the rest before any query runs.
+        with pytest.raises(SystemExit) as rejected:
+            topk("edr")
+        assert rejected.value.code == 2
+        assert "invalid choice: 'edr'" in capsys.readouterr().err
 
 
 class TestChaosCommand:

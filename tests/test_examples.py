@@ -29,6 +29,4 @@ def test_all_examples_discovered():
         "contact_tracing",
         "carpool_clustering",
         "range_query",
-        "dedup_join",
-        "custom_experiment",
     } <= names

@@ -8,6 +8,7 @@ from repro.core.codec import decode_row, encode_row
 from repro.exceptions import (
     CorruptSSTableError,
     EncodingError,
+    GeometryError,
     KVStoreError,
     QueryError,
 )
@@ -77,6 +78,80 @@ class TestBadQueries:
         q = Trajectory("q", [(5.0, 5.0), (5.1, 5.0)])
         result = self.engine.threshold_search(q, 0.01)
         assert result.answers == {}
+
+
+class TestOutOfBounds:
+    """The two sides of ``SpaceBounds``: a stored trajectory that leaves
+    the bounds is rejected at ingest (``normalize`` would clamp it into
+    an edge cell, and Lemmas 8-11 would then prune it from its own
+    threshold query); a query that leaves them is answered exactly."""
+
+    CFG = TraSSConfig(
+        bounds=SpaceBounds(0, 0, 1, 1), max_resolution=10, shards=2
+    )
+    STRADDLE = Trajectory("straddle", [(0.9, 0.5), (1.3, 0.5)])
+
+    def _rejected(self, call):
+        with pytest.raises(GeometryError) as caught:
+            call()
+        message = str(caught.value)
+        assert "'straddle'" in message
+        assert "(0, 0) .. (1, 1)" in message
+
+    def test_stored_trajectory_outside_bounds_rejected(self):
+        for sorted_ingest in (False, True):
+            engine = TraSS(self.CFG)
+            self._rejected(
+                lambda: engine.add_all([self.STRADDLE], sorted_ingest)
+            )
+            assert len(engine) == 0
+        engine = TraSS(self.CFG)
+        self._rejected(lambda: engine.add(self.STRADDLE))
+        self._rejected(lambda: TraSS.build([self.STRADDLE], self.CFG))
+        # the bounds themselves are inside
+        engine.add(Trajectory("edge", [(0.0, 0.0), (1.0, 1.0)]))
+        assert len(engine) == 1
+
+    def test_cluster_rejects_before_fork(self):
+        from repro.serve import ServingCluster
+
+        data = [("inside", ((0.2, 0.2), (0.3, 0.3)))]
+        data.append((self.STRADDLE.tid, self.STRADDLE.points))
+        self._rejected(
+            lambda: ServingCluster(self.CFG, "integer", data, partitions=2)
+        )
+
+    def test_out_of_bounds_queries_match_brute_force(self):
+        import random
+
+        from repro.measures import get_measure
+
+        rng = random.Random(5)
+        data = []
+        for i in range(60):
+            x, y = rng.uniform(0.7, 1.0), rng.uniform(0.0, 1.0)
+            pts = [(x, y)]
+            for _ in range(rng.randint(1, 8)):
+                x = min(1.0, max(0.0, x + rng.uniform(-0.03, 0.03)))
+                y = min(1.0, max(0.0, y + rng.uniform(-0.03, 0.03)))
+                pts.append((x, y))
+            data.append(Trajectory(f"t{i}", pts))
+        engine = TraSS.build(data, self.CFG)
+        measure = get_measure("frechet")
+        queries = [
+            self.STRADDLE,
+            Trajectory("outside", [(1.1, 0.4), (1.2, 0.45)]),
+            Trajectory("corner", [(1.05, -0.05), (0.98, 0.02)]),
+            Trajectory("far", [(-2.0, -2.0), (-1.9, -2.0)]),
+        ]
+        for q in queries:
+            exact = sorted(
+                (measure.distance(q.points, t.points), t.tid) for t in data
+            )
+            for eps in (0.0, 0.1, 0.3, 4.0):
+                got = engine.threshold_search(q, eps).answers
+                assert got == {tid: d for d, tid in exact if d <= eps}
+            assert engine.topk_search(q, 5).answers == exact[:5]
 
 
 class TestConfigValidation:

@@ -1,83 +1,10 @@
-"""Tests for the similarity join and the cluster cost model."""
-
-import random
+"""Tests for the cluster cost model (per-region scan load on N nodes)."""
 
 import pytest
 
-from repro import TraSS, TraSSConfig, Trajectory, SpaceBounds
-from repro.core.join import similarity_join
-from repro.exceptions import KVStoreError, QueryError
+from repro.exceptions import KVStoreError
 from repro.kvstore.cluster import ClusterModel
 from repro.kvstore.table import KVTable, ScanRange
-from repro.measures import discrete_frechet
-
-BOUNDS = SpaceBounds(0, 0, 1, 1)
-
-
-def clustered_dataset(rng, n=80):
-    data = []
-    for i in range(n):
-        if i % 2 == 0:
-            x, y = 0.5 + rng.uniform(-0.02, 0.02), 0.5 + rng.uniform(-0.02, 0.02)
-        else:
-            x, y = rng.random() * 0.9, rng.random() * 0.9
-        pts = [(x, y)]
-        for _ in range(rng.randint(2, 10)):
-            x = min(0.99, max(0, x + rng.uniform(-0.01, 0.01)))
-            y = min(0.99, max(0, y + rng.uniform(-0.01, 0.01)))
-            pts.append((x, y))
-        data.append(Trajectory(f"t{i}", pts))
-    return data
-
-
-class TestSimilarityJoin:
-    def test_matches_brute_force(self):
-        rng = random.Random(91)
-        data = clustered_dataset(rng)
-        cfg = TraSSConfig(bounds=BOUNDS, max_resolution=8, shards=2)
-        engine = TraSS.build(data, cfg)
-        eps = 0.05
-        result = similarity_join(engine, eps)
-        want = {}
-        for i, a in enumerate(data):
-            for b in data[i + 1 :]:
-                d = discrete_frechet(a.points, b.points)
-                if d <= eps:
-                    key = (a.tid, b.tid) if a.tid < b.tid else (b.tid, a.tid)
-                    want[key] = d
-        assert set(result.pairs) == set(want)
-        for key, dist in result.pairs.items():
-            assert dist == pytest.approx(want[key])
-
-    def test_empty_at_zero_eps_unless_duplicates(self):
-        rng = random.Random(92)
-        data = clustered_dataset(rng, 30)
-        cfg = TraSSConfig(bounds=BOUNDS, max_resolution=8, shards=2)
-        engine = TraSS.build(data, cfg)
-        result = similarity_join(engine, 0.0)
-        assert result.pairs == {}
-
-    def test_duplicate_trajectories_always_pair(self):
-        pts = [(0.3, 0.3), (0.32, 0.31)]
-        data = [Trajectory("a", pts), Trajectory("b", pts)]
-        cfg = TraSSConfig(bounds=BOUNDS, max_resolution=8, shards=2)
-        engine = TraSS.build(data, cfg)
-        result = similarity_join(engine, 0.0)
-        assert result.pairs == {("a", "b"): 0.0}
-
-    def test_negative_eps_rejected(self):
-        engine = TraSS(TraSSConfig(bounds=BOUNDS, max_resolution=8, shards=1))
-        with pytest.raises(QueryError):
-            similarity_join(engine, -1.0)
-
-    def test_accounting(self):
-        rng = random.Random(93)
-        data = clustered_dataset(rng, 40)
-        cfg = TraSSConfig(bounds=BOUNDS, max_resolution=8, shards=2)
-        engine = TraSS.build(data, cfg)
-        result = similarity_join(engine, 0.03)
-        assert result.rows_scanned > 0
-        assert result.candidate_pairs >= len(result.pairs)
 
 
 class TestClusterModel:

@@ -9,7 +9,7 @@ import pytest
 
 from repro import TraSS, TraSSConfig, SpaceBounds
 from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
-from repro.exceptions import KVStoreError
+from repro.exceptions import KVStoreError, QueryError
 from repro.kvstore.persistence import DurableKVTable, load_table, save_table
 from repro.kvstore.table import KVTable
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
@@ -243,6 +243,25 @@ class TestEngineSaveLoad:
             return answers, engine.metrics.diff(before)
 
         assert observe(old_dir) == observe(plain_dir)
+
+    def test_load_rejects_removed_measure(self, tmp_path):
+        """A ``STORE.json`` whose config names a measure the engine no
+        longer serves (EDR, ERP and LCSS lack the Lemma 5 bound) fails
+        to load with a typed error naming the measures it does serve."""
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=10, shards=2)
+        directory = str(tmp_path / "store")
+        TraSS.build(tdrive_like(10, seed=34), cfg).save(directory)
+        meta_path = os.path.join(directory, "STORE.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["config"]["measure_name"] = "edr"
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(QueryError) as caught:
+            TraSS.load(directory)
+        assert "available: ['dtw', 'frechet', 'hausdorff']" in str(
+            caught.value
+        )
 
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(KVStoreError):

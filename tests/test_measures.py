@@ -33,9 +33,7 @@ def walk(rng, n, start=(0.0, 0.0), step=0.1):
 
 class TestRegistry:
     def test_available(self):
-        assert available_measures() == (
-            "dtw", "edr", "erp", "frechet", "hausdorff", "lcss"
-        )
+        assert available_measures() == ("dtw", "frechet", "hausdorff")
 
     def test_get_measure(self):
         assert isinstance(get_measure("frechet"), DiscreteFrechet)

@@ -412,13 +412,6 @@ class TestExplainAnalyze:
         assert report.answers == 4
         assert "k=4" in report.render()
 
-    def test_full_scan_fallback_measure(self, obs_engine):
-        engine, data = obs_engine
-        report = engine.explain_analyze(data[0], eps=0.05, measure="edr")
-        assert report.filter_stats is None
-        assert report.resilience is None
-        assert report.root.name == "query.threshold"
-
     def test_tracer_restored_after_report(self, obs_engine):
         engine, data = obs_engine
         engine.explain_analyze(data[0], eps=0.02)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import TraSS, TraSSConfig
 from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
-from repro.kvstore.cache import CachedKVTable, LRUCache, ObjectLRUCache
+from repro.kvstore.cache import ObjectLRUCache
 from repro.kvstore.faults import FaultInjector, FaultSchedule
 from repro.kvstore.table import KVTable
 
@@ -177,7 +177,6 @@ class TestCacheStaleness:
         a stale cached row after any mutation is impossible."""
         table = KVTable(name="t", max_region_rows=8)  # small: force splits
         table.enable_scan_cache(1 << 16)
-        cached = CachedKVTable(table, 1 << 16)
         model = {}
 
         def k(i):
@@ -186,10 +185,10 @@ class TestCacheStaleness:
         for op in ops:
             if op[0] == "put":
                 value = b"v%d-%d" % (op[1], op[2])
-                cached.put(k(op[1]), value)
+                table.put(k(op[1]), value)
                 model[k(op[1])] = value
             elif op[0] == "delete":
-                cached.delete(k(op[1]))
+                table.delete(k(op[1]))
                 model.pop(k(op[1]), None)
             elif op[0] == "flush":
                 table.flush_all()
@@ -205,7 +204,7 @@ class TestCacheStaleness:
                 )
                 assert got == want
             else:
-                assert cached.get(k(op[1])) == model.get(k(op[1]))
+                assert table.get(k(op[1])) == model.get(k(op[1]))
 
     def test_compaction_invalidates_scan_cache(self):
         table = KVTable(name="t")
@@ -227,15 +226,15 @@ class TestCacheStaleness:
 
 class TestLRUAccounting:
     def test_clear_resets_entries_and_stats(self):
-        cache = LRUCache(1024)
-        cache.put(b"a", b"1")
+        cache = ObjectLRUCache(1024)
+        cache.put(b"a", b"1", cost=2)
         cache.get(b"a")
         cache.get(b"missing")
         cache.invalidate(b"a")
         assert (cache.hits, cache.misses, cache.invalidations) == (1, 1, 1)
         cache.clear()
         assert len(cache) == 0
-        assert cache.current_bytes == 0
+        assert cache.current_cost == 0
         assert (
             cache.hits,
             cache.misses,
@@ -245,12 +244,12 @@ class TestLRUAccounting:
         assert cache.hit_rate == 0.0
 
     def test_invalidate_missing_key_not_counted(self):
-        cache = LRUCache(1024)
+        cache = ObjectLRUCache(1024)
         cache.invalidate(b"nope")
         assert cache.invalidations == 0
 
     def test_hit_rate(self):
-        cache = LRUCache(1024)
+        cache = ObjectLRUCache(1024)
         assert cache.hit_rate == 0.0
         cache.put(b"a", b"1")
         cache.get(b"a")

@@ -115,15 +115,7 @@ class TestExactness:
         served = cluster.topk_search_many(queries, 3)
         assert [r.answers for r in served] == [r.answers for r in local]
 
-    def test_full_scan_fallback_matches(self, engine, dataset, cluster):
-        """Measures without planning support fall back to a full scan;
-        the partitioned full scan must union to the same answers."""
-        q = dataset[0]
-        local = engine.threshold_search(q, EPS, measure="edr")
-        served = cluster.threshold_search(q, EPS, measure="edr")
-        assert served.answers == local.answers
-
-    @pytest.mark.parametrize("measure", [None, "edr"])
+    @pytest.mark.parametrize("measure", [None, "hausdorff"])
     @pytest.mark.parametrize("many", [False, True])
     @pytest.mark.parametrize("kind", ["threshold", "topk"])
     def test_remote_executor_delegation(
@@ -132,12 +124,10 @@ class TestExactness:
         """engine.set_remote_executor routes every public entry point
         through the cluster (the `repro query --cluster` path): same
         answers, and the engine-side read models move exactly as they
-        do for a local query.  ``edr`` takes the full-scan fallback."""
+        do for a local query.  ``hausdorff`` overrides the configured
+        measure per call and runs the workers with Lemma 12 off."""
         queries = dataset[1:4] if many else dataset[1:2]
-        if kind == "topk":
-            parameter = 4
-        else:
-            parameter = EPS if measure is None else 3.0
+        parameter = 4 if kind == "topk" else EPS
 
         def run():
             """(results, query-counter delta, latency observations,
@@ -168,16 +158,7 @@ class TestExactness:
         finally:
             engine.set_remote_executor(None)
             engine.slow_query_log.threshold_seconds = None
-        if kind == "topk" and measure == "edr":
-            # Integer distances tie at the k-th boundary, where the
-            # local scan keeps the first seen and the merge the smallest
-            # tid (ServingCluster's documented caveat): compare distances.
-            def answers(result):
-                return [dist for dist, _ in result.answers]
-        else:
-            def answers(result):
-                return result.answers
-        assert [answers(r) for r in served] == [answers(r) for r in local]
+        assert [r.answers for r in served] == [r.answers for r in local]
         assert all(r.completeness == 1.0 for r in served)
         assert served_count == local_count == len(queries)
         assert served_seconds == local_seconds == len(queries)
@@ -203,6 +184,10 @@ class TestExactness:
             lambda: engine.topk_search(queries[0], 0),
             lambda: engine.topk_search_many(queries, 0),
             lambda: engine.topk_search_many([], 0),
+            lambda: engine.threshold_search(queries[0], EPS, measure="edr"),
+            lambda: engine.threshold_search_many(queries, EPS, measure="edr"),
+            lambda: engine.topk_search(queries[0], 3, measure="edr"),
+            lambda: engine.topk_search_many(queries, 3, measure="edr"),
         ]
 
         def outcomes():
@@ -225,6 +210,7 @@ class TestExactness:
             engine.set_remote_executor(None)
         assert served == local
         assert local[0][0] == local[0][1] == local[0][2]
+        assert "available: ['dtw', 'frechet', 'hausdorff']" in local[1][-1]
 
     def test_string_key_encoding_matches(self, dataset):
         config = TraSSConfig(
