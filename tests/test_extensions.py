@@ -1,18 +1,9 @@
-"""Tests for the extension modules: LCSS, alternative simplifiers, LRU
-cache."""
+"""Tests for the simplifier error contract the DP features rely on."""
 
 import random
 
-import pytest
-
-from repro import TraSS, TraSSConfig, Trajectory, SpaceBounds
-from repro.exceptions import KVStoreError
 from repro.features.douglas_peucker import douglas_peucker
-from repro.features.simplify import max_chord_error, opening_window, sliding_window
-from repro.kvstore.cache import CachedKVTable, LRUCache
-from repro.kvstore.table import KVTable
-from repro.measures import get_measure
-from repro.measures.lcss import LCSS, lcss_distance, lcss_length
+from repro.geometry.distance import point_segment_distance
 
 
 def walk(rng, n, start=(0.0, 0.0), step=0.05):
@@ -25,173 +16,17 @@ def walk(rng, n, start=(0.0, 0.0), step=0.05):
     return pts
 
 
-class TestLCSS:
-    def test_identical_distance_zero(self):
-        pts = [(0, 0), (1, 0), (2, 0)]
-        assert lcss_distance(pts, pts) == 0.0
-
-    def test_disjoint_distance_one(self):
-        a = [(0, 0), (1, 0)]
-        b = [(100, 100), (101, 100)]
-        assert lcss_distance(a, b) == 1.0
-
-    def test_subsequence_matches_fully(self):
-        a = [(0, 0), (2, 0)]
-        b = [(0, 0), (1, 5), (2, 0)]  # outlier in the middle skipped
-        assert lcss_length(a, b, delta=0.1) == 2
-        assert lcss_distance(a, b, delta=0.1) == 0.0
-
-    def test_outlier_robustness_vs_frechet(self):
-        """The signature LCSS property: one huge outlier barely moves
-        LCSS but dominates Fréchet."""
-        from repro.measures import discrete_frechet
-
-        a = [(0.1 * i, 0.0) for i in range(10)]
-        b = list(a)
-        b[5] = (0.5, 99.0)
-        assert discrete_frechet(a, b) > 90
-        assert lcss_distance(a, b, delta=0.01) == pytest.approx(0.1)
-
-    def test_symmetric(self):
-        rng = random.Random(1)
-        a, b = walk(rng, 8), walk(rng, 11)
-        assert lcss_distance(a, b) == pytest.approx(lcss_distance(b, a))
-
-    def test_registry_and_flags(self):
-        m = get_measure("lcss")
-        assert isinstance(m, LCSS)
-        assert not m.supports_point_lower_bound
-
-    def test_engine_fallback_exact(self):
-        rng = random.Random(2)
-        data = [
-            Trajectory(f"t{i}", walk(rng, 6, start=(0.5, 0.5), step=0.01))
-            for i in range(30)
-        ]
-        cfg = TraSSConfig(bounds=SpaceBounds(0, 0, 1, 1), max_resolution=8, shards=2)
-        engine = TraSS.build(data, cfg)
-        m = get_measure("lcss")
-        q = data[0]
-        got = set(engine.threshold_search(q, 0.5, measure="lcss").answers)
-        want = {t.tid for t in data if m.distance(q.points, t.points) <= 0.5}
-        assert got == want
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            lcss_length([], [(0, 0)])
-
-    def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            LCSS(delta=-0.1)
-
-
 class TestSimplifiers:
-    @pytest.mark.parametrize("simplify", [sliding_window, opening_window])
-    def test_error_contract(self, simplify):
-        rng = random.Random(3)
-        for _ in range(25):
-            pts = walk(rng, rng.randint(3, 60))
-            theta = 0.03
-            kept = simplify(pts, theta)
-            assert kept[0] == 0 and kept[-1] == len(pts) - 1
-            assert max_chord_error(pts, kept) <= theta + 1e-12
-
-    @pytest.mark.parametrize("simplify", [sliding_window, opening_window])
-    def test_short_inputs(self, simplify):
-        assert simplify([(0, 0)], 0.1) == [0]
-        assert simplify([(0, 0), (1, 1)], 0.1) == [0, 1]
-
-    @pytest.mark.parametrize("simplify", [sliding_window, opening_window])
-    def test_straight_line_collapses(self, simplify):
-        pts = [(float(i), 0.0) for i in range(30)]
-        assert simplify(pts, 0.01) == [0, 29]
-
     def test_dp_same_contract(self):
-        """All three simplifiers satisfy the same error bound, so they
-        are interchangeable feature sources."""
+        """Douglas-Peucker keeps every dropped point within theta of its
+        covering chord, the bound the DP features are built on."""
         rng = random.Random(4)
         pts = walk(rng, 50)
         theta = 0.02
-        for kept in (
-            douglas_peucker(pts, theta),
-            sliding_window(pts, theta),
-            opening_window(pts, theta),
-        ):
-            assert max_chord_error(pts, kept) <= theta + 1e-12
-
-    @pytest.mark.parametrize("simplify", [sliding_window, opening_window])
-    def test_negative_theta(self, simplify):
-        with pytest.raises(ValueError):
-            simplify([(0, 0), (1, 1)], -1.0)
-
-
-class TestLRUCache:
-    def test_basic_hit_miss(self):
-        cache = LRUCache(1024)
-        assert cache.get(b"a") is None
-        cache.put(b"a", b"1")
-        assert cache.get(b"a") == b"1"
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_eviction_order(self):
-        cache = LRUCache(capacity_bytes=8)  # fits two 4-byte entries
-        cache.put(b"a", b"111")  # 4 bytes
-        cache.put(b"b", b"222")  # 4 bytes
-        cache.get(b"a")  # a is now most recent
-        cache.put(b"c", b"333")  # evicts b
-        assert cache.get(b"a") == b"111"
-        assert cache.get(b"b") is None
-        assert cache.evictions == 1
-
-    def test_oversized_entry_not_cached(self):
-        cache = LRUCache(capacity_bytes=4)
-        cache.put(b"big", b"x" * 100)
-        assert len(cache) == 0
-
-    def test_overwrite_updates_budget(self):
-        cache = LRUCache(capacity_bytes=64)
-        cache.put(b"a", b"x" * 10)
-        cache.put(b"a", b"y" * 5)
-        assert cache.current_bytes == 1 + 5
-        assert cache.get(b"a") == b"y" * 5
-
-    def test_capacity_validation(self):
-        with pytest.raises(KVStoreError):
-            LRUCache(0)
-
-
-class TestCachedKVTable:
-    def test_repeat_reads_hit_cache(self):
-        table = KVTable()
-        table.put(b"k", b"v")
-        cached = CachedKVTable(table, capacity_bytes=1024)
-        assert cached.get(b"k") == b"v"
-        gets_before = table.metrics.gets
-        assert cached.get(b"k") == b"v"
-        assert table.metrics.gets == gets_before  # served from cache
-        assert cached.cache.hit_rate > 0
-
-    def test_write_invalidates(self):
-        table = KVTable()
-        cached = CachedKVTable(table)
-        cached.put(b"k", b"v1")
-        assert cached.get(b"k") == b"v1"
-        cached.put(b"k", b"v2")
-        assert cached.get(b"k") == b"v2"
-
-    def test_delete_invalidates(self):
-        table = KVTable()
-        cached = CachedKVTable(table)
-        cached.put(b"k", b"v")
-        cached.get(b"k")
-        cached.delete(b"k")
-        assert cached.get(b"k") is None
-
-    def test_scan_passthrough(self):
-        table = KVTable()
-        cached = CachedKVTable(table)
-        for i in range(5):
-            cached.put(f"k{i}".encode(), b"v")
-        assert len(list(cached.scan())) == 5
-        assert cached.row_count == 5  # attribute delegation
+        kept = douglas_peucker(pts, theta)
+        assert kept[0] == 0 and kept[-1] == len(pts) - 1
+        worst = 0.0
+        for a, b in zip(kept, kept[1:]):
+            for i in range(a + 1, b):
+                worst = max(worst, point_segment_distance(pts[i], pts[a], pts[b]))
+        assert worst <= theta + 1e-12
