@@ -447,55 +447,6 @@ def _stats_report(engine, cluster, args, cfg) -> int:
     return 0
 
 
-def _dir_data_bytes(directory: str) -> int:
-    """Bytes held in region files (``.sst`` / ``.seg``) of a store."""
-    import os
-
-    total = 0
-    for name in os.listdir(directory):
-        if name.endswith(".sst") or name.endswith(".seg"):
-            total += os.path.getsize(os.path.join(directory, name))
-    return total
-
-
-def _compact(args: argparse.Namespace) -> int:
-    """Rewrite a saved store's regions as compact mmap segments.
-
-    ``--freeze`` writes the compressed columnar ``.seg`` format (the
-    default re-checkpoints as plain SSTables).  In-place by default;
-    ``--out`` writes a second store directory instead.
-    """
-    import json
-    import os
-
-    before_bytes = _dir_data_bytes(args.store)
-    engine = TraSS.load(args.store)
-    out_dir = args.out if args.out else args.store
-    engine.save(out_dir, compact=args.freeze)
-    after_bytes = _dir_data_bytes(out_dir)
-    ratio = before_bytes / after_bytes if after_bytes else 0.0
-    report = {
-        "store": args.store,
-        "out": out_dir,
-        "frozen": bool(args.freeze),
-        "bytes_before": before_bytes,
-        "bytes_after": after_bytes,
-        "ratio": ratio,
-        "regions": engine.store.table.num_regions,
-        "trajectories": engine.store.trajectory_count,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        mode = "compact segments" if args.freeze else "plain SSTables"
-        print(f"rewrote {report['regions']} region(s) as {mode}")
-        print(
-            f"data bytes: {before_bytes} -> {after_bytes} "
-            f"({ratio:.2f}x)" if after_bytes else "data bytes: 0"
-        )
-    return 0
-
-
 def _heatmap(args: argparse.Namespace) -> int:
     """Render the key-space heatmap (scan traffic over the salted
     row-key space, decayed toward the recent workload).
@@ -1066,26 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_perf_args(stats)
     stats.set_defaults(func=_stats)
-
-    compact = sub.add_parser(
-        "compact",
-        help="rewrite a saved store's regions (optionally as "
-        "compressed mmap segments)",
-    )
-    compact.add_argument("--store", required=True)
-    compact.add_argument(
-        "--freeze",
-        action="store_true",
-        help="write the compact columnar .seg format (3-7x smaller for "
-        "trajectory data) instead of plain SSTables",
-    )
-    compact.add_argument(
-        "--out",
-        default=None,
-        help="write to this directory instead of rewriting in place",
-    )
-    compact.add_argument("--json", action="store_true")
-    compact.set_defaults(func=_compact)
 
     heatmap = sub.add_parser(
         "heatmap",

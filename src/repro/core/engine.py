@@ -29,7 +29,7 @@ from repro.core.pruning import GlobalPruner, PruningResult, check_threshold
 from repro.core.storage import INTEGER_KEYS, TrajectoryStore
 from repro.core.threshold import ThresholdSearchResult, threshold_search
 from repro.core.topk import TopKSearchResult, check_k, topk_search
-from repro.exceptions import QueryError
+from repro.exceptions import KVStoreError, QueryError
 from repro.geometry.mbr import MBR
 from repro.geometry.trajectory import Trajectory
 from repro.kvstore.metrics import IOMetrics
@@ -561,12 +561,20 @@ class TraSS:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory: str, compact: bool = False) -> None:
-        """Snapshot the engine's store into ``directory`` (plus the
-        heatmap + workload log when storage telemetry is on).
+    def save(self, directory: str, compact: bool = True) -> None:
+        """Snapshot the engine's store into ``directory`` as compact
+        mmap segments (plus the heatmap + workload log when storage
+        telemetry is on).
 
-        ``compact=True`` writes regions as compressed mmap segments."""
-        self.store.save(directory, compact=compact)
+        ``compact`` survives only for callers that still pass
+        ``compact=True``; segments are the one on-disk format, so any
+        false value raises :class:`KVStoreError`."""
+        if not compact:
+            raise KVStoreError(
+                "plain SSTable snapshots are no longer written; every "
+                "save writes compact segments"
+            )
+        self.store.save(directory)
         from repro.obs.workload_log import save_observability
 
         save_observability(self, directory)

@@ -374,19 +374,15 @@ class TrajectoryStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory: str, compact: bool = False) -> None:
-        """Snapshot the store (config + table) into a directory.
-
-        ``compact=True`` writes regions as compressed mmap segments
-        (``.seg``) instead of plain SSTables — same entries, several
-        times fewer bytes, and lazily loadable.
-        """
+    def save(self, directory: str) -> None:
+        """Snapshot the store (config + table) into a directory; regions
+        are written as compressed, lazily loadable mmap segments."""
         import json
         import os
 
-        from repro.kvstore.persistence import save_table
+        from repro.kvstore.persistence import save_table, write_atomic
 
-        save_table(self.table, directory, compact=compact)
+        save_table(self.table, directory)
         meta = {
             "key_encoding": self.key_encoding,
             # Persisted statistics let `load` skip the full-table scan
@@ -441,8 +437,9 @@ class TrajectoryStore:
                 "workload_log_size": self.config.workload_log_size,
             },
         }
-        with open(os.path.join(directory, "STORE.json"), "w") as fh:
-            json.dump(meta, fh, indent=2)
+        write_atomic(
+            os.path.join(directory, "STORE.json"), json.dumps(meta, indent=2)
+        )
 
     @classmethod
     def load(cls, directory: str) -> "TrajectoryStore":
@@ -451,15 +448,13 @@ class TrajectoryStore:
         The value histogram and trajectory count are rebuilt from the
         table, so statistics survive the round trip.
         """
-        import json
         import os
 
         from repro.index.bounds import SpaceBounds
-        from repro.kvstore.persistence import load_table
+        from repro.kvstore.persistence import load_table, read_json
 
         try:
-            with open(os.path.join(directory, "STORE.json")) as fh:
-                meta = json.load(fh)
+            meta = read_json(os.path.join(directory, "STORE.json"))
         except FileNotFoundError:
             raise KVStoreError(f"no store metadata in {directory}") from None
         cfg_raw = meta["config"]

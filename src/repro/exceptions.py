@@ -86,11 +86,7 @@ class FatalError(ReproError):
     """
 
 
-class CorruptSSTableError(FatalError, KVStoreError):
-    """An SSTable failed its integrity check when opened or read."""
-
-
-class CorruptSegmentError(CorruptSSTableError):
+class CorruptSegmentError(FatalError, KVStoreError):
     """A compact segment failed an integrity check.
 
     Raised when a segment's header/index is unreadable at open time, or

@@ -32,12 +32,6 @@ from repro.kvstore.faults import (
     SimulatedCrash,
 )
 from repro.kvstore.cluster import ClusterModel
-from repro.kvstore.compaction import (
-    CompactingLSMStore,
-    CompactionPolicy,
-    FullCompactionPolicy,
-    SizeTieredPolicy,
-)
 from repro.kvstore.persistence import (
     DurableKVTable,
     load_table,
@@ -66,10 +60,6 @@ __all__ = [
     "FaultSchedule",
     "SimulatedCrash",
     "ClusterModel",
-    "CompactingLSMStore",
-    "CompactionPolicy",
-    "FullCompactionPolicy",
-    "SizeTieredPolicy",
     "DurableKVTable",
     "load_table",
     "save_table",

@@ -97,7 +97,10 @@ class LSMStore:
         self.sstables.insert(0, run)
         self.memtable = MemTable()
         self.flush_count += 1
-        self._record_flush(run.size_bytes, time.perf_counter() - started)
+        seconds = time.perf_counter() - started
+        self.flush_bytes += run.size_bytes
+        self.flush_seconds += seconds
+        self.flush_duration_hist.observe(seconds)
         if self.fault_injector is not None:
             from repro.kvstore.faults import CRASH_MEMTABLE_FLUSH_POST
 
@@ -119,21 +122,9 @@ class LSMStore:
         self.memtable = MemTable()
         self.sstables = [SSTable.from_entries(merged)] if merged else []
         self.compaction_count += 1
-        self._record_compaction(
-            self.sstables[0].size_bytes if self.sstables else 0,
-            time.perf_counter() - started,
-        )
-
-    # ------------------------------------------------------------------
-    # Telemetry recording (shared with CompactingLSMStore)
-    # ------------------------------------------------------------------
-    def _record_flush(self, nbytes: int, seconds: float) -> None:
-        self.flush_bytes += nbytes
-        self.flush_seconds += seconds
-        self.flush_duration_hist.observe(seconds)
-
-    def _record_compaction(self, nbytes: int, seconds: float) -> None:
-        self.compaction_bytes += nbytes
+        seconds = time.perf_counter() - started
+        if self.sstables:
+            self.compaction_bytes += self.sstables[0].size_bytes
         self.compaction_seconds += seconds
         self.compaction_duration_hist.observe(seconds)
 

@@ -125,7 +125,7 @@ class IOMetrics:
     #: (each counts a row some query did *not* have to re-scan)
     batch_rows_shared: int = 0
     # ------------------------------------------------------------------
-    # Compact mmap segments (the frozen read-optimized format).  The
+    # Compact mmap segments (the on-disk run format).  The
     # compressed/logical pair is what the advisor divides to report the
     # live compression ratio of the bytes actually touched.
     # ------------------------------------------------------------------

@@ -3,15 +3,16 @@
 Layout::
 
     <dir>/MANIFEST.json            table metadata + region boundaries
-    <dir>/region-GGGGG-00000.sst   one compacted SSTable per region,
+    <dir>/region-GGGGG-00000.seg   one compact segment per region,
                                    named by checkpoint *generation*
     <dir>/wal.log                  mutation log for writes after the
                                    snapshot
 
-``save_table`` snapshots each region into an SSTable file;
-``load_table`` restores the regions and replays any WAL tail, giving
-the embedded store the full HBase durability story in miniature:
-snapshot + log = recoverable state.
+``save_table`` snapshots each region into a compact segment file
+(:mod:`~repro.kvstore.segment`, the store's one on-disk format);
+``load_table`` maps the segments back lazily and replays any WAL tail,
+giving the embedded store the full HBase durability story in
+miniature: snapshot + log = recoverable state.
 
 Crash-safety of the checkpoint itself (the hardening a real kill
 demands):
@@ -19,9 +20,9 @@ demands):
 * region files are written under a fresh generation number — a
   checkpoint never overwrites the files the current manifest points at,
   so dying mid-write leaves the previous snapshot fully intact;
-* the manifest is written to a temporary file, fsynced, then atomically
-  ``os.replace``\\ d into place — readers see either the old or the new
-  manifest, never a torn one;
+* the manifest is written by :func:`write_atomic` — a temporary file,
+  fsynced, then atomically ``os.replace``\\ d into place — so readers
+  see either the old or the new manifest, never a torn one;
 * the WAL is deleted only *after* the new manifest is durable, so a
   crash between those steps merely replays writes the snapshot already
   holds (puts and deletes are idempotent);
@@ -50,18 +51,14 @@ from repro.kvstore.faults import (
     CRASH_CHECKPOINT_WAL_TRUNCATE_PRE,
 )
 from repro.kvstore.segment import Segment, build_segment_bytes
-from repro.kvstore.sstable import SSTable
 from repro.kvstore.table import KVTable
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
-#: version 2 added generation-numbered region files; version 3 added
-#: compact ``.seg`` region files (``save_table(compact=True)``).  Older
-#: directories still load.
-FORMAT_VERSION = 2
-COMPACT_FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+#: version 3 is the compact-segment layout; versions 1 and 2 held
+#: plain SSTable region files, which are no longer readable.
+FORMAT_VERSION = 3
 
 
 def _encode_key(key: Optional[bytes]) -> Optional[str]:
@@ -80,19 +77,46 @@ def _fsync_file(path: str) -> None:
         os.close(fd)
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text``: write a temporary sibling, fsync
+    it, then ``os.replace`` it into place — a reader (or a crash) sees
+    the old file or the new one, never a torn one."""
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp_path, path)
+
+
+def read_json(path: str) -> dict:
+    """Parse a JSON file of a saved store; a torn or corrupt file raises
+    :class:`KVStoreError` naming it (a missing one raises
+    ``FileNotFoundError`` for the caller to interpret)."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise KVStoreError(
+                f"corrupt {os.path.basename(path)} in "
+                f"{os.path.dirname(path)}: {exc}"
+            ) from exc
+
+
 def _read_manifest(directory: str) -> dict:
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = read_json(os.path.join(directory, MANIFEST_NAME))
     except FileNotFoundError:
         raise KVStoreError(f"no manifest in {directory}") from None
-    except json.JSONDecodeError as exc:
-        raise KVStoreError(f"corrupt manifest in {directory}: {exc}") from exc
-    if manifest.get("format_version") not in _SUPPORTED_VERSIONS:
+    version = manifest.get("format_version")
+    if version in (1, 2):
         raise KVStoreError(
-            f"unsupported table format {manifest.get('format_version')!r}"
+            f"table format {version} in {directory} holds plain .sst "
+            "snapshots, which are no longer readable; rebuild the store "
+            "from its source data"
         )
+    if version != FORMAT_VERSION:
+        raise KVStoreError(f"unsupported table format {version!r}")
     return manifest
 
 
@@ -106,46 +130,33 @@ def _current_generation(directory: str) -> int:
 def _sweep_stale_files(directory: str, keep: set) -> None:
     """Remove checkpoint debris not referenced by the live manifest."""
     for name in os.listdir(directory):
-        if name in keep or name == WAL_NAME or name == MANIFEST_NAME:
+        if name in keep:
             continue
-        if (
-            name.endswith(".sst")
-            or name.endswith(".seg")
-            or name == MANIFEST_NAME + ".tmp"
-        ):
+        if name.startswith("region-") or name.endswith(".tmp"):
             try:
                 os.remove(os.path.join(directory, name))
             except OSError:  # pragma: no cover - best-effort sweep
                 pass
 
 
-def save_table(
-    table: KVTable, directory: str, fault_injector=None, compact: bool = False
-) -> None:
+def save_table(table: KVTable, directory: str, fault_injector=None) -> None:
     """Snapshot ``table`` into ``directory`` (created if missing).
 
-    The checkpoint is atomic: until the manifest rename lands, a crash
-    leaves the previous snapshot (and the WAL) untouched.
-
-    With ``compact=True`` each region is written as a compressed
-    columnar ``.seg`` file (format version 3) instead of a plain
-    ``.sst`` — the same entries, a fraction of the bytes, and loadable
-    lazily through ``mmap``.
+    Each region is written as one compressed columnar ``.seg`` file,
+    loadable lazily through ``mmap``.  The checkpoint is atomic: until
+    the manifest rename lands, a crash leaves the previous snapshot (and
+    the WAL) untouched.
     """
     os.makedirs(directory, exist_ok=True)
     injector = fault_injector
     generation = _current_generation(directory) + 1
-    suffix = "seg" if compact else "sst"
     regions = []
     for i, region in enumerate(table.regions):
-        filename = f"region-{generation:05d}-{i:05d}.{suffix}"
+        filename = f"region-{generation:05d}-{i:05d}.seg"
         path = os.path.join(directory, filename)
         if injector is not None:
             injector.crash_point(CRASH_CHECKPOINT_REGION_PRE)
-        if compact:
-            blob = build_segment_bytes(region.store.scan())
-        else:
-            blob = SSTable.from_entries(region.store.scan()).to_bytes()
+        blob = build_segment_bytes(region.store.scan())
         if injector is not None and injector.should_crash(
             CRASH_CHECKPOINT_REGION_TORN
         ):
@@ -163,7 +174,7 @@ def save_table(
             }
         )
     manifest = {
-        "format_version": COMPACT_FORMAT_VERSION if compact else FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "generation": generation,
         "name": table.name,
         "max_region_rows": table.max_region_rows,
@@ -171,21 +182,16 @@ def save_table(
         "regions": regions,
     }
     manifest_path = os.path.join(directory, MANIFEST_NAME)
-    tmp_path = manifest_path + ".tmp"
     if injector is not None:
         injector.crash_point(CRASH_CHECKPOINT_MANIFEST_PRE)
     text = json.dumps(manifest, indent=2)
     if injector is not None and injector.should_crash(
         CRASH_CHECKPOINT_MANIFEST_TORN
     ):
-        with open(tmp_path, "w") as fh:
+        with open(manifest_path + ".tmp", "w") as fh:
             fh.write(text[: len(text) // 2])
         injector.crash(CRASH_CHECKPOINT_MANIFEST_TORN)
-    with open(tmp_path, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, manifest_path)
+    write_atomic(manifest_path, text)
     if injector is not None:
         injector.crash_point(CRASH_CHECKPOINT_MANIFEST_POST)
     # The snapshot is durable; the log it supersedes can go, and stale
@@ -240,14 +246,10 @@ def load_table(directory: str) -> KVTable:
             _decode_key(entry["end_key"]),
             manifest["flush_threshold"],
         )
-        path = os.path.join(directory, entry["file"])
-        if entry["file"].endswith(".seg"):
-            # Compact segment: mmap-backed, lazily materialised — the
-            # load touches only the header/index/bloom sections.
-            run = Segment.open(path)
-            table.adopt_segment(run)
-        else:
-            run = SSTable.load(path)
+        # mmap-backed and lazily materialised: the load touches only
+        # each segment's header/index/bloom sections.
+        run = Segment.open(os.path.join(directory, entry["file"]))
+        table.adopt_segment(run)
         region.store.sstables = [run]
         region.row_count = len(run)
         regions.append(region)

@@ -1,4 +1,4 @@
-"""Compact mmap segments: the frozen, read-optimized run format.
+"""Compact mmap segments: the store's one on-disk run format.
 
 A segment is an immutable sorted run — the same logical object as an
 :class:`~repro.kvstore.sstable.SSTable` — persisted in a compressed

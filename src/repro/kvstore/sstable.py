@@ -1,29 +1,28 @@
 """Immutable sorted string tables.
 
-An SSTable is a frozen, sorted run of ``(key, value | tombstone)``
-entries produced by flushing a memtable or by compaction.  Point reads
-consult a per-table bloom filter first and then binary-search the key
-array; scans bisect to the start key.  Tables can round-trip through a
-compact binary file format with a CRC32 integrity check, mirroring the
-HFile role in HBase.
+An SSTable is the in-memory form of a sorted run of ``(key, value |
+tombstone)`` entries produced by flushing a memtable or by compaction.
+Point reads consult a per-table bloom filter first and then
+binary-search the key array; scans bisect to the start key.  On disk a
+run is a compact segment (:mod:`~repro.kvstore.segment`), the HFile
+role in HBase.
 """
 
 from __future__ import annotations
 
 import bisect
-import mmap
-import struct
-import zlib
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
-from repro.exceptions import CorruptSSTableError, KVStoreError
+from repro.exceptions import KVStoreError
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.memtable import TOMBSTONE, Entry
 
-_MAGIC = b"RSST"
-_VERSION = 1
-_HEADER = struct.Struct(">4sBQ")  # magic, version, entry count
-_ENTRY_HEADER = struct.Struct(">IBI")  # key len, tombstone flag, value len
+# The byte-size model of a run: a fixed per-run overhead, per-entry
+# key/value lengths and tombstone flag plus the payload, and the bloom
+# filter's header plus bits.
+_RUN_OVERHEAD = 21
+_ENTRY_OVERHEAD = 9
+_BLOOM_HEADER = 18
 
 
 class SSTable:
@@ -56,37 +55,18 @@ class SSTable:
         self.reads = 0
         self.bloom_negatives = 0
         self.bloom_false_positives = 0
-        # The exact serialised size (what `to_bytes` will produce), so
-        # flush/compaction byte accounting matches bytes on disk.
-        self.size_bytes = _HEADER.size + 8  # + bloom length u32 + CRC32
+        # Feeds the flush/compaction byte accounting and write
+        # amplification, so it must not change between versions that
+        # are compared against each other.
+        self.size_bytes = _RUN_OVERHEAD
         for key, value in zip(keys, values):
             self.bloom.add(key)
-            self.size_bytes += _ENTRY_HEADER.size + len(key)
+            self.size_bytes += _ENTRY_OVERHEAD + len(key)
             if value is not TOMBSTONE:
                 self.size_bytes += len(value)  # type: ignore[arg-type]
-        self.size_bytes += 18 + (self.bloom.num_bits + 7) // 8
+        self.size_bytes += _BLOOM_HEADER + (self.bloom.num_bits + 7) // 8
 
     # ------------------------------------------------------------------
-    @classmethod
-    def _assemble(
-        cls,
-        keys: List[bytes],
-        values: List[object],
-        bloom: BloomFilter,
-        size_bytes: int,
-    ) -> "SSTable":
-        """Fast path for CRC-verified data: no re-sort check, no bloom
-        rebuild — the persisted filter is adopted as-is."""
-        table = cls.__new__(cls)
-        table._keys = keys
-        table._values = values
-        table.bloom = bloom
-        table.size_bytes = size_bytes
-        table.reads = 0
-        table.bloom_negatives = 0
-        table.bloom_false_positives = 0
-        return table
-
     @staticmethod
     def from_entries(entries: Iterable[Entry]) -> "SSTable":
         """Build from an iterable already sorted by key."""
@@ -147,104 +127,3 @@ class SSTable:
         if stop is not None and self._keys[0] >= stop:
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # File round trip
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialise: header, entries, bloom, CRC32 trailer."""
-        parts = [_HEADER.pack(_MAGIC, _VERSION, len(self._keys))]
-        for key, value in zip(self._keys, self._values):
-            if value is TOMBSTONE:
-                parts.append(_ENTRY_HEADER.pack(len(key), 1, 0))
-                parts.append(key)
-            else:
-                data = bytes(value)  # type: ignore[arg-type]
-                parts.append(_ENTRY_HEADER.pack(len(key), 0, len(data)))
-                parts.append(key)
-                parts.append(data)
-        bloom_bytes = self.bloom.to_bytes()
-        parts.append(struct.pack(">I", len(bloom_bytes)))
-        parts.append(bloom_bytes)
-        body = b"".join(parts)
-        return body + struct.pack(">I", zlib.crc32(body))
-
-    @staticmethod
-    def from_bytes(data) -> "SSTable":
-        """Deserialise and verify; raises :class:`CorruptSSTableError`.
-
-        Accepts any bytes-like buffer (``bytes``, ``memoryview``, an
-        ``mmap``), so :meth:`load` can parse straight off the page
-        cache without first copying the whole file into a string.
-        """
-        size = len(data)
-        if size < _HEADER.size + 4:
-            raise CorruptSSTableError("SSTable file truncated")
-        (crc,) = struct.unpack_from(">I", data, size - 4)
-        body = memoryview(data)[: size - 4]
-        try:
-            return SSTable._parse_body(body, crc, size)
-        finally:
-            # Explicit release: a propagating CorruptSSTableError keeps
-            # the parse frame (and this view) alive via its traceback,
-            # which would make ``load``'s ``mmap.close()`` fail with
-            # BufferError.  Every parsed field is copied out, so the
-            # view is dead weight by now either way.
-            body.release()
-
-    @staticmethod
-    def _parse_body(body, crc: int, size: int) -> "SSTable":
-        if zlib.crc32(body) != crc:
-            raise CorruptSSTableError("SSTable checksum mismatch")
-        magic, version, count = _HEADER.unpack_from(body, 0)
-        if magic != _MAGIC:
-            raise CorruptSSTableError(f"bad magic {bytes(magic)!r}")
-        if version != _VERSION:
-            raise CorruptSSTableError(f"unsupported SSTable version {version}")
-        offset = _HEADER.size
-        keys: List[bytes] = []
-        values: List[object] = []
-        for _ in range(count):
-            if offset + _ENTRY_HEADER.size > len(body):
-                raise CorruptSSTableError("entry header past end of file")
-            key_len, flag, val_len = _ENTRY_HEADER.unpack_from(body, offset)
-            offset += _ENTRY_HEADER.size
-            if offset + key_len + val_len > len(body):
-                raise CorruptSSTableError("entry data past end of file")
-            keys.append(bytes(body[offset : offset + key_len]))
-            offset += key_len
-            if flag:
-                values.append(TOMBSTONE)
-            else:
-                values.append(bytes(body[offset : offset + val_len]))
-                offset += val_len
-        (bloom_len,) = struct.unpack_from(">I", body, offset)
-        offset += 4
-        if offset + bloom_len != len(body):
-            raise CorruptSSTableError("bloom filter section length mismatch")
-        # Adopt the persisted bloom filter instead of re-hashing every
-        # key (the bytes are already CRC-protected with the rest of the
-        # file).
-        try:
-            bloom = BloomFilter.from_bytes(bytes(body[offset : offset + bloom_len]))
-        except KVStoreError as exc:
-            raise CorruptSSTableError(f"corrupt bloom filter: {exc}") from exc
-        return SSTable._assemble(keys, values, bloom, size)
-
-    def write_to(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @staticmethod
-    def load(path: str) -> "SSTable":
-        """Load via ``mmap``: entries are parsed straight off the page
-        cache rather than through a full in-heap copy of the file."""
-        with open(path, "rb") as fh:
-            try:
-                mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except ValueError as exc:  # zero-length file
-                raise CorruptSSTableError(f"SSTable file empty: {path}") from exc
-            try:
-                return SSTable.from_bytes(mapped)
-            finally:
-                mapped.close()

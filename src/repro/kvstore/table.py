@@ -187,39 +187,6 @@ class KVTable:
             region.store.compact()
         self._bump_generation()
 
-    def freeze(self, directory: str) -> List[str]:
-        """Rewrite every region into one compact mmap segment each.
-
-        A full merge per region (memtable + all runs, tombstones
-        dropped — nothing older exists to shadow) is written as
-        ``freeze-<generation>-<region>.seg`` under ``directory`` and
-        adopted as the region's only run.  Visible data is unchanged;
-        only the physical representation (and the on-disk footprint)
-        changes.  Returns the paths written.
-        """
-        import os
-
-        from repro.kvstore.memtable import MemTable
-        from repro.kvstore.segment import write_segment
-
-        os.makedirs(directory, exist_ok=True)
-        paths: List[str] = []
-        for i, region in enumerate(self.regions):
-            entries = list(region.store.scan())
-            region.store.memtable = MemTable()
-            if entries:
-                path = os.path.join(
-                    directory, f"freeze-{self.generation:05d}-{i:05d}.seg"
-                )
-                segment = write_segment(path, entries)
-                self.adopt_segment(segment)
-                region.store.sstables = [segment]
-                paths.append(path)
-            else:
-                region.store.sstables = []
-        self._bump_generation()
-        return paths
-
     def adopt_segment(self, segment) -> None:
         """Point a segment's counters at this table's metrics sink
         (late-bound, so replacing ``table.metrics`` re-routes them)."""

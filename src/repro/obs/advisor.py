@@ -21,10 +21,6 @@ recommendation is an argument, not an oracle:
   compaction trigger, so reads pay extra seek depth.
 * **read-amplification** — the engine scans far more rows than it
   returns (> 8x), i.e. pruning is not containing the scans.
-* **freeze-cold-data / segment-compression** — a sizeable store holds
-  no compact mmap segments (freezing would cut the footprint
-  several-fold), or segments exist and the measured compression ratio
-  is worth reporting.
 
 Thresholds live in module constants so tests (and DESIGN.md §9) can
 cite them.
@@ -60,8 +56,6 @@ RESOLUTION_LOW_MASS = 0.5
 RESOLUTION_SATURATION = 0.6
 #: rows scanned per row returned that flags weak pruning
 READ_AMP_THRESHOLD = 8.0
-#: stored rows that make freezing into compact segments worthwhile
-FREEZE_MIN_ROWS = 500
 
 # --- cluster doctor thresholds (``ServingCluster.doctor``) -----------
 #: share of a partition's replies served by backup replicas that flags
@@ -136,7 +130,6 @@ def diagnose(engine) -> List[Recommendation]:
     recs.extend(_check_resolution(engine))
     recs.extend(_check_compaction_backlog(engine, storage))
     recs.extend(_check_read_amplification(engine, storage))
-    recs.extend(_check_freeze(engine, storage))
     recs.sort(key=lambda r: _SEVERITY_ORDER.get(r.severity, 9))
     return recs
 
@@ -398,12 +391,7 @@ def _check_resolution(engine) -> List[Recommendation]:
 
 def _check_compaction_backlog(engine, storage) -> List[Recommendation]:
     max_runs = storage["sstables"]["max_runs"]
-    trigger = None
-    for region in engine.store.table.regions:
-        trigger = region.store.compaction_trigger
-        break
-    if trigger is None or trigger > 10**6:  # policy-driven store
-        trigger = 8
+    trigger = engine.store.table.regions[0].store.compaction_trigger
     if max_runs < trigger - 1:
         return []
     return [
@@ -429,69 +417,6 @@ def _check_compaction_backlog(engine, storage) -> List[Recommendation]:
             rationale=(
                 f"max runs {max_runs} >= trigger-1 ({trigger - 1}); read "
                 "amplification grows with every un-merged run"
-            ),
-        )
-    ]
-
-
-def _check_freeze(engine, storage) -> List[Recommendation]:
-    """Suggest freezing a sizeable un-frozen store into compact
-    segments, or report the live compression ratio once frozen."""
-    segments = storage["segments"]
-    rows = storage["regions"]["rows"]
-    if segments["count"] > 0:
-        if segments["file_bytes"] == 0:
-            return []
-        return [
-            Recommendation(
-                kind="segment-compression",
-                severity="info",
-                title=(
-                    f"{segments['count']} compact segment(s) store "
-                    f"{segments['logical_bytes']} logical bytes in "
-                    f"{segments['file_bytes']} on disk "
-                    f"({segments['compression_ratio']:.1f}x)"
-                ),
-                action=(
-                    "nothing to do — reported so capacity planning can "
-                    "use the measured ratio"
-                ),
-                evidence={
-                    "segments": segments["count"],
-                    "file_bytes": segments["file_bytes"],
-                    "logical_bytes": segments["logical_bytes"],
-                    "compression_ratio": round(
-                        segments["compression_ratio"], 2
-                    ),
-                    "blocks_materialized": segments["blocks_materialized"],
-                },
-                rationale="compact segments are active",
-            )
-        ]
-    if rows < FREEZE_MIN_ROWS:
-        return []
-    return [
-        Recommendation(
-            kind="freeze-cold-data",
-            severity="info",
-            title=(
-                f"{rows} rows are stored in uncompressed runs; compact "
-                "segments would cut the footprint several-fold"
-            ),
-            action=(
-                "run `repro compact --freeze --store <dir>` (or "
-                "`engine.save(dir, compact=True)`) to rewrite cold runs "
-                "as compressed mmap segments"
-            ),
-            evidence={
-                "rows": rows,
-                "approximate_bytes": engine.store.table.approximate_size,
-                "threshold_rows": FREEZE_MIN_ROWS,
-            },
-            rationale=(
-                f"rows {rows} >= {FREEZE_MIN_ROWS} and no compact "
-                "segments exist; frozen trajectory blocks typically "
-                "compress 3-7x"
             ),
         )
     ]

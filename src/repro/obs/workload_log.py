@@ -317,6 +317,8 @@ def save_observability(engine, directory: str) -> None:
     store snapshot."""
     import os
 
+    from repro.kvstore.persistence import write_atomic
+
     telemetry = engine.storage_telemetry
     recorder = engine.workload_recorder
     slowlog = engine.slow_query_log
@@ -329,8 +331,7 @@ def save_observability(engine, directory: str) -> None:
         payload["workload"] = recorder.to_json()
     if len(slowlog):
         payload["slow_queries"] = slowlog.to_json()
-    with open(os.path.join(directory, TELEMETRY_FILE), "w") as fh:
-        json.dump(payload, fh)
+    write_atomic(os.path.join(directory, TELEMETRY_FILE), json.dumps(payload))
 
 
 def load_observability(engine, directory: str) -> bool:
@@ -338,16 +339,18 @@ def load_observability(engine, directory: str) -> bool:
 
     Missing file (older snapshot) or an incompatible heatmap grid (the
     store was rebuilt with different shards/buckets) degrades to the
-    fresh empty state — never an error.  Returns True when anything was
-    restored.
+    fresh empty state.  A torn or corrupt file raises
+    :class:`~repro.exceptions.KVStoreError`.  Returns True when anything
+    was restored.
     """
     import os
+
+    from repro.kvstore.persistence import read_json
 
     path = os.path.join(directory, TELEMETRY_FILE)
     if not os.path.exists(path):
         return False
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     restored = False
     telemetry = engine.storage_telemetry
     if (

@@ -277,7 +277,7 @@ class ServingCluster:
                     Trajectory(tid, points) for tid, points in slices[p]
                 )
                 path = os.path.join(segment_dir, f"partition-{p:03d}")
-                slice_engine.save(path, compact=True)
+                slice_engine.save(path)
                 store_dirs[p] = path
         fault_schedules = fault_schedules or {}
         self._specs: List[List[WorkerSpec]] = []

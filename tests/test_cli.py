@@ -38,6 +38,26 @@ def built_store(tmp_path_factory):
 
 
 class TestBuildAndInfo:
+    def test_build_writes_only_segment_region_files(self, built_store):
+        import os
+
+        _, store_path, _ = built_store
+        regions = [
+            name for name in os.listdir(store_path)
+            if name.startswith("region-")
+        ]
+        assert regions
+        assert all(name.endswith(".seg") for name in regions)
+
+    def test_compact_command_is_gone(self, built_store, capsys):
+        """Saved stores are already compact segments: there is no
+        ``compact`` subcommand to rewrite them."""
+        _, store_path, _ = built_store
+        with pytest.raises(SystemExit) as rejected:
+            main(["compact", "--store", store_path, "--freeze"])
+        assert rejected.value.code == 2
+        assert "invalid choice: 'compact'" in capsys.readouterr().err
+
     def test_info(self, built_store, capsys):
         _, store_path, data = built_store
         assert main(["info", "--store", store_path]) == 0

@@ -215,11 +215,11 @@ def test_recovered_store_resumes_and_checkpoints_cleanly(tmp_path):
     expected[b"zz-post-snapshot"] = b"v"
     with pytest.raises(SimulatedCrash):
         durable.checkpoint()
-    # The aborted generation left a torn .sst behind.
+    # The aborted generation left a torn .seg behind.
     debris = [
         name
         for name in os.listdir(directory)
-        if name.endswith(".sst") and name.startswith("region-00002-")
+        if name.endswith(".seg") and name.startswith("region-00002-")
     ]
     assert debris
 
@@ -240,7 +240,7 @@ def test_recovered_store_resumes_and_checkpoints_cleanly(tmp_path):
     with open(os.path.join(directory, "MANIFEST.json")) as fh:
         manifest_gen = json.load(fh)["generation"]
     for name in os.listdir(directory):
-        if name.endswith(".sst"):
+        if name.endswith(".seg"):
             assert name.startswith(f"region-{manifest_gen:05d}-")
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro import TraSS, TraSSConfig, Trajectory, SpaceBounds
 from repro.core.codec import decode_row, encode_row
 from repro.exceptions import (
-    CorruptSSTableError,
     EncodingError,
     GeometryError,
     KVStoreError,
@@ -14,26 +13,9 @@ from repro.exceptions import (
 )
 from repro.features.dp_features import extract_dp_features
 from repro.index.xzstar import XZStarIndex
-from repro.kvstore.sstable import SSTable
 
 
 class TestCorruptData:
-    def test_bit_flips_never_pass_sstable_checksum(self):
-        import random
-
-        rng = random.Random(81)
-        entries = [
-            (f"key{i:03d}".encode(), f"value{i}".encode()) for i in range(40)
-        ]
-        table = SSTable.from_entries(entries)
-        blob = table.to_bytes()
-        for _ in range(25):
-            corrupted = bytearray(blob)
-            pos = rng.randrange(len(blob) - 4)  # keep the CRC intact
-            corrupted[pos] ^= 1 << rng.randrange(8)
-            with pytest.raises(CorruptSSTableError):
-                SSTable.from_bytes(bytes(corrupted))
-
     def test_row_blob_truncations_always_detected(self):
         points = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]
         blob = encode_row("t", points, extract_dp_features(points, 0.01))

@@ -164,6 +164,33 @@ class TestTablePersistence:
         restored = load_table(directory)
         assert dict(restored.full_scan()) == {b"b": b"2"}
 
+    def test_durable_checkpoint_writes_only_segments(self, tmp_path):
+        directory = str(tmp_path / "durable")
+        with DurableKVTable(KVTable(max_region_rows=4), directory) as durable:
+            for i in range(12):
+                durable.put(b"k%02d" % i, b"v")
+            durable.checkpoint()
+        regions = [n for n in os.listdir(directory) if n.startswith("region-")]
+        assert len(regions) == durable.table.num_regions > 1
+        assert all(name.endswith(".seg") for name in regions)
+
+    def test_plain_sstable_manifest_is_rejected(self, tmp_path):
+        """Format versions 1 and 2 held plain ``.sst`` region files; they
+        fail with a typed error naming the version, not a parse error."""
+        directory = str(tmp_path / "tbl")
+        save_table(KVTable(), directory)
+        manifest_path = os.path.join(directory, "MANIFEST.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        for version in (1, 2):
+            manifest["format_version"] = version
+            with open(manifest_path, "w") as fh:
+                json.dump(manifest, fh)
+            with pytest.raises(KVStoreError) as caught:
+                load_table(directory)
+            assert f"table format {version}" in str(caught.value)
+            assert ".sst snapshots" in str(caught.value)
+
     def test_durable_checkpoint_truncates_wal(self, tmp_path):
         directory = str(tmp_path / "durable")
         durable = DurableKVTable(KVTable(), directory)
@@ -266,3 +293,27 @@ class TestEngineSaveLoad:
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(KVStoreError):
             TraSS.load(str(tmp_path / "missing"))
+
+    def test_save_rejects_plain_format(self, tmp_path):
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=10, shards=2)
+        engine = TraSS.build(tdrive_like(5, seed=35), cfg)
+        directory = tmp_path / "store"
+        with pytest.raises(KVStoreError, match="compact segments"):
+            engine.save(str(directory), compact=False)
+        assert not directory.exists()
+
+    @pytest.mark.parametrize("name", ["STORE.json", "TELEMETRY.json"])
+    def test_torn_json_is_a_typed_error(self, tmp_path, name):
+        """A half-written store metadata or telemetry file fails to load
+        with a ``KVStoreError`` naming the file."""
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=10, shards=2)
+        engine = TraSS.build(tdrive_like(10, seed=36), cfg)
+        engine.threshold_search(tdrive_like(1, seed=37)[0], 0.01)
+        directory = str(tmp_path / "store")
+        engine.save(directory)
+        path = os.path.join(directory, name)
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        with pytest.raises(KVStoreError, match=f"corrupt {name}"):
+            TraSS.load(directory)

@@ -1,8 +1,8 @@
-"""Unit tests for SSTables, including the file round trip."""
+"""Unit tests for the in-memory SSTable run."""
 
 import pytest
 
-from repro.exceptions import CorruptSSTableError, KVStoreError
+from repro.exceptions import KVStoreError
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.sstable import SSTable
 
@@ -60,50 +60,3 @@ class TestSSTable:
         assert t.overlaps_range(b"key002", b"key003")
         assert not t.overlaps_range(b"key900", None)
         assert not t.overlaps_range(None, b"key000")
-
-
-class TestFileRoundTrip:
-    def test_roundtrip(self, tmp_path):
-        t = build_table(30)
-        path = str(tmp_path / "run.sst")
-        t.write_to(path)
-        loaded = SSTable.load(path)
-        assert list(loaded.scan()) == list(t.scan())
-        assert loaded.get(b"key010") == b"value10"
-
-    def test_roundtrip_with_tombstones(self, tmp_path):
-        m = MemTable()
-        m.put(b"keep", b"v")
-        m.delete(b"gone")
-        t = SSTable.from_entries(m.items())
-        path = str(tmp_path / "run.sst")
-        t.write_to(path)
-        loaded = SSTable.load(path)
-        assert loaded.get(b"gone") is TOMBSTONE
-        assert loaded.get(b"keep") == b"v"
-
-    def test_corrupt_checksum_detected(self, tmp_path):
-        t = build_table(10)
-        data = bytearray(t.to_bytes())
-        data[len(data) // 2] ^= 0xFF  # flip a body byte
-        with pytest.raises(CorruptSSTableError):
-            SSTable.from_bytes(bytes(data))
-
-    def test_truncated_file_detected(self):
-        t = build_table(10)
-        data = t.to_bytes()
-        with pytest.raises(CorruptSSTableError):
-            SSTable.from_bytes(data[: len(data) // 2])
-
-    def test_bad_magic_detected(self):
-        t = build_table(3)
-        data = bytearray(t.to_bytes())
-        data[0:4] = b"XXXX"
-        # CRC covers the magic, so either error type is acceptable; the
-        # point is that it refuses to load.
-        with pytest.raises(CorruptSSTableError):
-            SSTable.from_bytes(bytes(data))
-
-    def test_empty_roundtrip(self):
-        t = SSTable.from_entries([])
-        assert len(SSTable.from_bytes(t.to_bytes())) == 0

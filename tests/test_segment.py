@@ -1,6 +1,6 @@
 """The compact mmap segment format: codec round-trip (hypothesis),
-corrupt-file isolation, freeze tier, heterogeneous run stacks, and
-compact save/load equivalence across scalar / parallel / chaos paths.
+corrupt-file isolation, heterogeneous run stacks, lazy loading, and
+save/load equivalence across plain / cached / chaos paths.
 """
 
 import os
@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import TraSS, TraSSConfig, Trajectory
 from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
-from repro.exceptions import CorruptSegmentError, CorruptSSTableError
-from repro.kvstore.compaction import CompactingLSMStore, FreezeTier, freeze_run
+from repro.exceptions import CorruptSegmentError, FatalError, KVStoreError
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.segment import (
@@ -162,8 +161,9 @@ def test_corrupt_index_raises_typed_error(tmp_path):
         fh.write(bytes(blob))
     with pytest.raises(CorruptSegmentError):
         Segment.open(path)
-    # The typed error is a CorruptSSTableError (and fatal) by contract.
-    assert issubclass(CorruptSegmentError, CorruptSSTableError)
+    # The typed error is a fatal store error by contract.
+    assert issubclass(CorruptSegmentError, FatalError)
+    assert issubclass(CorruptSegmentError, KVStoreError)
 
 
 def test_corrupt_header_and_truncation(tmp_path):
@@ -247,66 +247,24 @@ def test_block_crc_detects_bitflip_via_get(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# SSTable satellites
+# Heterogeneous run stacks
 # ----------------------------------------------------------------------
-def test_sstable_size_bytes_is_serialized_size():
-    entries = [(b"k%03d" % i, b"v" * i) for i in range(40)]
-    entries[5] = (b"k005", TOMBSTONE)
-    table = SSTable.from_entries(entries)
-    assert table.size_bytes == len(table.to_bytes())
-
-
-def test_sstable_load_uses_persisted_bloom(tmp_path):
-    entries = [(b"k%03d" % i, b"v%d" % i) for i in range(200)]
-    table = SSTable.from_entries(entries)
-    path = str(tmp_path / "t.sst")
-    table.write_to(path)
-    loaded = SSTable.load(path)
-    assert list(loaded.scan()) == entries
-    assert loaded.size_bytes == os.path.getsize(path)
-    # Same bits as the writer's filter — adopted, not rebuilt.
-    assert loaded.bloom.to_bytes() == table.bloom.to_bytes()
-    # Corrupting the persisted bloom is caught by the file CRC.
-    blob = bytearray(open(path, "rb").read())
-    blob[-20] ^= 0xFF
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-    with pytest.raises(CorruptSSTableError):
-        SSTable.load(path)
-
-
-# ----------------------------------------------------------------------
-# Freeze tier + heterogeneous run stacks
-# ----------------------------------------------------------------------
-def test_freeze_run_preserves_tombstones(tmp_path):
-    run = SSTable.from_entries(
-        [(b"a", b"1"), (b"b", TOMBSTONE), (b"c", b"3")]
-    )
-    segment = freeze_run(run, str(tmp_path / "f.seg"))
-    assert list(segment.scan()) == list(run.scan())
-    assert segment.get(b"b") is TOMBSTONE
-    segment.close()
-
-
 def test_heterogeneous_runs_merge_identically(tmp_path):
     """memtable + SSTable + segment behind one store iterator: scans
     and gets shadow exactly as an all-SSTable stack would."""
     store = LSMStore(flush_threshold=10**9, compaction_trigger=10**9)
     reference = {}
-    # Oldest layer -> frozen segment.
+    # Oldest layer -> segment.
     old = [(b"k%03d" % i, b"old%d" % i) for i in range(0, 90, 2)]
-    store.sstables.insert(0, SSTable.from_entries(old))
+    store.sstables.insert(0, write_segment(str(tmp_path / "old.seg"), old))
     reference.update(old)
-    store.sstables[0] = freeze_run(
-        store.sstables[0], str(tmp_path / "old.seg")
-    )
     # Middle layer -> plain SSTable shadowing some keys + a tombstone.
     mid = [(b"k%03d" % i, b"mid%d" % i) for i in range(0, 60, 3)]
     mid_entries = sorted(dict(mid).items()) + [(b"k999", TOMBSTONE)]
     mid_entries = sorted(mid_entries)
     store.sstables.insert(0, SSTable.from_entries(mid_entries))
     reference.update(mid)
-    # Newest layer -> memtable: overwrite a frozen key, delete another.
+    # Newest layer -> memtable: overwrite a segment key, delete another.
     store.memtable.put(b"k000", b"new0")
     reference[b"k000"] = b"new0"
     store.memtable.delete(b"k002")
@@ -319,55 +277,8 @@ def test_heterogeneous_runs_merge_identically(tmp_path):
     assert store.get(b"k999") is None
 
 
-def test_freeze_tier_freezes_cold_runs(tmp_path):
-    store = CompactingLSMStore(
-        flush_threshold=10**9,
-        freeze_dir=str(tmp_path / "frozen"),
-        freeze_min_bytes=1,
-    )
-    for i in range(50):
-        store.put(b"k%03d" % i, b"v%d" % i * 4)
-    store.flush()
-    assert store.frozen_count >= 1
-    assert any(isinstance(run, Segment) for run in store.sstables)
-    assert sorted(store.scan()) == [
-        (b"k%03d" % i, b"v%d" % i * 4) for i in range(50)
-    ]
-    # A second flush freezes the next cold run without refreezing.
-    for i in range(50, 80):
-        store.put(b"k%03d" % i, b"v%d" % i * 4)
-    store.flush()
-    assert len(os.listdir(str(tmp_path / "frozen"))) == len(
-        [r for r in store.sstables if isinstance(r, Segment)]
-    )
-
-
-def test_table_freeze_keeps_answers(tmp_path):
-    trajs = tdrive_like(60, seed=11, decimals=5)
-    config = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=13, shards=4)
-    engine = TraSS.build(trajs, config)
-    probes = tdrive_like(4, seed=99, decimals=5)
-    base = [
-        sorted(engine.threshold_search(q, 0.03).answers.items())
-        for q in probes
-    ]
-    paths = engine.store.table.freeze(str(tmp_path / "frozen"))
-    assert paths
-    segs = [
-        run
-        for region in engine.store.table.regions
-        for run in region.store.sstables
-    ]
-    assert segs and all(isinstance(run, Segment) for run in segs)
-    got = [
-        sorted(engine.threshold_search(q, 0.03).answers.items())
-        for q in probes
-    ]
-    assert got == base
-
-
 # ----------------------------------------------------------------------
-# Compact save/load through the engine
+# Save/load through the engine
 # ----------------------------------------------------------------------
 def _answers(engine, probes, eps=0.03):
     return [
@@ -383,21 +294,8 @@ def test_compact_save_load_equivalence(tmp_path):
     probes = tdrive_like(5, seed=77, decimals=5)
     base = _answers(engine, probes)
 
-    plain_dir = str(tmp_path / "plain")
     compact_dir = str(tmp_path / "compact")
-    engine.save(plain_dir)
-    engine.save(compact_dir, compact=True)
-
-    def data_bytes(d, suffix):
-        return sum(
-            os.path.getsize(os.path.join(d, f))
-            for f in os.listdir(d)
-            if f.endswith(suffix)
-        )
-
-    assert data_bytes(compact_dir, ".seg") * 3 <= data_bytes(
-        plain_dir, ".sst"
-    )
+    engine.save(compact_dir)
 
     loaded = TraSS.load(compact_dir)
     # Statistics restored without materialising a single block.
@@ -428,7 +326,7 @@ def test_compact_save_load_cached(tmp_path):
     )
     base = _answers(base_engine, probes)
     compact_dir = str(tmp_path / "compact")
-    base_engine.save(compact_dir, compact=True)
+    base_engine.save(compact_dir)
 
     loaded = TraSS.load(compact_dir)
     assert _answers(loaded, probes) == base
@@ -453,7 +351,7 @@ def test_compact_store_under_chaos(tmp_path):
     engine = TraSS.build(trajs, config)
     base = _answers(engine, probes)
     compact_dir = str(tmp_path / "compact")
-    engine.save(compact_dir, compact=True)
+    engine.save(compact_dir)
     loaded = TraSS.load(compact_dir)
     loaded.install_fault_injector(
         FaultInjector(FaultSchedule(seed=17, region_unavailable_prob=0.2))
@@ -473,7 +371,7 @@ def test_wal_tail_forces_stats_rescan(tmp_path):
         TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=12, shards=2),
     )
     compact_dir = str(tmp_path / "compact")
-    engine.save(compact_dir, compact=True)
+    engine.save(compact_dir)
     # Plant a WAL tail (contents irrelevant — presence is the signal).
     with WriteAheadLog(os.path.join(compact_dir, "wal.log")):
         pass
@@ -488,7 +386,7 @@ def test_segment_stats_and_registry(tmp_path):
         TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=13, shards=4),
     )
     compact_dir = str(tmp_path / "compact")
-    engine.save(compact_dir, compact=True)
+    engine.save(compact_dir)
     loaded = TraSS.load(compact_dir)
     for q in tdrive_like(3, seed=44, decimals=5):
         loaded.threshold_search(q, 0.03)
@@ -504,26 +402,21 @@ def test_segment_stats_and_registry(tmp_path):
     assert "trass_storage_segment_compression_ratio" in samples
     assert "trass_storage_segment_blocks_materialized" in samples
 
-    from repro.obs.advisor import diagnose
 
-    kinds = {r.kind for r in diagnose(loaded)}
-    assert "segment-compression" in kinds
-
-
-def test_advisor_recommends_freeze():
-    from repro.obs.advisor import FREEZE_MIN_ROWS, diagnose
-
-    trajs = tdrive_like(FREEZE_MIN_ROWS + 50, seed=2, decimals=4)
+def test_selective_query_materialises_a_strict_subset(tmp_path):
+    """Loading is lazy past the first query: one selective query on a
+    store of several blocks per region decodes only the blocks its key
+    ranges touch (small fixtures have too few blocks to show it)."""
+    trajs = tdrive_like(400, seed=3, decimals=5)
     engine = TraSS.build(
         trajs,
-        TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=12, shards=2),
+        TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=14, shards=4),
     )
-    assert engine.store.table.row_count >= FREEZE_MIN_ROWS
-    kinds = {r.kind for r in diagnose(engine)}
-    assert "freeze-cold-data" in kinds
-    # Small stores stay quiet.
-    small = TraSS.build(
-        tdrive_like(10, seed=3),
-        TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=12, shards=2),
-    )
-    assert "freeze-cold-data" not in {r.kind for r in diagnose(small)}
+    directory = str(tmp_path / "store")
+    engine.save(directory)
+    loaded = TraSS.load(directory)
+    assert loaded.stats()["storage"]["segments"]["blocks_materialized"] == 0
+    result = loaded.threshold_search(trajs[0], 0.003)
+    assert result.answers == engine.threshold_search(trajs[0], 0.003).answers
+    segments = loaded.stats()["storage"]["segments"]
+    assert 0 < segments["blocks_materialized"] < segments["blocks"]

@@ -10,7 +10,6 @@ crash land in a worker's FIFO at an exact queue position), not from
 racing real kills against real queries.
 """
 
-import gc
 import math
 import os
 import random
@@ -509,9 +508,6 @@ class TestSegmentSharing:
         not os.path.isdir("/proc/self"), reason="requires Linux procfs"
     )
     def test_replicas_mmap_share_segments(self, engine, dataset, tmp_path):
-        # Forked workers inherit this process's maps: drop the .seg
-        # maps of earlier tests' dead engines still awaiting cyclic GC.
-        gc.collect()
         seg_root = str(tmp_path / "segments")
         with ServingCluster.from_engine(
             engine,
@@ -530,19 +526,20 @@ class TestSegmentSharing:
                 for handle in cluster._replicas[partition]:
                     pid = handle.process.pid
                     with open(f"/proc/{pid}/maps") as fh:
-                        segs = sorted(
-                            {
-                                line.split()[-1]
-                                for line in fh
-                                if line.rstrip().endswith(".seg")
-                            }
+                        paths = {line.split()[-1] for line in fh}
+                    # Only this cluster's files: a forked worker also
+                    # inherits whatever .seg maps the parent holds.
+                    mapped.append(
+                        sorted(
+                            p
+                            for p in paths
+                            if p.startswith(seg_root) and p.endswith(".seg")
                         )
-                    mapped.append(segs)
+                    )
                 # Every replica mapped at least one segment file, and
                 # all replicas of the partition map the SAME files.
                 assert mapped[0], "worker did not mmap any segment"
                 assert all(m == mapped[0] for m in mapped)
-                assert all(p.startswith(seg_root) for p in mapped[0])
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/smaps"),
