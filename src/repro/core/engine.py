@@ -399,53 +399,43 @@ class TraSS:
     def _answer(
         self, kind: str, query: Trajectory, parameter, measure: Optional[str]
     ):
-        """One query of ``kind`` on the attached cluster or the local
-        pipeline, timed and observed identically on both."""
-        remote = self._remote_executor
-        io_before = fanout = None
-        if remote is not None:
-            started = time.perf_counter()
-            search = getattr(remote, f"{kind}_search")
-            result = search(query, parameter, measure=measure)
-            fanout = getattr(remote, "last_fanout", None)
-        else:
-            resolved = self._resolve_measure(measure)
-            measure = resolved.name
-            io_before = self._io_before_query()
-            started = time.perf_counter()
-            with self._tracer.span(
-                f"query.{kind}",
-                tid=query.tid,
-                **{QUERY_PARAMETER[kind]: parameter},
-                measure=measure,
-            ) as root:
-                search = (
-                    threshold_search if kind == "threshold" else topk_search
-                )
-                result = search(
-                    self.store,
-                    self.pruner,
-                    resolved,
-                    query,
-                    parameter,
-                    self._tracer,
-                )
-                root.set_attrs(
-                    answers=len(result.answers),
-                    candidates=result.candidates,
-                    rows_retrieved=result.retrieved_rows,
-                    completeness=result.completeness,
-                )
+        """One query of ``kind`` through the local pipeline, timed and
+        observed; on an attached cluster it is a batch of one."""
+        if self._remote_executor is not None:
+            many = [parameter] if kind == "threshold" else parameter
+            return self._answer_many(kind, [query], many, measure)[0]
+        resolved = self._resolve_measure(measure)
+        io_before = self._io_before_query()
+        started = time.perf_counter()
+        with self._tracer.span(
+            f"query.{kind}",
+            tid=query.tid,
+            **{QUERY_PARAMETER[kind]: parameter},
+            measure=resolved.name,
+        ) as root:
+            search = threshold_search if kind == "threshold" else topk_search
+            result = search(
+                self.store,
+                self.pruner,
+                resolved,
+                query,
+                parameter,
+                self._tracer,
+            )
+            root.set_attrs(
+                answers=len(result.answers),
+                candidates=result.candidates,
+                rows_retrieved=result.retrieved_rows,
+                completeness=result.completeness,
+            )
         self._observe_query(
             kind,
             query,
             parameter,
             time.perf_counter() - started,
             result,
-            measure=measure,
+            measure=resolved.name,
             io_before=io_before,
-            origin="local" if remote is None else "cluster",
-            fanout=fanout,
         )
         return result
 
@@ -453,7 +443,8 @@ class TraSS:
         self, kind: str, queries: List[Trajectory], parameter, measure
     ) -> list:
         """A batch of ``kind`` queries; ``parameter`` is what the batch
-        call takes — the aligned threshold list, or the one ``k``."""
+        call takes — the aligned threshold list, or the one ``k``.  The
+        one place a query leaves for an attached cluster."""
         remote = self._remote_executor
         if remote is None and kind == "topk":
             # Nothing to share across adaptive plans: one query at a
@@ -463,9 +454,11 @@ class TraSS:
                 for q in queries
             ]
         started = time.perf_counter()
+        fanout = None
         if remote is not None:
             search_many = getattr(remote, f"{kind}_search_many")
             results = search_many(queries, parameter, measure=measure)
+            fanout = getattr(remote, "last_fanout", None)
         else:
             resolved = self._resolve_measure(measure)
             measure = resolved.name
@@ -498,6 +491,7 @@ class TraSS:
                 result,
                 measure=measure,
                 origin="local" if remote is None else "cluster",
+                fanout=fanout,
             )
         return results
 

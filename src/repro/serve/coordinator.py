@@ -69,75 +69,58 @@ from repro.serve.supervisor import ReplicaHandle, ShardSupervisor
 from repro.serve.worker import WorkerSpec
 
 
-class _Flight:
-    """One partition's in-flight request during a single-query scatter."""
+class _Leg:
+    """One replica pipe carrying a partition's requests."""
 
-    __slots__ = (
-        "partition",
-        "request",
-        "tried",
-        "active",
-        "attempts",
-        "attempt_started",
-        "hedged",
-        "hedge_handle",
-        "done",
-        "exhausted",
-        "reply",
-        "winner_slot",
-        "service_seconds",
-    )
+    __slots__ = ("handle", "slot", "hedge", "inflight", "last_activity")
 
-    def __init__(self, partition: int, request: Request):
-        self.partition = partition
-        self.request = request
-        self.tried: set = set()
-        #: replica handle -> replica slot index, for every outstanding copy
-        self.active: Dict[ReplicaHandle, int] = {}
-        self.attempts = 0
-        self.attempt_started = 0.0
-        self.hedged = False
-        self.hedge_handle: Optional[ReplicaHandle] = None
-        self.done = False
-        self.exhausted = False
-        #: the reply that settled the flight: the winning answer, or a
-        #: non-transient worker error (``None`` while unreachable)
-        self.reply: Optional[Reply] = None
-        #: replica slot that produced the winning reply
-        self.winner_slot: Optional[int] = None
-        #: launch-to-reply wall seconds of the winning attempt
-        self.service_seconds: Optional[float] = None
+    def __init__(self, handle: ReplicaHandle, slot: int, hedge: bool):
+        self.handle = handle
+        self.slot = slot
+        #: opened by a hedge rather than by a pick
+        self.hedge = hedge
+        #: ``(request, send time)`` of every request sent down this pipe
+        #: and not yet settled, in FIFO order
+        self.inflight: deque = deque()
+        self.last_activity = time.monotonic()
 
 
-class _PartitionBatch:
-    """One partition's pipelined FIFO stream during a batch scatter."""
+class _Stream:
+    """One partition's share of a call: its requests, pumped in order
+    through a bounded window onto one replica at a time — two while a
+    hedge races the first."""
 
     __slots__ = (
         "partition",
         "requests",
         "queue",
-        "inflight",
         "results",
-        "handle",
-        "slot",
+        "legs",
         "tried",
         "attempts",
+        "hedged",
+        "hedge_won",
         "exhausted",
-        "last_activity",
+        "winner_slot",
     )
 
     def __init__(self, partition: int, requests: List[Request]):
         self.partition = partition
         self.requests = requests
+        #: requests not yet sent (or sent to a replica that failed)
         self.queue = deque(requests)
-        self.inflight: deque = deque()
-        self.results: Dict[int, object] = {}
-        self.handle: Optional[ReplicaHandle] = None
-        self.slot: Optional[int] = None
+        #: request id -> the reply that settled it: an answer, or a
+        #: non-transient worker error
+        self.results: Dict[int, Reply] = {}
+        #: open replica pipes; new sends go to the last one
+        self.legs: List[_Leg] = []
         self.tried: set = set()
         self.attempts = 0
+        self.hedged = False
+        self.hedge_won = False
         self.exhausted = False
-        self.last_activity = 0.0
+        #: replica slot of the most recent answer
+        self.winner_slot: Optional[int] = None
 
     @property
     def finished(self) -> bool:
@@ -157,7 +140,7 @@ class ServingCluster:
 
     #: pipelined requests kept unanswered per worker pipe — bounds pipe
     #: buffer usage so sends never block behind a slow consumer
-    BATCH_WINDOW = 16
+    WINDOW = 16
 
     def __init__(
         self,
@@ -226,9 +209,9 @@ class ServingCluster:
             if observability
             else None
         )
-        #: per-partition attribution of the most recent single-query
-        #: scatter (partition/replica/attempts/hedged/reached), consumed
-        #: by the engine's slow-query log for cluster entries
+        #: per-partition attribution of the most recent scatter
+        #: (partition/replica/attempts/hedged/reached), consumed by the
+        #: engine's slow-query log for cluster entries
         self.last_fanout: Optional[List[Dict[str, object]]] = None
         self.supervisor = ShardSupervisor(max_restarts=max_restarts)
         self.breaker = CircuitBreaker(
@@ -374,7 +357,7 @@ class ServingCluster:
                 f"{worker} did not come up within {self.startup_timeout}s"
             )
         try:
-            reply = handle.conn.recv()
+            reply = self._recv(handle)
         except (EOFError, OSError):
             raise ClusterError(f"{worker} died during startup")
         if reply.id != request_id or not reply.ok:
@@ -417,6 +400,19 @@ class ServingCluster:
     def _require_started(self) -> None:
         if not self._started:
             raise ClusterError("cluster is not started (call start())")
+
+    @staticmethod
+    def _recv(handle: ReplicaHandle) -> Reply:
+        """The next message on ``handle``'s pipe, which must be a
+        :class:`Reply` (:class:`ClusterError` otherwise); a dead pipe
+        raises ``EOFError`` / ``OSError`` for the caller to fail over."""
+        reply = handle.conn.recv()
+        if not isinstance(reply, Reply):
+            raise ClusterError(
+                f"worker p{handle.partition}r{handle.replica} sent a "
+                f"malformed reply ({type(reply).__name__}, not a Reply)"
+            )
+        return reply
 
     # ------------------------------------------------------------------
     # Chaos / test hooks
@@ -478,292 +474,213 @@ class ServingCluster:
         self.counters["failovers"] += 1
 
     # ------------------------------------------------------------------
-    # Single-query scatter-gather (with hedging)
+    # The transport: one pipelined stream per partition
     # ------------------------------------------------------------------
-    def _launch(self, flight: _Flight) -> None:
-        while True:
-            if flight.attempts >= self.max_attempts:
-                flight.exhausted = True
-                return
-            pick = self._eligible_replica(flight.partition, flight.tried)
-            if pick is None:
-                flight.exhausted = True
-                return
-            slot, handle = pick
-            flight.tried.add(handle)
-            flight.attempts += 1
-            try:
-                handle.conn.send(flight.request)
-            except (OSError, BrokenPipeError, ValueError):
-                self._record_replica_failure(flight.partition, slot)
-                continue
-            flight.active[handle] = slot
-            flight.attempt_started = time.monotonic()
-            return
-
-    def _hedge(self, flight: _Flight) -> None:
-        flight.hedged = True
-        if self.obs is not None:
-            # How long the primary stalled before we gave up waiting —
-            # the hedge-efficacy signal the doctor reads.
-            self.obs.observe_slo(
-                "hedge_wait", time.monotonic() - flight.attempt_started
-            )
-        if flight.attempts >= self.max_attempts:
-            return
-        pick = self._eligible_replica(flight.partition, flight.tried)
-        if pick is None:
-            return
-        slot, handle = pick
-        flight.tried.add(handle)
-        flight.attempts += 1
-        try:
-            handle.conn.send(flight.request)
-        except (OSError, BrokenPipeError, ValueError):
-            self._record_replica_failure(flight.partition, slot)
-            return
-        flight.active[handle] = slot
-        flight.hedge_handle = handle
-        self.counters["hedges"] += 1
-
-    def _drop_active(
-        self, flight: _Flight, handle: ReplicaHandle, failed: bool
-    ) -> None:
-        slot = flight.active.pop(handle, None)
-        if failed and slot is not None:
-            self._record_replica_failure(flight.partition, slot)
-        if not flight.active and not flight.done:
-            self._launch(flight)
-
-    def _scatter(self, kind: str, payload: dict) -> Dict[int, _Flight]:
-        """Fan one request out to every partition and gather replies,
-        handling hedges, failover, timeouts and dead workers."""
-        self._require_started()
-        flights = {
-            p: _Flight(p, self._make_request(kind, payload))
-            for p in range(self.partitions)
-        }
-        self.counters["requests"] += 1
-        for flight in flights.values():
-            self._launch(flight)
-
-        while True:
-            live = [
-                f
-                for f in flights.values()
-                if not f.done and not f.exhausted
-            ]
-            if not live:
-                break
-            now = time.monotonic()
-            next_deadline = min(
-                f.attempt_started + self.request_timeout for f in live
-            )
-            if self.hedge_delay_seconds is not None:
-                for f in live:
-                    if not f.hedged:
-                        next_deadline = min(
-                            next_deadline,
-                            f.attempt_started + self.hedge_delay_seconds,
-                        )
-            conn_map = {}
-            for f in live:
-                for handle in f.active:
-                    conn_map[handle.conn] = (f, handle)
-            ready = (
-                _mp_wait(list(conn_map), max(0.0, next_deadline - now))
-                if conn_map
-                else []
-            )
-            for conn in ready:
-                flight, handle = conn_map[conn]
-                if flight.done or handle not in flight.active:
-                    continue
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    self._drop_active(flight, handle, failed=True)
-                    continue
-                if reply.id != flight.request.id:
-                    self.counters["stale_replies"] += 1
-                    continue
-                if reply.ok:
-                    slot = flight.active[handle]
-                    self.breaker.record_success((flight.partition, slot))
-                    flight.reply = reply
-                    flight.done = True
-                    flight.winner_slot = slot
-                    flight.service_seconds = (
-                        time.monotonic() - flight.attempt_started
-                    )
-                    if self.obs is not None:
-                        self.obs.absorb_reply(flight.partition, slot, reply)
-                        self.obs.observe_partition_service(
-                            flight.partition, flight.service_seconds
-                        )
-                    # A losing hedge copy will answer later; its reply
-                    # drains as stale on the next use of that pipe.
-                    flight.active.clear()
-                    if flight.hedged and handle is flight.hedge_handle:
-                        self.counters["hedge_wins"] += 1
-                elif error_is_transient(reply.error):
-                    self.counters["worker_errors"] += 1
-                    self._drop_active(flight, handle, failed=True)
-                else:
-                    self.counters["worker_errors"] += 1
-                    flight.reply = reply
-                    flight.done = True
-                    flight.active.clear()
-            now = time.monotonic()
-            for flight in flights.values():
-                if flight.done or flight.exhausted or not flight.active:
-                    continue
-                if now - flight.attempt_started >= self.request_timeout:
-                    for handle in list(flight.active):
-                        self._drop_active(flight, handle, failed=True)
-                elif (
-                    self.hedge_delay_seconds is not None
-                    and not flight.hedged
-                    and now - flight.attempt_started
-                    >= self.hedge_delay_seconds
-                ):
-                    self._hedge(flight)
-        self.last_fanout = [
-            {
-                "partition": p,
-                "replica": flight.winner_slot,
-                "attempts": flight.attempts,
-                "hedged": flight.hedged,
-                "reached": flight.done,
-            }
-            for p, flight in sorted(flights.items())
-        ]
-        return flights
-
-    # ------------------------------------------------------------------
-    # Pipelined batch scatter (throughput path)
-    # ------------------------------------------------------------------
-    def _batch_fail(self, state: _PartitionBatch) -> None:
-        if state.slot is not None:
-            self._record_replica_failure(state.partition, state.slot)
-        # Unanswered requests go back to the head of the queue in their
-        # original order; the next replica re-executes them against an
-        # identical store, so answers are unchanged.
-        while state.inflight:
-            state.queue.appendleft(state.inflight.pop())
-        state.handle = None
-        state.slot = None
-
-    def _batch_pick(self, state: _PartitionBatch) -> None:
-        if state.attempts >= self.max_attempts:
-            state.exhausted = True
-            return
-        pick = self._eligible_replica(state.partition, state.tried)
-        if pick is None:
-            state.exhausted = True
-            return
-        state.slot, state.handle = pick[0], pick[1]
-        state.tried.add(state.handle)
-        state.attempts += 1
-        state.last_activity = time.monotonic()
-
-    def _batch_scatter(
+    def _scatter(
         self, requests_by_partition: Dict[int, List[Request]]
-    ) -> Dict[int, _PartitionBatch]:
-        """Pump every partition's FIFO pipeline concurrently.
+    ) -> Dict[int, _Stream]:
+        """Deliver every partition's requests and gather the replies.
 
-        At most :data:`BATCH_WINDOW` requests ride each pipe unanswered,
-        so sends never block behind a busy worker while every worker
-        always has a full window of queued work — the scaling path the
-        serving bench measures.
+        A single query is a batch of one.  Each partition's requests
+        stream in order down one replica pipe, at most :data:`WINDOW`
+        of them unanswered, so sends never block behind a busy worker
+        while the worker always has queued work.  A dead pipe, a
+        transient worker error or ``request_timeout`` of silence fails
+        the replica over: the requests only it carried go, in order, to
+        the next pick.  With ``hedge_delay_seconds`` set, a stream whose
+        replica stays silent that long is hedged once: its unanswered
+        requests are re-sent to a second replica, which takes the
+        stream's later sends too, and the first reply to each request
+        wins.  A losing copy's late reply drains as stale on the next
+        use of that pipe.
         """
         self._require_started()
-        states = {
-            p: _PartitionBatch(p, requests)
+        self.counters["requests"] += 1
+        streams = {
+            p: _Stream(p, requests)
             for p, requests in requests_by_partition.items()
         }
         while True:
-            live = [s for s in states.values() if not s.finished]
+            live = [s for s in streams.values() if not s.finished]
             if not live:
                 break
-            for state in live:
-                if state.handle is None:
-                    self._batch_pick(state)
-                    if state.exhausted:
-                        continue
-                while (
-                    state.handle is not None
-                    and len(state.inflight) < self.BATCH_WINDOW
-                    and state.queue
-                ):
-                    request = state.queue[0]
-                    try:
-                        state.handle.conn.send(request)
-                    except (OSError, BrokenPipeError, ValueError):
-                        self._batch_fail(state)
-                        break
-                    state.queue.popleft()
-                    state.inflight.append(request)
-                    state.last_activity = time.monotonic()
-            conn_map = {
-                s.handle.conn: s
-                for s in live
-                if s.handle is not None and s.inflight
+            for stream in live:
+                self._pump(stream)
+            legs = {
+                leg.handle.conn: (stream, leg)
+                for stream in live
+                for leg in stream.legs
+                if leg.inflight
             }
-            if not conn_map:
+            if not legs:
                 continue
-            now = time.monotonic()
-            next_deadline = min(
-                s.last_activity + self.request_timeout
-                for s in conn_map.values()
+            deadline = min(
+                self._wake_at(stream, leg) for stream, leg in legs.values()
             )
-            ready = _mp_wait(list(conn_map), max(0.0, next_deadline - now))
-            for conn in ready:
-                state = conn_map[conn]
-                if state.handle is None or state.handle.conn is not conn:
-                    continue
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    self._batch_fail(state)
-                    continue
-                state.last_activity = time.monotonic()
-                expected = {r.id for r in state.inflight}
-                if reply.id not in expected:
-                    self.counters["stale_replies"] += 1
-                    continue
-                skipped_over: List[Request] = []
-                while state.inflight and state.inflight[0].id != reply.id:
-                    # FIFO workers answer in order; a gap means replies
-                    # were lost — requeue the skipped requests.
-                    skipped_over.append(state.inflight.popleft())
-                state.queue.extendleft(reversed(skipped_over))
-                request = state.inflight.popleft()
-                if reply.ok:
-                    self.breaker.record_success(
-                        (state.partition, state.slot)
-                    )
-                    state.results[request.id] = reply
-                    if self.obs is not None:
-                        self.obs.absorb_reply(
-                            state.partition, state.slot, reply
-                        )
-                elif error_is_transient(reply.error):
-                    self.counters["worker_errors"] += 1
-                    state.queue.appendleft(request)
-                    self._batch_fail(state)
-                else:
-                    self.counters["worker_errors"] += 1
-                    state.results[request.id] = reply
+            timeout = max(0.0, deadline - time.monotonic())
+            for conn in _mp_wait(list(legs), timeout):
+                stream, leg = legs[conn]
+                if leg in stream.legs:
+                    self._receive(stream, leg)
             now = time.monotonic()
-            for state in live:
+            for stream in live:
+                for leg in list(stream.legs):
+                    if (
+                        leg.inflight
+                        and now - leg.last_activity >= self.request_timeout
+                    ):
+                        self._fail(stream, leg)
                 if (
-                    state.handle is not None
-                    and state.inflight
-                    and now - state.last_activity >= self.request_timeout
+                    self.hedge_delay_seconds is not None
+                    and not stream.hedged
+                    and stream.legs
+                    and stream.legs[-1].inflight
+                    and now - stream.legs[-1].last_activity
+                    >= self.hedge_delay_seconds
                 ):
-                    self._batch_fail(state)
-        return states
+                    self._hedge(stream, now)
+        self.last_fanout = [
+            {
+                "partition": p,
+                "replica": stream.winner_slot,
+                "attempts": stream.attempts,
+                "hedged": stream.hedged,
+                "reached": not stream.exhausted,
+            }
+            for p, stream in sorted(streams.items())
+        ]
+        return streams
+
+    def _wake_at(self, stream: _Stream, leg: _Leg) -> float:
+        """When ``leg`` next needs attention: its timeout, or sooner the
+        stream's hedge while the leg is the one taking sends."""
+        wait = self.request_timeout
+        if (
+            self.hedge_delay_seconds is not None
+            and not stream.hedged
+            and leg is stream.legs[-1]
+        ):
+            wait = min(wait, self.hedge_delay_seconds)
+        return leg.last_activity + wait
+
+    def _open_leg(self, stream: _Stream, hedge: bool) -> Optional[_Leg]:
+        """A pipe to the next eligible replica, within ``max_attempts``."""
+        if stream.attempts >= self.max_attempts:
+            return None
+        pick = self._eligible_replica(stream.partition, stream.tried)
+        if pick is None:
+            return None
+        slot, handle = pick
+        stream.tried.add(handle)
+        stream.attempts += 1
+        leg = _Leg(handle, slot, hedge)
+        stream.legs.append(leg)
+        return leg
+
+    def _pump(self, stream: _Stream) -> None:
+        """Fill the newest pipe's window from the queue, picking a
+        replica first when the stream has none (exhausted if none is
+        left)."""
+        if not stream.legs and self._open_leg(stream, hedge=False) is None:
+            stream.exhausted = True
+            return
+        lead = stream.legs[-1]
+        while stream.queue and len(lead.inflight) < self.WINDOW:
+            if not self._send(stream, lead, stream.queue[0]):
+                return
+            stream.queue.popleft()
+
+    def _send(self, stream: _Stream, leg: _Leg, request: Request) -> bool:
+        try:
+            leg.handle.conn.send(request)
+        except (OSError, BrokenPipeError, ValueError):
+            self._fail(stream, leg)
+            return False
+        leg.last_activity = time.monotonic()
+        leg.inflight.append((request, leg.last_activity))
+        return True
+
+    def _hedge(self, stream: _Stream, now: float) -> None:
+        stream.hedged = True
+        primary = stream.legs[-1]
+        if self.obs is not None:
+            # How long the primary stalled before we gave up waiting —
+            # the hedge-efficacy signal the doctor reads.
+            self.obs.observe_slo("hedge_wait", now - primary.last_activity)
+        leg = self._open_leg(stream, hedge=True)
+        if leg is None:
+            return
+        for request, _ in list(primary.inflight):
+            if not self._send(stream, leg, request):
+                return
+        self.counters["hedges"] += 1
+
+    def _fail(self, stream: _Stream, leg: _Leg) -> None:
+        """Retire a failed pipe.  The requests no other pipe carries go
+        back to the head of the queue in their original order; the next
+        replica re-executes them against an identical store, so answers
+        are unchanged."""
+        stream.legs.remove(leg)
+        self._record_replica_failure(stream.partition, leg.slot)
+        self._requeue(stream, [request for request, _ in leg.inflight])
+
+    @staticmethod
+    def _requeue(stream: _Stream, requests: List[Request]) -> None:
+        carried = {r.id for leg in stream.legs for r, _ in leg.inflight}
+        stream.queue.extendleft(
+            reversed([r for r in requests if r.id not in carried])
+        )
+
+    def _receive(self, stream: _Stream, leg: _Leg) -> None:
+        try:
+            reply = self._recv(leg.handle)
+        except (EOFError, OSError):
+            self._fail(stream, leg)
+            return
+        leg.last_activity = time.monotonic()
+        ids = [request.id for request, _ in leg.inflight]
+        if reply.id not in ids:
+            # A settled hedge copy, a directive's acknowledgement or an
+            # earlier call's late answer.
+            self.counters["stale_replies"] += 1
+            return
+        position = ids.index(reply.id)
+        if position:
+            # FIFO workers answer in order; a gap means replies were
+            # lost, so the skipped requests are sent again.
+            skipped = [leg.inflight.popleft()[0] for _ in range(position)]
+            self._requeue(stream, skipped)
+        request, sent = leg.inflight.popleft()
+        if not reply.ok:
+            self.counters["worker_errors"] += 1
+            if error_is_transient(reply.error):
+                leg.inflight.appendleft((request, sent))
+                self._fail(stream, leg)
+                return
+        stream.results[request.id] = reply
+        if len(stream.legs) > 1:
+            # The other copy's late reply will drain as stale; a pipe
+            # with nothing left to answer closes unless it takes sends.
+            lead = stream.legs[-1]
+            for other in stream.legs:
+                other.inflight = deque(
+                    e for e in other.inflight if e[0] is not request
+                )
+            stream.legs = [
+                g for g in stream.legs if g.inflight or g is lead
+            ]
+        if not reply.ok:
+            return
+        self.breaker.record_success((stream.partition, leg.slot))
+        stream.winner_slot = leg.slot
+        if leg.hedge and not stream.hedge_won:
+            stream.hedge_won = True
+            self.counters["hedge_wins"] += 1
+        if self.obs is not None:
+            self.obs.absorb_reply(stream.partition, leg.slot, reply)
+            self.obs.observe_partition_service(
+                stream.partition, leg.last_activity - sent
+            )
 
     # ------------------------------------------------------------------
     # Planning / merging
@@ -886,16 +803,12 @@ class ServingCluster:
     def threshold_search(
         self, query, eps: float, measure=None, tenant: str = "default"
     ) -> ThresholdSearchResult:
-        return self._serve(
-            KIND_THRESHOLD, [query], eps, measure, tenant, pipelined=False
-        )[0]
+        return self._serve(KIND_THRESHOLD, [query], eps, measure, tenant)[0]
 
     def topk_search(
         self, query, k: int, measure=None, tenant: str = "default"
     ) -> TopKSearchResult:
-        return self._serve(
-            KIND_TOPK, [query], k, measure, tenant, pipelined=False
-        )[0]
+        return self._serve(KIND_TOPK, [query], k, measure, tenant)[0]
 
     def threshold_search_many(
         self, queries, eps, measure=None, tenant: str = "default"
@@ -906,29 +819,20 @@ class ServingCluster:
         per-query :meth:`threshold_search` answers exactly; admission
         charges the batch as one request.
         """
-        return self._serve(
-            KIND_THRESHOLD, queries, eps, measure, tenant, pipelined=True
-        )
+        return self._serve(KIND_THRESHOLD, queries, eps, measure, tenant)
 
     def topk_search_many(
         self, queries, k: int, measure=None, tenant: str = "default"
     ) -> List[TopKSearchResult]:
         """Batch top-k over the same pipelined FIFO transport."""
-        return self._serve(
-            KIND_TOPK, queries, k, measure, tenant, pipelined=True
-        )
+        return self._serve(KIND_TOPK, queries, k, measure, tenant)
 
-    def _serve(
-        self, kind: str, queries, parameter, measure, tenant, pipelined: bool
-    ) -> list:
-        """The one way a query of ``kind`` is served: validate -> admit
-        -> build each query's payload (planning threshold queries) ->
-        scatter -> per query, split reached from unreachable partitions
-        and merge -> :meth:`_finish`.
-
-        ``pipelined`` picks the transport: one hedged request per
-        partition (:meth:`_scatter`, single queries) or a windowed FIFO
-        pipeline per partition (:meth:`_batch_scatter`, batches).
+    def _serve(self, kind: str, queries, parameter, measure, tenant) -> list:
+        """The one way a call of ``kind`` is served, a single query
+        being a batch of one: validate -> admit -> build each query's
+        payload (planning threshold queries) -> :meth:`_gather` -> per
+        query, split reached from unreachable partitions and merge ->
+        :meth:`_finish`.
         """
         if kind == KIND_THRESHOLD:
             queries, parameters = normalise_thresholds(queries, parameter)
@@ -946,16 +850,16 @@ class ServingCluster:
                 "admission_wait", time.perf_counter() - query_started
             )
         try:
-            if pipelined:
-                root_span = self.tracer.span(
-                    "serve.query_batch", kind=kind, queries=len(queries)
-                )
-            else:
+            if len(queries) == 1:
                 root_span = self.tracer.span(
                     "serve.query",
                     kind=kind,
                     tid=queries[0].tid,
                     **{QUERY_PARAMETER[kind]: parameters[0]},
+                )
+            else:
+                root_span = self.tracer.span(
+                    "serve.query_batch", kind=kind, queries=len(queries)
                 )
             with root_span as root:
                 plans = [
@@ -963,7 +867,7 @@ class ServingCluster:
                     for query, value in zip(queries, parameters)
                 ]
                 wall, replies = self._gather(
-                    kind, [payload for payload, _, _ in plans], pipelined
+                    kind, [payload for payload, _, _ in plans]
                 )
                 if self.obs is not None:
                     self.obs.observe_slo("fanout", wall)
@@ -1018,27 +922,19 @@ class ServingCluster:
             self.admission.release()
 
     def _gather(
-        self, kind: str, payloads: List[dict], pipelined: bool
+        self, kind: str, payloads: List[dict]
     ) -> Tuple[float, List[Dict[int, Optional[Reply]]]]:
-        """Scatter the payloads over the transport the call shape picks.
-        Returns the scatter's wall seconds and, per query,
-        ``{partition: its settling reply}`` — ``None`` where the
-        partition stayed unreachable."""
-        if not pipelined:
-            started = time.perf_counter()
-            flights = self._scatter(kind, payloads[0])
-            wall = time.perf_counter() - started
-            self._trace_flights(flights)
-            return wall, [{p: f.reply for p, f in flights.items()}]
-        self.counters["requests"] += 1
+        """Send every payload to every partition.  Returns the scatter's
+        wall seconds and, per query, ``{partition: its settling reply}``
+        — ``None`` where the partition stayed unreachable."""
         requests = {
             p: [self._make_request(kind, payload) for payload in payloads]
             for p in range(self.partitions)
         }
         started = time.perf_counter()
-        streams = self._batch_scatter(requests)
+        streams = self._scatter(requests)
         wall = time.perf_counter() - started
-        self._trace_batch(streams)
+        self._trace(streams)
         return wall, [
             {
                 p: stream.results.get(stream.requests[i].id)
@@ -1047,47 +943,28 @@ class ServingCluster:
             for i in range(len(payloads))
         ]
 
-    def _trace_flights(self, flights: Dict[int, _Flight]) -> None:
-        """One ``serve.partition`` span per flight; a traced reply's
-        worker subtree is grafted under it, stitching the coordinator
-        and worker halves of the query into a single cross-process
-        tree.  Grafted durations are the worker's own measurements —
-        worker clocks never mix with the coordinator clock."""
+    def _trace(self, streams: Dict[int, _Stream]) -> None:
+        """One ``serve.partition`` span per stream, with every traced
+        reply's worker subtree grafted under it in request (FIFO) order,
+        stitching the coordinator and worker halves of the call into a
+        single cross-process tree.  Grafted durations are the worker's
+        own measurements — worker clocks never mix with the coordinator
+        clock."""
         if self.tracer is NULL_TRACER:
             return
-        for partition, flight in sorted(flights.items()):
+        for partition, stream in sorted(streams.items()):
             with self.tracer.span(
                 "serve.partition", partition=partition
             ) as span:
                 span.set_attrs(
-                    attempts=flight.attempts,
-                    hedged=flight.hedged,
-                    reached=flight.done,
-                    replica=flight.winner_slot,
+                    attempts=stream.attempts,
+                    hedged=stream.hedged,
+                    reached=not stream.exhausted,
+                    replica=stream.winner_slot,
+                    requests=len(stream.requests),
                 )
-            reply = flight.reply
-            if reply is not None and reply.spans is not None:
-                graft_span_dict(self.tracer, reply.spans, span)
-
-    def _trace_batch(self, states: Dict[int, _PartitionBatch]) -> None:
-        """The batch analogue of :meth:`_trace_flights`: one
-        ``serve.partition`` span per pipelined stream, with every
-        traced reply's worker subtree grafted under it in request
-        (FIFO) order."""
-        if self.tracer is NULL_TRACER:
-            return
-        for partition, state in sorted(states.items()):
-            with self.tracer.span(
-                "serve.partition", partition=partition
-            ) as span:
-                span.set_attrs(
-                    attempts=state.attempts,
-                    reached=not state.exhausted,
-                    replica=state.slot,
-                    requests=len(state.requests),
-                )
-            for request in state.requests:
-                reply = state.results.get(request.id)
+            for request in stream.requests:
+                reply = stream.results.get(request.id)
                 if reply is not None and reply.spans is not None:
                     graft_span_dict(self.tracer, reply.spans, span)
 
@@ -1124,7 +1001,7 @@ class ServingCluster:
                     if remaining <= 0 or not handle.conn.poll(remaining):
                         break
                     try:
-                        reply = handle.conn.recv()
+                        reply = self._recv(handle)
                     except (EOFError, OSError):
                         break
                     if reply.id != request.id:

@@ -115,6 +115,8 @@ class TestStitchedTrace:
         assert len(partitions) == obs_cluster.partitions
         for span in partitions:
             assert span.attrs["requests"] == 3
+            assert span.attrs["replica"] == 0
+            assert span.attrs["hedged"] is False
             assert len(span.find("worker.handle")) == 3
 
 

@@ -164,8 +164,8 @@ class TestExactness:
         assert [e.origin for e in local_log] == ["local"] * len(queries)
         assert [e.origin for e in served_log] == ["cluster"] * len(queries)
         assert [e.query_tid for e in served_log] == [q.tid for q in queries]
-        if not many:
-            assert {leg["partition"] for leg in served_log[0].fanout} == {0, 1}
+        for entry in served_log:
+            assert {leg["partition"] for leg in entry.fanout} == {0, 1}
 
     def test_front_door_validation_matches_local(
         self, engine, dataset, cluster
@@ -268,6 +268,57 @@ class TestFailover:
             ]
             assert c.counters["failovers"] >= 1
 
+    def test_lost_reply_is_resent(self, engine):
+        """Workers answer in FIFO order, so a reply that never arrives
+        shows up as a gap: the transport re-sends the skipped request
+        down the same pipe instead of waiting out ``request_timeout``."""
+        from multiprocessing import Pipe
+
+        from repro.serve.protocol import Reply, Request
+        from repro.serve.supervisor import ReplicaHandle
+
+        class _Running:
+            def is_alive(self):
+                return True
+
+        ours, theirs = Pipe()
+        seen = []
+
+        def worker():  # answers everything but the first copy of id 2
+            while True:
+                try:
+                    request = theirs.recv()
+                except EOFError:
+                    theirs.close()
+                    return
+                seen.append(request.id)
+                if seen != [1, 2]:
+                    theirs.send(Reply(request.id, True, payload=request.id))
+
+        cluster = ServingCluster.from_engine(engine, partitions=1)
+        spec = cluster._specs[0][0]
+        cluster._replicas = [[ReplicaHandle(spec, _Running(), ours)]]
+        cluster._started = True
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        try:
+            streams = cluster._scatter(
+                {0: [Request(i, "threshold") for i in (1, 2, 3, 4)]}
+            )
+        finally:
+            ours.close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        results = streams[0].results
+        assert {i: reply.payload for i, reply in results.items()} == {
+            1: 1,
+            2: 2,
+            3: 3,
+            4: 4,
+        }
+        assert seen == [1, 2, 3, 4, 2]
+        assert cluster.counters["failovers"] == 0
+
     def test_restart_cap_limits_respawns(self, engine, dataset):
         with ServingCluster.from_engine(
             engine, partitions=1, replication=2, max_restarts=1
@@ -362,6 +413,35 @@ class TestHedging:
             # The straggler's late reply is drained, not misdelivered:
             # the next query is exact.
             assert c.threshold_search(q, EPS).answers == local.answers
+
+    def test_batch_hedges_a_straggler(self, engine, dataset):
+        """A batch rides the same transport as a single query, so a
+        stalled primary is hedged and every reply is timed."""
+        queries = _queries(dataset, 6)
+        local = engine.threshold_search_many(queries, EPS)
+        with ServingCluster.from_engine(
+            engine,
+            partitions=1,
+            replication=2,
+            hedge_delay_seconds=0.2,
+            observability=True,
+        ) as c:
+            c.stall_replica(0, 0, seconds=3.0)
+            served = c.threshold_search_many(queries, EPS)
+            assert [r.answers for r in served] == [r.answers for r in local]
+            assert c.counters["hedges"] == 1
+            assert c.counters["hedge_wins"] == 1
+            assert c.last_fanout == [
+                {
+                    "partition": 0,
+                    "replica": 1,
+                    "attempts": 2,
+                    "hedged": True,
+                    "reached": True,
+                }
+            ]
+            service = c.stats()["observability"]["partition_service"]
+            assert service["0"]["replies"] == len(queries)
 
 
 class TestAdmission:
@@ -479,6 +559,45 @@ class TestValidationAndObservability:
         assert len(spawned) == 2
         assert not any(handle.alive() for handle in spawned)
         assert cluster.stats()["started"] is False
+
+    @staticmethod
+    def _garble(monkeypatch, kind):
+        """Make forked workers answer requests of ``kind`` with a value
+        that is not a ``Reply``."""
+        from repro.serve import worker
+
+        handle = worker._handle
+
+        def garbled(engine, spec, request):
+            reply = handle(engine, spec, request)
+            return ("not", "a", "reply") if request.kind == kind else reply
+
+        monkeypatch.setattr(worker, "_handle", garbled)
+
+    def test_malformed_reply_is_a_cluster_error(
+        self, engine, dataset, monkeypatch
+    ):
+        self._garble(monkeypatch, "threshold")
+        with ServingCluster.from_engine(engine, partitions=2) as c:
+            with pytest.raises(ClusterError, match="malformed reply"):
+                c.threshold_search(dataset[0], EPS)
+            assert c.admission.snapshot()["in_flight"] == 0
+
+    def test_malformed_ping_fails_start_cleanly(self, engine, monkeypatch):
+        self._garble(monkeypatch, "ping")
+        cluster = ServingCluster.from_engine(engine, partitions=2)
+        spawned = []
+        spawn = cluster.supervisor.spawn
+
+        def recording_spawn(spec):
+            spawned.append(spawn(spec))
+            return spawned[-1]
+
+        monkeypatch.setattr(cluster.supervisor, "spawn", recording_spawn)
+        with pytest.raises(ClusterError, match="malformed reply"):
+            cluster.start()
+        assert len(spawned) == 2
+        assert not any(handle.alive() for handle in spawned)
 
     def test_owned_salts_partition_the_shards(self, engine):
         cluster = ServingCluster.from_engine(engine, partitions=2)
