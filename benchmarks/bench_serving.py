@@ -162,7 +162,7 @@ def test_serving_degraded_reports_exact_skipped_ranges(
         c.kill_replica(0, 0)
         served = c.threshold_search(query, eps)
         plan = c.pruner.prune(query, eps)
-        expected_skipped = engine.store.scan_ranges_for(
+        expected_skipped = engine.store.planned_scan_ranges(
             plan.ranges, shards=c.owned_salts(0)
         )
         degraded_queries = c.counters["degraded_queries"]

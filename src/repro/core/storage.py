@@ -29,7 +29,7 @@ from repro.kvstore.metrics import IOMetrics
 from repro.kvstore.rowkey import (
     encode_rowkey,
     encode_string_rowkey,
-    rowkey_range,
+    rowkey_ranges,
     shard_of,
 )
 from repro.kvstore.table import KVTable, ScanRange
@@ -221,32 +221,58 @@ class TrajectoryStore:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
+    def planned_scan_ranges(
+        self,
+        ranges: Sequence[IndexRange],
+        shards: Optional[Sequence[int]] = None,
+    ) -> List[ScanRange]:
+        """Per-shard row-key ranges for a set of index-value ranges: one
+        per planned ``(range, salt)`` pair, occupied or not.
+
+        The salt byte leads the key (Section IV-E), so a plan names
+        every shard's copy of each range — the quantity the paper's
+        Figure 19 sweep studies.  ``shards`` restricts the plan to a
+        subset of salts (a serving partition's own).  The read path
+        dispatches :meth:`scan_ranges_for` instead; this mapping serves
+        callers that account the plan itself, such as the coordinator's
+        unreachable-partition report.
+        """
+        return [
+            ScanRange(start, stop)
+            for start, stop in self._key_ranges(ranges, shards)
+        ]
+
     def scan_ranges_for(
         self,
         ranges: Sequence[IndexRange],
         shards: Optional[Sequence[int]] = None,
     ) -> List[ScanRange]:
-        """Per-shard row-key scan ranges for a set of index-value ranges.
+        """The planned pairs of :meth:`planned_scan_ranges` that the
+        table cannot prove empty, in the same order.
 
-        Every shard must be visited because the salt byte leads the key
-        (Section IV-E) — the cost the paper's Figure 19 sweep studies.
-        ``shards`` restricts the plan to a subset of salts; the serving
-        tier uses this so each shard worker scans only the salts it
-        owns.
+        Most ``(range, salt)`` pairs hold no key; ``KVTable.holds_any``
+        drops those before a ``ScanRange`` is built, so they cost no
+        seek.  A dropped pair holds no row, hence no answer.
         """
-        if self.key_encoding != INTEGER_KEYS:
-            return self._string_scan_ranges_for(ranges, shards)
+        holds_any = self.table.holds_any
+        return [
+            ScanRange(start, stop)
+            for start, stop in self._key_ranges(ranges, shards)
+            if holds_any(start, stop)
+        ]
+
+    def _key_ranges(
+        self,
+        ranges: Sequence[IndexRange],
+        shards: Optional[Sequence[int]],
+    ) -> List[Tuple[bytes, bytes]]:
+        """``(start, stop)`` row keys per planned pair, shard-major."""
         shard_ids = (
             range(self.config.shards) if shards is None else sorted(shards)
         )
-        out: List[ScanRange] = []
-        for shard in shard_ids:
-            for index_range in ranges:
-                start, stop = rowkey_range(
-                    shard, index_range.start, index_range.stop
-                )
-                out.append(ScanRange(start, stop))
-        return out
+        if self.key_encoding != INTEGER_KEYS:
+            return self._string_key_ranges(ranges, shard_ids)
+        return rowkey_ranges(shard_ids, [(r.start, r.stop) for r in ranges])
 
     def _string_prefix(self, shard: int, value: int) -> bytes:
         element, code = self.index.decode(value)
@@ -254,12 +280,10 @@ class TrajectoryStore:
             "utf-8"
         )
 
-    def _string_scan_ranges_for(
-        self,
-        ranges: Sequence[IndexRange],
-        shards: Optional[Sequence[int]] = None,
-    ) -> List[ScanRange]:
-        """Scan ranges under the TraSS-S string encoding.
+    def _string_key_ranges(
+        self, ranges: Sequence[IndexRange], shard_ids: Iterable[int]
+    ) -> List[Tuple[bytes, bytes]]:
+        """Key ranges under the TraSS-S string encoding.
 
         Because ``'#'`` sorts below every digit, depth-first string keys
         are order-isomorphic to the integer values for all non-root
@@ -268,21 +292,18 @@ class TrajectoryStore:
         empty) and are emitted as individual prefix scans.
         """
         root_start = self.index.root_block_start
-        shard_ids = (
-            range(self.config.shards) if shards is None else sorted(shards)
-        )
-        out: List[ScanRange] = []
+        out: List[Tuple[bytes, bytes]] = []
         for shard in shard_ids:
             for index_range in ranges:
                 lo, hi = index_range.start, index_range.stop
                 for value in range(max(lo, root_start), hi):
                     prefix = self._string_prefix(shard, value)
-                    out.append(ScanRange(prefix, prefix + b"\xff"))
+                    out.append((prefix, prefix + b"\xff"))
                 hi = min(hi, root_start)
                 if lo < hi:
                     start = self._string_prefix(shard, lo)
                     stop = self._string_prefix(shard, hi - 1) + b"\xff"
-                    out.append(ScanRange(start, stop))
+                    out.append((start, stop))
         return out
 
     def record_decoder(self, key: bytes, value: bytes) -> TrajectoryRecord:
@@ -457,42 +478,55 @@ class TrajectoryStore:
             meta = read_json(os.path.join(directory, "STORE.json"))
         except FileNotFoundError:
             raise KVStoreError(f"no store metadata in {directory}") from None
+        where = f"STORE.json in {directory}"
+        if not isinstance(meta, dict):
+            raise KVStoreError(f"{where} is not a JSON object")
+        for key in ("config", "key_encoding"):
+            if key not in meta:
+                raise KVStoreError(f"{where} lacks {key!r}")
         cfg_raw = meta["config"]
-        config = TraSSConfig(
-            max_resolution=cfg_raw["max_resolution"],
-            bounds=SpaceBounds(*cfg_raw["bounds"]),
-            shards=cfg_raw["shards"],
-            dp_tolerance=cfg_raw["dp_tolerance"],
-            measure_name=cfg_raw["measure_name"],
-            box_mode=cfg_raw.get("box_mode", "chord"),
-            max_planned_elements=cfg_raw["max_planned_elements"],
-            range_merge_gap=cfg_raw["range_merge_gap"],
-            max_region_rows=cfg_raw["max_region_rows"],
-            retry_max_attempts=cfg_raw.get("retry_max_attempts", 4),
-            retry_backoff_base=cfg_raw.get("retry_backoff_base", 0.01),
-            retry_backoff_max=cfg_raw.get("retry_backoff_max", 1.0),
-            retry_jitter=cfg_raw.get("retry_jitter", 0.25),
-            scan_deadline_seconds=cfg_raw.get("scan_deadline_seconds"),
-            degraded_mode=cfg_raw.get("degraded_mode", False),
-            breaker_failure_threshold=cfg_raw.get(
-                "breaker_failure_threshold", 5
-            ),
-            breaker_cooldown_seconds=cfg_raw.get(
-                "breaker_cooldown_seconds", 30.0
-            ),
-            cache_mb=cfg_raw.get("cache_mb", 0.0),
-            plan_cache_size=cfg_raw.get("plan_cache_size", 128),
-            slow_query_threshold_seconds=cfg_raw.get(
-                "slow_query_threshold_seconds"
-            ),
-            slow_query_log_size=cfg_raw.get("slow_query_log_size", 128),
-            storage_telemetry=cfg_raw.get("storage_telemetry", True),
-            heatmap_buckets_per_shard=cfg_raw.get(
-                "heatmap_buckets_per_shard", 16
-            ),
-            heat_decay_queries=cfg_raw.get("heat_decay_queries", 512.0),
-            workload_log_size=cfg_raw.get("workload_log_size", 1024),
-        )
+        if not isinstance(cfg_raw, dict):
+            raise KVStoreError(f"{where}: 'config' is not a JSON object")
+        try:
+            config = TraSSConfig(
+                max_resolution=cfg_raw["max_resolution"],
+                bounds=SpaceBounds(*cfg_raw["bounds"]),
+                shards=cfg_raw["shards"],
+                dp_tolerance=cfg_raw["dp_tolerance"],
+                measure_name=cfg_raw["measure_name"],
+                box_mode=cfg_raw.get("box_mode", "chord"),
+                max_planned_elements=cfg_raw["max_planned_elements"],
+                range_merge_gap=cfg_raw["range_merge_gap"],
+                max_region_rows=cfg_raw["max_region_rows"],
+                retry_max_attempts=cfg_raw.get("retry_max_attempts", 4),
+                retry_backoff_base=cfg_raw.get("retry_backoff_base", 0.01),
+                retry_backoff_max=cfg_raw.get("retry_backoff_max", 1.0),
+                retry_jitter=cfg_raw.get("retry_jitter", 0.25),
+                scan_deadline_seconds=cfg_raw.get("scan_deadline_seconds"),
+                degraded_mode=cfg_raw.get("degraded_mode", False),
+                breaker_failure_threshold=cfg_raw.get(
+                    "breaker_failure_threshold", 5
+                ),
+                breaker_cooldown_seconds=cfg_raw.get(
+                    "breaker_cooldown_seconds", 30.0
+                ),
+                cache_mb=cfg_raw.get("cache_mb", 0.0),
+                plan_cache_size=cfg_raw.get("plan_cache_size", 128),
+                slow_query_threshold_seconds=cfg_raw.get(
+                    "slow_query_threshold_seconds"
+                ),
+                slow_query_log_size=cfg_raw.get("slow_query_log_size", 128),
+                storage_telemetry=cfg_raw.get("storage_telemetry", True),
+                heatmap_buckets_per_shard=cfg_raw.get(
+                    "heatmap_buckets_per_shard", 16
+                ),
+                heat_decay_queries=cfg_raw.get("heat_decay_queries", 512.0),
+                workload_log_size=cfg_raw.get("workload_log_size", 1024),
+            )
+        except KeyError as exc:
+            raise KVStoreError(
+                f"{where} lacks 'config.{exc.args[0]}'"
+            ) from None
         store = cls(config, meta["key_encoding"])
         store.table = load_table(directory)
         # The executor, caches and telemetry built in __init__ point at

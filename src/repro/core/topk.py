@@ -59,6 +59,7 @@ class TopKSearchResult:
     answers: List[Tuple[float, str]]
     candidates: int
     retrieved_rows: int
+    #: units with at least one occupied (range, salt) pair, scanned
     units_scanned: int
     elements_expanded: int
     total_seconds: float
@@ -253,8 +254,15 @@ def topk_search(
         batch of a failed attempt is discarded unrefined and the
         ``seen_tids`` check makes any re-refinement a no-op, so answers
         stay exact under masked faults.
+
+        A unit whose every salt copy the table proves empty holds no
+        candidate: it is dropped before its span, row filter or
+        executor call exist, and does not count as scanned.
         """
         nonlocal candidates, retrieved, units_scanned
+        scan_ranges = store.scan_ranges_for([unit])
+        if not scan_ranges:
+            return
         units_scanned += 1
         local.set_threshold(current_eps())
         row_filter = make_row_filter(store, local)
@@ -294,7 +302,7 @@ def topk_search(
             "topk.unit", start=unit.start, stop=unit.stop
         ) as unit_span:
             store.executor.execute(
-                store.scan_ranges_for([unit]),
+                scan_ranges,
                 consume,
                 report=scan_report,
                 deadline=deadline,

@@ -193,6 +193,16 @@ class LSMStore:
             if value is not TOMBSTONE:
                 yield key, value  # type: ignore[misc]
 
+    def holds_any(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+        """Whether any run holds a key, live or tombstone, in
+        ``[start, stop)``.  False proves :meth:`scan` yields nothing."""
+        if self.memtable.holds_any(start, stop):
+            return True
+        for run in self.sstables:
+            if run.holds_any(start, stop):
+                return True
+        return False
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of visible entries (requires a scan; diagnostic)."""

@@ -88,6 +88,12 @@ class MemTable:
             key = self._keys[i]
             yield key, self._data[key]
 
+    def holds_any(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+        """Whether a key, live or tombstone, lies in ``[start, stop)``."""
+        keys = self._keys
+        i = 0 if start is None else bisect.bisect_left(keys, start)
+        return i < len(keys) and (stop is None or keys[i] < stop)
+
     def items(self) -> Iterator[Entry]:
         """All entries in key order (flush path)."""
         return self.scan()

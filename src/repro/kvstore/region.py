@@ -69,17 +69,28 @@ class Region:
     def get(self, key: bytes) -> Optional[bytes]:
         return self.store.get(key)
 
-    def scan(
+    def _clip(
         self, start: Optional[bytes], stop: Optional[bytes]
-    ) -> Iterator[Tuple[bytes, bytes]]:
-        """Entries in the intersection of the request and the region."""
+    ) -> Tuple[Optional[bytes], Optional[bytes]]:
+        """The intersection of ``[start, stop)`` and the region."""
         lo = self.start_key if start is None else (
             start if self.start_key is None else max(start, self.start_key)
         )
         hi = self.end_key if stop is None else (
             stop if self.end_key is None else min(stop, self.end_key)
         )
-        return self.store.scan(lo, hi)
+        return lo, hi
+
+    def scan(
+        self, start: Optional[bytes], stop: Optional[bytes]
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """Entries in the intersection of the request and the region."""
+        return self.store.scan(*self._clip(start, stop))
+
+    def holds_any(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+        """Whether a key, live or tombstone, lies in the intersection of
+        ``[start, stop)`` and the region."""
+        return self.store.holds_any(*self._clip(start, stop))
 
     @property
     def approximate_size(self) -> int:

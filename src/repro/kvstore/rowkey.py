@@ -18,7 +18,7 @@ the paper quantifies (32% / 27% savings on real data).
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 from repro.exceptions import KVStoreError
 
@@ -65,12 +65,29 @@ def rowkey_range(shard: int, start_value: int, stop_value: int) -> Tuple[bytes, 
     The stop key is exclusive, so it is the first key of ``stop_value``
     with an empty tid.
     """
-    if start_value >= stop_value:
-        raise KVStoreError(f"empty value range [{start_value}, {stop_value})")
-    return (
-        bytes([shard]) + _VALUE_STRUCT.pack(start_value),
-        bytes([shard]) + _VALUE_STRUCT.pack(stop_value),
-    )
+    return rowkey_ranges((shard,), ((start_value, stop_value),))[0]
+
+
+def rowkey_ranges(
+    shards: Iterable[int], value_ranges: Iterable[Tuple[int, int]]
+) -> List[Tuple[bytes, bytes]]:
+    """:func:`rowkey_range` of every shard and ``(start, stop)`` value
+    range, shard-major.  Each value is packed once, not once per shard.
+    """
+    packed = []
+    for start_value, stop_value in value_ranges:
+        if start_value >= stop_value:
+            raise KVStoreError(
+                f"empty value range [{start_value}, {stop_value})"
+            )
+        packed.append(
+            (_VALUE_STRUCT.pack(start_value), _VALUE_STRUCT.pack(stop_value))
+        )
+    out: List[Tuple[bytes, bytes]] = []
+    for shard in shards:
+        salt = bytes([shard])
+        out.extend([(salt + lo, salt + hi) for lo, hi in packed])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,9 @@ reproduces every float64 bit-exactly (true for decimal-precision GPS
 data, the common case) — otherwise the raw float64 bytes are kept.
 
 The class duck-types the SSTable run interface (``scan`` / ``get`` /
-``might_contain`` / ``min_key`` / ``max_key`` / ``size_bytes`` /
-telemetry counters), so LSM merges, region scans, caches, the resilient
+``holds_any`` / ``might_contain`` / ``min_key`` / ``max_key`` /
+``size_bytes`` / telemetry counters), so LSM merges, region scans,
+occupancy checks, caches, the resilient
 executor and fault injection all work over mixed run stacks unchanged.
 """
 
@@ -1019,13 +1020,29 @@ class Segment:
             for j in range(lo, hi):
                 yield keys[j], values[j]
 
-    def overlaps_range(
-        self, start: Optional[bytes], stop: Optional[bytes]
-    ) -> bool:
-        if not self._metas:
+    def holds_any(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+        """Whether a key, live or tombstone, lies in ``[start, stop)``.
+
+        The block index answers unless ``start`` falls strictly inside
+        a block.  Then that block is bisected: it is the first block a
+        scan of the range materialises, so checking before scanning
+        decodes no block the scan alone would not.
+        """
+        metas = self._metas
+        if not metas:
             return False
-        if start is not None and self.max_key < start:
-            return False
-        if stop is not None and self.min_key >= stop:
-            return False
-        return True
+        if start is None:
+            first = metas[0].first_key
+        else:
+            i = max(0, bisect.bisect_right(self._first_keys, start) - 1)
+            meta = metas[i]
+            if meta.last_key < start:
+                if i + 1 == len(metas):
+                    return False
+                first = metas[i + 1].first_key
+            elif meta.first_key >= start:
+                first = meta.first_key
+            else:
+                keys, _ = self._block(i)
+                first = keys[bisect.bisect_left(keys, start)]
+        return stop is None or first < stop

@@ -118,12 +118,8 @@ class SSTable:
         for i in range(lo, hi):
             yield self._keys[i], self._values[i]
 
-    def overlaps_range(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
-        """True if any entry could fall in ``[start, stop)``."""
-        if not self._keys:
-            return False
-        if start is not None and self._keys[-1] < start:
-            return False
-        if stop is not None and self._keys[0] >= stop:
-            return False
-        return True
+    def holds_any(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+        """Whether a key, live or tombstone, lies in ``[start, stop)``."""
+        keys = self._keys
+        i = 0 if start is None else bisect.bisect_left(keys, start)
+        return i < len(keys) and (stop is None or keys[i] < stop)

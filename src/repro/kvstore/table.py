@@ -215,6 +215,26 @@ class KVTable:
         lo, hi = self.overlapping_region_span(start, stop)
         return self.regions[lo:hi]
 
+    def holds_any(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+        """Whether any key, live or tombstone, lies in ``[start, stop)``.
+
+        Exact on the absent side: False proves :meth:`scan` of the range
+        yields no row, so the read path drops such a range before
+        dispatch.  It reads run metadata only — no I/O accounting, no
+        telemetry and no fault hook (outages are modelled where a scan
+        starts).  A segment may decode the one block a scan of the
+        range would decode first.
+        """
+        regions = self.regions
+        if len(regions) == 1:
+            # The one region spans the key space: nothing to clip.
+            return regions[0].store.holds_any(start, stop)
+        lo, hi = self.overlapping_region_span(start, stop)
+        for i in range(lo, hi):
+            if regions[i].holds_any(start, stop):
+                return True
+        return False
+
     def scan(
         self,
         start: Optional[bytes] = None,

@@ -709,13 +709,14 @@ class ServingCluster:
         partition: int,
         wire_ranges: Optional[List[Tuple[int, int]]],
     ) -> List[ScanRange]:
-        """Exactly the row-key ranges an unreachable partition would
-        have scanned: the planned ranges mapped onto its owned salts,
-        or — for top-k, which plans adaptively inside each worker — the
-        partition's whole salt spans."""
+        """The row-key ranges an unreachable partition left unscanned:
+        the planned ranges mapped onto its owned salts, or — for top-k,
+        which plans adaptively inside each worker — the partition's
+        whole salt spans.  The coordinator holds no data, so it cannot
+        tell which planned pairs are empty; it reports all of them."""
         if wire_ranges is not None:
             ranges = [IndexRange(s, t) for s, t in wire_ranges]
-            return self._plan_engine.store.scan_ranges_for(
+            return self._plan_engine.store.planned_scan_ranges(
                 ranges, shards=self.owned_salts(partition)
             )
         spans = []

@@ -6,7 +6,8 @@ The contracts under test:
   execution while scanning strictly fewer rows (scan sharing), also
   under masked fault injection;
 * ``range_merge_gap`` coalesces near-adjacent ranges without changing
-  answers, and survives a save/load round trip.
+  answers (it can only add scanned rows), and survives a save/load
+  round trip.
 """
 
 from __future__ import annotations
@@ -142,7 +143,10 @@ class TestBatchExecution:
 # Range-gap coalescing (planner satellite)
 # ----------------------------------------------------------------------
 class TestRangeMergeGap:
-    def test_answers_unchanged_and_seeks_drop(self, small_dataset):
+    def test_answers_unchanged_and_ranges_merged(self, small_dataset):
+        """A gap bridges planned ranges, so it can only add rows.  It no
+        longer promises fewer seeks: only occupied (range, salt) pairs
+        are dispatched, and a bridged range is occupied more often."""
         config = TraSSConfig(
             bounds=BEIJING, max_resolution=12, dp_tolerance=0.002, shards=4
         )
@@ -150,7 +154,6 @@ class TestRangeMergeGap:
         queries = [make_walk(f"g{i}", rng) for i in range(12)]
         base = TraSS.build(small_dataset, config)
         expected = [base.threshold_search(q, 0.02) for q in queries]
-        base_seeks = base.metrics.range_seeks
 
         gapped = TraSS.build(
             small_dataset, dataclasses.replace(config, range_merge_gap=4)
@@ -158,8 +161,9 @@ class TestRangeMergeGap:
         got = [gapped.threshold_search(q, 0.02) for q in queries]
         for a, b in zip(expected, got):
             assert b.answers == a.answers
+            assert b.retrieved_rows >= a.retrieved_rows
         assert gapped.metrics.ranges_merged > 0
-        assert gapped.metrics.range_seeks < base_seeks
+        assert gapped.metrics.rows_scanned >= base.metrics.rows_scanned
 
     def test_negative_gap_rejected(self):
         with pytest.raises(QueryError):

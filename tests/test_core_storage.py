@@ -55,8 +55,23 @@ class TestWritePath:
 class TestScanRanges:
     def test_integer_ranges_cover_all_shards(self):
         store = TrajectoryStore(config(shards=4))
-        ranges = store.scan_ranges_for([IndexRange(10, 20)])
+        ranges = store.planned_scan_ranges([IndexRange(10, 20)])
         assert len(ranges) == 4  # one per shard
+        # An empty table proves every planned pair empty: none dispatch.
+        assert store.scan_ranges_for([IndexRange(10, 20)]) == []
+
+    def test_dispatched_ranges_are_the_occupied_planned_pairs(self):
+        store = TrajectoryStore(config(shards=4))
+        t = Trajectory("a", [(0.5, 0.5), (0.52, 0.51)])
+        value = store.put(t)
+        plan = [IndexRange(value, value + 1), IndexRange(0, 1)]
+        planned = store.planned_scan_ranges(plan)
+        dispatched = store.scan_ranges_for(plan)
+        assert len(planned) == 8
+        assert dispatched == [
+            r for r in planned if store.table.holds_any(r.start, r.stop)
+        ]
+        assert len(dispatched) == 1  # one salt holds the one row
 
     def test_scan_ranges_find_stored_rows(self):
         store = TrajectoryStore(config())

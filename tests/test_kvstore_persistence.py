@@ -317,3 +317,48 @@ class TestEngineSaveLoad:
             fh.write(text[: len(text) // 2])
         with pytest.raises(KVStoreError, match=f"corrupt {name}"):
             TraSS.load(directory)
+
+    @pytest.mark.parametrize(
+        "edit, missing",
+        [
+            (lambda meta: meta.pop("config"), "'config'"),
+            (lambda meta: meta.pop("key_encoding"), "'key_encoding'"),
+            (
+                lambda meta: meta["config"].pop("max_resolution"),
+                "'config.max_resolution'",
+            ),
+        ],
+        ids=["config", "key_encoding", "max_resolution"],
+    )
+    def test_store_json_missing_key_is_a_typed_error(
+        self, tmp_path, edit, missing
+    ):
+        """Valid JSON without a required key fails to load with a
+        ``KVStoreError`` naming the file and the key, not a raw
+        ``KeyError``."""
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=10, shards=2)
+        directory = str(tmp_path / "store")
+        TraSS.build(tdrive_like(10, seed=38), cfg).save(directory)
+        meta_path = os.path.join(directory, "STORE.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        edit(meta)
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(KVStoreError) as caught:
+            TraSS.load(directory)
+        message = str(caught.value)
+        assert "STORE.json" in message and missing in message
+
+    def test_store_json_not_an_object_is_a_typed_error(self, tmp_path):
+        """A ``STORE.json`` holding a JSON list fails to load with a
+        ``KVStoreError`` naming the file, not a raw ``TypeError``."""
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=10, shards=2)
+        directory = str(tmp_path / "store")
+        TraSS.build(tdrive_like(10, seed=39), cfg).save(directory)
+        with open(os.path.join(directory, "STORE.json"), "w") as fh:
+            json.dump([1, 2, 3], fh)
+        with pytest.raises(
+            KVStoreError, match="STORE.json .* not a JSON object"
+        ):
+            TraSS.load(directory)

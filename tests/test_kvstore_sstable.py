@@ -55,8 +55,22 @@ class TestSSTable:
         assert t.min_key is None
         assert list(t.scan()) == []
 
-    def test_overlaps_range(self):
+    def test_holds_any(self):
         t = build_table(5)
-        assert t.overlaps_range(b"key002", b"key003")
-        assert not t.overlaps_range(b"key900", None)
-        assert not t.overlaps_range(None, b"key000")
+        assert t.holds_any(b"key002", b"key003")
+        assert not t.holds_any(b"key900", None)
+        assert not t.holds_any(None, b"key000")
+        # Inside [min_key, max_key] but between two keys: exact, not an
+        # interval test.
+        assert not t.holds_any(b"key0020", b"key003")
+        assert t.holds_any(None, None)
+        assert not SSTable.from_entries([]).holds_any(None, None)
+
+    def test_holds_any_counts_tombstones(self):
+        m = MemTable()
+        m.put(b"a", b"1")
+        m.delete(b"c")
+        t = SSTable.from_entries(m.items())
+        assert m.holds_any(b"b", b"d")
+        assert t.holds_any(b"b", b"d")
+        assert not t.holds_any(b"b", b"c")

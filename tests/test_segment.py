@@ -100,7 +100,7 @@ def test_empty_segment(tmp_path):
     assert list(segment.scan()) == []
     assert segment.get(b"x") is None
     assert segment.min_key is None and segment.max_key is None
-    assert not segment.overlaps_range(None, None)
+    assert not segment.holds_any(None, None)
     segment.close()
 
 
@@ -113,6 +113,26 @@ def test_scan_ranges_and_blocks(tmp_path):
     assert segment.blocks_materialized < segment.num_blocks
     assert list(segment.scan(None, b"k0010")) == entries[:10]
     assert list(segment.scan(b"k0395", None)) == entries[395:]
+    segment.close()
+
+
+def test_holds_any_is_exact_inside_a_block(tmp_path):
+    """A range that starts strictly inside a block and holds no key is
+    proven empty by bisecting that one block, which is the block a scan
+    of the range would materialise anyway."""
+    entries = [(b"k%04d" % i, b"v%d" % i) for i in range(0, 400, 2)]
+    segment, _ = _write(tmp_path, entries, block_logical_bytes=256)
+    assert segment.num_blocks > 3
+    assert not segment.holds_any(b"k0101", b"k0102")
+    assert segment.blocks_materialized == 1
+    assert list(segment.scan(b"k0101", b"k0102")) == []
+    assert segment.blocks_materialized == 1
+    assert segment.holds_any(b"k0101", b"k0103")
+    # Before, between and after the blocks: the index alone answers.
+    assert not segment.holds_any(None, b"k0000")
+    assert not segment.holds_any(b"k0399", None)
+    assert segment.holds_any(None, None)
+    assert segment.blocks_materialized == 1
     segment.close()
 
 
@@ -343,18 +363,21 @@ def test_compact_store_under_chaos(tmp_path):
     from repro.kvstore.faults import FaultInjector, FaultSchedule
 
     trajs = tdrive_like(60, seed=9, decimals=5)
-    probes = tdrive_like(4, seed=66, decimals=5)
+    # Stored trajectories: every probe has answers, and only occupied
+    # key ranges are scanned, so each scan start is a real fault site.
+    probes = trajs[:12]
     config = TraSSConfig(
         bounds=TDRIVE_BOUNDS, max_resolution=13, shards=4,
         retry_backoff_base=0.0, retry_backoff_max=0.0,
     )
     engine = TraSS.build(trajs, config)
     base = _answers(engine, probes)
+    assert all(base)
     compact_dir = str(tmp_path / "compact")
     engine.save(compact_dir)
     loaded = TraSS.load(compact_dir)
     loaded.install_fault_injector(
-        FaultInjector(FaultSchedule(seed=17, region_unavailable_prob=0.2))
+        FaultInjector(FaultSchedule(seed=17, region_unavailable_prob=0.5))
     )
     assert _answers(loaded, probes) == base
     assert loaded.metrics.snapshot()["retries"] > 0
