@@ -17,7 +17,8 @@ import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.base import BaselineResult, SimilaritySearchBaseline
-from repro.core.codec import decode_row, encode_row
+from repro.core.codec import encode_row
+from repro.core.storage import TrajectoryRecord
 from repro.features.dp_features import extract_dp_features
 from repro.geometry.mbr import MBR
 from repro.geometry.trajectory import Trajectory
@@ -77,9 +78,9 @@ class JustXZ2Baseline(SimilaritySearchBaseline):
         before = self.metrics.snapshot()
         candidates: List[Trajectory] = []
         for _, value in self.table.scan_ranges(scan_ranges):
-            tid, points, features = decode_row(value)
-            if features.mbr.intersects(query_mbr_ext):
-                candidates.append(Trajectory(tid, points))
+            record = TrajectoryRecord.from_row(value)
+            if record.mbr.intersects(query_mbr_ext):
+                candidates.append(record.as_trajectory())
         retrieved = self.metrics.diff(before)["rows_scanned"]
         return candidates, retrieved
 

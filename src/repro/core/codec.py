@@ -13,6 +13,23 @@ representative indexes (``dp-points``) and the covering boxes
                                       self-describing)
 
 All numbers are big-endian for consistency with the row-key encoding.
+
+A row is read in two steps, in the order the local filter needs it:
+
+* :func:`read_head` checks the framing (the three counts and the tid
+  length must account for every byte) and reads only O(1) fields: the
+  tid and the start and end points, which sit at the fixed offsets
+  ``4`` and ``4 + 16 (n_points - 1)``.  Lemma 12 and the endpoint test
+  of Lemma 5 need nothing else.
+* :func:`read_coords` unpacks the point column (for the MBR and the
+  points) and :func:`decode_tail` the DP columns (representative
+  indexes and boxes); a row rejected on its head never meets either.
+
+Both steps read Table I's bytes where they already are; the layout has
+no header for them.
+
+:class:`repro.core.storage.TrajectoryRecord` composes the three; it is
+the only decoder of a stored row.
 """
 
 from __future__ import annotations
@@ -22,13 +39,13 @@ from typing import List, Sequence, Tuple
 
 from repro.exceptions import KVStoreError
 from repro.features.dp_features import DPFeatures
-from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 from repro.geometry.segment import OrientedBox
 
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 _BOX = struct.Struct(">8d")
+_XY = struct.Struct(">2d")
 
 PointTuple = Tuple[float, float]
 
@@ -77,39 +94,61 @@ def encode_row(
     return b"".join(parts)
 
 
-def decode_row(data: bytes) -> Tuple[str, List[PointTuple], DPFeatures]:
-    """Inverse of :func:`encode_row` -> (tid, points, features)."""
+
+
+def read_head(data: bytes) -> Tuple[str, PointTuple, PointTuple, int, int, int]:
+    """Check a row's framing and read its O(1) fields.
+
+    Returns ``(tid, start, end, n_points, n_rep, n_boxes)``.  Raises
+    :class:`KVStoreError` for any row whose counts do not frame its
+    bytes exactly, and for a row without points.
+    """
     try:
-        offset = 0
-        (n_points,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        flat = struct.unpack_from(f">{2 * n_points}d", data, offset)
-        offset += 16 * n_points
-        points = [(flat[2 * i], flat[2 * i + 1]) for i in range(n_points)]
-        (n_rep,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        rep = struct.unpack_from(f">{n_rep}I", data, offset) if n_rep else ()
-        offset += 4 * n_rep
-        (n_boxes,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        boxes = []
-        for _ in range(n_boxes):
-            boxes.append(_unpack_box(data, offset))
-            offset += _BOX.size
-        (tid_len,) = _U16.unpack_from(data, offset)
-        offset += _U16.size
-        tid = data[offset : offset + tid_len].decode("utf-8")
-        offset += tid_len
+        (n_points,) = _U32.unpack_from(data, 0)
+        if n_points == 0:
+            raise KVStoreError("corrupt trajectory row: no points")
+        reps_at = 4 + 16 * n_points
+        (n_rep,) = _U32.unpack_from(data, reps_at)
+        boxes_at = reps_at + 4 + 4 * n_rep
+        (n_boxes,) = _U32.unpack_from(data, boxes_at)
+        tid_at = boxes_at + 4 + _BOX.size * n_boxes
+        (tid_len,) = _U16.unpack_from(data, tid_at)
+        tid_at += _U16.size
+        if tid_at + tid_len != len(data):
+            raise KVStoreError(
+                f"corrupt trajectory row: framed {tid_at + tid_len} bytes, "
+                f"holds {len(data)}"
+            )
+        tid = data[tid_at:].decode("utf-8")
     except (struct.error, UnicodeDecodeError) as exc:
         raise KVStoreError(f"corrupt trajectory row: {exc}") from exc
-    if offset != len(data):
+    start = _XY.unpack_from(data, 4)
+    end = _XY.unpack_from(data, reps_at - 16)
+    return tid, start, end, n_points, n_rep, n_boxes
+
+
+def read_coords(data: bytes, n_points: int) -> Tuple[float, ...]:
+    """The point column as flat ``x0, y0, x1, y1, ...`` of a row whose
+    framing :func:`read_head` has checked."""
+    return struct.unpack_from(f">{2 * n_points}d", data, 4)
+
+
+def decode_tail(
+    data: bytes, n_points: int, n_rep: int, n_boxes: int
+) -> Tuple[Tuple[int, ...], Tuple[OrientedBox, ...]]:
+    """The DP columns ``(rep_indexes, boxes)`` of a row whose framing
+    :func:`read_head` has checked; a representative index that names
+    no point raises :class:`KVStoreError`."""
+    reps_at = 8 + 16 * n_points
+    rep = struct.unpack_from(f">{n_rep}I", data, reps_at)
+    if rep and max(rep) >= n_points:
         raise KVStoreError(
-            f"trailing bytes in trajectory row ({len(data) - offset})"
+            f"corrupt trajectory row: representative index {max(rep)} "
+            f"of {n_points} points"
         )
-    features = DPFeatures(
-        rep_indexes=tuple(rep),
-        rep_points=tuple(points[i] for i in rep),
-        boxes=tuple(boxes),
-        mbr=MBR.of_points(points),
+    boxes_at = reps_at + 4 * n_rep + 4
+    boxes = tuple(
+        _unpack_box(data, offset)
+        for offset in range(boxes_at, boxes_at + _BOX.size * n_boxes, _BOX.size)
     )
-    return tid, points, features
+    return rep, boxes

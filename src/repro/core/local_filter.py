@@ -5,7 +5,8 @@ coprocessor", Figure 8), ordered cheap-to-expensive exactly as the
 paper prescribes ("we execute Lemmas from simple to complex"):
 
 1. MBR gap — if the two MBRs are more than ``eps`` apart no point of
-   ``T`` can be within ``eps`` of any point of ``Q`` (Lemma 5);
+   ``T`` can be within ``eps`` of any point of ``Q`` (Lemma 5); decided
+   on the record's endpoints first, see :meth:`LocalFilter.passes`;
 2. start/end points (Lemma 12) — Fréchet and DTW must match first with
    first and last with last; *skipped for Hausdorff*;
 3. representative points against the other side's box union, both
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.core.codec import decode_row
 from repro.core.storage import TrajectoryRecord
 from repro.exceptions import QueryError
 from repro.features.dp_features import extract_dp_features
@@ -128,10 +128,23 @@ class LocalFilter:
                 tracer.add_event("filter.pass", tid=record.tid)
             return True
         query = self.query
-        features = record.features
 
-        # Step 0 — MBR gap (Lemma 5 applied to the bounding boxes).
-        if "mbr" in self.stages and query.mbr.distance_to_rect(features.mbr) > eps:
+        # Step 0 — MBR gap (Lemma 5 applied to the bounding boxes),
+        # decided on the row head where it can be.  T's MBR contains
+        # both endpoints, so d(Q.mbr, T.mbr) <= d(Q.mbr, endpoint): an
+        # endpoint within eps proves the stage passes without unpacking
+        # the points.  The rounded distances keep that order: per axis,
+        # ``distance_to_point`` subtracts a coordinate inside T's MBR
+        # where ``distance_to_rect`` subtracts that MBR's edge, and float
+        # subtraction and ``math.hypot`` are monotone.  So the decision
+        # is exactly ``distance_to_rect(record.mbr) > eps``.
+        q_mbr = query.mbr
+        if (
+            "mbr" in self.stages
+            and q_mbr.distance_to_point(*record.start) > eps
+            and q_mbr.distance_to_point(*record.end) > eps
+            and q_mbr.distance_to_rect(record.mbr) > eps
+        ):
             self.stats.rejected_mbr += 1
             if tracer is not None:
                 tracer.add_event("filter.reject", lemma="mbr", tid=record.tid)
@@ -140,7 +153,7 @@ class LocalFilter:
         # Step 1 — Lemma 12, start and end points (order-aware measures).
         if "start_end" in self.stages and self.measure.supports_start_end_filter:
             q_start, q_end = query.points[0], query.points[-1]
-            t_start, t_end = record.points[0], record.points[-1]
+            t_start, t_end = record.start, record.end
             if (
                 math.hypot(q_start[0] - t_start[0], q_start[1] - t_start[1]) > eps
                 or math.hypot(q_end[0] - t_end[0], q_end[1] - t_end[1]) > eps
@@ -155,6 +168,7 @@ class LocalFilter:
         # Step 2 — Lemma 13 in both directions: a representative point
         # is a raw point, so its distance to the other side's box union
         # lower-bounds the similarity distance.
+        features = record.features
         q_features = self.features
         if "rep_points" in self.stages:
             for px, py in features.rep_points:
@@ -200,31 +214,31 @@ class LocalFilter:
         return True
 
 
-class LocalFilterRowFilter(RowFilter):
-    """Server-side adapter: decode the row, apply :class:`LocalFilter`.
+def _row_record(key: bytes, value: bytes) -> TrajectoryRecord:
+    return TrajectoryRecord.from_row(value)
 
-    Accepted records are cached by row key so the client does not pay
-    for a second decode of rows it is about to refine.  ``decoder``
-    replaces the plain ``decode_row`` call — the store passes its
-    record-cache-backed decoder here, so repeated scans of the same
-    rows skip decoding entirely.
+
+class LocalFilterRowFilter(RowFilter):
+    """Server-side adapter: read the row, apply :class:`LocalFilter`.
+
+    Accepted records are cached by row key so the client does not read
+    rows it is about to refine a second time.  ``decoder(key, value)``
+    builds the record — :meth:`TrajectoryRecord.from_row` by default;
+    the store passes its record-cache-backed decoder here, so repeated
+    scans of the same rows reuse their records.
     """
 
     def __init__(
         self,
         local_filter: LocalFilter,
-        decoder: Optional[Callable[[bytes, bytes], TrajectoryRecord]] = None,
+        decoder: Callable[[bytes, bytes], TrajectoryRecord] = _row_record,
     ):
         self.local_filter = local_filter
         self.decoder = decoder
         self.accepted: Dict[bytes, TrajectoryRecord] = {}
 
     def accept(self, key: bytes, value: bytes) -> bool:
-        if self.decoder is not None:
-            record = self.decoder(key, value)
-        else:
-            tid, points, features = decode_row(value)
-            record = TrajectoryRecord(tid, tuple(points), features, -1)
+        record = self.decoder(key, value)
         if self.local_filter.passes(record):
             self.accepted[bytes(key)] = record
             return True

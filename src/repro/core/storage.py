@@ -14,14 +14,14 @@ functional engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.codec import decode_row, encode_row
+from repro.core.codec import decode_tail, encode_row, read_coords, read_head
 from repro.core.config import TraSSConfig
 from repro.core.executor import ResilientExecutor
 from repro.exceptions import KVStoreError, QueryError
 from repro.features.dp_features import DPFeatures, extract_dp_features
+from repro.geometry.mbr import MBR
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
 from repro.index.xzstar import XZStarIndex
@@ -38,14 +38,79 @@ INTEGER_KEYS = "integer"
 STRING_KEYS = "string"
 
 
-@dataclass(frozen=True)
 class TrajectoryRecord:
-    """A decoded stored row."""
+    """A stored row, decoded in the order the local filter reads it.
 
-    tid: str
-    points: Tuple[Tuple[float, float], ...]
-    features: DPFeatures
-    index_value: int
+    :meth:`from_row` checks the row's framing and reads only ``tid``,
+    ``start`` and ``end``, which is all Lemma 12 and Lemma 5's endpoint
+    test need.  The coordinates, ``mbr``, ``points`` and ``features``
+    are decoded on first touch and kept on the record, so a row the
+    head rejects is never unpacked and a survivor is unpacked once.
+    """
+
+    __slots__ = (
+        "tid",
+        "start",
+        "end",
+        "index_value",
+        "_value",
+        "_counts",
+        "_coords",
+        "_mbr",
+        "_points",
+        "_features",
+    )
+
+    @classmethod
+    def from_row(cls, value: bytes, index_value: int = -1) -> "TrajectoryRecord":
+        """The record of one row value; a corrupt row raises
+        :class:`KVStoreError` here, or for a bad representative index on
+        first touch of ``features``."""
+        record = cls.__new__(cls)
+        record.tid, record.start, record.end, n_points, n_rep, n_boxes = (
+            read_head(value)
+        )
+        record._counts = (n_points, n_rep, n_boxes)
+        record.index_value = index_value
+        record._value = value
+        record._coords = record._mbr = record._points = record._features = None
+        return record
+
+    def _flat_coords(self) -> Tuple[float, ...]:
+        coords = self._coords
+        if coords is None:
+            coords = self._coords = read_coords(self._value, self._counts[0])
+        return coords
+
+    @property
+    def mbr(self) -> MBR:
+        mbr = self._mbr
+        if mbr is None:
+            coords = self._flat_coords()
+            xs, ys = coords[0::2], coords[1::2]
+            mbr = self._mbr = MBR(min(xs), min(ys), max(xs), max(ys))
+        return mbr
+
+    @property
+    def points(self) -> Tuple[Tuple[float, float], ...]:
+        points = self._points
+        if points is None:
+            coords = self._flat_coords()
+            points = self._points = tuple(zip(coords[0::2], coords[1::2]))
+        return points
+
+    @property
+    def features(self) -> DPFeatures:
+        features = self._features
+        if features is None:
+            rep, boxes = decode_tail(self._value, *self._counts)
+            coords = self._flat_coords()
+            features = self._features = DPFeatures(
+                rep_indexes=rep,
+                rep_points=tuple((coords[2 * i], coords[2 * i + 1]) for i in rep),
+                boxes=boxes,
+            )
+        return features
 
     def as_trajectory(self) -> Trajectory:
         return Trajectory(self.tid, self.points)
@@ -318,21 +383,19 @@ class TrajectoryStore:
         """
         cache = self.record_cache
         if cache is None:
-            tid, points, features = decode_row(value)
-            return TrajectoryRecord(tid, tuple(points), features, -1)
+            return TrajectoryRecord.from_row(value)
         cache_key = (bytes(key), self.table.generation)
         record = cache.get(cache_key)
         if record is not None:
             self.table.metrics.record_cache_hits += 1
             return record
         self.table.metrics.record_cache_misses += 1
-        tid, points, features = decode_row(value)
-        record = TrajectoryRecord(tid, tuple(points), features, -1)
+        record = TrajectoryRecord.from_row(value)
         cache.put(cache_key, record, cost=len(key) + len(value))
         return record
 
     def decode_record(self, key: bytes, value: bytes) -> TrajectoryRecord:
-        tid, points, features = decode_row(value)
+        """The record of one row, with the index value its key carries."""
         if self.key_encoding == INTEGER_KEYS:
             from repro.kvstore.rowkey import decode_rowkey
 
@@ -349,7 +412,7 @@ class TrajectoryStore:
 
                 element = ROOT
             index_value = self.index.value(element, code)
-        return TrajectoryRecord(tid, tuple(points), features, index_value)
+        return TrajectoryRecord.from_row(value, index_value)
 
     def all_records(self) -> Iterator[TrajectoryRecord]:
         """Full-table scan (ground truth / verification paths)."""

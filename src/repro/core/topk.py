@@ -228,11 +228,11 @@ def topk_search(
         for order-aware measures.  Refining a unit's survivors in this
         order tightens the working threshold as fast as possible, so
         later (farther) candidates abandon early or skip refinement."""
-        p = record.points
-        bound = query_mbr.distance_to_rect(record.features.mbr)
+        bound = query_mbr.distance_to_rect(record.mbr)
         if use_start_end:
-            start = math.hypot(q_start[0] - p[0][0], q_start[1] - p[0][1])
-            end = math.hypot(q_end[0] - p[-1][0], q_end[1] - p[-1][1])
+            (sx, sy), (ex, ey) = record.start, record.end
+            start = math.hypot(q_start[0] - sx, q_start[1] - sy)
+            end = math.hypot(q_end[0] - ex, q_end[1] - ey)
             if start > bound:
                 bound = start
             if end > bound:

@@ -64,7 +64,6 @@ class DPFeatures:
     rep_indexes: Tuple[int, ...]
     rep_points: Tuple[PointTuple, ...]
     boxes: Tuple[OrientedBox, ...]
-    mbr: MBR
 
     @cached_property
     def _box_geometry(self) -> BoxGeometry:
@@ -256,5 +255,4 @@ def extract_dp_features(
         rep_indexes=tuple(rep_indexes),
         rep_points=rep_points,
         boxes=tuple(boxes),
-        mbr=MBR.of_points(points),
     )

@@ -123,7 +123,7 @@ def scan_block_cache(capacity_bytes: int) -> ObjectLRUCache:
 
 
 def record_cache(capacity_bytes: int) -> ObjectLRUCache:
-    """The decoded-``TrajectoryRecord`` cache (skips ``decode_row``),
-    keyed by ``(row key, generation)`` and cost-accounted in encoded
-    row bytes."""
+    """The ``TrajectoryRecord`` cache (skips ``TrajectoryRecord.from_row``
+    and keeps what a record has materialised), keyed by ``(row key,
+    generation)`` and cost-accounted in encoded row bytes."""
     return ObjectLRUCache(capacity_bytes)

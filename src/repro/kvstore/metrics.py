@@ -106,7 +106,7 @@ class IOMetrics:
     #: LSM scan block cache (materialised merged runs per key range)
     block_cache_hits: int = 0
     block_cache_misses: int = 0
-    #: decoded-``TrajectoryRecord`` cache (skips ``decode_row``)
+    #: decoded-``TrajectoryRecord`` cache (skips ``TrajectoryRecord.from_row``)
     record_cache_hits: int = 0
     record_cache_misses: int = 0
     #: global-pruning plan cache (skips Algorithm 1 re-planning)

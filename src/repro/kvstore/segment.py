@@ -32,10 +32,10 @@ reproduces every float64 bit-exactly (true for decimal-precision GPS
 data, the common case) — otherwise the raw float64 bytes are kept.
 
 The class duck-types the SSTable run interface (``scan`` / ``get`` /
-``holds_any`` / ``might_contain`` / ``min_key`` / ``max_key`` /
-``size_bytes`` / telemetry counters), so LSM merges, region scans,
-occupancy checks, caches, the resilient
-executor and fault injection all work over mixed run stacks unchanged.
+``holds_any`` / ``might_contain`` / ``size_bytes`` / telemetry
+counters), so LSM merges, region scans, occupancy checks, caches, the
+resilient executor and fault injection all work over mixed run stacks
+unchanged.
 """
 
 from __future__ import annotations
@@ -184,37 +184,22 @@ def _decode_raw_block(
 # TRAJ block codec (columnar trajectory rows)
 # ----------------------------------------------------------------------
 def _split_trajectory_value(value: bytes):
-    """Structurally parse one codec row blob; raises on any mismatch.
+    """Split one codec row blob into its columns; a row whose framing
+    :func:`repro.core.codec.read_head` rejects raises ``KVStoreError``.
 
     Returns ``(points_f64, rep_u32, boxes_bytes, tid_bytes)`` where
     ``points_f64`` is the native-endian float64 copy of the point
     coordinates (in x0,y0,x1,y1,... order).
     """
-    (n_points,) = _U32.unpack_from(value, 0)
-    offset = 4
-    if n_points == 0 or offset + 16 * n_points > len(value):
-        raise KVStoreError("not a trajectory row")
-    points = np.frombuffer(value, ">f8", 2 * n_points, offset).astype(np.float64)
-    offset += 16 * n_points
-    (n_rep,) = _U32.unpack_from(value, offset)
-    offset += 4
-    if offset + 4 * n_rep > len(value):
-        raise KVStoreError("not a trajectory row")
-    reps = np.frombuffer(value, ">u4", n_rep, offset).astype(np.uint32)
-    offset += 4 * n_rep
-    (n_boxes,) = _U32.unpack_from(value, offset)
-    offset += 4
-    if offset + 64 * n_boxes > len(value):
-        raise KVStoreError("not a trajectory row")
-    boxes = value[offset : offset + 64 * n_boxes]
-    offset += 64 * n_boxes
-    (tid_len,) = _U16.unpack_from(value, offset)
-    offset += 2
-    tid = value[offset : offset + tid_len]
-    offset += tid_len
-    if offset != len(value):
-        raise KVStoreError("not a trajectory row")
-    return points, reps, boxes, tid
+    from repro.core.codec import read_head
+
+    _, _, _, n_points, n_rep, n_boxes = read_head(value)
+    reps_at = 8 + 16 * n_points
+    boxes_at = reps_at + 4 * n_rep + 4
+    tid_at = boxes_at + 64 * n_boxes + 2
+    points = np.frombuffer(value, ">f8", 2 * n_points, 4).astype(np.float64)
+    reps = np.frombuffer(value, ">u4", n_rep, reps_at).astype(np.uint32)
+    return points, reps, value[boxes_at : tid_at - 2], value[tid_at:]
 
 
 def _tid_from_key(key: bytes, mode: int) -> Optional[bytes]:
@@ -922,14 +907,6 @@ class Segment:
     @property
     def num_blocks(self) -> int:
         return len(self._metas)
-
-    @property
-    def min_key(self) -> Optional[bytes]:
-        return self._metas[0].first_key if self._metas else None
-
-    @property
-    def max_key(self) -> Optional[bytes]:
-        return self._metas[-1].last_key if self._metas else None
 
     @property
     def compression_ratio(self) -> float:

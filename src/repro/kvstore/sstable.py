@@ -80,14 +80,6 @@ class SSTable:
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def min_key(self) -> Optional[bytes]:
-        return self._keys[0] if self._keys else None
-
-    @property
-    def max_key(self) -> Optional[bytes]:
-        return self._keys[-1] if self._keys else None
-
     # ------------------------------------------------------------------
     def get(self, key: bytes) -> Optional[object]:
         """Value, ``TOMBSTONE``, or ``None``; bloom-gated binary search."""

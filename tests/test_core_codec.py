@@ -4,9 +4,16 @@ import random
 
 import pytest
 
-from repro.core.codec import decode_row, encode_row
+from repro.core.codec import encode_row
+from repro.core.storage import TrajectoryRecord
 from repro.exceptions import KVStoreError
 from repro.features.dp_features import extract_dp_features
+
+
+def decode_row(blob):
+    """(tid, points, features) of a row, every field materialised."""
+    record = TrajectoryRecord.from_row(blob)
+    return record.tid, list(record.points), record.features
 
 
 def roundtrip(points, theta=0.01, tid="t"):

@@ -18,7 +18,7 @@ THETA = 0.01
 
 def record_of(tid, points):
     features = extract_dp_features(points, THETA)
-    return TrajectoryRecord(tid, tuple(points), features, 0)
+    return TrajectoryRecord.from_row(encode_row(tid, points, features), 0)
 
 
 def walk(rng, start, n, step=0.02):

@@ -1,10 +1,14 @@
 """Failure-injection tests: corruption and malformed inputs must fail
 loudly (never silently return wrong answers)."""
 
+import struct
+
 import pytest
 
 from repro import TraSS, TraSSConfig, Trajectory, SpaceBounds
-from repro.core.codec import decode_row, encode_row
+from repro.core.codec import encode_row
+from repro.core.local_filter import LocalFilter, LocalFilterRowFilter
+from repro.core.storage import TrajectoryRecord, TrajectoryStore
 from repro.exceptions import (
     EncodingError,
     GeometryError,
@@ -13,15 +17,52 @@ from repro.exceptions import (
 )
 from repro.features.dp_features import extract_dp_features
 from repro.index.xzstar import XZStarIndex
+from repro.kvstore.rowkey import encode_rowkey
+from repro.measures import get_measure
 
 
 class TestCorruptData:
     def test_row_blob_truncations_always_detected(self):
         points = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]
         blob = encode_row("t", points, extract_dp_features(points, 0.01))
-        for cut in range(len(blob)):
-            with pytest.raises(KVStoreError):
-                decode_row(blob[:cut])
+        store = TrajectoryStore()
+        for decoder in (
+            lambda value: store.decode_record(encode_rowkey(0, 0, "t"), value),
+            TrajectoryRecord.from_row,
+        ):
+            for cut in range(len(blob)):
+                # Construction alone must see the truncation.
+                with pytest.raises(KVStoreError):
+                    decoder(blob[:cut])
+
+    def test_zero_point_row_raises_typed_error(self):
+        """A row that frames no points is corrupt, not an empty
+        geometry: the store's decode raises ``KVStoreError``."""
+        blob = struct.pack(">III", 0, 0, 0) + struct.pack(">H", 1) + b"t"
+        store = TrajectoryStore()
+        with pytest.raises(KVStoreError):
+            store.decode_record(encode_rowkey(0, 0, "t"), blob).features
+
+    def test_rep_index_beyond_points_raises_typed_error(self):
+        """A representative index that names no point raises
+        ``KVStoreError`` where the features are first read, also from
+        inside the local filter."""
+        points = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]
+        features = extract_dp_features(points, 0.01)
+        blob = bytearray(encode_row("t", points, features))
+        # The first representative index sits after the point column
+        # and the representative count.
+        struct.pack_into(">I", blob, 4 + 16 * len(points) + 4, len(points))
+        blob = bytes(blob)
+        key = encode_rowkey(0, 0, "t")
+        store = TrajectoryStore()
+        with pytest.raises(KVStoreError):
+            store.decode_record(key, blob).features
+        local = LocalFilter(
+            Trajectory("q", points), get_measure("frechet"), 0.5, 0.01
+        )
+        with pytest.raises(KVStoreError):
+            LocalFilterRowFilter(local).accept(key, blob)
 
     def test_decode_rejects_foreign_values(self):
         index = XZStarIndex(4, SpaceBounds(0, 0, 1, 1))

@@ -44,15 +44,9 @@ class TestSSTable:
         t = build_table(5)
         assert len(list(t.scan())) == 5
 
-    def test_min_max_keys(self):
-        t = build_table(5)
-        assert t.min_key == b"key000"
-        assert t.max_key == b"key004"
-
     def test_empty_table(self):
         t = SSTable.from_entries([])
         assert len(t) == 0
-        assert t.min_key is None
         assert list(t.scan()) == []
 
     def test_holds_any(self):
@@ -60,7 +54,7 @@ class TestSSTable:
         assert t.holds_any(b"key002", b"key003")
         assert not t.holds_any(b"key900", None)
         assert not t.holds_any(None, b"key000")
-        # Inside [min_key, max_key] but between two keys: exact, not an
+        # Inside the key span but between two keys: exact, not an
         # interval test.
         assert not t.holds_any(b"key0020", b"key003")
         assert t.holds_any(None, None)

@@ -196,9 +196,7 @@ def random_boxes(rng, n):
 def test_envelopes_bit_identical_to_corner_mbr():
     rng = random.Random(19)
     boxes = random_boxes(rng, 200)
-    features = DPFeatures(
-        rep_indexes=(), rep_points=(), boxes=tuple(boxes), mbr=MBR(0, 0, 0, 0)
-    )
+    features = DPFeatures(rep_indexes=(), rep_points=(), boxes=tuple(boxes))
     want = [MBR.of_points(reference_corners(box)) for box in boxes]
     assert list(features.envelopes) == want
     assert [box.mbr() for box in boxes] == want

@@ -99,7 +99,6 @@ def test_empty_segment(tmp_path):
     assert len(segment) == 0
     assert list(segment.scan()) == []
     assert segment.get(b"x") is None
-    assert segment.min_key is None and segment.max_key is None
     assert not segment.holds_any(None, None)
     segment.close()
 
