@@ -547,7 +547,6 @@ def _chaos(args: argparse.Namespace) -> int:
     (answer parity) or, in degraded mode, how complete the partial
     answers were and which key ranges were skipped.
     """
-    from repro.core.config import TraSSConfig as _Cfg
     from repro.kvstore.faults import FaultInjector, FaultSchedule
 
     if args.store:
@@ -565,7 +564,7 @@ def _chaos(args: argparse.Namespace) -> int:
         from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
 
         trajectories = tdrive_like(args.trajectories, seed=args.seed)
-        config = _Cfg(
+        config = TraSSConfig(
             bounds=TDRIVE_BOUNDS,
             max_resolution=12,
             dp_tolerance=0.005,
@@ -812,6 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = TraSSConfig()
     build = sub.add_parser("build", help="index a trajectory CSV into a store")
     build.add_argument("--csv", required=True, help="tid,x,y point CSV")
     build.add_argument("--store", required=True, help="output directory")
@@ -819,15 +819,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--bounds",
         nargs=4,
         type=float,
-        default=[-180.0, -90.0, 180.0, 90.0],
+        default=list(dataclasses.astuple(defaults.bounds)),
         metavar=("MINX", "MINY", "MAXX", "MAXY"),
         help="index space extent (default: whole earth)",
     )
-    build.add_argument("--resolution", type=int, default=16)
-    build.add_argument("--dp-tolerance", type=float, default=0.01)
-    build.add_argument("--shards", type=int, default=8)
     build.add_argument(
-        "--measure", default="frechet", choices=available_measures()
+        "--resolution", type=int, default=defaults.max_resolution
+    )
+    build.add_argument(
+        "--dp-tolerance", type=float, default=defaults.dp_tolerance
+    )
+    build.add_argument("--shards", type=int, default=defaults.shards)
+    build.add_argument(
+        "--measure",
+        default=defaults.measure_name,
+        choices=available_measures(),
     )
     build.set_defaults(func=_build)
 

@@ -78,15 +78,12 @@ class TraSS:
         self._remote_executor = None
         self.registry = MetricsRegistry()
         self.slow_query_log = SlowQueryLog(
-            capacity=self.config.slow_query_log_size,
-            threshold_seconds=self.config.slow_query_threshold_seconds,
+            threshold_seconds=self.config.slow_query_threshold_seconds
         )
         if self.config.storage_telemetry:
             from repro.obs.workload_log import WorkloadRecorder
 
-            self._workload_recorder = WorkloadRecorder(
-                capacity=self.config.workload_log_size
-            )
+            self._workload_recorder = WorkloadRecorder()
         else:
             self._workload_recorder = None
 

@@ -303,22 +303,11 @@ class ResilientExecutor:
     @classmethod
     def from_config(cls, table: KVTable, config) -> "ResilientExecutor":
         """Build from the resilience knobs on a ``TraSSConfig``."""
-        policy = RetryPolicy(
-            max_attempts=config.retry_max_attempts,
-            backoff_base=config.retry_backoff_base,
-            backoff_max=config.retry_backoff_max,
-            jitter=config.retry_jitter,
-        )
-        breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_seconds=config.breaker_cooldown_seconds,
-        )
         return cls(
             table,
-            policy,
+            RetryPolicy(max_attempts=config.retry_max_attempts),
             deadline_seconds=config.scan_deadline_seconds,
             degraded_mode=config.degraded_mode,
-            breaker=breaker,
         )
 
     # ------------------------------------------------------------------

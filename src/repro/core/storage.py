@@ -177,10 +177,7 @@ class TrajectoryStore:
         from repro.obs.heatmap import KeySpaceHeatmap, key_space_boundaries
         from repro.obs.storage_stats import StorageTelemetry
 
-        heatmap = KeySpaceHeatmap(
-            key_space_boundaries(self, self.config.heatmap_buckets_per_shard),
-            half_life=self.config.heat_decay_queries,
-        )
+        heatmap = KeySpaceHeatmap(key_space_boundaries(self))
         self.table.storage_telemetry = StorageTelemetry(heatmap)
 
     def boundary_key(self, shard: int, value: int) -> bytes:
@@ -480,46 +477,7 @@ class TrajectoryStore:
                     for value, count in self.value_histogram.items()
                 },
             },
-            "config": {
-                "max_resolution": self.config.max_resolution,
-                "bounds": [
-                    self.config.bounds.min_x,
-                    self.config.bounds.min_y,
-                    self.config.bounds.max_x,
-                    self.config.bounds.max_y,
-                ],
-                "shards": self.config.shards,
-                "dp_tolerance": self.config.dp_tolerance,
-                "measure_name": self.config.measure_name,
-                "box_mode": self.config.box_mode,
-                "max_planned_elements": self.config.max_planned_elements,
-                "range_merge_gap": self.config.range_merge_gap,
-                "max_region_rows": self.config.max_region_rows,
-                "retry_max_attempts": self.config.retry_max_attempts,
-                "retry_backoff_base": self.config.retry_backoff_base,
-                "retry_backoff_max": self.config.retry_backoff_max,
-                "retry_jitter": self.config.retry_jitter,
-                "scan_deadline_seconds": self.config.scan_deadline_seconds,
-                "degraded_mode": self.config.degraded_mode,
-                "breaker_failure_threshold": (
-                    self.config.breaker_failure_threshold
-                ),
-                "breaker_cooldown_seconds": (
-                    self.config.breaker_cooldown_seconds
-                ),
-                "cache_mb": self.config.cache_mb,
-                "plan_cache_size": self.config.plan_cache_size,
-                "slow_query_threshold_seconds": (
-                    self.config.slow_query_threshold_seconds
-                ),
-                "slow_query_log_size": self.config.slow_query_log_size,
-                "storage_telemetry": self.config.storage_telemetry,
-                "heatmap_buckets_per_shard": (
-                    self.config.heatmap_buckets_per_shard
-                ),
-                "heat_decay_queries": self.config.heat_decay_queries,
-                "workload_log_size": self.config.workload_log_size,
-            },
+            "config": self.config.to_json(),
         }
         write_atomic(
             os.path.join(directory, "STORE.json"), json.dumps(meta, indent=2)
@@ -534,7 +492,6 @@ class TrajectoryStore:
         """
         import os
 
-        from repro.index.bounds import SpaceBounds
         from repro.kvstore.persistence import load_table, read_json
 
         try:
@@ -547,49 +504,7 @@ class TrajectoryStore:
         for key in ("config", "key_encoding"):
             if key not in meta:
                 raise KVStoreError(f"{where} lacks {key!r}")
-        cfg_raw = meta["config"]
-        if not isinstance(cfg_raw, dict):
-            raise KVStoreError(f"{where}: 'config' is not a JSON object")
-        try:
-            config = TraSSConfig(
-                max_resolution=cfg_raw["max_resolution"],
-                bounds=SpaceBounds(*cfg_raw["bounds"]),
-                shards=cfg_raw["shards"],
-                dp_tolerance=cfg_raw["dp_tolerance"],
-                measure_name=cfg_raw["measure_name"],
-                box_mode=cfg_raw.get("box_mode", "chord"),
-                max_planned_elements=cfg_raw["max_planned_elements"],
-                range_merge_gap=cfg_raw["range_merge_gap"],
-                max_region_rows=cfg_raw["max_region_rows"],
-                retry_max_attempts=cfg_raw.get("retry_max_attempts", 4),
-                retry_backoff_base=cfg_raw.get("retry_backoff_base", 0.01),
-                retry_backoff_max=cfg_raw.get("retry_backoff_max", 1.0),
-                retry_jitter=cfg_raw.get("retry_jitter", 0.25),
-                scan_deadline_seconds=cfg_raw.get("scan_deadline_seconds"),
-                degraded_mode=cfg_raw.get("degraded_mode", False),
-                breaker_failure_threshold=cfg_raw.get(
-                    "breaker_failure_threshold", 5
-                ),
-                breaker_cooldown_seconds=cfg_raw.get(
-                    "breaker_cooldown_seconds", 30.0
-                ),
-                cache_mb=cfg_raw.get("cache_mb", 0.0),
-                plan_cache_size=cfg_raw.get("plan_cache_size", 128),
-                slow_query_threshold_seconds=cfg_raw.get(
-                    "slow_query_threshold_seconds"
-                ),
-                slow_query_log_size=cfg_raw.get("slow_query_log_size", 128),
-                storage_telemetry=cfg_raw.get("storage_telemetry", True),
-                heatmap_buckets_per_shard=cfg_raw.get(
-                    "heatmap_buckets_per_shard", 16
-                ),
-                heat_decay_queries=cfg_raw.get("heat_decay_queries", 512.0),
-                workload_log_size=cfg_raw.get("workload_log_size", 1024),
-            )
-        except KeyError as exc:
-            raise KVStoreError(
-                f"{where} lacks 'config.{exc.args[0]}'"
-            ) from None
+        config = TraSSConfig.from_json(meta["config"], where)
         store = cls(config, meta["key_encoding"])
         store.table = load_table(directory)
         # The executor, caches and telemetry built in __init__ point at

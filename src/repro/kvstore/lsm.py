@@ -15,12 +15,9 @@ import time
 from typing import Iterator, List, Optional, Tuple
 
 from repro.kvstore.memtable import TOMBSTONE, Entry, MemTable
-from repro.kvstore.metrics import (
-    DURATION_BUCKETS,
-    SEEK_DEPTH_BUCKETS,
-    FixedBucketCounts,
-)
+from repro.kvstore.metrics import DURATION_BUCKETS, SEEK_DEPTH_BUCKETS
 from repro.kvstore.sstable import SSTable
+from repro.obs.registry import Histogram
 
 
 class LSMStore:
@@ -51,17 +48,24 @@ class LSMStore:
         #: total structures consulted across all point reads
         self.seek_depth_total = 0
         #: seek-depth distribution (1 = memtable hit)
-        self.seek_depth_hist = FixedBucketCounts(SEEK_DEPTH_BUCKETS)
+        self.seek_depth_hist = Histogram(
+            "trass.storage.seek_depth", buckets=SEEK_DEPTH_BUCKETS
+        )
         #: payload bytes frozen into SSTables by flushes
         self.flush_bytes = 0
         #: wall seconds spent in flushes
         self.flush_seconds = 0.0
-        self.flush_duration_hist = FixedBucketCounts(DURATION_BUCKETS)
+        self.flush_duration_hist = Histogram(
+            "trass.storage.flush.duration_seconds", buckets=DURATION_BUCKETS
+        )
         #: payload bytes rewritten by compactions
         self.compaction_bytes = 0
         #: wall seconds spent in compactions
         self.compaction_seconds = 0.0
-        self.compaction_duration_hist = FixedBucketCounts(DURATION_BUCKETS)
+        self.compaction_duration_hist = Histogram(
+            "trass.storage.compaction.duration_seconds",
+            buckets=DURATION_BUCKETS,
+        )
 
     # ------------------------------------------------------------------
     # Writes

@@ -10,10 +10,9 @@ survived filtering and crossed the (simulated) client boundary.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 #: seek-depth buckets: structures consulted by one LSM point read
 #: (1 = memtable hit, each SSTable adds one)
@@ -32,46 +31,6 @@ DURATION_BUCKETS: Tuple[float, ...] = (
     1.0,
     5.0,
 )
-
-
-class FixedBucketCounts:
-    """A mergeable fixed-bucket histogram (Prometheus ``le`` semantics).
-
-    The storage-engine telemetry keeps distributions (seek depth, flush
-    and compaction durations) as raw per-bucket counts down here in the
-    kvstore layer; the observability registry copies the state out at
-    refresh time, so exporting can never perturb the accounting.
-    """
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets: Sequence[float]):
-        self.buckets: Tuple[float, ...] = tuple(float(b) for b in buckets)
-        #: one slot per finite bucket plus the +Inf overflow slot
-        self.counts: List[int] = [0] * (len(self.buckets) + 1)
-        self.sum: float = 0.0
-        self.count: int = 0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def merge_from(self, other: "FixedBucketCounts") -> None:
-        if other.buckets != self.buckets:
-            raise ValueError("cannot merge histograms with different buckets")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.sum += other.sum
-        self.count += other.count
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def state(self) -> Tuple[List[int], float, int]:
-        """``(counts, sum, count)`` for registry absorption."""
-        return list(self.counts), self.sum, self.count
 
 
 @dataclass

@@ -19,6 +19,9 @@ from repro.kvstore.filters import RowFilter
 from repro.kvstore.metrics import IOMetrics
 from repro.kvstore.region import Region
 
+#: the fewest rows a region may hold before it splits in two
+MIN_REGION_ROWS = 2
+
 
 @dataclass(frozen=True)
 class ScanRange:
@@ -48,9 +51,10 @@ class KVTable:
         flush_threshold: int = 4 * 1024 * 1024,
         metrics: Optional[IOMetrics] = None,
     ):
-        if max_region_rows < 2:
+        if max_region_rows < MIN_REGION_ROWS:
             raise KVStoreError(
-                f"max_region_rows must be >= 2, got {max_region_rows}"
+                f"max_region_rows must be >= {MIN_REGION_ROWS}, "
+                f"got {max_region_rows}"
             )
         self.name = name
         self.max_region_rows = max_region_rows

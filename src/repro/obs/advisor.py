@@ -544,9 +544,8 @@ def _check_breaker_flapping(stats) -> List[Recommendation]:
             ),
             action=(
                 "a worker slot is repeatedly failing then recovering: "
-                "check worker_restarts and fault sources; raise "
-                "breaker_cooldown_seconds if probes re-trip instantly, "
-                "or replace the unhealthy replica"
+                "check worker_restarts and fault sources, and replace "
+                "the unhealthy replica"
             ),
             evidence={
                 "trips": trips,

@@ -3,7 +3,7 @@ space.
 
 The heatmap buckets every scanned row into a fixed grid of row-key
 ranges computed once from the store's shape (``shards`` salt buckets ×
-``heatmap_buckets_per_shard`` ranges over the XZ* value space).  Heat
+:data:`BUCKETS_PER_SHARD` ranges over the XZ* value space).  Heat
 is **keyed by the key space itself, never by regions or SSTables**:
 region splits, flushes and compactions reshuffle the physical layout
 but cannot double-count or orphan a single unit of heat, the same
@@ -13,7 +13,7 @@ by mapping the fixed buckets onto whatever region boundaries currently
 exist.
 
 Heat decays exponentially per recorded query (half-life
-``heat_decay_queries``), so the hot ranges the advisor acts on reflect
+:data:`HALF_LIFE_QUERIES`), so the hot ranges the advisor acts on reflect
 the recent workload, not all history; the undecayed per-bucket row
 counts are kept alongside for lifetime evidence.
 """
@@ -25,6 +25,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: the ASCII intensity ramp used by ``repro heatmap``
 HEAT_RAMP = " .:-=+*#%@"
+
+#: heatmap resolution: key-range buckets per salt shard
+BUCKETS_PER_SHARD = 16
+
+#: heat halves every this many recorded queries
+HALF_LIFE_QUERIES = 512.0
 
 
 def _key_label(key: Optional[bytes]) -> str:
@@ -40,7 +46,9 @@ def _stop_label(key: Optional[bytes]) -> str:
     return key[:12].hex()
 
 
-def key_space_boundaries(store, buckets_per_shard: int) -> List[bytes]:
+def key_space_boundaries(
+    store, buckets_per_shard: int = BUCKETS_PER_SHARD
+) -> List[bytes]:
     """Fixed interior bucket boundaries over the salted row-key space.
 
     One block of ``buckets_per_shard`` equal value ranges per salt
@@ -64,7 +72,7 @@ class KeySpaceHeatmap:
     def __init__(
         self,
         boundaries: Sequence[bytes],
-        half_life: float = 512.0,
+        half_life: float = HALF_LIFE_QUERIES,
     ):
         #: sorted interior boundaries; bucket ``i`` covers
         #: ``[boundaries[i-1], boundaries[i])`` (open at both far ends)
@@ -184,7 +192,7 @@ class KeySpaceHeatmap:
     def from_json(cls, data: Dict[str, Any]) -> "KeySpaceHeatmap":
         heatmap = cls(
             [bytes.fromhex(b) for b in data["boundaries"]],
-            half_life=float(data.get("half_life", 512.0)),
+            half_life=float(data.get("half_life", HALF_LIFE_QUERIES)),
         )
         heat = [float(h) for h in data.get("heat", [])]
         rows = [int(r) for r in data.get("rows", [])]

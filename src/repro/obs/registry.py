@@ -119,13 +119,18 @@ class Histogram:
         self.sum += value
         self.count += 1
 
+    def reset(self) -> None:
+        """Forget every observation."""
+        self.counts = [0] * len(self.counts)
+        self.sum = 0.0
+        self.count = 0
+
     def set_state(
         self, counts: Sequence[int], sum_: float, count: int
     ) -> None:
         """Overwrite with externally accumulated state (read-model
-        absorption of a :class:`~repro.kvstore.metrics.FixedBucketCounts`
-        that already keeps the running distribution — overwrite, not
-        observe, so repeated refreshes cannot double-count)."""
+        absorption of a histogram another process keeps — overwrite,
+        not observe, so repeated refreshes cannot double-count)."""
         if len(counts) != len(self.counts):
             raise ValueError(
                 f"histogram {self.name} has {len(self.counts)} slots, "

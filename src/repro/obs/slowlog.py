@@ -3,9 +3,8 @@
 Every query the engine answers reports its wall time here; entries at
 or above ``threshold_seconds`` are kept in a ``deque(maxlen=capacity)``
 — O(1) per query, bounded memory, oldest entries evicted first.  The
-threshold and capacity come from
-:class:`~repro.core.config.TraSSConfig` (``slow_query_threshold_seconds``
-/ ``slow_query_log_size``) and persist with the store.
+threshold comes from :class:`~repro.core.config.TraSSConfig`
+(``slow_query_threshold_seconds``) and persists with the store.
 """
 
 from __future__ import annotations

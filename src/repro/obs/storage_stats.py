@@ -23,12 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.kvstore.metrics import (
-    DURATION_BUCKETS,
-    SEEK_DEPTH_BUCKETS,
-    FixedBucketCounts,
-)
+from repro.kvstore.metrics import DURATION_BUCKETS, SEEK_DEPTH_BUCKETS
 from repro.obs.heatmap import KeySpaceHeatmap, _key_label, _stop_label
+from repro.obs.registry import Histogram
 
 #: per-region rows_scanned distribution buckets (registry histogram)
 REGION_ROWS_BUCKETS: Tuple[float, ...] = (
@@ -157,7 +154,9 @@ def collect_storage_stats(engine) -> Dict[str, Any]:
     bloom_reads = bloom_negatives = bloom_false_positives = 0
     segment_count = segment_file_bytes = segment_logical_bytes = 0
     segment_blocks = segment_blocks_materialized = 0
-    seek_hist = FixedBucketCounts(SEEK_DEPTH_BUCKETS)
+    seek_hist = Histogram(
+        "trass.storage.seek_depth", buckets=SEEK_DEPTH_BUCKETS
+    )
     for region in table.regions:
         store = region.store
         runs_per_region.append(len(store.sstables))
@@ -361,33 +360,39 @@ def update_storage_registry(registry, engine) -> None:
         segments["blocks_materialized"],
     )
 
-    # Histograms: replace state wholesale so repeated refreshes cannot
-    # double-count.
-    seek = stats["seek_depth"]
-    registry.histogram(
+    # Histograms: rebuilt from empty on every refresh, so repeated
+    # refreshes cannot double-count.
+    def h(name: str, help_: str, buckets) -> Histogram:
+        hist = registry.histogram(name, help_, buckets=buckets)
+        hist.reset()
+        return hist
+
+    seek_hist = h(
         "trass.storage.seek_depth",
         "structures consulted per LSM point read",
-        buckets=SEEK_DEPTH_BUCKETS,
-    ).set_state(seek["counts"], float(seek["total"]), seek["gets"])
-
-    flush_hist = FixedBucketCounts(DURATION_BUCKETS)
-    compaction_hist = FixedBucketCounts(DURATION_BUCKETS)
-    for region in engine.store.table.regions:
-        flush_hist.merge_from(region.store.flush_duration_hist)
-        compaction_hist.merge_from(region.store.compaction_duration_hist)
-    registry.histogram(
+        SEEK_DEPTH_BUCKETS,
+    )
+    flush_hist = h(
         "trass.storage.flush.duration_seconds",
         "memtable flush durations",
-        buckets=DURATION_BUCKETS,
-    ).set_state(*flush_hist.state())
-    registry.histogram(
+        DURATION_BUCKETS,
+    )
+    compaction_hist = h(
         "trass.storage.compaction.duration_seconds",
         "compaction durations",
-        buckets=DURATION_BUCKETS,
-    ).set_state(*compaction_hist.state())
+        DURATION_BUCKETS,
+    )
+    for region in engine.store.table.regions:
+        seek_hist.merge_from(region.store.seek_depth_hist)
+        flush_hist.merge_from(region.store.flush_duration_hist)
+        compaction_hist.merge_from(region.store.compaction_duration_hist)
 
     telemetry = getattr(engine.store.table, "storage_telemetry", None)
-    region_hist = FixedBucketCounts(REGION_ROWS_BUCKETS)
+    region_hist = h(
+        "trass.storage.region.rows_scanned",
+        "per-region scanned-row distribution",
+        REGION_ROWS_BUCKETS,
+    )
     if telemetry is not None:
         for stats_ in telemetry.regions.values():
             region_hist.observe(stats_.rows_scanned)
@@ -412,8 +417,3 @@ def update_storage_registry(registry, engine) -> None:
                     "hottest shard heat over mean shard heat",
                     (max(values) / mean) if mean > 0 else 0.0,
                 )
-    registry.histogram(
-        "trass.storage.region.rows_scanned",
-        "per-region scanned-row distribution",
-        buckets=REGION_ROWS_BUCKETS,
-    ).set_state(*region_hist.state())

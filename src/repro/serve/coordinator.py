@@ -141,6 +141,13 @@ class ServingCluster:
     #: pipelined requests kept unanswered per worker pipe — bounds pipe
     #: buffer usage so sends never block behind a slow consumer
     WINDOW = 16
+    #: seconds :meth:`start` waits for every replica's start-up ping
+    STARTUP_TIMEOUT = 120.0
+    #: consecutive failures that open a replica slot's circuit, and the
+    #: seconds it then stays open — quicker than the engine's per-region
+    #: breaker, because a failed slot has a sibling replica to fail over to
+    BREAKER_FAILURES = 3
+    BREAKER_COOLDOWN_SECONDS = 5.0
 
     def __init__(
         self,
@@ -150,15 +157,11 @@ class ServingCluster:
         partitions: int = 2,
         replication: int = 1,
         request_timeout: float = 30.0,
-        startup_timeout: float = 120.0,
         hedge_delay_seconds: Optional[float] = None,
         max_attempts: Optional[int] = None,
         degraded_mode: bool = False,
         admission: Optional[AdmissionController] = None,
-        fault_schedules: Optional[Dict[int, object]] = None,
         max_restarts: int = 3,
-        breaker_failure_threshold: int = 3,
-        breaker_cooldown_seconds: float = 5.0,
         tracer=None,
         segment_dir: Optional[str] = None,
         observability: bool = False,
@@ -187,7 +190,6 @@ class ServingCluster:
         self.partitions = partitions
         self.replication = replication
         self.request_timeout = request_timeout
-        self.startup_timeout = startup_timeout
         self.hedge_delay_seconds = hedge_delay_seconds
         self.max_attempts = (
             max_attempts if max_attempts is not None else replication + 1
@@ -215,8 +217,8 @@ class ServingCluster:
         self.last_fanout: Optional[List[Dict[str, object]]] = None
         self.supervisor = ShardSupervisor(max_restarts=max_restarts)
         self.breaker = CircuitBreaker(
-            failure_threshold=breaker_failure_threshold,
-            cooldown_seconds=breaker_cooldown_seconds,
+            failure_threshold=self.BREAKER_FAILURES,
+            cooldown_seconds=self.BREAKER_COOLDOWN_SECONDS,
         )
         # Planning is independent of stored data, so an empty engine
         # supplies the pruner, the range -> row-key mapping (for exact
@@ -262,7 +264,6 @@ class ServingCluster:
                 path = os.path.join(segment_dir, f"partition-{p:03d}")
                 slice_engine.save(path)
                 store_dirs[p] = path
-        fault_schedules = fault_schedules or {}
         self._specs: List[List[WorkerSpec]] = []
         for p in range(partitions):
             replica_specs = []
@@ -275,7 +276,6 @@ class ServingCluster:
                         key_encoding=key_encoding,
                         trajectories=[] if store_dirs[p] else slices[p],
                         owned_salts=self.owned_salts(p),
-                        fault_schedule=fault_schedules.get(p),
                         store_dir=store_dirs[p],
                     )
                 )
@@ -328,7 +328,7 @@ class ServingCluster:
             [self.supervisor.spawn(spec) for spec in replica_specs]
             for replica_specs in self._specs
         ]
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + self.STARTUP_TIMEOUT
         pings = []
         for handles in self._replicas:
             for handle in handles:
@@ -354,7 +354,7 @@ class ServingCluster:
         remaining = deadline - time.monotonic()
         if remaining <= 0 or not handle.conn.poll(remaining):
             raise ClusterError(
-                f"{worker} did not come up within {self.startup_timeout}s"
+                f"{worker} did not come up within {self.STARTUP_TIMEOUT}s"
             )
         try:
             reply = self._recv(handle)

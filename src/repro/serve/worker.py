@@ -30,7 +30,6 @@ from repro.core.config import TraSSConfig
 from repro.core.threshold import ThresholdSearchResult, scan_and_refine
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
-from repro.kvstore.faults import FaultInjector, FaultSchedule, SimulatedCrash
 from repro.serve.protocol import (
     KIND_CRASH,
     KIND_PING,
@@ -62,11 +61,6 @@ class WorkerSpec:
     key_encoding: str
     trajectories: List[Tuple[str, tuple]]
     owned_salts: Tuple[int, ...]
-    #: optional deterministic fault schedule installed on the worker's
-    #: own table — `crash_sites` kill the *worker process* (the
-    #: in-process SimulatedCrash becomes an os._exit), which is how
-    #: chaos drills kill shards deterministically mid-workload
-    fault_schedule: Optional[FaultSchedule] = field(default=None)
     #: when set, the worker loads its slice from this saved store
     #: directory instead of rebuilding from ``trajectories``.  All
     #: replicas of a partition point at the *same* compact-segment
@@ -85,8 +79,6 @@ def build_worker_engine(spec: WorkerSpec) -> TraSS:
         engine.add_all(
             Trajectory(tid, points) for tid, points in spec.trajectories
         )
-    if spec.fault_schedule is not None:
-        engine.install_fault_injector(FaultInjector(spec.fault_schedule))
     return engine
 
 
@@ -190,9 +182,9 @@ def worker_main(spec: WorkerSpec, conn) -> None:
     """Process entry point: build the slice, then serve FIFO forever.
 
     Exits when the pipe closes (coordinator gone), on an explicit
-    shutdown, or — via ``os._exit`` — on a crash directive or an
-    injected :class:`SimulatedCrash`, which must look exactly like
-    ``kill -9`` to the coordinator (no reply, dead pipe).
+    shutdown, or — via ``os._exit`` — on a crash directive, which must
+    look exactly like ``kill -9`` to the coordinator (no reply, dead
+    pipe).
     """
     engine = build_worker_engine(spec)
     while True:
@@ -218,8 +210,6 @@ def worker_main(spec: WorkerSpec, conn) -> None:
                 reply = _handle_traced(engine, spec, request, trace)
             else:
                 reply = _handle(engine, spec, request)
-        except SimulatedCrash:
-            os._exit(1)
         except Exception as exc:  # typed error crosses the wire
             reply = Reply(request.id, False, error=encode_error(exc))
         try:

@@ -1,6 +1,8 @@
 """Failure-injection tests: corruption and malformed inputs must fail
 loudly (never silently return wrong answers)."""
 
+import dataclasses
+import math
 import struct
 
 import pytest
@@ -195,3 +197,90 @@ class TestConfigValidation:
     def test_bounds_must_be_space_bounds(self):
         with pytest.raises(QueryError, match="SpaceBounds"):
             TraSSConfig(bounds=(0, 0, 1, 1))
+
+
+#: (field, a just-outside value, the boundary value) for every knob;
+#: two-sided ranges get one case per side
+KNOB_EDGES = [
+    ("max_resolution", 0, 1),
+    ("max_resolution", 29, 28),
+    ("bounds", (0, 0, 1, 1), SpaceBounds(0, 0, 1, 1)),
+    ("shards", 0, 1),
+    ("shards", 257, 256),
+    ("shards", 2.5, 2),
+    ("dp_tolerance", -1e-9, 0.0),
+    ("dp_tolerance", math.nan, 0),
+    ("measure_name", "edr", "hausdorff"),
+    ("box_mode", "area", "min_area"),
+    ("max_planned_elements", 15, 16),
+    ("range_merge_gap", -1, 0),
+    ("max_region_rows", 1, 2),
+    ("retry_max_attempts", 0, 1),
+    ("scan_deadline_seconds", 0.0, 5e-324),
+    ("scan_deadline_seconds", math.nan, None),
+    ("degraded_mode", 1, True),
+    ("cache_mb", -1e-9, 0.0),
+    ("cache_mb", math.nan, 0),
+    ("cache_mb", math.inf, 1e6),
+    ("plan_cache_size", -1, 0),
+    ("slow_query_threshold_seconds", -1e-9, 0.0),
+    ("storage_telemetry", "yes", False),
+]
+
+
+class TestConfigBounds:
+    def test_every_field_has_edge_cases(self):
+        names = {f.name for f in dataclasses.fields(TraSSConfig)}
+        assert {name for name, _, _ in KNOB_EDGES} == names
+        assert len(names) == 16
+
+    @pytest.mark.parametrize(
+        "name, outside, boundary",
+        KNOB_EDGES,
+        ids=[f"{name}={outside!r}" for name, outside, _ in KNOB_EDGES],
+    )
+    def test_just_outside_raises_boundary_accepted(
+        self, name, outside, boundary
+    ):
+        with pytest.raises(QueryError, match=name):
+            TraSSConfig(**{name: outside})
+        assert getattr(TraSSConfig(**{name: boundary}), name) == boundary
+
+    def test_configure_execution_checks_the_same_bounds(self):
+        engine = TraSS(TraSSConfig())
+        with pytest.raises(QueryError, match="cache_mb"):
+            engine.configure_execution(cache_mb=math.nan)
+        assert engine.config.cache_mb == 0.0
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "retry_backoff_base",
+            "retry_backoff_max",
+            "retry_jitter",
+            "breaker_failure_threshold",
+            "breaker_cooldown_seconds",
+            "slow_query_log_size",
+            "workload_log_size",
+            "heatmap_buckets_per_shard",
+            "heat_decay_queries",
+        ],
+    )
+    def test_removed_knobs_are_not_fields(self, name):
+        with pytest.raises(TypeError):
+            TraSSConfig(**{name: 1})
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "startup_timeout",
+            "breaker_failure_threshold",
+            "breaker_cooldown_seconds",
+            "fault_schedules",
+        ],
+    )
+    def test_removed_cluster_keywords(self, name):
+        from repro.serve import ServingCluster
+
+        with pytest.raises(TypeError):
+            ServingCluster(TraSSConfig(), "integer", [], **{name: 1})

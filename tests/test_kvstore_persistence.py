@@ -1,5 +1,6 @@
 """Tests for the WAL, table persistence, and engine save/load."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -237,9 +238,9 @@ class TestEngineSaveLoad:
         assert a == b
 
     def test_load_ignores_removed_config_keys(self, tmp_path):
-        """A ``STORE.json`` written when ``scan_workers`` and
-        ``vectorized_filter`` still existed loads, and answers and
-        counts exactly like the snapshot without them."""
+        """A ``STORE.json`` written when since-removed knobs still
+        existed loads, and answers and counts exactly like the snapshot
+        without them — whatever values they hold."""
         data = tdrive_like(80, seed=33)
         cfg = TraSSConfig(
             bounds=TDRIVE_BOUNDS, max_resolution=12, dp_tolerance=0.005, shards=3
@@ -251,9 +252,21 @@ class TestEngineSaveLoad:
         meta_path = os.path.join(old_dir, "STORE.json")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        assert "scan_workers" not in meta["config"]
-        assert "vectorized_filter" not in meta["config"]
-        meta["config"].update(scan_workers=4, vectorized_filter=True)
+        removed = dict(
+            scan_workers=4,
+            vectorized_filter=True,
+            retry_backoff_base=-1.0,
+            retry_backoff_max=None,
+            retry_jitter="x",
+            breaker_failure_threshold=0,
+            breaker_cooldown_seconds=[30],
+            slow_query_log_size=0,
+            workload_log_size=-5,
+            heatmap_buckets_per_shard=4,
+            heat_decay_queries=float("nan"),
+        )
+        assert not set(removed) & set(meta["config"])
+        meta["config"].update(removed)
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
 
@@ -270,6 +283,38 @@ class TestEngineSaveLoad:
             return answers, engine.metrics.diff(before)
 
         assert observe(old_dir) == observe(plain_dir)
+
+    def test_every_config_field_survives_save_load(self, tmp_path):
+        """Each field, set away from its default, comes back from
+        ``STORE.json`` unchanged: the writer cannot forget a field."""
+        changed = dict(
+            max_resolution=11,
+            bounds=SpaceBounds(115.0, 39.0, 118.0, 41.0),
+            shards=3,
+            dp_tolerance=0.004,
+            measure_name="dtw",
+            box_mode="min_area",
+            max_planned_elements=4096,
+            range_merge_gap=2,
+            max_region_rows=500,
+            retry_max_attempts=6,
+            scan_deadline_seconds=7.5,
+            degraded_mode=True,
+            cache_mb=1.5,
+            plan_cache_size=7,
+            slow_query_threshold_seconds=2.0,
+            storage_telemetry=False,
+        )
+        assert set(changed) == {
+            f.name for f in dataclasses.fields(TraSSConfig)
+        }
+        default = TraSSConfig()
+        for name, value in changed.items():
+            assert getattr(default, name) != value, name
+        cfg = TraSSConfig(**changed)
+        directory = str(tmp_path / "store")
+        TraSS.build(tdrive_like(10, seed=40), cfg).save(directory)
+        assert TraSS.load(directory).config == cfg
 
     def test_load_rejects_removed_measure(self, tmp_path):
         """A ``STORE.json`` whose config names a measure the engine no
@@ -349,6 +394,59 @@ class TestEngineSaveLoad:
             TraSS.load(directory)
         message = str(caught.value)
         assert "STORE.json" in message and missing in message
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bounds", [115.8, 39.4]),
+            ("bounds", [115.8, 39.4, "117.2", 40.6]),
+            ("shards", "8"),
+            ("cache_mb", None),
+            ("degraded_mode", "yes"),
+        ],
+        ids=["bounds-two", "bounds-string", "shards-string", "cache-null",
+             "degraded-string"],
+    )
+    def test_store_json_malformed_value_is_a_typed_error(
+        self, tmp_path, key, value
+    ):
+        """A config value of the wrong JSON shape fails to load with a
+        ``KVStoreError`` naming the file and the key — never a raw
+        ``TypeError``, and never a silently defaulted field."""
+        directory = self._store_with_config(tmp_path, key, value)
+        with pytest.raises(KVStoreError) as caught:
+            TraSS.load(directory)
+        message = str(caught.value)
+        assert "STORE.json" in message and f"'config.{key}'" in message
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_resolution", 40), ("max_region_rows", 1), ("shards", 0)],
+    )
+    def test_store_json_out_of_bounds_is_the_config_error(
+        self, tmp_path, key, value
+    ):
+        """A well-shaped config value out of bounds fails to load with
+        the very ``QueryError`` ``TraSSConfig`` raises for it."""
+        directory = self._store_with_config(tmp_path, key, value)
+        with pytest.raises(QueryError) as expected:
+            TraSSConfig(**{key: value})
+        with pytest.raises(QueryError) as caught:
+            TraSS.load(directory)
+        assert str(caught.value) == str(expected.value)
+
+    @staticmethod
+    def _store_with_config(tmp_path, key, value):
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=10, shards=2)
+        directory = str(tmp_path / "store")
+        TraSS.build(tdrive_like(10, seed=41), cfg).save(directory)
+        meta_path = os.path.join(directory, "STORE.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["config"][key] = value
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        return directory
 
     def test_store_json_not_an_object_is_a_typed_error(self, tmp_path):
         """A ``STORE.json`` holding a JSON list fails to load with a

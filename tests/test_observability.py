@@ -498,21 +498,17 @@ class TestSlowQueryLog:
         assert len(stats["slow_queries"]) == 2
 
     def test_config_round_trips_through_save_load(self, tmp_path):
-        engine, data = build_engine(
-            slow_query_threshold_seconds=1.5, slow_query_log_size=7
-        )
+        engine, data = build_engine(slow_query_threshold_seconds=1.5)
         engine.save(str(tmp_path / "store"))
         loaded = TraSS.load(str(tmp_path / "store"))
         assert loaded.config.slow_query_threshold_seconds == 1.5
-        assert loaded.config.slow_query_log_size == 7
         assert loaded.slow_query_log.threshold_seconds == 1.5
-        assert loaded.slow_query_log.capacity == 7
 
     def test_config_validation(self):
         with pytest.raises(QueryError):
             TraSSConfig(slow_query_threshold_seconds=-1.0)
-        with pytest.raises(QueryError):
-            TraSSConfig(slow_query_log_size=0)
+        with pytest.raises(ValueError):
+            SlowQueryLog(capacity=0)
 
 
 # ----------------------------------------------------------------------

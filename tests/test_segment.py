@@ -365,10 +365,7 @@ def test_compact_store_under_chaos(tmp_path):
     # Stored trajectories: every probe has answers, and only occupied
     # key ranges are scanned, so each scan start is a real fault site.
     probes = trajs[:12]
-    config = TraSSConfig(
-        bounds=TDRIVE_BOUNDS, max_resolution=13, shards=4,
-        retry_backoff_base=0.0, retry_backoff_max=0.0,
-    )
+    config = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=13, shards=4)
     engine = TraSS.build(trajs, config)
     base = _answers(engine, probes)
     assert all(base)

@@ -20,7 +20,7 @@ import pytest
 
 from repro import SpaceBounds, TraSS, TraSSConfig, Trajectory
 from repro.kvstore.lsm import LSMStore
-from repro.kvstore.metrics import SEEK_DEPTH_BUCKETS, FixedBucketCounts
+from repro.kvstore.metrics import SEEK_DEPTH_BUCKETS
 from repro.kvstore.rowkey import shard_of
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.wal import WriteAheadLog
@@ -36,7 +36,7 @@ from repro.obs.heatmap import (
     key_space_boundaries,
     render_heatmap,
 )
-from repro.obs.registry import parse_prometheus
+from repro.obs.registry import Histogram, parse_prometheus
 
 BOUNDS = SpaceBounds(0.0, 0.0, 10.0, 10.0)
 
@@ -75,18 +75,20 @@ def build_engine(n=150, seed=3, **overrides):
 # ----------------------------------------------------------------------
 class TestStorageCounters:
     def test_fixed_bucket_counts(self):
-        hist = FixedBucketCounts((1, 2, 4))
+        hist = Histogram("t.a", buckets=(1, 2, 4))
         for v in (1, 1, 2, 3, 9):
             hist.observe(v)
         assert hist.count == 5
         assert hist.sum == 16
         assert hist.counts == [2, 1, 1, 1]
-        other = FixedBucketCounts((1, 2, 4))
+        other = Histogram("t.b", buckets=(1, 2, 4))
         other.observe(2)
         hist.merge_from(other)
         assert hist.count == 6 and hist.counts[1] == 2
         with pytest.raises(ValueError):
-            hist.merge_from(FixedBucketCounts((1, 2)))
+            hist.merge_from(Histogram("t.c", buckets=(1, 2)))
+        hist.reset()
+        assert (hist.counts, hist.sum, hist.count) == ([0, 0, 0, 0], 0.0, 0)
 
     def test_seek_depth_tracks_structures_consulted(self):
         store = LSMStore(flush_threshold=10**9)

@@ -85,7 +85,8 @@ class TestRecorder:
         assert total == engine.metrics.snapshot()["rows_scanned"]
 
     def test_ring_buffer_keeps_newest(self):
-        engine, trajectories = build_engine(workload_log_size=5)
+        engine, trajectories = build_engine()
+        engine._workload_recorder = WorkloadRecorder(capacity=5)
         run_mixed_workload(engine, trajectories, 12)
         entries = engine.workload_recorder.entries()
         assert len(entries) == 5
@@ -230,9 +231,10 @@ class TestTelemetryPersistence:
         engine, trajectories = build_engine()
         run_mixed_workload(engine, trajectories, 4)
         save_observability(engine, str(tmp_path))
-        # A store with a different heatmap resolution cannot adopt the
-        # persisted grid — it keeps its empty state instead of guessing.
-        other, _ = build_engine(n=40, heatmap_buckets_per_shard=4)
+        # A store with a different shard count has a different heatmap
+        # grid, so it cannot adopt the persisted one — it keeps its
+        # empty state instead of guessing.
+        other, _ = build_engine(n=40, shards=2)
         assert load_observability(other, str(tmp_path))  # workload restores
         assert other.storage_telemetry.heatmap.total_rows == 0
         assert len(other.workload_recorder) == 4
