@@ -33,7 +33,11 @@ quadrant sequence on the walk:
   4 edges x 4 quads table per element serves every code: ``minDistIS``
   is the max over edges of the min over the code's quads;
 * Lemma 10 is one broadcast of the query points against the two columns
-  and two rows, skipped at ``eps = inf``, which nothing exceeds.
+  and two rows; the planner skips it at ``eps = inf``, which nothing
+  exceeds.
+* top-k ranks each code by the threshold below which both lemmas drop
+  it (:meth:`PruningKernel.ranked_spaces`), from the same broadcast and
+  table.
 
 Plans are *equal* to those of the per-code ``MBR`` loops this replaced
 (the oracle in ``tests/test_pruning_kernel.py``): the same gap
@@ -176,33 +180,16 @@ class PruningKernel:
     def index_spaces(
         self, cell: Cell, lines, eps: float
     ) -> Tuple[List[Tuple[float, int]], int, int]:
-        """Lemmas 10-11 on one element: the surviving ``(minDistIS,
-        index value)`` pairs in code order, and how many codes a far
-        quad (Lemma 10) and ``minDistIS > eps`` (Lemma 11) rejected.
-        ``eps = inf`` accepts every legal code."""
-        level, prefix = cell[0], cell[3]
-        xs, ys = lines
+        """Lemmas 10-11 on one element for the planner: the surviving
+        ``(minDistIS, index value)`` pairs in code order, and how many
+        codes a far quad (Lemma 10) and ``minDistIS > eps`` (Lemma 11)
+        rejected.  ``eps = inf`` accepts every legal code."""
         far_mask = 0
         if eps != math.inf:
-            grid, pts = np.array(lines), self._points
-            gap = np.maximum(
-                np.maximum(grid[:, :2, None] - pts, pts - grid[:, 1:, None]), 0.0
-            )
-            gap *= gap
-            # squared distance of the nearest point per (column, row)
-            nearest = (gap[0][:, None, :] + gap[1][None, :, :]).min(axis=2)
-            for quad, d2 in enumerate(nearest.ravel().tolist()):
+            for quad, d2 in enumerate(self._nearest_sq(lines)):
                 if math.sqrt(d2) > eps:
                     far_mask |= 1 << quad
-
-        gx = [_gaps(xs[c], xs[c + 1], *self._x_side) for c in (0, 1)]
-        gy = [_gaps(ys[r], ys[r + 1], *self._y_side) for r in (0, 1)]
-        table = [_edge_distances(gx[c], gy[r]) for c in (0, 1) for r in (0, 1)]
-        if level == 0:
-            first = self._root_block_start
-        else:
-            first = prefix + CODES_PER_ELEMENT * (level - 1)
-        codes = _MAX_CODES if level >= self._max_resolution else _BELOW_MAX_CODES
+        first, codes, table = self._code_table(cell, lines)
         survivors: List[Tuple[float, int]] = []
         far = near = 0
         for code, quads, mask in codes:
@@ -215,6 +202,58 @@ class PruningKernel:
                 continue
             survivors.append((dist, first + code - 1))
         return survivors, far, near
+
+    def ranked_spaces(
+        self, cell: Cell, lines, eps: float
+    ) -> List[Tuple[float, int]]:
+        """Lemmas 10-11 on one element for top-k: ``(bound, index
+        value)`` in code order for every code whose bound is ``<= eps``.
+
+        The bound is the threshold below which the planner drops the
+        code: ``max(minDistIS, the largest of its quads' nearest-point
+        distances)``.  Both halves are sound lower bounds (Lemma 5: a
+        trajectory under the code has a point in each of its quads, and
+        each query point is at least its nearest distance from them), so
+        the bound orders best-first search, at ``eps = inf`` too."""
+        quad = [math.sqrt(d2) for d2 in self._nearest_sq(lines)]
+        first, codes, table = self._code_table(cell, lines)
+        ranked: List[Tuple[float, int]] = []
+        for code, quads, _ in codes:
+            bound = max(map(min, zip(*[table[q] for q in quads])))
+            for q in quads:
+                if quad[q] > bound:
+                    bound = quad[q]
+            if bound <= eps:
+                ranked.append((bound, first + code - 1))
+        return ranked
+
+    def _nearest_sq(self, lines) -> List[float]:
+        """Squared distance from each sub-quad (a b c d) to its nearest
+        query point: one broadcast of the points against the element's
+        two columns and two rows (Lemma 10)."""
+        grid, pts = np.array(lines), self._points
+        gap = np.maximum(
+            np.maximum(grid[:, :2, None] - pts, pts - grid[:, 1:, None]), 0.0
+        )
+        gap *= gap
+        # squared distance of the nearest point per (column, row)
+        return (gap[0][:, None, :] + gap[1][None, :, :]).min(axis=2).ravel().tolist()
+
+    def _code_table(self, cell: Cell, lines):
+        """The element's first index value, its legal ``(code, quads,
+        mask)`` rows, and the distance from each query-MBR edge to each
+        sub-quad, which ``minDistIS`` (Lemma 11) combines per code."""
+        level, prefix = cell[0], cell[3]
+        xs, ys = lines
+        gx = [_gaps(xs[c], xs[c + 1], *self._x_side) for c in (0, 1)]
+        gy = [_gaps(ys[r], ys[r + 1], *self._y_side) for r in (0, 1)]
+        table = [_edge_distances(gx[c], gy[r]) for c in (0, 1) for r in (0, 1)]
+        if level == 0:
+            first = self._root_block_start
+        else:
+            first = prefix + CODES_PER_ELEMENT * (level - 1)
+        codes = _MAX_CODES if level >= self._max_resolution else _BELOW_MAX_CODES
+        return first, codes, table
 
 
 @dataclass

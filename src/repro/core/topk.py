@@ -1,42 +1,57 @@
 """Top-k similarity search (Definition 4, Algorithm 4).
 
-Best-first traversal: a priority queue of enlarged elements ordered by
-``minDistEE`` feeds a priority queue of scan units ordered by
-``minDistIS``; units are materialised (scanned, locally filtered,
-refined) in nearest-first order.  Once ``k`` results exist their worst
-distance becomes the working threshold ``eps``, which retroactively
-prunes both queues — the loop ends when the nearest unexplored unit is
-already farther than ``eps`` (Algorithm 4 lines 11-12).
+One best-first loop over three priority queues, each keyed by a sound
+lower bound on the similarity distance of everything it stands for:
 
-Scan units come in two granularities:
+* **elements** (EQ), by ``minDistEE`` (Lemma 9);
+* **scan units** (IQ): a single index space ``(element, position
+  code)``, by the threshold below which Lemmas 10 and 11 both drop the
+  code — ``minDistIS`` max'ed with the farthest of its quads' nearest
+  query point — used while refining the tree pays off; or a whole
+  element subtree as one contiguous key range, by ``minDistEE``, once
+  the element's cell is already finer than the working threshold or the
+  expansion budget is spent (the collapse the encoding's depth-first
+  layout exists to enable);
+* **candidates** (CQ): rows a fully scanned range delivered through the
+  local filter, by the MBR gap (Lemma 5) sharpened with the start/end
+  distances (Lemma 12) where the measure has them.
 
-* a single index space ``(element, position code)`` with priority
-  ``minDistIS`` (Lemma 11) — used while refining the tree pays off;
-* a whole element subtree as one contiguous key range with priority
-  ``minDistEE`` (Lemma 9) — used once an element's cell is already
-  finer than the working threshold (further splitting cannot prune) or
-  the expansion budget is spent.  This is the same collapse the
-  encoding's depth-first layout exists to enable.
+The loop pops whichever has the smallest bound: an element is expanded,
+a unit is scanned and its survivors queued, a candidate is refined with
+the early-abandoning ``distance_within`` — the only place a measure's
+kernel runs.  The working threshold ``eps`` is the k-th smallest
+*upper* bound known per trajectory: the exact distance once refined,
+``Measure.upper_bound`` (a greedy coupling) while queued.  So ``eps``
+is finite as soon as ``k`` candidates are queued, it only shrinks, and
+it prunes all three queues; the loop ends when nothing queued is
+below it (Algorithm 4 lines 11-12), by which time every one of the k
+is refined.
 
-Both priorities are sound lower bounds on the similarity distance of
-every trajectory stored below them and are monotone along the tree, so
-nearest-first order never misses a closer trajectory; rows a unit
-over-fetches are removed by local filtering and exact refinement, so
-the answer set is exact regardless of granularity choices.
+An element collapses into one subtree scan once its cell is below
+``eps``; before testing that, queued candidates whose bound is below
+the cell are refined while ``eps`` is not, or a loose upper bound would
+collapse subtrees a tighter one descends (and scan more rows).  A
+candidate is dropped only when its bound exceeds ``eps`` by more than
+:data:`~repro.measures.base.RELATIVE_SLACK`: ``math.hypot`` may exceed
+a kernel's ``sqrt(dx*dx + dy*dy)`` by an ulp, and an endpoint pair can
+set the k-th distance.
 
-Both come from the planner's per-element kernel
-(:class:`~repro.core.pruning.PruningKernel`): the element queue holds
-its cells, and an expanded element pushes the kernel's surviving
-``(minDistIS, index value)`` pairs at the working threshold.
+Every priority is monotone along the tree, so nearest-first order never
+misses a closer trajectory; rows a unit over-fetches are removed by
+local filtering and refinement, so the answer set is exact regardless
+of granularity choices.  Element and unit bounds come from the
+planner's per-element kernel (:class:`~repro.core.pruning.
+PruningKernel`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.executor import ScanReport
 from repro.core.local_filter import LocalFilter, LocalFilterStats
@@ -47,8 +62,11 @@ from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
 from repro.index.quadrant import smallest_enlarged_element
 from repro.index.ranges import IndexRange
-from repro.measures.base import Measure
+from repro.measures.base import RELATIVE_SLACK, Measure
 from repro.obs.tracing import NULL_TRACER
+
+#: a candidate bound must exceed eps by more than this factor to drop it
+_SLACK = 1.0 + RELATIVE_SLACK
 
 
 @dataclass
@@ -89,10 +107,54 @@ class TopKSearchResult:
         return list(self.resilience.skipped_ranges)
 
 
-def check_k(k: int) -> None:
-    """The one definition of a bad ``k``, shared by every front door."""
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
+def check_k(k) -> None:
+    """The one definition of a bad ``k``, shared by every front door:
+    anything but an integer ``>= 1`` (``bool`` is not a count)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise QueryError(f"k must be an integer >= 1, got {k!r}")
+
+
+class _KBest:
+    """The ``k`` smallest per-trajectory bounds known so far.
+
+    A bound only ever shrinks (an upper bound, then the exact distance
+    it bounds), so a max-heap with stale entries suffices: an entry is
+    live while ``bound[tid]`` still equals it, and stale entries of a
+    member are larger than its live one, so they surface first and are
+    dropped on read.
+    """
+
+    __slots__ = ("k", "bound", "heap")
+
+    def __init__(self, k: int):
+        self.k = k
+        #: member tid -> its current bound
+        self.bound: Dict[str, float] = {}
+        #: (-bound, tid), live and stale
+        self.heap: List[Tuple[float, str]] = []
+
+    def eps(self) -> float:
+        """The k-th smallest bound; ``inf`` until there are ``k``."""
+        if len(self.bound) < self.k:
+            return math.inf
+        heap, bound = self.heap, self.bound
+        while bound.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        return -heap[0][0]
+
+    def offer(self, tid: str, value: float) -> None:
+        current = self.bound.get(tid)
+        if current is not None:
+            if value < current:
+                self.bound[tid] = value
+                heapq.heappush(self.heap, (-value, tid))
+            return
+        if len(self.bound) >= self.k:
+            if not value < self.eps():
+                return
+            del self.bound[heapq.heappop(self.heap)[1]]
+        self.bound[tid] = value
+        heapq.heappush(self.heap, (-value, tid))
 
 
 def topk_search(
@@ -133,17 +195,18 @@ def topk_search(
         bounds.normalize_mbr(query_mbr), index.max_resolution
     ).level
 
-    #: max-heap of (-distance, tid); worst answer on top
-    results: List[Tuple[float, str]] = []
-    seen_tids: Dict[str, float] = {}
+    best = _KBest(k)
+    #: tids queued or dropped; a re-scanned row is skipped
+    seen_tids: Set[str] = set()
+    #: refined tids within the threshold they were refined at
+    exact: Set[str] = set()
 
-    def current_eps() -> float:
-        return -results[0][0] if len(results) >= k else math.inf
-
-    # Element queue (EQ) and scan-unit queue (IQ); the tiebreak counter
-    # keeps heap comparisons away from non-comparable payloads.
+    # Element queue (EQ), scan-unit queue (IQ) and candidate queue
+    # (CQ); the tiebreak counter keeps heap comparisons away from
+    # non-comparable payloads.
     eq: List[Tuple[float, int, Cell]] = []
     iq: List[Tuple[float, int, IndexRange]] = []
+    cq: List[Tuple[float, int, object, float]] = []
     tick = 0
 
     def push_element(cell: Cell) -> None:
@@ -156,6 +219,59 @@ def topk_search(
     units_scanned = 0
     candidates = 0
     retrieved = 0
+    refined = 0
+
+    q_start, q_end = query_points[0], query_points[-1]
+    use_start_end = measure.supports_start_end_filter
+
+    def refine_lower_bound(record) -> float:
+        """A cheap sound lower bound on ``f(query, record)`` — the MBR
+        gap (Lemma 5) sharpened with the start/end distances (Lemma 12)
+        for order-aware measures: the candidate's queue priority."""
+        bound = query_mbr.distance_to_rect(record.mbr)
+        if use_start_end:
+            (sx, sy), (ex, ey) = record.start, record.end
+            start = math.hypot(q_start[0] - sx, q_start[1] - sy)
+            end = math.hypot(q_end[0] - ex, q_end[1] - ey)
+            if start > bound:
+                bound = start
+            if end > bound:
+                bound = end
+        return bound
+
+    def enqueue(record) -> None:
+        """Queue one candidate of a fully scanned range, offering its
+        upper bound when that could tighten ``eps``."""
+        nonlocal tick
+        tid = record.tid
+        if tid in seen_tids:
+            return
+        seen_tids.add(tid)
+        lower = refine_lower_bound(record)
+        eps = best.eps()
+        if lower > eps * _SLACK:
+            return  # provably worse than k queued candidates
+        upper = math.inf
+        if lower < eps:
+            upper = measure.upper_bound(query_points, record.points)
+            best.offer(tid, upper)
+        heapq.heappush(cq, (lower, tick, record, upper))
+        tick += 1
+
+    def refine() -> None:
+        """Refine the nearest queued candidate at the working threshold
+        (or its own upper bound, when tighter: the kernel's band is
+        then narrower and still returns the exact distance)."""
+        nonlocal refined
+        _, _, record, upper = heapq.heappop(cq)
+        refined += 1
+        dist = measure.distance_within(
+            query_points, record.points, min(best.eps(), upper)
+        )
+        # None: provably worse than the k-th bound, so not a member.
+        if dist is not None:
+            best.offer(record.tid, dist)
+            exact.add(record.tid)
 
     def push_subtree_unit(cell: Cell, dist: float) -> None:
         """One contiguous range covering the element's whole subtree."""
@@ -177,8 +293,13 @@ def topk_search(
         or collapse the subtree into a single scan unit."""
         nonlocal tick, elements_expanded
         elements_expanded += 1
-        threshold = current_eps()
         level = cell[0]
+        cell_world = 0.5**level * world_scale
+        # Tighten before a collapse: candidates nearer than the cell
+        # may pull eps below it, and then the element descends.
+        while cq and cq[0][0] < cell_world <= best.eps() < math.inf:
+            refine()
+        threshold = best.eps()
         emit_codes = True
         max_level = index.max_resolution
         if math.isfinite(threshold):
@@ -192,7 +313,6 @@ def topk_search(
             max_level = min(max_level, max_r)
 
         can_descend = level < max_level
-        cell_world = 0.5**level * world_scale
         if math.isfinite(threshold):
             # Splitting below the threshold's own scale cannot prune.
             refine_pays = cell_world > threshold
@@ -208,9 +328,9 @@ def topk_search(
             return
 
         if emit_codes:
-            spaces, _, _ = kernel.index_spaces(cell, kernel.lines(cell), threshold)
-            for dist, value in spaces:
-                heapq.heappush(iq, (dist, tick, IndexRange(value, value + 1)))
+            lines = kernel.lines(cell)
+            for bound, value in kernel.ranked_spaces(cell, lines, threshold):
+                heapq.heappush(iq, (bound, tick, IndexRange(value, value + 1)))
                 tick += 1
         if can_descend:
             for child in kernel.children(cell):
@@ -219,41 +339,15 @@ def topk_search(
     scan_report = ScanReport()
     deadline = store.executor.deadline_from_now()
 
-    q_start, q_end = query_points[0], query_points[-1]
-    use_start_end = measure.supports_start_end_filter
-
-    def refine_lower_bound(record) -> float:
-        """A cheap sound lower bound on ``f(query, record)`` — the MBR
-        gap (Lemma 5) sharpened with the start/end distances (Lemma 12)
-        for order-aware measures.  Refining a unit's survivors in this
-        order tightens the working threshold as fast as possible, so
-        later (farther) candidates abandon early or skip refinement."""
-        bound = query_mbr.distance_to_rect(record.mbr)
-        if use_start_end:
-            (sx, sy), (ex, ey) = record.start, record.end
-            start = math.hypot(q_start[0] - sx, q_start[1] - sy)
-            end = math.hypot(q_end[0] - ex, q_end[1] - ey)
-            if start > bound:
-                bound = start
-            if end > bound:
-                bound = end
-        return bound
-
     def materialise(unit: IndexRange) -> None:
-        """Scan one unit, filter locally, refine survivors.
+        """Scan one unit, filter locally, queue the survivors.
 
-        Each range's survivors are refined nearest-first (by
-        :func:`refine_lower_bound`) with the fused early-abandoning
-        ``distance_within`` at the current working threshold: a
-        candidate that cannot beat the k-th answer is dropped without
-        an exact distance, and each accepted answer shrinks the bound
-        for the rest of the batch.
-
-        The per-range scans run under the resilient executor; a retry
-        after a mid-range transient fault re-streams the range — the
-        batch of a failed attempt is discarded unrefined and the
-        ``seen_tids`` check makes any re-refinement a no-op, so answers
-        stay exact under masked faults.
+        The per-range scans run under the resilient executor, and a
+        range's survivors are queued only once its scan has completed:
+        a retry after a mid-range transient fault re-streams the range,
+        the rows of the failed attempt are discarded, and ``seen_tids``
+        makes any re-delivery a no-op, so answers stay exact under
+        masked faults.
 
         A unit whose every salt copy the table proves empty holds no
         candidate: it is dropped before its span, row filter or
@@ -264,7 +358,7 @@ def topk_search(
         if not scan_ranges:
             return
         units_scanned += 1
-        local.set_threshold(current_eps())
+        local.set_threshold(best.eps())
         row_filter = make_row_filter(store, local)
         rows_before = store.metrics.rows_scanned
         candidates_before = candidates
@@ -274,29 +368,10 @@ def topk_search(
             batch = []
             for key, _ in store.executor.scan_chunk(scan_range, row_filter):
                 candidates += 1
-                record = row_filter.accepted.pop(bytes(key))
-                if record.tid in seen_tids:
-                    continue
-                batch.append(record)
-            if not batch:
-                return
-            batch.sort(key=refine_lower_bound)
+                batch.append(row_filter.accepted.pop(bytes(key)))
             for record in batch:
-                if record.tid in seen_tids:
-                    continue
-                dist = measure.distance_within(
-                    query_points, record.points, current_eps()
-                )
-                # Abandoned candidates are provably worse than the k-th
-                # answer; mark them seen so a re-scan skips them.
-                seen_tids[record.tid] = math.inf if dist is None else dist
-                if dist is None:
-                    continue
-                if len(results) < k:
-                    heapq.heappush(results, (-dist, record.tid))
-                elif dist < -results[0][0]:
-                    heapq.heapreplace(results, (-dist, record.tid))
-            local.set_threshold(current_eps())
+                enqueue(record)
+            local.set_threshold(best.eps())
 
         with tracer.span(
             "topk.unit", start=unit.start, stop=unit.stop
@@ -312,21 +387,36 @@ def topk_search(
             unit_span.set_attrs(
                 rows=unit_rows,
                 candidates=candidates - candidates_before,
-                answers=len(results),
+                queued=len(cq),
             )
 
     with tracer.span("search", k=k) as search_span:
-        while eq or iq:
+        while True:
+            eps = best.eps()
+            # Nothing queued below eps (with the float slack) can still
+            # be an answer.
+            nearest = cq[0][0] if cq else math.inf
+            if nearest > eps * _SLACK:
+                nearest = math.inf
             if scan_report.deadline_exceeded:
-                break  # budget spent; completeness accounting says how much
-            eps = current_eps()
+                # Budget spent (completeness says how much): no new
+                # scans, but what fully scanned ranges delivered is
+                # still refined.
+                if nearest == math.inf:
+                    break
+                refine()
+                continue
             eq_top = eq[0][0] if eq else math.inf
             iq_top = iq[0][0] if iq else math.inf
-            if min(eq_top, iq_top) > eps:
-                break  # nothing unexplored can beat the current k-th answer
-            if iq_top <= eq_top:
-                _, _, unit = heapq.heappop(iq)
-                materialise(unit)
+            frontier = min(eq_top, iq_top)
+            if frontier > eps:
+                frontier = math.inf
+            if nearest == frontier == math.inf:
+                break
+            if nearest <= frontier:
+                refine()
+            elif iq_top <= eq_top:
+                materialise(heapq.heappop(iq)[2])
             else:
                 dist, _, cell = heapq.heappop(eq)
                 expand_element(cell, dist)
@@ -334,10 +424,15 @@ def topk_search(
             units_scanned=units_scanned,
             elements_expanded=elements_expanded,
             candidates=candidates,
+            refined=refined,
             rows_retrieved=retrieved,
         )
 
-    answers = sorted((-neg, tid) for neg, tid in results)
+    # A member's bound is queued below eps * _SLACK, so the loop only
+    # ends once every member is refined: the answers are exact.
+    answers = sorted(
+        (value, tid) for tid, value in best.bound.items() if tid in exact
+    )
     return TopKSearchResult(
         answers=answers,
         candidates=candidates,

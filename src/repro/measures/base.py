@@ -13,19 +13,28 @@ Lemma 12:
   Hausdorff (its matching is unordered), so the start/end filter must be
   skipped there (Section VII-A).
 
-It also holds what the two lattice measures, discrete Fréchet and DTW,
-share: coordinate extraction and the greedy coupling that bounds their
-unbounded runs.
+Every measure also has a cheap ``upper_bound``: top-k's working
+threshold is the k-th smallest bound it knows, so a queued candidate
+can tighten it before its exact distance is computed.  What the two
+lattice measures, discrete Fréchet and DTW, share lives here too:
+coordinate extraction and the greedy coupling whose cost is their
+bound and limits the band of their unbounded runs.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import QueryError
 
 PointSeq = Sequence[Tuple[float, float]]
+
+#: Relative slack for comparing a bound computed along one float path
+#: (``math.hypot``, an MBR gap) with a kernel value computed along
+#: another (``sqrt(dx*dx + dy*dy)``): the two can differ by an ulp where
+#: the reals are equal, so a bound is only decisive beyond this margin.
+RELATIVE_SLACK = 1e-12
 
 
 def coordinates(points: PointSeq, measure: str) -> Tuple[List[float], List[float]]:
@@ -38,7 +47,7 @@ def coordinates(points: PointSeq, measure: str) -> Tuple[List[float], List[float
 
 def greedy_coupling(
     ax: List[float], ay: List[float], bx: List[float], by: List[float]
-) -> Iterator[float]:
+) -> List[float]:
     """Squared point distances along one monotone coupling, in order.
 
     From ``(0, 0)`` the coupling always steps to the cheapest of its
@@ -46,33 +55,51 @@ def greedy_coupling(
     exhausted, walks the other to the end.  Any coupling's cost bounds
     the optimal one's from above; each value is computed the way the
     lattice kernels compute a cell (``dx*dx + dy*dy``), so the bound
-    holds for their floats exactly.
+    holds for their floats exactly.  One plain loop, no generator: top-k
+    runs it on every candidate it queues.
     """
-    n, m = len(ax), len(bx)
-
-    def sq(i: int, j: int) -> float:
-        dx = ax[i] - bx[j]
-        dy = ay[i] - by[j]
-        return dx * dx + dy * dy
-
+    n, m = len(ax) - 1, len(bx) - 1
     i = j = 0
-    yield sq(0, 0)
-    while i < n - 1 and j < m - 1:
-        diag, down, right = sq(i + 1, j + 1), sq(i + 1, j), sq(i, j + 1)
+    x, y, u, v = ax[0], ay[0], bx[0], by[0]
+    dx = x - u
+    dy = y - v
+    steps = [dx * dx + dy * dy]
+    step = steps.append
+    while i < n and j < m:
+        x1, y1, u1, v1 = ax[i + 1], ay[i + 1], bx[j + 1], by[j + 1]
+        dx = x1 - u1
+        dy = y1 - v1
+        diag = dx * dx + dy * dy
+        dx = x1 - u
+        dy = y1 - v
+        down = dx * dx + dy * dy
+        dx = x - u1
+        dy = y - v1
+        right = dx * dx + dy * dy
         if diag <= down and diag <= right:
             i += 1
             j += 1
-            yield diag
+            x, y, u, v = x1, y1, u1, v1
+            step(diag)
         elif down <= right:
             i += 1
-            yield down
+            x, y = x1, y1
+            step(down)
         else:
             j += 1
-            yield right
-    for i in range(i + 1, n):
-        yield sq(i, j)
-    for j in range(j + 1, m):
-        yield sq(i, j)
+            u, v = u1, v1
+            step(right)
+    while i < n:
+        i += 1
+        dx = ax[i] - u
+        dy = ay[i] - v
+        step(dx * dx + dy * dy)
+    while j < m:
+        j += 1
+        dx = x - bx[j]
+        dy = y - by[j]
+        step(dx * dx + dy * dy)
+    return steps
 
 
 class Measure(abc.ABC):
@@ -86,6 +113,15 @@ class Measure(abc.ABC):
     @abc.abstractmethod
     def distance(self, a: PointSeq, b: PointSeq) -> float:
         """Exact distance between point sequences ``a`` and ``b``."""
+
+    @abc.abstractmethod
+    def upper_bound(self, a: PointSeq, b: PointSeq) -> float:
+        """A value never below ``distance(a, b)``, in O(len(a) + len(b)).
+
+        It holds for the floats, not just the reals: the kernels' exact
+        value is ``<=`` it, so ``distance_within(a, b, upper_bound(a,
+        b))`` always returns the distance.
+        """
 
     @abc.abstractmethod
     def within(self, a: PointSeq, b: PointSeq, eps: float) -> bool:

@@ -16,8 +16,9 @@ every cell an alignment within the limit can reach is among those, so
 each holds exactly the dense table's value, and a row with no live cell
 ends the search.  Threshold decisions take the limit from ``eps``; the
 exact distance takes it from the greedy coupling's summed cost
-(:func:`~repro.measures.base.greedy_coupling`), which is never below the
-optimum when summed in the same order as the program sums.
+(:func:`~repro.measures.base.greedy_coupling`), also the measure's
+``upper_bound``, which is never below the optimum when summed in the
+same order as the program sums.
 
 DTW sums *linear* distances, so the square root stays in the
 recurrence: one ``math.sqrt(dx*dx + dy*dy)`` per visited cell, which is
@@ -129,6 +130,9 @@ class DTW(Measure):
 
     def distance(self, a: PointSeq, b: PointSeq) -> float:
         return dtw(a, b)
+
+    def upper_bound(self, a: PointSeq, b: PointSeq) -> float:
+        return _greedy_sum(a, b)
 
     def within(self, a: PointSeq, b: PointSeq, eps: float) -> bool:
         return dtw_within(a, b, eps)

@@ -22,9 +22,10 @@ The limit comes from the question.  Threshold decisions take it from
 sqrt domain, which keeps ``within`` bit-consistent with ``distance``.
 The exact distance takes it from a greedy coupling
 (:func:`~repro.measures.base.greedy_coupling`): its largest squared
-distance bounds the optimum from above, so the optimal coupling
-survives the clamp, and the band is a strip around it rather than the
-whole table whenever the points are spread wider than the distance.
+distance, also the measure's ``upper_bound``, bounds the optimum from
+above, so the optimal coupling survives the clamp, and the band is a
+strip around it rather than the whole table whenever the points are
+spread wider than the distance.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 from typing import Optional
 
 from repro.measures.base import (
+    RELATIVE_SLACK,
     Measure,
     PointSeq,
     coordinates,
@@ -51,7 +53,7 @@ def _relaxed_sq(eps: float) -> float:
     is made in the sqrt domain, keeping ``within`` consistent with
     ``distance`` even when ``eps`` equals the exact value.
     """
-    return (eps * (1.0 + 1e-12)) ** 2 if eps > 0 else 0.0
+    return (eps * (1.0 + RELATIVE_SLACK)) ** 2 if eps > 0 else 0.0
 
 
 def _greedy_sq(a: PointSeq, b: PointSeq) -> float:
@@ -148,6 +150,9 @@ class DiscreteFrechet(Measure):
 
     def distance(self, a: PointSeq, b: PointSeq) -> float:
         return discrete_frechet(a, b)
+
+    def upper_bound(self, a: PointSeq, b: PointSeq) -> float:
+        return math.sqrt(_greedy_sq(a, b))
 
     def within(self, a: PointSeq, b: PointSeq, eps: float) -> bool:
         return discrete_frechet_within(a, b, eps)

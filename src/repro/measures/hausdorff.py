@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.measures.base import Measure, PointSeq, register_measure
-from repro.measures.frechet import _relaxed_sq
+from repro.measures.frechet import _greedy_sq, _relaxed_sq
 
 #: below this many candidate points the vectorisation overhead beats
 #: the plain loop; both branches compute identical floats
@@ -119,6 +119,13 @@ class Hausdorff(Measure):
 
     def distance(self, a: PointSeq, b: PointSeq) -> float:
         return hausdorff(a, b)
+
+    def upper_bound(self, a: PointSeq, b: PointSeq) -> float:
+        """Discrete Fréchet's greedy bound: the coupling pairs every
+        point of either sequence with one at most the bound away, so
+        both directed distances are below it — and the squared values
+        are the ones :func:`_directed_sq` compares."""
+        return math.sqrt(_greedy_sq(a, b))
 
     def within(self, a: PointSeq, b: PointSeq, eps: float) -> bool:
         return hausdorff_within(a, b, eps)

@@ -15,7 +15,10 @@ Two properties, neither of which the random-walk samples in
   oracle: ``values`` (order included), ``ranges`` and every
   ``PruningResult`` counter must be *equal*, for both
   ``use_position_codes`` settings, and so must the ``(minDistIS, value)``
-  pairs top-k pushes per element.  The benchmark's brute-force check
+  pairs the planner keeps per element and the ``(bound, value)`` pairs
+  top-k queues (``minDistIS`` max'ed with the code's Lemma 10 quad
+  distances), which must also be ``<=`` every measure's distance to a
+  trajectory stored under the code.  The benchmark's brute-force check
   catches a lost answer; only this file catches a changed plan.
 """
 
@@ -37,13 +40,14 @@ from repro.index.position_code import CODE_QUADS, codes_for_element, quad_rects
 from repro.index.quadrant import ROOT, Element
 from repro.index.ranges import IndexRange, merge_ranges, merge_values_to_ranges
 from repro.index.xzstar import XZStarIndex
-from repro.measures import hausdorff
+from repro.measures import get_measure, hausdorff
 from repro.obs.tracing import NULL_TRACER
 
 UNIT = SpaceBounds(0.0, 0.0, 1.0, 1.0)
 EARTH = SpaceBounds.whole_earth()
 WIDE = SpaceBounds(-3.0, 10.0, 5.0, 12.0)  # 4:1 anisotropic extent
 BOUNDS = (UNIT, EARTH, WIDE)
+MEASURES = [get_measure(name) for name in ("frechet", "dtw", "hausdorff")]
 
 
 # ----------------------------------------------------------------------
@@ -518,6 +522,107 @@ def test_topk_pairs_equal_reference(case, data):
             assert kernel.children(cell) == [
                 cell_of(index, child) for child in element.children()
             ]
+
+
+def reference_ranked_codes(index, query, element, threshold):
+    """Top-k's unit priority from the per-code ``MBR`` loops: each
+    code's ``minDistIS`` max'ed with its quads' Lemma 10 distances
+    (``min_points_rect_distance``), kept when ``<= threshold``."""
+    qxs = np.fromiter((p[0] for p in query.points), dtype=float)
+    qys = np.fromiter((p[1] for p in query.points), dtype=float)
+    quad_rects = quad_world_rects(index, element)
+    nearest = {
+        quad: min_points_rect_distance(qxs, qys, rect)
+        for quad, rect in quad_rects.items()
+    }
+    ranked = []
+    for code in codes_for_element(element, index.max_resolution):
+        quads = CODE_QUADS[code]
+        rects = [quad_rects[q] for q in quads]
+        bound = max(
+            [min_dist_edges_to_rects(query.mbr, rects)]
+            + [nearest[q] for q in quads]
+        )
+        if bound <= threshold:
+            ranked.append((bound, index.value(element, code)))
+    return ranked
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=planning_cases(max_resolutions=(3, 4, 8, 16)), data=st.data())
+def test_ranked_spaces_equal_reference(case, data):
+    """The per-code bound top-k queues units by, ``==`` the reference,
+    with thresholds at every tie: each bound, each quad's nearest-point
+    distance, and one ulp below each."""
+    index, query, eps = case
+    kernel = PruningKernel(index, query)
+    for _ in range(4):
+        element = data.draw(elements_near(index, query))
+        cell = cell_of(index, element)
+        lines = kernel.lines(cell)
+        qxs = np.fromiter((p[0] for p in query.points), dtype=float)
+        qys = np.fromiter((p[1] for p in query.points), dtype=float)
+        ties = {
+            min_points_rect_distance(qxs, qys, rect)
+            for rect in quad_world_rects(index, element).values()
+        }
+        ties.update(
+            b for b, _ in reference_ranked_codes(index, query, element, math.inf)
+        )
+        ties.update([math.nextafter(t, -math.inf) for t in ties if t > 0])
+        for threshold in (eps, 0.0, math.inf, *ties):
+            ranked = kernel.ranked_spaces(cell, lines, threshold)
+            assert ranked == reference_ranked_codes(
+                index, query, element, threshold
+            )
+            # A code survives top-k exactly when it survives the planner.
+            planned, _, _ = kernel.index_spaces(cell, lines, threshold)
+            assert [v for _, v in ranked] == [v for _, v in planned]
+
+
+@st.composite
+def stored_trajectories(draw, bounds: SpaceBounds):
+    """Any trajectory inside ``bounds``: scattered, or a compact walk."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return Trajectory(
+            "t", [_world(bounds, draw(_unit), draw(_unit)) for _ in range(n)]
+        )
+    u, v = draw(_unit), draw(_unit)
+    step = draw(st.sampled_from([0.0, 1 / 64, 0.01]))
+    points = []
+    for _ in range(n):
+        points.append(_world(bounds, u, v))
+        u = min(1.0, max(0.0, u + draw(st.sampled_from([-step, 0.0, step]))))
+        v = min(1.0, max(0.0, v + draw(st.sampled_from([-step, 0.0, step]))))
+    return Trajectory("t", points)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=planning_cases(max_resolutions=(3, 4, 8, 16)), data=st.data())
+def test_ranked_bound_never_exceeds_any_measure(case, data):
+    """Soundness of the unit priority: for a trajectory stored under a
+    code, the code's bound is ``<=`` its Fréchet, DTW and Hausdorff
+    distance from the query — on grid-aligned shapes moved by exactly
+    ``eps`` as well as scattered ones."""
+    index, query, eps = case
+    if data.draw(st.booleans()):
+        stored = data.draw(near_trajectories(query, eps, index.bounds))
+    else:
+        stored = data.draw(stored_trajectories(index.bounds))
+    for q, t in ((query, stored), (stored, query)):
+        placed = index.index(t)
+        cell = cell_of(index, placed.element)
+        kernel = PruningKernel(index, q)
+        bounds = {
+            value: bound
+            for bound, value in kernel.ranked_spaces(
+                cell, kernel.lines(cell), math.inf
+            )
+        }
+        bound = bounds[placed.value]
+        for measure in MEASURES:
+            assert bound <= measure.distance(q.points, t.points), measure
 
 
 def test_root_cell_values_are_the_tail_block():
