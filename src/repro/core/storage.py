@@ -323,6 +323,20 @@ class TrajectoryStore:
             if holds_any(start, stop)
         ]
 
+    def holds_index_values(self, start: int, stop: int) -> bool:
+        """Whether some salt's copy of index values ``[start, stop)``
+        holds a key, live or tombstone.
+
+        False proves the values hold no row in any shard, so top-k
+        queues neither an empty element subtree nor an empty code
+        block.  Like :meth:`scan_ranges_for` it reads run metadata only.
+        """
+        holds_any = self.table.holds_any
+        return any(
+            holds_any(lo, hi)
+            for lo, hi in self._key_ranges([IndexRange(start, stop)], None)
+        )
+
     def _key_ranges(
         self,
         ranges: Sequence[IndexRange],

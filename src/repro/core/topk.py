@@ -36,6 +36,16 @@ candidate is dropped only when its bound exceeds ``eps`` by more than
 a kernel's ``sqrt(dx*dx + dy*dy)`` by an ulp, and an endpoint pair can
 set the k-th distance.
 
+The search walks only occupied space.  XZ* numbers index spaces
+depth-first, so an element's subtree and its own code block are each
+one contiguous value range, and the store answers from run metadata
+whether any salt's copy holds a key
+(:meth:`~repro.core.storage.TrajectoryStore.holds_index_values`).  An
+element whose subtree is empty is never queued; an expanded element
+whose code block is empty emits no code unit but still descends or
+collapses.  A range without a key holds no row, hence no answer, and
+dropping it can only tighten ``eps`` sooner.
+
 Every priority is monotone along the tree, so nearest-first order never
 misses a closer trajectory; rows a unit over-fetches are removed by
 local filtering and refinement, so the answer set is exact regardless
@@ -60,6 +70,7 @@ from repro.core.threshold import make_row_filter
 from repro.core.storage import TrajectoryStore
 from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
+from repro.index.position_code import CODES_PER_ELEMENT, CODES_PER_MAX_ELEMENT
 from repro.index.quadrant import smallest_enlarged_element
 from repro.index.ranges import IndexRange
 from repro.measures.base import RELATIVE_SLACK, Measure
@@ -209,17 +220,30 @@ def topk_search(
     cq: List[Tuple[float, int, object, float]] = []
     tick = 0
 
+    def subtree_span(cell: Cell) -> Tuple[int, int]:
+        """The element's subtree as one value range; the root's is every
+        index space, its own tail-block codes included."""
+        if cell[0] == 0:
+            return 0, index.total_index_spaces
+        return kernel.subtree_span(cell)
+
     def push_element(cell: Cell) -> None:
-        nonlocal tick
+        """Queue the element unless the store proves its subtree empty:
+        a subtree without a key holds no candidate."""
+        nonlocal tick, empty_subtrees
+        if not store.holds_index_values(*subtree_span(cell)):
+            empty_subtrees += 1
+            return
         heapq.heappush(eq, (kernel.min_dist_ee(kernel.lines(cell)), tick, cell))
         tick += 1
 
-    push_element(ROOT_CELL)
     elements_expanded = 0
+    empty_subtrees = 0
     units_scanned = 0
     candidates = 0
     retrieved = 0
     refined = 0
+    push_element(ROOT_CELL)
 
     q_start, q_end = query_points[0], query_points[-1]
     use_start_end = measure.supports_start_end_filter
@@ -276,17 +300,22 @@ def topk_search(
     def push_subtree_unit(cell: Cell, dist: float) -> None:
         """One contiguous range covering the element's whole subtree."""
         nonlocal tick
-        if cell[0] == 0:
-            # The root's subtree is the entire main block plus its own
-            # tail-block codes.
-            heapq.heappush(
-                iq, (dist, tick, IndexRange(0, index.total_index_spaces))
-            )
-        else:
-            heapq.heappush(
-                iq, (dist, tick, IndexRange(*kernel.subtree_span(cell)))
-            )
+        heapq.heappush(iq, (dist, tick, IndexRange(*subtree_span(cell))))
         tick += 1
+
+    def codes_occupied(cell: Cell) -> bool:
+        """Whether the element's own code block holds a key; an occupied
+        subtree may keep all its rows below the element."""
+        level = cell[0]
+        if level == 0:
+            first = index.root_block_start
+        else:
+            first = kernel.subtree_span(cell)[0]
+        if level < index.max_resolution:
+            codes = CODES_PER_ELEMENT
+        else:
+            codes = CODES_PER_MAX_ELEMENT
+        return store.holds_index_values(first, first + codes)
 
     def expand_element(cell: Cell, element_dist: float) -> None:
         """Emit the element's surviving index spaces and either descend
@@ -327,7 +356,7 @@ def topk_search(
             push_subtree_unit(cell, element_dist)
             return
 
-        if emit_codes:
+        if emit_codes and codes_occupied(cell):
             lines = kernel.lines(cell)
             for bound, value in kernel.ranked_spaces(cell, lines, threshold):
                 heapq.heappush(iq, (bound, tick, IndexRange(value, value + 1)))
@@ -423,6 +452,7 @@ def topk_search(
         search_span.set_attrs(
             units_scanned=units_scanned,
             elements_expanded=elements_expanded,
+            empty_subtrees=empty_subtrees,
             candidates=candidates,
             refined=refined,
             rows_retrieved=retrieved,

@@ -53,7 +53,11 @@ def _relaxed_sq(eps: float) -> float:
     is made in the sqrt domain, keeping ``within`` consistent with
     ``distance`` even when ``eps`` equals the exact value.
     """
-    return (eps * (1.0 + RELATIVE_SLACK)) ** 2 if eps > 0 else 0.0
+    if not eps > 0:
+        return 0.0
+    # ``*`` overflows to inf where float ``**`` raises OverflowError.
+    relaxed = eps * (1.0 + RELATIVE_SLACK)
+    return relaxed * relaxed
 
 
 def _greedy_sq(a: PointSeq, b: PointSeq) -> float:

@@ -7,6 +7,7 @@ answer set under every measure.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -75,6 +76,32 @@ class TestThresholdCorrectness:
         assert set(result.answers) == {
             t.tid for t in data if t.points == q.points
         }
+
+    @pytest.mark.parametrize("measure", ["frechet", "hausdorff", "dtw"])
+    @pytest.mark.parametrize("eps", [1e160, 1e300, sys.float_info.max])
+    def test_huge_finite_eps_answers_like_inf(self, measure, eps):
+        """Squaring a huge relaxed threshold overflows to inf, not to an
+        ``OverflowError``; every stored trajectory is then an answer."""
+        rng = random.Random(37)
+        engine, data = build_engine(rng, n=30)
+        queries = data[:3]
+        want = [
+            engine.threshold_search(q, math.inf, measure=measure).answers
+            for q in queries
+        ]
+        assert all(len(answers) == len(data) for answers in want)
+        single = [
+            engine.threshold_search(q, eps, measure=measure).answers
+            for q in queries
+        ]
+        batch = [
+            result.answers
+            for result in engine.threshold_search_many(
+                queries, eps, measure=measure
+            )
+        ]
+        assert single == want
+        assert batch == want
 
     def test_result_accounting(self):
         rng = random.Random(35)

@@ -1,5 +1,6 @@
 """Edge-case tests for the best-first top-k search."""
 
+import math
 import random
 
 import pytest
@@ -140,7 +141,13 @@ class TestAccountingInvariants:
         assert result.units_scanned >= 1
         assert result.total_seconds >= 0
 
-    def test_worst_distance_of_empty_store(self):
+    def test_worst_distance_is_last_answer_distance(self):
         engine = build([Trajectory("x", [(0.1, 0.1)])])
         result = engine.topk_search(Trajectory("q", [(0.9, 0.9)]), 1)
         assert result.worst_distance == result.answers[-1][0]
+
+    def test_worst_distance_of_empty_store(self):
+        engine = build([])
+        result = engine.topk_search(Trajectory("q", [(0.9, 0.9)]), 1)
+        assert result.answers == []
+        assert result.worst_distance == math.inf

@@ -308,6 +308,9 @@ class TestQueryTracing:
         search = root.children[0]
         assert search.name == "search"
         assert search.attrs["units_scanned"] == result.units_scanned
+        # Most of the quad tree over a small store is empty, and the
+        # occupancy probe keeps those subtrees off the element queue.
+        assert search.attrs["empty_subtrees"] > 0
         units = root.find("topk.unit")
         assert len(units) == result.units_scanned
         # Per-unit row accounting reads one counter; it must still add
