@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.baselines.base import BaselineResult, SimilaritySearchBaseline
 from repro.exceptions import QueryError
@@ -104,19 +104,6 @@ class DITABaseline(SimilaritySearchBaseline):
         self.build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
-    def _cells_near(self, x: float, y: float, eps: float) -> List[Cell]:
-        """Grid cells whose rectangle is within ``eps`` of ``(x, y)``."""
-        size = self.cell_size
-        cx0 = int(math.floor((x - eps) / size))
-        cx1 = int(math.floor((x + eps) / size))
-        cy0 = int(math.floor((y - eps) / size))
-        cy1 = int(math.floor((y + eps) / size))
-        return [
-            (cx, cy)
-            for cx in range(cx0, cx1 + 1)
-            for cy in range(cy0, cy1 + 1)
-        ]
-
     def _trie_candidates(
         self, query: Trajectory, eps: float
     ) -> Tuple[List[str], int]:

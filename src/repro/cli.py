@@ -171,10 +171,10 @@ def _topk(args: argparse.Namespace) -> int:
 def _query(args: argparse.Namespace) -> int:
     """Run a workload of threshold queries, optionally as one batch.
 
-    ``--batch`` plans every query up front, coalesces the per-query key
-    ranges into one deduplicated scan and demultiplexes each scanned
-    row to the queries that asked for it; answers are identical to the
-    sequential mode, only the I/O shrinks (reported on stderr).
+    ``--batch`` plans every query up front and runs one shared scan —
+    the one a single query runs — decoding each row once for every
+    query that asked for it; answers are identical to the sequential
+    mode, only the I/O shrinks (reported on stderr).
     """
     engine = _load_engine(args)
     if args.queries_csv:

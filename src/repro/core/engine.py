@@ -23,11 +23,19 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.batch import normalise_thresholds, threshold_search_many
 from repro.core.config import TraSSConfig
-from repro.core.pruning import GlobalPruner, PruningResult, check_threshold
+from repro.core.pruning import (
+    GlobalPruner,
+    PruningResult,
+    check_threshold,
+    normalise_thresholds,
+)
 from repro.core.storage import INTEGER_KEYS, TrajectoryStore
-from repro.core.threshold import ThresholdSearchResult, threshold_search
+from repro.core.threshold import (
+    ThresholdSearchResult,
+    threshold_search,
+    threshold_search_many,
+)
 from repro.core.topk import TopKSearchResult, check_k, topk_search
 from repro.exceptions import KVStoreError, QueryError
 from repro.geometry.mbr import MBR
@@ -362,14 +370,14 @@ class TraSS:
         """Answer many threshold queries over one deduplicated scan.
 
         ``eps`` is a single threshold for the whole batch or any
-        iterable aligned with ``queries``.  The per-query ranges are
-        planned up front, coalesced (overlapping or touching byte ranges
-        merge, so a shared key region is scanned once), and every
-        scanned row is demultiplexed to the queries whose plan covers
-        it.  Results are positionally aligned and bit-identical to
-        calling :meth:`threshold_search` per query; only the I/O differs
-        — ``metrics.batch_ranges_merged`` / ``batch_rows_shared`` say by
-        how much.
+        iterable aligned with ``queries``.  Every query is planned, then
+        one :func:`~repro.core.threshold.scan_and_refine` — the scan a
+        single query runs — serves them all: a shared key region is
+        scanned once, and each row is decoded once and filtered for
+        every query whose plan covers it.  Results are aligned and
+        bit-identical to :meth:`threshold_search` per query, each with
+        its own ``ScanReport``; only the I/O differs, by
+        ``metrics.batch_ranges_merged`` / ``batch_rows_shared``.
 
         Batched queries skip the workload recorder: per-query I/O
         deltas are meaningless under a shared scan.

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -74,10 +74,31 @@ ROOT_CELL: Cell = (0, 0, 0, 0)
 
 def check_threshold(eps: float) -> None:
     """The one definition of a bad threshold, shared by every front
-    door (engine, batch, serving coordinator) and the planner.  NaN is
+    door (engine, serving coordinator) and the planner.  NaN is
     bad too: every pruning test is ``bound > eps``, never true for NaN."""
     if not eps >= 0:
         raise QueryError(f"threshold must be non-negative, got {eps}")
+
+
+def normalise_thresholds(
+    queries: Iterable[Trajectory], eps
+) -> Tuple[List[Trajectory], List[float]]:
+    """``(queries, eps_list)`` as aligned, validated lists: ``eps`` is
+    one threshold for the batch or an iterable aligned with ``queries``.
+    The engine and the serving coordinator both normalise here, so they
+    cannot disagree on what a bad argument is."""
+    queries = list(queries)
+    try:
+        eps_list = [float(e) for e in eps]
+    except TypeError:
+        eps_list = [float(eps)] * len(queries)
+    if len(eps_list) != len(queries):
+        raise QueryError(
+            f"got {len(queries)} queries but {len(eps_list)} thresholds"
+        )
+    for e in eps_list:
+        check_threshold(e)
+    return queries, eps_list
 
 
 def _code_table(codes) -> Tuple[Tuple[int, Tuple[int, ...], int], ...]:

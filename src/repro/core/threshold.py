@@ -2,25 +2,29 @@
 
 Plan key ranges with global pruning, scan them with local filtering
 pushed into the store, and refine the survivors with the exact
-(early-abandoning) measure.
+(early-abandoning) measure.  A batch plans every query and shares one
+scan (:func:`scan_and_refine`); a single query is a batch of one.
+Answers are a pure function of ``(query, row, eps)``, so a batch
+answers bit-identically to its queries run one at a time; sharing
+changes only the I/O (``IOMetrics.batch_ranges_merged`` /
+``batch_rows_shared``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.executor import ScanReport
-from repro.core.local_filter import (
-    LocalFilter,
-    LocalFilterRowFilter,
-    LocalFilterStats,
-)
+from repro.core.local_filter import LocalFilter, LocalFilterStats
 from repro.core.pruning import GlobalPruner, PruningResult, check_threshold
 from repro.core.storage import TrajectoryStore
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
+from repro.kvstore.filters import RowFilter
 from repro.kvstore.table import ScanRange
 from repro.measures.base import Measure
 from repro.obs.tracing import NULL_TRACER
@@ -34,7 +38,7 @@ class ThresholdSearchResult:
     answers: Dict[str, float]
     #: trajectories that survived local filtering (pre-refinement)
     candidates: int
-    #: rows the store touched inside the scan ranges
+    #: rows the store touched inside this query's scan ranges
     retrieved_rows: int
     #: the global-pruning plan (``None`` only on a shard worker's
     #: partial result: the coordinator planned, and keeps the plan)
@@ -75,14 +79,6 @@ class ThresholdSearchResult:
         return list(self.resilience.skipped_ranges)
 
 
-def make_row_filter(
-    store: TrajectoryStore, local: LocalFilter
-) -> LocalFilterRowFilter:
-    """The scan-side adapter for one query's local filter, decoding
-    through the store's record cache."""
-    return LocalFilterRowFilter(local, decoder=store.record_decoder)
-
-
 def threshold_search(
     store: TrajectoryStore,
     pruner: GlobalPruner,
@@ -91,124 +87,251 @@ def threshold_search(
     eps: float,
     tracer=None,
 ) -> ThresholdSearchResult:
-    """Run Algorithm 3 against a trajectory store: plan with global
-    pruning, then :func:`scan_and_refine` the planned ranges.
-
-    ``tracer`` (a :class:`~repro.obs.tracing.Tracer`) records the
-    prune / scan / refine phase spans.
-    """
+    """Run Algorithm 3 for one query, as a batch of one; ``tracer`` (a
+    :class:`~repro.obs.tracing.Tracer`) records the phase spans."""
     check_threshold(eps)
+    return threshold_search_many(
+        store, pruner, measure, [query], [eps], tracer
+    )[0]
+
+
+def threshold_search_many(
+    store: TrajectoryStore,
+    pruner: GlobalPruner,
+    measure: Measure,
+    queries: Sequence[Trajectory],
+    eps_list: Sequence[float],
+    tracer=None,
+) -> List[ThresholdSearchResult]:
+    """Plan every query with global pruning, then :func:`scan_and_refine`
+    them all.  ``queries`` / ``eps_list`` are aligned and validated (as
+    :func:`~repro.core.pruning.normalise_thresholds` returns them); so
+    are the results."""
     if tracer is None:
         tracer = NULL_TRACER
-    started = time.perf_counter()
-    pruning = pruner.prune(query, eps, tracer)
-    prune_seconds = time.perf_counter() - started
-    result = scan_and_refine(
-        store, measure, query, eps, pruning.ranges, tracer
+    plans, prune_seconds = [], []
+    for query, eps in zip(queries, eps_list):
+        started = time.perf_counter()
+        plans.append(pruner.prune(query, eps, tracer))
+        prune_seconds.append(time.perf_counter() - started)
+    results = scan_and_refine(
+        store, measure, queries, eps_list, [p.ranges for p in plans], tracer
     )
-    result.pruning = pruning
-    result.pruning_seconds += prune_seconds
-    return result
+    for result, plan, seconds in zip(results, plans, prune_seconds):
+        result.pruning = plan
+        result.pruning_seconds += seconds
+    return results
+
+
+def _shared_plan(pairs: List[List[ScanRange]]):
+    """``(plan, holders, ends, subscribers)`` for every query's key ranges.
+
+    Ranges that overlap or touch merge into ``plan`` (key order); gaps
+    are never bridged, so it covers exactly the union of ``pairs``.
+    ``plan[holders[q][i]]`` holds ``pairs[q][i]``.  A scanned key ``k``
+    lies in segment ``bisect_right(ends, k)``, whose queries are
+    ``subscribers[segment]``.  No key between merged ranges is scanned,
+    so neighbouring segments with equal subscribers fold into one.
+    """
+    holders = [[0] * len(own) for own in pairs]
+    groups: List[list] = []
+    for start, stop, qid, i in sorted(
+        (r.start, r.stop, qid, i)
+        for qid, own in enumerate(pairs)
+        for i, r in enumerate(own)
+    ):
+        if groups and start <= groups[-1][1]:
+            groups[-1][1] = max(groups[-1][1], stop)
+            groups[-1][2].append((start, stop, qid))
+        else:
+            groups.append([start, stop, [(start, stop, qid)], pairs[qid][i]])
+        holders[qid][i] = len(groups) - 1
+    plan, ends, subscribers = [], [], []
+    for start, stop, members, first in groups:
+        if len(members) == 1:
+            # a range that overlaps or touches no other is its own plan
+            plan.append(first)
+            segments = [(stop, (members[0][2],))]
+        else:
+            plan.append(ScanRange(start, stop))
+            cuts = sorted({b for s, e, _ in members for b in (s, e)})
+            segments = [
+                (hi, tuple(sorted({q for s, e, q in members if s <= lo < e})))
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+        for hi, subs in segments:
+            if subscribers and subscribers[-1] == subs:
+                ends[-1] = hi
+            else:
+                ends.append(hi)
+                subscribers.append(subs)
+    return plan, holders, ends, subscribers
+
+
+class _SharedRowFilter(RowFilter):
+    """Decode each row once and run the local filter of every query
+    subscribing to its key; an accepted row's ``(record, qids)`` waits
+    in ``accepted`` for refinement.  The table counts one evaluation per
+    row; a row with ``n > 1`` subscribers adds the other ``n - 1`` here,
+    so the counters are the sums of the queries run one at a time."""
+
+    def __init__(self, decoder, filters, ends, subscribers, metrics):
+        self.decoder = decoder
+        self.passes = [local.passes for local in filters]
+        self.ends = ends
+        self.subscribers = subscribers
+        self.metrics = metrics
+        self.accepted: Dict[bytes, tuple] = {}
+
+    def accept(self, key: bytes, value: bytes) -> bool:
+        subscribers = self.subscribers[bisect_right(self.ends, key)]
+        record = self.decoder(key, value)
+        passes = self.passes
+        passed = []
+        for qid in subscribers:
+            if passes[qid](record):
+                passed.append(qid)
+        extra = len(subscribers) - 1
+        if extra:
+            shared = max(len(passed) - 1, 0)
+            metrics = self.metrics
+            metrics.batch_rows_shared += extra
+            metrics.filter_evaluations += extra
+            metrics.filter_rejections += extra - shared
+            metrics.rows_returned += shared
+        if passed:
+            self.accepted[key] = (record, passed)
+            return True
+        return False
 
 
 def scan_and_refine(
     store: TrajectoryStore,
     measure: Measure,
-    query: Trajectory,
-    eps: float,
-    ranges: Sequence[IndexRange],
+    queries: Sequence[Trajectory],
+    eps_list: Sequence[float],
+    ranges_list: Sequence[Sequence[IndexRange]],
     tracer=NULL_TRACER,
     shards: Optional[Sequence[int]] = None,
-) -> ThresholdSearchResult:
-    """The region-server half of Algorithm 3: scan the planned
-    index-value ``ranges`` with local filtering pushed into the store
-    and refine the survivors with the exact measure.
+) -> List[ThresholdSearchResult]:
+    """The region-server half of Algorithm 3, one scan for every query:
+    scan the index-value ranges planned for query ``q``
+    (``ranges_list[q]``) with local filtering pushed into the store, and
+    refine the survivors with the exact measure.
 
-    ``shards`` restricts the scan to a subset of salts — a serving
-    shard worker passes the salts it owns, so the union of the workers'
-    results is field-for-field the all-shards result.  The plan is the
-    caller's: ``pruning`` is left ``None`` and ``pruning_seconds``
-    covers only the range -> row-key mapping.
+    ``shards`` restricts the scan to a subset of salts — a shard worker
+    passes the salts it owns, so the union of the workers' results is
+    field-for-field the all-shards result.  The plan is the caller's:
+    ``pruning`` is ``None`` and ``pruning_seconds`` covers only the
+    range -> row-key mapping.  Each result's ``retrieved_rows`` and
+    :class:`ScanReport` ranges are its own (a range completed when the
+    merged range holding it did); retries, faults and backoff are the
+    shared scan's.
     """
-    started = time.perf_counter()
-    scan_ranges = store.scan_ranges_for(ranges, shards=shards)
-    pruning_seconds = time.perf_counter() - started
+    if not queries:
+        return []
+    pairs, pruning_seconds = [], []
+    for ranges in ranges_list:
+        started = time.perf_counter()
+        pairs.append(store.scan_ranges_for(ranges, shards=shards))
+        pruning_seconds.append(time.perf_counter() - started)
+    plan, holders, ends, subscribers = _shared_plan(pairs)
+    metrics = store.metrics
+    metrics.batch_ranges_merged += sum(map(len, pairs)) - len(plan)
 
-    local = LocalFilter(
-        query,
-        measure,
-        eps,
-        store.config.dp_tolerance,
-        box_mode=store.config.box_mode,
+    tolerance, box_mode = store.config.dp_tolerance, store.config.box_mode
+    filters = [
+        LocalFilter(q, measure, e, tolerance, box_mode=box_mode)
+        for q, e in zip(queries, eps_list)
+    ]
+    for local in filters:
+        local.tracer = tracer
+    row_filter = _SharedRowFilter(
+        store.record_decoder, filters, ends, subscribers, metrics
     )
-    local.tracer = tracer
-    row_filter = make_row_filter(store, local)
 
     # Refinement is pipelined with the scan: the executor hands over
-    # each completed range's surviving rows (serialised, so no locking
-    # here) while other ranges are still scanning.  Answers are a
-    # per-record pure function of (query, record, eps), so the answer
-    # set is identical to refining after the full scan.  The fused
-    # ``distance_within`` computes the decision and the exact distance
-    # in one early-abandoning pass.
-    answers: Dict[str, float] = {}
-    refine_clock = [0.0]
-    refined_count = [0]
-    abandoned_count = [0]
-    query_points = query.points
+    # each completed range's accepted rows while later ranges scan, and
+    # the fused, early-abandoning ``distance_within`` decides and
+    # measures in one pass.
+    answers: List[Dict[str, float]] = [{} for _ in queries]
+    candidates = [0] * len(queries)
+    points = [query.points for query in queries]
+    eps_of = list(eps_list)
+    accepted = row_filter.accepted
+    distance_within = measure.distance_within
+    refine_clock = 0.0
+    abandoned = 0
 
-    def refine(chunk, used_filter) -> None:
+    def refine(chunk, _row_filter) -> None:
+        nonlocal refine_clock, abandoned
         refine_started = time.perf_counter()
-        accepted = used_filter.accepted
         for key, _ in chunk:
-            record = accepted[key]
-            dist = measure.distance_within(query_points, record.points, eps)
-            refined_count[0] += 1
-            if dist is not None:
-                answers[record.tid] = dist
-            else:
-                abandoned_count[0] += 1
-        refine_clock[0] += time.perf_counter() - refine_started
+            record, qids = accepted[key]
+            for qid in qids:
+                candidates[qid] += 1
+                dist = distance_within(points[qid], record.points, eps_of[qid])
+                if dist is None:
+                    abandoned += 1
+                else:
+                    answers[qid][record.tid] = dist
+        refine_clock += time.perf_counter() - refine_started
 
-    rows_before = store.metrics.rows_scanned
+    rows_before = metrics.rows_scanned
     started = time.perf_counter()
-    with tracer.span("scan", ranges=len(scan_ranges)) as scan_span:
-        rows, scan_report = store.executor.scan_ranges(
-            scan_ranges, row_filter, on_range_rows=refine
+    with tracer.span("scan", ranges=len(plan)) as scan_span:
+        _, shared_report = store.executor.scan_ranges(
+            plan, row_filter, on_range_rows=refine
         )
     elapsed = time.perf_counter() - started
-    retrieved = store.metrics.rows_scanned - rows_before
     # The refine callbacks ran inside the scan wall time; split the
     # accounting so the phase totals still sum to the wall clock.
-    refine_seconds = min(refine_clock[0], elapsed)
-    scan_seconds = elapsed - refine_seconds
-
+    refine_seconds = min(refine_clock, elapsed)
+    total_candidates = sum(candidates)
     scan_span.set_attrs(
-        rows_retrieved=retrieved,
-        candidates=len(rows),
-        ranges_completed=scan_report.ranges_completed,
-        retries=scan_report.retries,
+        rows_retrieved=metrics.rows_scanned - rows_before,
+        candidates=total_candidates,
+        ranges_completed=shared_report.ranges_completed,
+        retries=shared_report.retries,
     )
     # The refine phase has no contiguous interval of its own — it ran
     # interleaved inside the scan — so its span gets the accumulated
     # callback time explicitly.
     with tracer.span("refine") as refine_span:
         refine_span.set_attrs(
-            refined=refined_count[0],
-            answers=len(answers),
-            early_abandoned=abandoned_count[0],
+            refined=total_candidates,
+            answers=sum(map(len, answers)),
+            early_abandoned=abandoned,
             measure=measure.name,
         )
     refine_span.set_duration(refine_seconds)
 
-    return ThresholdSearchResult(
-        answers=answers,
-        candidates=len(rows),
-        retrieved_rows=retrieved,
-        pruning=None,
-        pruning_seconds=pruning_seconds,
-        scan_seconds=scan_seconds,
-        refine_seconds=refine_seconds,
-        resilience=scan_report,
-        filter_stats=local.stats,
-    )
+    gone = {r.start for r in shared_report.skipped_ranges}
+    scan_share = (elapsed - refine_seconds) / len(queries)
+    results = []
+    # Refinement is timed per range and apportioned by candidates.
+    refine_share = refine_seconds / max(total_candidates, 1)
+    for qid, own in enumerate(pairs):
+        lost = [
+            r for r, g in zip(own, holders[qid]) if plan[g].start in gone
+        ] if gone else []
+        results.append(
+            ThresholdSearchResult(
+                answers=answers[qid],
+                candidates=candidates[qid],
+                # every row in the query's ranges met its local filter
+                retrieved_rows=filters[qid].stats.evaluated,
+                pruning=None,
+                pruning_seconds=pruning_seconds[qid],
+                scan_seconds=scan_share,
+                refine_seconds=refine_share * candidates[qid],
+                resilience=dataclasses.replace(
+                    shared_report,
+                    ranges_total=len(own),
+                    ranges_completed=len(own) - len(lost),
+                    skipped_ranges=lost,
+                ),
+                filter_stats=filters[qid].stats,
+            )
+        )
+    return results

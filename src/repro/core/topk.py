@@ -64,9 +64,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.executor import ScanReport
-from repro.core.local_filter import LocalFilter, LocalFilterStats
+from repro.core.local_filter import (
+    LocalFilter,
+    LocalFilterRowFilter,
+    LocalFilterStats,
+)
 from repro.core.pruning import ROOT_CELL, Cell, GlobalPruner, PruningKernel
-from repro.core.threshold import make_row_filter
 from repro.core.storage import TrajectoryStore
 from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
@@ -388,7 +391,7 @@ def topk_search(
             return
         units_scanned += 1
         local.set_threshold(best.eps())
-        row_filter = make_row_filter(store, local)
+        row_filter = LocalFilterRowFilter(local, decoder=store.record_decoder)
         rows_before = store.metrics.rows_scanned
         candidates_before = candidates
 

@@ -53,14 +53,6 @@ class KVStoreError(ReproError):
     """Base class for key-value store failures."""
 
 
-class TableNotFoundError(KVStoreError):
-    """Operation against a table that does not exist."""
-
-
-class TableExistsError(KVStoreError):
-    """Attempt to create a table that already exists."""
-
-
 class RegionError(KVStoreError):
     """A key was routed to a region that does not own it."""
 
@@ -155,10 +147,6 @@ class ShardUnavailableError(ClusterError, TransientError):
     def __init__(self, message: str, partition=None):
         super().__init__(message)
         self.partition = partition
-
-
-class WorkerProtocolError(ClusterError, FatalError):
-    """A shard worker sent a malformed or out-of-contract message."""
 
 
 class OverloadedError(ClusterError):

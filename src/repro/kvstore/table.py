@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import KVStoreError
 from repro.kvstore.cache import ObjectLRUCache, scan_block_cache
@@ -159,14 +159,6 @@ class KVTable:
         self.metrics.puts += 1
         if region.row_count > self.max_region_rows:
             self._split_region(idx)
-
-    def batch_put(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Apply puts in bulk; returns the number written."""
-        count = 0
-        for key, value in items:
-            self.put(key, value)
-            count += 1
-        return count
 
     def delete(self, key: bytes) -> None:
         key = bytes(key)

@@ -36,11 +36,10 @@ from collections import deque
 from multiprocessing.connection import wait as _mp_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batch import normalise_thresholds
 from repro.core.engine import QUERY_PARAMETER, TraSS
 from repro.core.executor import CircuitBreaker, ScanReport
 from repro.core.local_filter import LocalFilterStats
-from repro.core.pruning import PruningResult
+from repro.core.pruning import PruningResult, normalise_thresholds
 from repro.core.threshold import ThresholdSearchResult
 from repro.core.topk import TopKSearchResult, check_k
 from repro.exceptions import ClusterError, DegradedResult

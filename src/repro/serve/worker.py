@@ -23,11 +23,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.engine import TraSS
 from repro.core.config import TraSSConfig
-from repro.core.threshold import ThresholdSearchResult, scan_and_refine
+from repro.core.threshold import scan_and_refine
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
 from repro.serve.protocol import (
@@ -82,34 +82,6 @@ def build_worker_engine(spec: WorkerSpec) -> TraSS:
     return engine
 
 
-def threshold_partial(
-    engine: TraSS,
-    owned_salts: Sequence[int],
-    query: Trajectory,
-    eps: float,
-    measure,
-    index_ranges: Sequence[Tuple[int, int]],
-) -> ThresholdSearchResult:
-    """This shard's share of Algorithm 3.
-
-    The coordinator already ran global pruning, so the worker gets the
-    planned index-value ranges and runs the scan-and-refine half of the
-    single-process query — the very function
-    :func:`repro.core.threshold.threshold_search` runs — restricted to
-    its *owned* salts, so a merged set of partials is field-for-field
-    the single-process result.
-    """
-    return scan_and_refine(
-        engine.store,
-        measure,
-        query,
-        eps,
-        [IndexRange(start, stop) for start, stop in index_ranges],
-        engine.tracer,
-        shards=owned_salts,
-    )
-
-
 def worker_stats(engine: TraSS, spec: WorkerSpec) -> dict:
     """The worker's observability snapshot — the heartbeat payload.
 
@@ -155,14 +127,18 @@ def _handle(engine: TraSS, spec: WorkerSpec, request: Request) -> Reply:
     measure = engine._resolve_measure(payload.get("measure"))
     before = engine.metrics.snapshot()
     if request.kind == KIND_THRESHOLD:
-        result = threshold_partial(
-            engine,
-            spec.owned_salts,
-            query,
-            payload["eps"],
+        # The coordinator planned: run the single-process query's
+        # scan-and-refine half, restricted to the owned salts, so the
+        # merged partials are field-for-field the single-process result.
+        result = scan_and_refine(
+            engine.store,
             measure,
-            payload["ranges"],
-        )
+            [query],
+            [payload["eps"]],
+            [[IndexRange(start, stop) for start, stop in payload["ranges"]]],
+            engine.tracer,
+            shards=spec.owned_salts,
+        )[0]
     elif request.kind == KIND_TOPK:
         # Top-k plans adaptively, so there is no coordinator plan to
         # share: each worker runs the full best-first search on its own

@@ -7,18 +7,26 @@ The contracts under test:
   under masked fault injection;
 * ``range_merge_gap`` coalesces near-adjacent ranges without changing
   answers (it can only add scanned rows), and survives a save/load
-  round trip.
+  round trip;
+* there is one scan path: a single query is a batch of one, a batch
+  decodes each row once, and its counters are the sums of its queries
+  run one at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import TraSS, TraSSConfig
+from repro.core.storage import INTEGER_KEYS, STRING_KEYS
+from repro.core.threshold import _shared_plan, scan_and_refine
 from repro.exceptions import QueryError
+from repro.kvstore.table import ScanRange
 
 from .conftest import BEIJING, make_walk
 
@@ -190,3 +198,184 @@ def test_save_load_roundtrip(tmp_path, small_dataset):
     assert loaded.pruner.range_merge_gap == 3
     got = loaded.threshold_search(query, 0.02)
     assert got.answers == expected.answers
+
+
+# ----------------------------------------------------------------------
+# One scan path: a single query is a batch of one, and a batch's
+# counters are the sums its queries would record one at a time
+# ----------------------------------------------------------------------
+_BATCH_CONFIG = dict(
+    bounds=BEIJING, max_resolution=12, dp_tolerance=0.002, shards=4
+)
+
+#: counters a shared scan must leave at the sequential sums
+_ADDITIVE = ("filter_evaluations", "filter_rejections", "rows_returned")
+
+
+def _walks(prefix, count, seed, **kwargs):
+    rng = random.Random(seed)
+    return [make_walk(f"{prefix}{i}", rng, **kwargs) for i in range(count)]
+
+
+def _comparable(result):
+    """Every result field but the wall-clock timings."""
+    return (
+        result.answers,
+        result.candidates,
+        result.retrieved_rows,
+        result.pruning,
+        result.resilience,
+        result.filter_stats,
+    )
+
+
+def _delta(engine, run):
+    before = engine.metrics.snapshot()
+    out = run()
+    return out, engine.metrics.diff(before)
+
+
+@pytest.mark.parametrize("key_encoding", [INTEGER_KEYS, STRING_KEYS])
+@pytest.mark.parametrize("cache_mb", [0, 16])
+@pytest.mark.parametrize("measure", ["frechet", "hausdorff", "dtw"])
+def test_batch_counters_are_sequential_sums(
+    batch_queries, measure, cache_mb, key_encoding
+):
+    queries = batch_queries[:16]
+    engine = TraSS.build(
+        _walks("t", 200, 21),
+        TraSSConfig(cache_mb=cache_mb, **_BATCH_CONFIG),
+        key_encoding,
+    )
+    expected, sequential = _delta(
+        engine,
+        lambda: [engine.threshold_search(q, 0.02, measure=measure)
+                 for q in queries],
+    )
+    results, batch = _delta(
+        engine,
+        lambda: engine.threshold_search_many(queries, 0.02, measure=measure),
+    )
+    _assert_same(expected, results)
+    assert batch["batch_rows_shared"] > 0
+    assert (
+        batch["rows_scanned"] + batch["batch_rows_shared"]
+        == sequential["rows_scanned"]
+    )
+    for name in _ADDITIVE:
+        assert batch[name] == sequential[name], name
+
+
+def test_batch_decodes_each_row_once(batch_queries):
+    engine = TraSS.build(
+        _walks("t", 200, 21), TraSSConfig(cache_mb=16, **_BATCH_CONFIG)
+    )
+    _, delta = _delta(
+        engine, lambda: engine.threshold_search_many(batch_queries, 0.02)
+    )
+    assert delta["batch_rows_shared"] > 0
+    lookups = delta["record_cache_hits"] + delta["record_cache_misses"]
+    assert lookups == delta["rows_scanned"]
+
+
+@pytest.mark.parametrize("key_encoding", [INTEGER_KEYS, STRING_KEYS])
+def test_batch_of_one_is_the_single_query(batch_queries, key_encoding):
+    data = _walks("t", 200, 21)
+    config = TraSSConfig(cache_mb=16, **_BATCH_CONFIG)
+    single = TraSS.build(data, config, key_encoding)
+    batched = TraSS.build(data, config, key_encoding)
+    for query in batch_queries[:6]:
+        want, want_io = _delta(
+            single, lambda: single.threshold_search(query, 0.02)
+        )
+        got, got_io = _delta(
+            batched, lambda: batched.threshold_search_many([query], 0.02)
+        )
+        assert len(got) == 1
+        assert _comparable(got[0]) == _comparable(want)
+        assert got_io == want_io
+
+
+def test_shard_subsets_partition_the_single_query(batch_engine, batch_queries):
+    """The worker's call: a batch of one restricted to owned salts.  The
+    partials over a partition of the salts add up to the all-salts
+    result, I/O included."""
+    store, measure = batch_engine.store, batch_engine.measure
+    for query in batch_queries[:6]:
+        plan = batch_engine.plan(query, 0.02)
+        full, full_io = _delta(
+            batch_engine,
+            lambda: scan_and_refine(
+                store, measure, [query], [0.02], [plan.ranges]
+            )[0],
+        )
+        answers, candidates, rows, total = {}, 0, 0, 0
+        io = dict.fromkeys(full_io, 0)
+        for owned in ([0, 2], [1, 3]):
+            (part,), part_io = _delta(
+                batch_engine,
+                lambda: scan_and_refine(
+                    store, measure, [query], [0.02], [plan.ranges],
+                    shards=owned,
+                ),
+            )
+            assert answers.keys().isdisjoint(part.answers)
+            answers.update(part.answers)
+            candidates += part.candidates
+            rows += part.retrieved_rows
+            total += part.resilience.ranges_total
+            for name, value in part_io.items():
+                io[name] += value
+        assert answers == full.answers
+        assert candidates == full.candidates
+        assert rows == full.retrieved_rows
+        assert total == full.resilience.ranges_total
+        for name in ("rows_scanned", "range_seeks", *_ADDITIVE):
+            assert io[name] == full_io[name], name
+
+
+# ----------------------------------------------------------------------
+# The shared plan: merged ranges and per-key subscribers
+# ----------------------------------------------------------------------
+_key = st.integers(0, 40)
+
+
+def _one_query_ranges(bounds):
+    """Disjoint, non-touching ranges, as one query's plan is."""
+    cuts = sorted(set(bounds))
+    return [
+        ScanRange(bytes([lo]), bytes([hi]))
+        for lo, hi in zip(cuts[::3], cuts[1::3])
+    ]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.lists(_key, max_size=12), min_size=1, max_size=5))
+def test_shared_plan_covers_the_union_and_routes_every_key(bounds):
+    pairs = [_one_query_ranges(b) for b in bounds]
+    plan, holders, ends, subscribers = _shared_plan(pairs)
+    assert len(ends) == len(subscribers)
+    # every query range lies inside the merged range said to hold it
+    for own, held in zip(pairs, holders):
+        assert len(held) == len(own)
+        for r, g in zip(own, held):
+            assert plan[g].start <= r.start and r.stop <= plan[g].stop
+    # merged ranges are sorted, disjoint and non-touching
+    for a, b in zip(plan, plan[1:]):
+        assert a.stop < b.start
+    for k in range(42):
+        key = bytes([k])
+        wanted = tuple(
+            qid
+            for qid, own in enumerate(pairs)
+            if any(r.start <= key < r.stop for r in own)
+        )
+        in_plan = any(r.start <= key < r.stop for r in plan)
+        assert in_plan == bool(wanted)
+        if in_plan:
+            assert subscribers[bisect_right(ends, key)] == wanted
+    # a query alone keeps its own ranges and has one segment (the
+    # general merge, no special case)
+    if len(pairs) == 1 and pairs[0]:
+        assert plan == pairs[0]
+        assert subscribers == [(0,)]

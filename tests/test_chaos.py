@@ -199,6 +199,34 @@ class TestDegradedMode:
         assert result.skipped_ranges == occupied
         assert not result.answers
 
+    def test_batch_reports_each_querys_own_skipped_ranges(self):
+        """A shared scan does not lend a query the skipped ranges of the
+        rest of the batch: each result lists its own occupied pairs."""
+        engine, data = build_engine(
+            degraded_mode=True, retry_max_attempts=2
+        )
+        queries = data[:4]
+        engine.install_fault_injector(self._persistent_failure_injector())
+        try:
+            results = engine.threshold_search_many(queries, 0.02)
+        finally:
+            engine.install_fault_injector(None)
+        for query, result in zip(queries, results):
+            planned = engine.store.planned_scan_ranges(
+                engine.pruner.prune(query, 0.02).ranges
+            )
+            occupied = [
+                r
+                for r in planned
+                if engine.store.table.holds_any(r.start, r.stop)
+            ]
+            assert occupied
+            assert result.skipped_ranges == occupied
+            assert result.resilience.ranges_total == len(occupied)
+            assert result.resilience.ranges_completed == 0
+            assert result.completeness == 0.0
+            assert not result.answers
+
     def test_topk_degrades_with_accounting(self):
         engine, data = build_engine(
             degraded_mode=True, retry_max_attempts=2

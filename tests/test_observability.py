@@ -274,6 +274,25 @@ class TestQueryTracing:
         assert engine.tracer is NULL_TRACER
         assert engine.store.executor.tracer is NULL_TRACER
 
+    def test_threshold_batch_span_tree_shape(self, obs_engine):
+        """A batch runs the single query's scan: one prune per query,
+        then one shared scan and one refine."""
+        engine, data = obs_engine
+        queries = data[:3]
+        with engine.traced() as tracer:
+            results = engine.threshold_search_many(queries, 0.02)
+        root = tracer.traces()[-1]
+        assert root.name == "query.threshold_batch"
+        assert [c.name for c in root.children] == [
+            "prune", "prune", "prune", "scan", "refine"
+        ]
+        refine = root.children[-1]
+        assert refine.attrs["refined"] == sum(r.candidates for r in results)
+        assert refine.attrs["answers"] == sum(
+            len(r.answers) for r in results
+        )
+        assert root.attrs["candidates"] == sum(r.candidates for r in results)
+
     def test_scan_range_spans_are_in_plan_order(self, obs_engine):
         engine, data = obs_engine
         with engine.traced() as tracer:
