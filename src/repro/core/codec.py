@@ -7,7 +7,8 @@ representative indexes (``dp-points``) and the covering boxes
 
     u32 n_points | n_points * 2 f64   raw points
     u32 n_rep    | n_rep * u32        DP representative indexes
-    u32 n_boxes  | n_boxes * 8 f64    oriented boxes
+    u32 n_boxes  | n_boxes * 8 f64    oriented boxes (ax, ay, ux, uy,
+                                      hi_a, lo_a, lo_p, hi_p)
     u16 tid_len  | tid bytes          trajectory id (also in the key;
                                       kept in the value so a row is
                                       self-describing)
@@ -23,7 +24,9 @@ A row is read in two steps, in the order the local filter needs it:
   of Lemma 5 need nothing else.
 * :func:`read_coords` unpacks the point column (for the MBR and the
   points) and :func:`decode_tail` the DP columns (representative
-  indexes and boxes); a row rejected on its head never meets either.
+  indexes, and the boxes as flat 8-float frames in
+  ``segment_box_sq_distance`` order); a row rejected on its head never
+  meets either.
 
 Both steps read Table I's bytes where they already are; the layout has
 no header for them.
@@ -38,9 +41,7 @@ import struct
 from typing import List, Sequence, Tuple
 
 from repro.exceptions import KVStoreError
-from repro.features.dp_features import DPFeatures
-from repro.geometry.point import Point
-from repro.geometry.segment import OrientedBox
+from repro.features.dp_features import DPFeatures, Frame
 
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
@@ -50,22 +51,11 @@ _XY = struct.Struct(">2d")
 PointTuple = Tuple[float, float]
 
 
-def _pack_box(box: OrientedBox) -> bytes:
-    return _BOX.pack(
-        box.anchor.x,
-        box.anchor.y,
-        box.axis[0],
-        box.axis[1],
-        box.length,
-        box.lo_along,
-        box.lo_perp,
-        box.hi_perp,
-    )
-
-
-def _unpack_box(data: bytes, offset: int) -> OrientedBox:
-    ax, ay, ux, uy, length, lo_a, lo_p, hi_p = _BOX.unpack_from(data, offset)
-    return OrientedBox(Point(ax, ay), (ux, uy), length, lo_a, lo_p, hi_p)
+def _pack_frame(frame: Frame) -> bytes:
+    """One ``dp-mbrs`` entry; the column stores the along extents as
+    ``hi_a, lo_a`` (``OrientedBox.length, lo_along``)."""
+    ax, ay, ux, uy, lo_a, hi_a, lo_p, hi_p = frame
+    return _BOX.pack(ax, ay, ux, uy, hi_a, lo_a, lo_p, hi_p)
 
 
 def encode_row(
@@ -85,15 +75,12 @@ def encode_row(
         parts.append(
             struct.pack(f">{len(features.rep_indexes)}I", *features.rep_indexes)
         )
-    parts.append(_U32.pack(len(features.boxes)))
-    for box in features.boxes:
-        parts.append(_pack_box(box))
+    parts.append(_U32.pack(len(features.frames)))
+    parts.extend(_pack_frame(frame) for frame in features.frames)
     tid_bytes = tid.encode("utf-8")
     parts.append(_U16.pack(len(tid_bytes)))
     parts.append(tid_bytes)
     return b"".join(parts)
-
-
 
 
 def read_head(data: bytes) -> Tuple[str, PointTuple, PointTuple, int, int, int]:
@@ -135,20 +122,31 @@ def read_coords(data: bytes, n_points: int) -> Tuple[float, ...]:
 
 def decode_tail(
     data: bytes, n_points: int, n_rep: int, n_boxes: int
-) -> Tuple[Tuple[int, ...], Tuple[OrientedBox, ...]]:
-    """The DP columns ``(rep_indexes, boxes)`` of a row whose framing
-    :func:`read_head` has checked; a representative index that names
-    no point raises :class:`KVStoreError`."""
+) -> Tuple[Tuple[int, ...], Tuple[Frame, ...]]:
+    """The DP columns ``(rep_indexes, frames)`` of a row whose framing
+    :func:`read_head` has checked.
+
+    The box column is unpacked with one ``unpack_from`` and regrouped
+    into :data:`~repro.features.dp_features.Frame` tuples; no box object
+    is built.  Counts that ``extract_dp_features`` cannot produce (no
+    representative, or a box count other than ``max(1, n_rep - 1)``)
+    and a representative index that names no point raise
+    :class:`KVStoreError`.
+    """
+    if n_rep < 1 or n_boxes != max(1, n_rep - 1):
+        raise KVStoreError(
+            f"corrupt trajectory row: {n_rep} representative points "
+            f"with {n_boxes} boxes"
+        )
     reps_at = 8 + 16 * n_points
     rep = struct.unpack_from(f">{n_rep}I", data, reps_at)
-    if rep and max(rep) >= n_points:
+    if max(rep) >= n_points:
         raise KVStoreError(
             f"corrupt trajectory row: representative index {max(rep)} "
             f"of {n_points} points"
         )
-    boxes_at = reps_at + 4 * n_rep + 4
-    boxes = tuple(
-        _unpack_box(data, offset)
-        for offset in range(boxes_at, boxes_at + _BOX.size * n_boxes, _BOX.size)
+    v = struct.unpack_from(f">{8 * n_boxes}d", data, reps_at + 4 * n_rep + 4)
+    return rep, tuple(
+        zip(v[0::8], v[1::8], v[2::8], v[3::8],
+            v[5::8], v[4::8], v[6::8], v[7::8])
     )
-    return rep, boxes

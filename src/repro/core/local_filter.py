@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.storage import TrajectoryRecord
 from repro.exceptions import QueryError
-from repro.features.dp_features import extract_dp_features
+from repro.features.dp_features import Frame, LemmaBox, extract_dp_features
+from repro.geometry.segment import admit_reach, segment_box_sq_distance
 from repro.geometry.trajectory import Trajectory
 from repro.kvstore.filters import RowFilter
 from repro.measures.base import Measure
@@ -165,28 +166,29 @@ class LocalFilter:
                     )
                 return False
 
+        # Steps 2-3 read both sides' boxes as flat tuples and compare
+        # with ``admit_reach``: just above eps, by the rounding of the
+        # corner and frame transforms, so rounding can keep a candidate
+        # for refinement but never drop an answer.
+        features = record.features
+        q_features = self.features
+        boxes, scale = features.geometry
+        q_boxes, q_scale = q_features.geometry
+        reach = admit_reach(eps, max(scale, q_scale))
+
         # Step 2 — Lemma 13 in both directions: a representative point
         # is a raw point, so its distance to the other side's box union
         # lower-bounds the similarity distance.
-        features = record.features
-        q_features = self.features
-        if "rep_points" in self.stages:
-            for px, py in features.rep_points:
-                if q_features.point_exceeds_boxes(px, py, eps):
-                    self.stats.rejected_rep_points += 1
-                    if tracer is not None:
-                        tracer.add_event(
-                            "filter.reject", lemma="rep_points", tid=record.tid
-                        )
-                    return False
-            for px, py in q_features.rep_points:
-                if features.point_exceeds_boxes(px, py, eps):
-                    self.stats.rejected_rep_points += 1
-                    if tracer is not None:
-                        tracer.add_event(
-                            "filter.reject", lemma="rep_points", tid=record.tid
-                        )
-                    return False
+        if "rep_points" in self.stages and (
+            points_exceed_boxes(features.rep_points, q_boxes, reach)
+            or points_exceed_boxes(q_features.rep_points, boxes, reach)
+        ):
+            self.stats.rejected_rep_points += 1
+            if tracer is not None:
+                tracer.add_event(
+                    "filter.reject", lemma="rep_points", tid=record.tid
+                )
+            return False
 
         # Step 3 — Lemma 14 in both directions: every box edge carries a
         # raw point of its side.  The stage is quadratic in box counts,
@@ -195,12 +197,12 @@ class LocalFilter:
         # only admits more candidates).
         if (
             "boxes" in self.stages
-            and len(features.boxes) * len(q_features.boxes)
-            <= self.MAX_BOX_PAIRS
+            and len(boxes) * len(q_boxes) <= self.MAX_BOX_PAIRS
         ):
-            if features.exceeds_box_bound(
-                q_features, eps
-            ) or q_features.exceeds_box_bound(features, eps):
+            limit = reach * reach
+            if edges_exceed_boxes(
+                boxes, q_boxes, reach, limit
+            ) or edges_exceed_boxes(q_boxes, boxes, reach, limit):
                 self.stats.rejected_boxes += 1
                 if tracer is not None:
                     tracer.add_event(
@@ -212,6 +214,114 @@ class LocalFilter:
         if tracer is not None:
             tracer.add_event("filter.pass", tid=record.tid)
         return True
+
+
+def points_exceed_boxes(
+    points: Sequence[Tuple[float, float]],
+    boxes: Sequence[LemmaBox],
+    reach: float,
+) -> bool:
+    """Lemma 13: True iff some point is farther than ``reach`` from
+    every box of ``boxes`` (:attr:`DPFeatures.geometry`).
+
+    Per box the envelope gate comes first, then the local-frame test;
+    each uses the float operations of the method it stands for
+    (``MBR.distance_to_point``, ``OrientedBox.distance_to_point``), so
+    every decision is theirs bit for bit.  Their ``max(lo - v, 0.0,
+    v - hi)`` is written as a conditional, which picks the same value
+    because ``lo <= hi`` for envelopes and for both box constructions.
+
+    The filter passes ``admit_reach(eps, scale)``, not ``eps``: an
+    envelope corner or a frame coordinate can round past the raw point
+    it bounds, and compared with ``eps`` itself a trajectory queried with
+    itself at ``eps = 0`` was rejected.
+    """
+    hypot = math.hypot
+    for x, y in points:
+        for (min_x, min_y, max_x, max_y), frame, _ in boxes:
+            dx = min_x - x if x < min_x else (x - max_x if x > max_x else 0.0)
+            dy = min_y - y if y < min_y else (y - max_y if y > max_y else 0.0)
+            if hypot(dx, dy) > reach:
+                continue
+            ax, ay, ux, uy, lo_a, hi_a, lo_p, hi_p = frame
+            rx, ry = x - ax, y - ay
+            a, p = rx * ux + ry * uy, -rx * uy + ry * ux
+            da = lo_a - a if a < lo_a else (a - hi_a if a > hi_a else 0.0)
+            dp = lo_p - p if p < lo_p else (p - hi_p if p > hi_p else 0.0)
+            if hypot(da, dp) <= reach:
+                break
+        else:
+            return True
+    return False
+
+
+def _corner_near(
+    x: float, y: float, frames: Sequence[Frame], limit: float
+) -> bool:
+    """True iff ``(x, y)`` is within ``limit`` (squared) of some frame,
+    by :func:`segment_box_sq_distance`'s own endpoint test."""
+    for ax, ay, ux, uy, lo_a, hi_a, lo_p, hi_p in frames:
+        rx, ry = x - ax, y - ay
+        a, p = rx * ux + ry * uy, ry * ux - rx * uy
+        da = lo_a - a if a < lo_a else (a - hi_a if a > hi_a else 0.0)
+        dp = lo_p - p if p < lo_p else (p - hi_p if p > hi_p else 0.0)
+        if da * da + dp * dp <= limit:
+            return True
+    return False
+
+
+def edges_exceed_boxes(
+    boxes: Sequence[LemmaBox],
+    others: Sequence[LemmaBox],
+    reach: float,
+    limit: float,
+) -> bool:
+    """Lemma 14: True iff some edge of some box of ``boxes`` is farther
+    than ``reach`` (``admit_reach``; ``limit`` is its square) from every
+    box of ``others``.
+
+    Per box, the other side's frames are screened once by envelope gap.
+    Corners are then tested against the near frames (:func:`_corner_near`;
+    two opposite corners first, which admit all four edges when both are
+    near): a corner within ``limit`` of a frame makes
+    :func:`segment_box_sq_distance` return ``<= limit`` for both edges
+    that meet there (its gap test is bounded by either endpoint's
+    distance, and its endpoint test then admits).  Only an edge with both
+    corners outside meets the kernel.
+    """
+    for (min_x, min_y, max_x, max_y), _, corners in boxes:
+        near = [
+            frame
+            for (o_min_x, o_min_y, o_max_x, o_max_y), frame, _ in others
+            if o_min_x - max_x <= reach
+            and min_x - o_max_x <= reach
+            and o_min_y - max_y <= reach
+            and min_y - o_max_y <= reach
+        ]
+        if not near:
+            return True
+        x0, y0, x1, y1, x2, y2, x3, y3 = corners
+        h0 = _corner_near(x0, y0, near, limit)
+        h2 = _corner_near(x2, y2, near, limit)
+        if h0 and h2:
+            continue
+        h1 = _corner_near(x1, y1, near, limit)
+        h3 = _corner_near(x3, y3, near, limit)
+        for admitted, ex0, ey0, ex1, ey1 in (
+            (h0 or h1, x0, y0, x1, y1),
+            (h1 or h2, x1, y1, x2, y2),
+            (h2 or h3, x2, y2, x3, y3),
+            (h3 or h0, x3, y3, x0, y0),
+        ):
+            if admitted:
+                continue
+            for frame in near:
+                d = segment_box_sq_distance(ex0, ey0, ex1, ey1, *frame, limit)
+                if d <= limit:
+                    break
+            else:
+                return True
+    return False
 
 
 def _row_record(key: bytes, value: bytes) -> TrajectoryRecord:

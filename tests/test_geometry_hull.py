@@ -13,6 +13,7 @@ from repro.geometry.hull import (
     min_area_rect,
 )
 from repro.geometry.segment import OrientedBox
+from tests import box_oracle
 
 
 def random_points(rng, n):
@@ -117,7 +118,7 @@ class TestMinAreaFeatures:
         pts = random_points(rng, 40)
         features = extract_dp_features(pts, 0.05, box_mode=MIN_AREA_BOXES)
         for x, y in pts:
-            assert features.point_to_boxes_distance(x, y) <= 1e-9
+            assert box_oracle.point_to_boxes_distance(features, x, y) <= 1e-9
 
     def test_min_area_bound_still_sound(self):
         """Lemma 13/14 bounds under min-area boxes never exceed the
@@ -132,8 +133,8 @@ class TestMinAreaFeatures:
             fb = extract_dp_features(b, 0.05, box_mode=MIN_AREA_BOXES)
             exact = discrete_frechet(a, b)
             for px, py in fa.rep_points:
-                assert fb.point_to_boxes_distance(px, py) <= exact + 1e-9
-            assert fa.box_lower_bound_against(fb) <= exact + 1e-9
+                assert box_oracle.point_to_boxes_distance(fb, px, py) <= exact + 1e-9
+            assert box_oracle.box_lower_bound_against(fa, fb) <= exact + 1e-9
 
     def test_min_area_filter_at_least_as_tight(self):
         """Minimum-area boxes give bounds at least as strong as chord
@@ -152,6 +153,6 @@ class TestMinAreaFeatures:
             fb_c = extract_dp_features(b, 0.03)
             fa_m = extract_dp_features(a, 0.03, box_mode=MIN_AREA_BOXES)
             fb_m = extract_dp_features(b, 0.03, box_mode=MIN_AREA_BOXES)
-            chord_bounds.append(fa_c.box_lower_bound_against(fb_c))
-            min_bounds.append(fa_m.box_lower_bound_against(fb_m))
+            chord_bounds.append(box_oracle.box_lower_bound_against(fa_c, fb_c))
+            min_bounds.append(box_oracle.box_lower_bound_against(fa_m, fb_m))
         assert sum(min_bounds) >= sum(chord_bounds) - 1e-6

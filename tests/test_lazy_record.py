@@ -36,9 +36,11 @@ from repro.core.storage import (
 from repro.data.generators import tdrive_like
 from repro.features.dp_features import extract_dp_features
 from repro.geometry.mbr import MBR
+from repro.geometry.segment import admit_reach
 from repro.geometry.trajectory import Trajectory
 from repro.index.bounds import SpaceBounds
 from repro.measures import get_measure
+from tests import box_oracle
 
 THETA = 0.01
 BOX_MODES = ("chord", "min_area")
@@ -69,7 +71,7 @@ def assert_same_record(record, tid, points, features):
     got = record.features
     assert got.rep_indexes == features.rep_indexes
     assert got.rep_points == features.rep_points
-    assert got.boxes == features.boxes
+    assert got.frames == features.frames
 
 
 # ----------------------------------------------------------------------
@@ -275,13 +277,17 @@ def eager_stats(query, rows, measure, eps, stages):
             ):
                 stats.rejected_start_end += 1
                 continue
+        # Lemma 13 admits up to ``admit_reach``, as Lemma 14 does.
+        reach = admit_reach(
+            eps, max(box_oracle.box_scale(features), box_oracle.box_scale(q_features))
+        )
         if "rep_points" in stages and (
             any(
-                q_features.point_exceeds_boxes(x, y, eps)
+                box_oracle.point_exceeds_boxes(q_features, x, y, reach)
                 for x, y in features.rep_points
             )
             or any(
-                features.point_exceeds_boxes(x, y, eps)
+                box_oracle.point_exceeds_boxes(features, x, y, reach)
                 for x, y in q_features.rep_points
             )
         ):
@@ -289,11 +295,11 @@ def eager_stats(query, rows, measure, eps, stages):
             continue
         if (
             "boxes" in stages
-            and len(features.boxes) * len(q_features.boxes)
+            and features.num_boxes * q_features.num_boxes
             <= LocalFilter.MAX_BOX_PAIRS
             and (
-                features.exceeds_box_bound(q_features, eps)
-                or q_features.exceeds_box_bound(features, eps)
+                box_oracle.exceeds_box_bound(features, q_features, eps)
+                or box_oracle.exceeds_box_bound(q_features, features, eps)
             )
         ):
             stats.rejected_boxes += 1

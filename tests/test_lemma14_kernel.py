@@ -15,6 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import SpaceBounds, TraSS, TraSSConfig, Trajectory
+from repro.core.codec import encode_row
+from repro.core.local_filter import (
+    LocalFilter,
+    edges_exceed_boxes,
+    points_exceed_boxes,
+)
+from repro.core.storage import TrajectoryRecord
+from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
+from repro.data.noise import jitter
 from repro.features.dp_features import (
     MIN_AREA_BOXES,
     DPFeatures,
@@ -29,6 +38,7 @@ from repro.geometry.segment import (
     segment_box_sq_distance,
 )
 from repro.measures import get_measure
+from tests import box_oracle
 
 MEASURES = ["frechet", "hausdorff", "dtw"]
 
@@ -176,7 +186,7 @@ class TestKernelCases:
             for mode in ("chord", MIN_AREA_BOXES):
                 fa = extract_dp_features(pts, 0.05, box_mode=mode)
                 fb = extract_dp_features(list(pts), 0.05, box_mode=mode)
-                assert fa.exceeds_box_bound(fb, 0.0) is False
+                assert box_oracle.exceeds_box_bound(fa, fb, 0.0) is False
 
 
 # ----------------------------------------------------------------------
@@ -196,19 +206,35 @@ def random_boxes(rng, n):
 def test_envelopes_bit_identical_to_corner_mbr():
     rng = random.Random(19)
     boxes = random_boxes(rng, 200)
-    features = DPFeatures(rep_indexes=(), rep_points=(), boxes=tuple(boxes))
+    features = DPFeatures(
+        rep_indexes=(), rep_points=(), frames=tuple(b.frame() for b in boxes)
+    )
     want = [MBR.of_points(reference_corners(box)) for box in boxes]
-    assert list(features.envelopes) == want
+    assert [MBR(*env) for env, _, _ in features.geometry.boxes] == want
+    assert list(box_oracle.envelopes(features)) == want
     assert [box.mbr() for box in boxes] == want
+    # The flat corners are ``corner_coords``'s, bit for bit.
+    assert [c for _, _, c in features.geometry.boxes] == [
+        box.corner_coords() for box in boxes
+    ]
 
 
 def test_box_geometry_is_lazy_and_kept():
-    features = extract_dp_features([(0, 0), (1, 0.4), (2, 0), (3, 0.5)], 0.01)
-    assert "_box_geometry" not in features.__dict__
-    assert "envelopes" not in features.__dict__
-    features.exceeds_box_bound(features, 0.1)
-    assert features._box_geometry is features._box_geometry
-    assert len(features.envelopes) == features.num_boxes
+    points = [(0, 0), (1, 0.4), (2, 0), (3, 0.5)]
+    features = extract_dp_features(points, 0.01)
+    assert "geometry" not in features.__dict__
+    box_oracle.exceeds_box_bound(features, features, 0.1)
+    assert "geometry" not in features.__dict__
+    local = LocalFilter(
+        Trajectory("q", points), get_measure("frechet"), 0.1, 0.01
+    )
+    record = TrajectoryRecord.from_row(encode_row("t", points, features))
+    assert local.passes(record)
+    geometry = record.features.geometry
+    assert local.passes(record)
+    assert record.features.geometry is geometry
+    assert local.features.geometry is local.features.geometry
+    assert len(geometry.boxes) == features.num_boxes
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +262,10 @@ def test_lemma14_sound_for_every_measure(q, t, measure, theta, box_mode):
     # At, just above and well above the exact distance the pair is an
     # answer, so neither direction may prove it exceeds.
     for eps in (exact, exact * (1 + 1e-9) + 1e-12, exact * 2 + 0.1):
-        assert not fq.exceeds_box_bound(ft, eps)
-        assert not ft.exceeds_box_bound(fq, eps)
-    assert fq.box_lower_bound_against(ft) <= exact + 1e-9
-    assert ft.box_lower_bound_against(fq) <= exact + 1e-9
+        assert not box_oracle.exceeds_box_bound(fq, ft, eps)
+        assert not box_oracle.exceeds_box_bound(ft, fq, eps)
+    assert box_oracle.box_lower_bound_against(fq, ft) <= exact + 1e-9
+    assert box_oracle.box_lower_bound_against(ft, fq) <= exact + 1e-9
 
 
 @given(unit_points, unit_points, st.floats(min_value=0.0, max_value=1.0))
@@ -247,9 +273,9 @@ def test_lemma14_sound_for_every_measure(q, t, measure, theta, box_mode):
 def test_decision_agrees_with_bound_value(q, t, eps):
     fq = extract_dp_features(q, 0.01)
     ft = extract_dp_features(t, 0.01)
-    bound = fq.box_lower_bound_against(ft)
+    bound = box_oracle.box_lower_bound_against(fq, ft)
     if abs(bound - eps) > 1e-9:
-        assert fq.exceeds_box_bound(ft, eps) == (bound > eps)
+        assert box_oracle.exceeds_box_bound(fq, ft, eps) == (bound > eps)
 
 
 # ----------------------------------------------------------------------
@@ -294,3 +320,215 @@ def test_threshold_at_exact_distance_keeps_the_trajectory(
             s.tid for s in boundary_data if m.distance(q.points, s.points) <= eps
         }
         assert set(result.answers) == want
+
+
+# ----------------------------------------------------------------------
+# The flat kernel against the object oracle: every Lemma 13 and Lemma 14
+# decision, in both directions, is the object path's, bit for bit.
+# ----------------------------------------------------------------------
+ORACLE_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def lemma_cases(draw):
+    """A query and a stored row drawn from one pool of grid points (so
+    duplicates, stationary runs and near misses are common), shifted to
+    magnitude 1e6 or not; single-point trajectories included.  The
+    threshold is 0, a free draw, or an exact Lemma 13 / Lemma 14 value
+    of the pair and its float neighbours, so ties are exercised."""
+    offset = draw(st.sampled_from((0.0, 1.0e6, -3.0e6)))
+    pool = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=10))
+    index = st.integers(0, len(pool) - 1)
+    q, t = (
+        [
+            (offset + pool[i][0], offset + pool[i][1])
+            for i in draw(st.lists(index, min_size=1, max_size=16))
+        ]
+        for _ in range(2)
+    )
+    theta = draw(st.sampled_from((0.0, 0.01, 0.1)))
+    box_mode = draw(st.sampled_from(("chord", MIN_AREA_BOXES)))
+    fq = extract_dp_features(q, theta, box_mode=box_mode)
+    # The stored side goes through the row codec, as a scanned row does.
+    ft = TrajectoryRecord.from_row(
+        encode_row("t", t, extract_dp_features(t, theta, box_mode=box_mode))
+    ).features
+    anchors = [
+        box_oracle.point_to_boxes_distance(fq, *ft.rep_points[0]),
+        box_oracle.point_to_boxes_distance(ft, *fq.rep_points[-1]),
+        box_oracle.box_lower_bound_against(fq, ft),
+        box_oracle.box_lower_bound_against(ft, fq),
+    ]
+    anchor = draw(st.sampled_from(anchors))
+    eps = draw(
+        st.one_of(
+            st.just(0.0),
+            st.just(anchor),
+            st.just(math.nextafter(anchor, math.inf)),
+            st.just(max(0.0, math.nextafter(anchor, -math.inf))),
+            st.floats(0.0, 0.5),
+        )
+    )
+    return q, t, fq, ft, eps
+
+
+def pair_reach(fa, fb, eps):
+    """The threshold both lemmas compare with: ``admit_reach`` at the
+    pair's coordinate scale."""
+    return admit_reach(eps, max(fa.geometry.scale, fb.geometry.scale))
+
+
+@ORACLE_PROPERTY
+@given(case=lemma_cases())
+def test_flat_lemmas_decide_as_the_object_oracle(case):
+    q, t, fq, ft, eps = case
+    reach = pair_reach(fq, ft, eps)
+    assert reach == admit_reach(
+        eps, max(box_oracle.box_scale(fq), box_oracle.box_scale(ft))
+    )
+    for mine, points, theirs in ((fq, q, ft), (ft, t, fq)):
+        boxes = theirs.geometry.boxes
+        # Lemma 13, per point: representative points and every raw one,
+        # at the pair's reach and at eps itself.
+        for x, y in mine.rep_points + tuple(points):
+            for threshold in (reach, eps):
+                assert points_exceed_boxes(
+                    ((x, y),), boxes, threshold
+                ) == box_oracle.point_exceeds_boxes(theirs, x, y, threshold)
+        assert points_exceed_boxes(mine.rep_points, boxes, reach) == any(
+            box_oracle.point_exceeds_boxes(theirs, x, y, reach)
+            for x, y in mine.rep_points
+        )
+        # Lemma 14, this side's edges against the other side's boxes.
+        assert edges_exceed_boxes(
+            mine.geometry.boxes, boxes, reach, reach * reach
+        ) == box_oracle.exceeds_box_bound(mine, theirs, eps)
+
+
+@ORACLE_PROPERTY
+@given(case=lemma_cases(), probe=st.tuples(unit, unit))
+def test_flat_lemma13_rejects_only_points_beyond_eps(case, probe):
+    """Soundness: a point the flat loop rejects is farther than eps from
+    every raw point of the side whose boxes rejected it."""
+    q, t, fq, ft, eps = case
+    reach = pair_reach(fq, ft, eps)
+    offset = q[0][0] - (q[0][0] % 1.0)
+    for points, features in ((q, fq), (t, ft)):
+        for x, y in fq.rep_points + ft.rep_points + (
+            (offset + probe[0], offset + probe[1]),
+        ):
+            if points_exceed_boxes(((x, y),), features.geometry.boxes, reach):
+                assert all(math.hypot(x - px, y - py) > eps for px, py in points)
+
+
+@pytest.mark.parametrize("box_mode", ["chord", MIN_AREA_BOXES])
+@pytest.mark.parametrize("measure", MEASURES)
+def test_duplicate_at_eps_zero_is_an_answer(box_mode, measure):
+    """A corner of a box envelope rounds past the raw point it came
+    from; Lemma 13 compared with eps itself then rejected a stored
+    trajectory queried with itself at eps = 0."""
+    t = Trajectory("t", [(9.5367431640625e-07, 0.0016946792602539062), (0.0, 0.0)])
+    cfg = TraSSConfig(
+        bounds=SpaceBounds(0, 0, 1, 1),
+        max_resolution=8,
+        shards=1,
+        box_mode=box_mode,
+    )
+    result = TraSS.build([t], cfg).threshold_search(t, 0.0, measure=measure)
+    assert result.answers == {"t": 0.0}
+    assert result.filter_stats.rejected_rep_points == 0
+
+
+# ----------------------------------------------------------------------
+# The read path builds no box object, and a whole query on the flat
+# kernel tallies and answers exactly as on the object oracle.
+# ----------------------------------------------------------------------
+def fleet():
+    """Jittered copies of a few routes beside background trips, so many
+    rows survive Lemmas 5 and 12 and meet Lemmas 13-14."""
+    routes = tdrive_like(8, seed=23)
+    data = list(tdrive_like(40, seed=29))
+    for r, route in enumerate(routes):
+        for c in range(5):
+            data.append(jitter(route, 0.002, seed=100 * r + c, tid=f"r{r}c{c}"))
+    return routes, data
+
+
+@pytest.fixture(scope="module")
+def fleet_stores(tmp_path_factory):
+    routes, data = fleet()
+    cfg = TraSSConfig(
+        bounds=TDRIVE_BOUNDS, max_resolution=12, shards=2, cache_mb=0
+    )
+    memtable = TraSS.build(data, cfg)
+    flushed = TraSS.build(data, cfg)
+    flushed.store.table.flush_all()
+    directory = str(tmp_path_factory.mktemp("fleet_seg"))
+    TraSS.build(data, cfg).save(directory)
+    segment = TraSS.load(directory)
+    queries = [jitter(r, 0.0005, seed=7 + i, tid=f"q{i}") for i, r in enumerate(routes)]
+    return {"memtable": memtable, "flushed": flushed, "segment": segment}, queries
+
+
+def run_queries(engine, queries):
+    """Per query and setting: (answers, filter stats) of threshold and
+    top-k queries over every measure."""
+    out = []
+    for measure in MEASURES:
+        for q in queries:
+            for eps in (0.0, 0.003, 0.01, 0.05):
+                r = engine.threshold_search(q, eps, measure=measure)
+                out.append((r.answers, r.filter_stats.as_dict()))
+            r = engine.topk_search(q, 5, measure=measure)
+            out.append((r.answers, r.filter_stats.as_dict()))
+    return out
+
+
+@pytest.mark.parametrize("store", ["memtable", "flushed", "segment"])
+def test_read_path_builds_no_box_objects(fleet_stores, store, monkeypatch):
+    engines, queries = fleet_stores
+    engine = engines[store]
+    armed = []
+
+    def forbid(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            if armed:
+                raise AssertionError(f"{cls.__name__} built inside the scan")
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    forbid(OrientedBox)
+    forbid(MBR)
+    production = LocalFilter.passes
+
+    def guarded(self, record):
+        # Lemma 5's one MBR per row (query and record) is not a box.
+        self.query.mbr
+        record.mbr
+        armed.append(True)
+        try:
+            return production(self, record)
+        finally:
+            armed.pop()
+
+    monkeypatch.setattr(LocalFilter, "passes", guarded)
+    flat = run_queries(engine, queries)
+    # The guard is live: a box built while armed raises.
+    armed.append(True)
+    with pytest.raises(AssertionError, match="built inside the scan"):
+        OrientedBox.cover([(0.0, 0.0), (1.0, 1.0)])
+    armed.pop()
+
+    monkeypatch.setattr(LocalFilter, "passes", box_oracle.oracle_passes)
+    oracle = run_queries(engine, queries)
+    assert len(flat) == len(oracle)
+    for (f_answers, f_stats), (o_answers, o_stats) in zip(flat, oracle):
+        assert f_answers == o_answers
+        for name, value in f_stats.items():
+            assert value == o_stats[name], name
+    # The data reaches Lemmas 13-14 and they reject.
+    assert sum(s["passed"] for _, s in flat) > 0
+    assert sum(s["rejected_rep_points"] + s["rejected_boxes"] for _, s in flat) > 0

