@@ -14,6 +14,7 @@ functional engines.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.codec import decode_tail, encode_row, read_coords, read_head
@@ -22,7 +23,7 @@ from repro.core.executor import ResilientExecutor
 from repro.exceptions import KVStoreError, QueryError
 from repro.features.dp_features import DPFeatures, extract_dp_features
 from repro.geometry.mbr import MBR
-from repro.geometry.trajectory import Trajectory
+from repro.geometry.trajectory import Columns, Trajectory
 from repro.index.ranges import IndexRange
 from repro.index.xzstar import XZStarIndex
 from repro.kvstore.metrics import IOMetrics
@@ -83,11 +84,22 @@ class TrajectoryRecord:
         return coords
 
     @property
+    def columns(self) -> Columns:
+        """The x and y coordinates as two float tuples, sliced from the
+        flat coordinates decoded once: what the measures' kernels index.
+
+        Sliced on each read rather than kept: two slices cost less than
+        a kernel's first row, and keeping them on every refined record
+        raised peak RSS on ``ingest_reopen`` by ~3 MB.
+        """
+        coords = self._flat_coords()
+        return coords[0::2], coords[1::2]
+
+    @property
     def mbr(self) -> MBR:
         mbr = self._mbr
         if mbr is None:
-            coords = self._flat_coords()
-            xs, ys = coords[0::2], coords[1::2]
+            xs, ys = self.columns
             mbr = self._mbr = MBR(min(xs), min(ys), max(xs), max(ys))
         return mbr
 
@@ -95,8 +107,7 @@ class TrajectoryRecord:
     def points(self) -> Tuple[Tuple[float, float], ...]:
         points = self._points
         if points is None:
-            coords = self._flat_coords()
-            points = self._points = tuple(zip(coords[0::2], coords[1::2]))
+            points = self._points = tuple(zip(*self.columns))
         return points
 
     @property
@@ -140,8 +151,12 @@ class TrajectoryStore:
         #: (retry / backoff / circuit breaker / degraded mode)
         self.executor = ResilientExecutor.from_config(self.table, self.config)
         self.trajectory_count = 0
-        #: index value -> number of stored trajectories (distribution stats)
+        #: index value -> number of stored trajectories; written only by
+        #: :meth:`_count_value`
         self.value_histogram: Dict[int, int] = {}
+        #: the histogram's keys, sorted (the occupied index values);
+        #: ``None`` after a new value until the read path next needs it
+        self._occupied: Optional[List[int]] = None
         #: decoded-record cache; ``None`` when ``config.cache_mb == 0``
         self.record_cache = None
         self._wire_caches()
@@ -249,7 +264,24 @@ class TrajectoryStore:
 
     def _record_put(self, value: int) -> None:
         self.trajectory_count += 1
-        self.value_histogram[value] = self.value_histogram.get(value, 0) + 1
+        self._count_value(value)
+
+    def _count_value(self, value: int, count: int = 1) -> None:
+        """The one writer of ``value_histogram``: every put, and on
+        :meth:`load` every persisted or re-scanned row, is counted here.
+
+        Invariant: the histogram's keys include the index value of every
+        key in the table.  The store is the table's only writer and has
+        no delete, so a value counted here stays occupied; the read path
+        bisects these keys (:meth:`holds_index_values`) instead of
+        walking the table.
+        """
+        histogram = self.value_histogram
+        if value in histogram:
+            histogram[value] += count
+        else:
+            histogram[value] = count
+            self._occupied = None
 
     def put(self, trajectory: Trajectory) -> int:
         """Index, featurise and store one trajectory; returns its value."""
@@ -312,30 +344,38 @@ class TrajectoryStore:
         """The planned pairs of :meth:`planned_scan_ranges` that the
         table cannot prove empty, in the same order.
 
-        Most ``(range, salt)`` pairs hold no key; ``KVTable.holds_any``
-        drops those before a ``ScanRange`` is built, so they cost no
-        seek.  A dropped pair holds no row, hence no answer.
+        Most ``(range, salt)`` pairs hold no key.  A range holding no
+        occupied index value is dropped first, by one bisect, without
+        packing a key; only the ranges left are mapped to row keys and
+        checked salt by salt with ``KVTable.holds_any``.  A dropped pair
+        holds no row, hence no answer, and costs no seek.
         """
+        holds = self.holds_index_values
+        kept = [r for r in ranges if holds(r.start, r.stop)]
+        if not kept:
+            return []
         holds_any = self.table.holds_any
         return [
             ScanRange(start, stop)
-            for start, stop in self._key_ranges(ranges, shards)
+            for start, stop in self._key_ranges(kept, shards)
             if holds_any(start, stop)
         ]
 
     def holds_index_values(self, start: int, stop: int) -> bool:
-        """Whether some salt's copy of index values ``[start, stop)``
-        holds a key, live or tombstone.
+        """Whether some stored trajectory has an index value in
+        ``[start, stop)``: one bisect over the occupied values, no key
+        packed and no table walked.
 
-        False proves the values hold no row in any shard, so top-k
-        queues neither an empty element subtree nor an empty code
-        block.  Like :meth:`scan_ranges_for` it reads run metadata only.
+        False proves the values hold no row in any shard (the invariant
+        of :meth:`_count_value`), so top-k queues neither an empty
+        element subtree nor an empty code block, and no segment block is
+        decoded to learn it.
         """
-        holds_any = self.table.holds_any
-        return any(
-            holds_any(lo, hi)
-            for lo, hi in self._key_ranges([IndexRange(start, stop)], None)
-        )
+        occupied = self._occupied
+        if occupied is None:
+            occupied = self._occupied = sorted(self.value_histogram)
+        i = bisect_left(occupied, start)
+        return i < len(occupied) and occupied[i] < stop
 
     def _key_ranges(
         self,
@@ -501,8 +541,10 @@ class TrajectoryStore:
     def load(cls, directory: str) -> "TrajectoryStore":
         """Restore a store saved with :meth:`save`.
 
-        The value histogram and trajectory count are rebuilt from the
-        table, so statistics survive the round trip.
+        The value histogram and trajectory count come from the
+        persisted statistics, or are rebuilt from the table when a WAL
+        tail exists, so statistics (and the occupied index values the
+        read path bisects) survive the round trip.
         """
         import os
 
@@ -534,17 +576,11 @@ class TrajectoryStore:
             # them keeps mmap segments lazy: no full-table scan, no
             # block materialisation at load time.
             store.trajectory_count = int(stats["trajectory_count"])
-            store.value_histogram = {
-                int(value): count
-                for value, count in stats["value_histogram"].items()
-            }
+            for value, count in stats["value_histogram"].items():
+                store._count_value(int(value), count)
         else:
             for key, value in store.table.full_scan():
-                record = store.decode_record(key, value)
-                store.trajectory_count += 1
-                store.value_histogram[record.index_value] = (
-                    store.value_histogram.get(record.index_value, 0) + 1
-                )
+                store._record_put(store.decode_record(key, value).index_value)
         # Wired after the statistics rebuild scan above, so that scan
         # does not smear synthetic heat across the restored heatmap.
         store._wire_telemetry()

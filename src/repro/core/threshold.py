@@ -256,7 +256,6 @@ def scan_and_refine(
     # measures in one pass.
     answers: List[Dict[str, float]] = [{} for _ in queries]
     candidates = [0] * len(queries)
-    points = [query.points for query in queries]
     eps_of = list(eps_list)
     accepted = row_filter.accepted
     distance_within = measure.distance_within
@@ -270,7 +269,7 @@ def scan_and_refine(
             record, qids = accepted[key]
             for qid in qids:
                 candidates[qid] += 1
-                dist = distance_within(points[qid], record.points, eps_of[qid])
+                dist = distance_within(queries[qid], record, eps_of[qid])
                 if dist is None:
                     abandoned += 1
                 else:

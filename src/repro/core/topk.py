@@ -38,13 +38,17 @@ set the k-th distance.
 
 The search walks only occupied space.  XZ* numbers index spaces
 depth-first, so an element's subtree and its own code block are each
-one contiguous value range, and the store answers from run metadata
-whether any salt's copy holds a key
-(:meth:`~repro.core.storage.TrajectoryStore.holds_index_values`).  An
+one contiguous value range, and the store answers whether any stored
+trajectory has a value in it with one bisect over its sorted occupied
+index values
+(:meth:`~repro.core.storage.TrajectoryStore.holds_index_values`): no
+row key is packed, no salt walked and no segment block decoded.  An
 element whose subtree is empty is never queued; an expanded element
 whose code block is empty emits no code unit but still descends or
 collapses.  A range without a key holds no row, hence no answer, and
-dropping it can only tighten ``eps`` sooner.
+dropping it can only tighten ``eps`` sooner.  A unit that is scanned
+still keeps only its salts' occupied key ranges
+(:meth:`~repro.core.storage.TrajectoryStore.scan_ranges_for`).
 
 Every priority is monotone along the tree, so nearest-first order never
 misses a closer trajectory; rows a unit over-fetches are removed by
@@ -280,7 +284,7 @@ def topk_search(
             return  # provably worse than k queued candidates
         upper = math.inf
         if lower < eps:
-            upper = measure.upper_bound(query_points, record.points)
+            upper = measure.upper_bound(query, record)
             best.offer(tid, upper)
         heapq.heappush(cq, (lower, tick, record, upper))
         tick += 1
@@ -292,9 +296,7 @@ def topk_search(
         nonlocal refined
         _, _, record, upper = heapq.heappop(cq)
         refined += 1
-        dist = measure.distance_within(
-            query_points, record.points, min(best.eps(), upper)
-        )
+        dist = measure.distance_within(query, record, min(best.eps(), upper))
         # None: provably worse than the k-th bound, so not a member.
         if dist is not None:
             best.offer(record.tid, dist)

@@ -16,18 +16,21 @@ from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 
 PointTuple = Tuple[float, float]
+#: ``(xs, ys)``: a sequence's coordinates as two float columns
+Columns = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 
 class Trajectory:
     """A trajectory ``T = (t_1, ..., t_n)`` with identifier ``tid``.
 
     Instances are immutable after construction; the point list is copied
-    and the MBR computed lazily.  Every coordinate must be finite: this
-    is the front door for stored data and queries alike, and a NaN
-    compares false in every interval test behind it.
+    and the MBR and coordinate columns computed lazily.  Every
+    coordinate must be finite: this is the front door for stored data
+    and queries alike, and a NaN compares false in every interval test
+    behind it.
     """
 
-    __slots__ = ("tid", "_points", "_mbr")
+    __slots__ = ("tid", "_points", "_mbr", "_columns")
 
     def __init__(self, tid: str, points: Sequence[PointTuple]):
         if not points:
@@ -41,6 +44,7 @@ class Trajectory:
                 f"trajectory {tid!r} has a non-finite coordinate (NaN or inf)"
             )
         self._mbr: Optional[MBR] = None
+        self._columns: Optional[Columns] = None
 
     # ------------------------------------------------------------------
     @property
@@ -52,6 +56,19 @@ class Trajectory:
         if self._mbr is None:
             self._mbr = MBR.of_points(self._points)
         return self._mbr
+
+    @property
+    def columns(self) -> Columns:
+        """The x and y coordinates as two float tuples, extracted once:
+        what the measures' kernels index."""
+        columns = self._columns
+        if columns is None:
+            points = self._points
+            columns = self._columns = (
+                tuple([p[0] for p in points]),
+                tuple([p[1] for p in points]),
+            )
+        return columns
 
     @property
     def start(self) -> Point:

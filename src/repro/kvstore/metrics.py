@@ -11,7 +11,8 @@ survived filtering and crossed the (simulated) client boundary.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: seek-depth buckets: structures consulted by one LSM point read
@@ -96,17 +97,26 @@ class IOMetrics:
     segment_bytes_logical: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        """A plain-dict copy of the current counters."""
-        return {
-            f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-        }
+        """A plain-dict copy of the current counters, in field order."""
+        return dict(zip(_FIELD_NAMES, _field_values(self)))
 
     def reset(self) -> None:
         """Zero every counter (between benchmark phases)."""
-        for name in self.snapshot():
+        for name in _FIELD_NAMES:
             setattr(self, name, 0)
 
     def diff(self, before: Dict[str, int]) -> Dict[str, int]:
         """Counter deltas since a :meth:`snapshot`."""
-        now = self.snapshot()
-        return {name: now[name] - before.get(name, 0) for name in now}
+        get = before.get
+        return {
+            name: now - get(name, 0)
+            for name, now in zip(_FIELD_NAMES, _field_values(self))
+        }
+
+
+#: the counters' names in field order, computed once: the workload
+#: recorder and every shard worker snapshot and diff per query
+_FIELD_NAMES: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(IOMetrics)
+)
+_field_values = operator.attrgetter(*_FIELD_NAMES)

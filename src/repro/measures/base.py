@@ -19,6 +19,13 @@ can tighten it before its exact distance is computed.  What the two
 lattice measures, discrete Fréchet and DTW, share lives here too:
 coordinate extraction and the greedy coupling whose cost is their
 bound and limits the band of their unbounded runs.
+
+A side is a point sequence, a :class:`~repro.geometry.trajectory.
+Trajectory` or a stored :class:`~repro.core.storage.TrajectoryRecord`.
+The last two carry their coordinate columns (a trajectory keeps them, a
+record slices them from the coordinates it decoded), so a query refined
+against many rows is extracted once and a row is not re-read point by
+point; the kernels see the same floats either way.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import QueryError
 
+#: a side of a measure: ``(x, y)`` points, or an object whose
+#: ``columns`` are its ``(xs, ys)`` floats (see :func:`coordinates`)
 PointSeq = Sequence[Tuple[float, float]]
 
 #: Relative slack for comparing a bound computed along one float path
@@ -37,16 +46,30 @@ PointSeq = Sequence[Tuple[float, float]]
 RELATIVE_SLACK = 1e-12
 
 
-def coordinates(points: PointSeq, measure: str) -> Tuple[List[float], List[float]]:
-    """The x and y coordinates of ``points`` as two lists of floats,
-    which is what the lattice kernels index per cell."""
+def coordinates(
+    points: PointSeq, measure: str
+) -> Tuple[Sequence[float], Sequence[float]]:
+    """The x and y coordinates of ``points`` as two float columns, which
+    is what the kernels index per cell.
+
+    A ``Trajectory`` or ``TrajectoryRecord`` returns the ``columns`` it
+    carries (never empty); a plain point list, as baselines and tests
+    pass, is converted here on every call, with the same ``float``
+    conversion ``Trajectory`` applies, so both give the same floats.
+    """
+    columns = getattr(points, "columns", None)
+    if columns is not None:
+        return columns
     if len(points) == 0:
         raise ValueError(f"{measure} distance of an empty sequence")
     return [float(p[0]) for p in points], [float(p[1]) for p in points]
 
 
 def greedy_coupling(
-    ax: List[float], ay: List[float], bx: List[float], by: List[float]
+    ax: Sequence[float],
+    ay: Sequence[float],
+    bx: Sequence[float],
+    by: Sequence[float],
 ) -> List[float]:
     """Squared point distances along one monotone coupling, in order.
 

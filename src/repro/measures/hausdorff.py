@@ -10,57 +10,61 @@ measure (Section VII-A), which ``supports_start_end_filter = False``
 encodes.
 
 The directed kernel works entirely on squared distances (one ``sqrt``
-at the very end) and vectorises the inner nearest-neighbour minimum
-over pre-extracted coordinate arrays; the outer loop keeps the
+at the very end) over each side's coordinate columns
+(:func:`~repro.measures.base.coordinates`), and vectorises the inner
+nearest-neighbour minimum over them; the outer loop keeps the
 early-abandon exit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.measures.base import Measure, PointSeq, register_measure
+from repro.measures.base import Measure, PointSeq, coordinates, register_measure
 from repro.measures.frechet import _greedy_sq, _relaxed_sq
+
+_NAME = "Hausdorff"
 
 #: below this many candidate points the vectorisation overhead beats
 #: the plain loop; both branches compute identical floats
 _VECTOR_MIN_POINTS = 12
 
 
-def _coords(points: PointSeq) -> Tuple["np.ndarray", "np.ndarray"]:
-    n = len(points)
-    xs = np.fromiter((p[0] for p in points), dtype=float, count=n)
-    ys = np.fromiter((p[1] for p in points), dtype=float, count=n)
-    return xs, ys
-
-
-def _directed_sq(a: PointSeq, b: PointSeq, abandon_sq: float = math.inf) -> float:
-    """``max_{p in a} min_{q in b} d(p, q)^2`` with early abandon.
+def _directed_sq(
+    ax: Sequence[float],
+    ay: Sequence[float],
+    bx: Sequence[float],
+    by: Sequence[float],
+    abandon_sq: float = math.inf,
+) -> float:
+    """``max_{p in a} min_{q in b} d(p, q)^2`` with early abandon, over
+    the two sides' coordinate columns.
 
     Returns a value ``> abandon_sq`` as soon as the directed distance is
     known to exceed it.
     """
     worst = 0.0
-    if len(b) >= _VECTOR_MIN_POINTS:
-        bx, by = _coords(b)
-        for px, py in a:
-            dx = bx - px
-            dy = by - py
+    if len(bx) >= _VECTOR_MIN_POINTS:
+        vx = np.fromiter(bx, dtype=float, count=len(bx))
+        vy = np.fromiter(by, dtype=float, count=len(by))
+        for px, py in zip(ax, ay):
+            dx = vx - px
+            dy = vy - py
             best = float(np.min(dx * dx + dy * dy))
             if best > worst:
                 worst = best
                 if worst > abandon_sq:
                     return worst
         return worst
-    for p in a:
-        px, py = p
+    b = tuple(zip(bx, by))
+    for px, py in zip(ax, ay):
         best = math.inf
-        for q in b:
-            dx = px - q[0]
-            dy = py - q[1]
+        for qx, qy in b:
+            dx = px - qx
+            dy = py - qy
             d = dx * dx + dy * dy
             if d < best:
                 best = d
@@ -75,10 +79,10 @@ def _directed_sq(a: PointSeq, b: PointSeq, abandon_sq: float = math.inf) -> floa
 
 def hausdorff(a: PointSeq, b: PointSeq) -> float:
     """Exact symmetric Hausdorff distance."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("Hausdorff distance of an empty sequence")
-    forward = _directed_sq(a, b)
-    backward = _directed_sq(b, a)
+    ax, ay = coordinates(a, _NAME)
+    bx, by = coordinates(b, _NAME)
+    forward = _directed_sq(ax, ay, bx, by)
+    backward = _directed_sq(bx, by, ax, ay)
     return math.sqrt(max(forward, backward))
 
 
@@ -87,13 +91,13 @@ def _hausdorff_within_value(
 ) -> Optional[float]:
     """Squared symmetric distance when within the relaxed bound, else
     ``None`` (the shared early-abandoning kernel)."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("Hausdorff distance of an empty sequence")
+    ax, ay = coordinates(a, _NAME)
+    bx, by = coordinates(b, _NAME)
     abandon_sq = _relaxed_sq(eps)
-    forward = _directed_sq(a, b, abandon_sq)
+    forward = _directed_sq(ax, ay, bx, by, abandon_sq)
     if forward > abandon_sq:
         return None
-    backward = _directed_sq(b, a, abandon_sq)
+    backward = _directed_sq(bx, by, ax, ay, abandon_sq)
     if backward > abandon_sq:
         return None
     return max(forward, backward)

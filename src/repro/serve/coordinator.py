@@ -67,6 +67,34 @@ from repro.serve.protocol import (
 from repro.serve.supervisor import ReplicaHandle, ShardSupervisor
 from repro.serve.worker import WorkerSpec
 
+#: what a successful reply of each checked kind must carry as payload
+_PAYLOAD_TYPES = {
+    KIND_THRESHOLD: ThresholdSearchResult,
+    KIND_TOPK: TopKSearchResult,
+    KIND_PING: dict,
+}
+
+
+def check_reply(kind: str, partition: int, reply: Reply) -> None:
+    """Raise :class:`ClusterError` unless a successful ``kind`` reply
+    carries what the coordinator reads from it: the kind's result object
+    (a dict for a ping) and, on a query reply, a dict ``io_delta`` or
+    none.  A worker's malformed answer then names its partition instead
+    of surfacing as an ``AttributeError`` deep in a merge."""
+    expected = _PAYLOAD_TYPES[kind]
+    if not isinstance(reply.payload, expected):
+        raise ClusterError(
+            f"partition {partition} answered a {kind} request with a "
+            f"{type(reply.payload).__name__} payload, not a "
+            f"{expected.__name__}"
+        )
+    delta = reply.io_delta
+    if kind != KIND_PING and delta is not None and not isinstance(delta, dict):
+        raise ClusterError(
+            f"partition {partition} answered a {kind} request with a "
+            f"{type(delta).__name__} io_delta, not a dict"
+        )
+
 
 class _Leg:
     """One replica pipe carrying a partition's requests."""
@@ -361,6 +389,7 @@ class ServingCluster:
             raise ClusterError(f"{worker} died during startup")
         if reply.id != request_id or not reply.ok:
             raise ClusterError(f"{worker} failed its startup ping: {reply!r}")
+        check_reply(KIND_PING, handle.partition, reply)
         version = reply.payload.get("protocol")
         if version != PROTOCOL_VERSION:
             raise ClusterError(
@@ -887,6 +916,7 @@ class ServingCluster:
                                 )
                             )
                         elif reply.ok:
+                            check_reply(kind, partition, reply)
                             partials.append(reply.payload)
                         else:
                             raise decode_error(reply.error)

@@ -118,7 +118,8 @@ class ClusterObservability:
         )
         agg["queries"] += 1
         delta = reply.io_delta
-        if delta:
+        # A non-dict delta is the coordinator's ClusterError to raise.
+        if isinstance(delta, dict):
             io = agg["io"]
             for field, value in delta.items():
                 io[field] = io.get(field, 0) + value

@@ -179,3 +179,34 @@ class TestFilters:
         f = ConjunctionFilter([tracking(False), tracking(True)])
         assert not f.accept(b"k", b"v")
         assert calls == [False]
+
+
+class TestIOMetrics:
+    def test_snapshot_keys_are_the_fields_in_order(self):
+        import dataclasses
+
+        from repro.kvstore.metrics import IOMetrics
+
+        metrics = IOMetrics(rows_scanned=3, puts=2, segment_bytes_logical=9)
+        names = [f.name for f in dataclasses.fields(IOMetrics)]
+        snapshot = metrics.snapshot()
+        assert list(snapshot) == names
+        assert snapshot == {n: getattr(metrics, n) for n in names}
+        snapshot["puts"] = 99  # a copy, not a view
+        assert metrics.puts == 2
+
+    def test_diff_and_reset(self):
+        from repro.kvstore.metrics import IOMetrics
+
+        metrics = IOMetrics(rows_scanned=3, gets=1)
+        before = metrics.snapshot()
+        metrics.rows_scanned += 4
+        metrics.breaker_trips += 1
+        delta = metrics.diff(before)
+        assert list(delta) == list(before)
+        assert delta["rows_scanned"] == 4 and delta["breaker_trips"] == 1
+        assert sum(delta.values()) == 5
+        # A partial snapshot counts missing fields from zero.
+        assert metrics.diff({"gets": 1})["rows_scanned"] == 7
+        metrics.reset()
+        assert set(metrics.snapshot().values()) == {0}

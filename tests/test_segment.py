@@ -407,8 +407,14 @@ def test_segment_stats_and_registry(tmp_path):
     compact_dir = str(tmp_path / "compact")
     engine.save(compact_dir)
     loaded = TraSS.load(compact_dir)
+    # These queries match no stored index value: the occupied-value
+    # check drops every planned range, so no block is decoded.
     for q in tdrive_like(3, seed=44, decimals=5):
         loaded.threshold_search(q, 0.03)
+    assert loaded.metrics.segment_blocks_materialized == 0
+    # A stored trajectory's own query reads rows, hence blocks.
+    result = loaded.threshold_search(trajs[0], 0.03)
+    assert trajs[0].tid in result.answers
     storage = loaded.stats()["storage"]
     segments = storage["segments"]
     assert segments["count"] >= 1

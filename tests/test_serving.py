@@ -688,3 +688,57 @@ class TestSegmentSharing:
                         current = None
                 assert dirty, "no .seg mapping found in smaps"
                 assert all(kb == 0 for _, kb in dirty), dirty
+
+
+class TestReplyPayloadCheck:
+    """The coordinator checks what a successful reply carries before it
+    merges it: a worker's wrong payload is a ``ClusterError`` naming the
+    partition and the type received."""
+
+    @staticmethod
+    def _result(kind):
+        from repro.core.threshold import ThresholdSearchResult
+        from repro.core.topk import TopKSearchResult
+
+        if kind == "topk":
+            return TopKSearchResult([], 0, 0, 0, 0, 0.0)
+        return ThresholdSearchResult({}, 0, 0, None, 0.0, 0.0, 0.0)
+
+    def test_well_formed_replies_pass(self):
+        from repro.serve.coordinator import check_reply
+        from repro.serve.protocol import Reply
+
+        for kind in ("threshold", "topk"):
+            payload = self._result(kind)
+            check_reply(kind, 0, Reply(1, True, payload=payload))
+            check_reply(
+                kind, 0, Reply(1, True, payload=payload, io_delta={"gets": 1})
+            )
+        check_reply("ping", 0, Reply(1, True, payload={"protocol": 1}))
+
+    def test_wrong_payload_type_names_partition_and_type(self):
+        from repro.serve.coordinator import check_reply
+        from repro.serve.protocol import Reply
+
+        cases = [
+            ("threshold", 3, self._result("topk"), "TopKSearchResult"),
+            ("topk", 1, self._result("threshold"), "ThresholdSearchResult"),
+            ("topk", 2, None, "NoneType"),
+            ("threshold", 0, {"answers": {}}, "dict"),
+            ("ping", 5, "pong", "str"),
+        ]
+        for kind, partition, payload, name in cases:
+            with pytest.raises(ClusterError) as info:
+                check_reply(kind, partition, Reply(1, True, payload=payload))
+            assert f"partition {partition}" in str(info.value)
+            assert name in str(info.value)
+
+    def test_non_dict_io_delta_is_rejected(self):
+        from repro.serve.coordinator import check_reply
+        from repro.serve.protocol import Reply
+
+        reply = Reply(
+            1, True, payload=self._result("topk"), io_delta=[("gets", 1)]
+        )
+        with pytest.raises(ClusterError, match="partition 4.*list io_delta"):
+            check_reply("topk", 4, reply)
