@@ -97,7 +97,6 @@ KNOBS: Dict[str, Knob] = {
     "shards": Knob(int, 1, 256, required=True),
     "dp_tolerance": Knob(float, 0, required=True),
     "measure_name": Knob(str, choices=available_measures(), required=True),
-    "box_mode": Knob(str, choices=("chord", "min_area")),
     "max_planned_elements": Knob(int, 16, required=True),
     "range_merge_gap": Knob(int, 0, required=True),
     "max_region_rows": Knob(int, MIN_REGION_ROWS, required=True),
@@ -120,9 +119,6 @@ class TraSSConfig:
     shards: int = 8
     dp_tolerance: float = 0.01
     measure_name: str = "frechet"
-    #: DP-feature covering-box construction: "chord" (the paper's) or
-    #: "min_area" (rotating-calipers rectangles; tighter, costlier)
-    box_mode: str = "chord"
     #: planner safety valve: past this many visited elements the global
     #: pruner collapses the remaining frontier into subtree ranges
     max_planned_elements: int = 8192
@@ -193,10 +189,19 @@ class TraSSConfig:
         snapshots load.  A missing required key or a value of the wrong
         JSON shape is a :class:`KVStoreError` naming ``where`` and the
         key; a well-shaped value out of bounds is the constructor's
-        :class:`QueryError`.
+        :class:`QueryError`.  A store built with the removed
+        ``"min_area"`` covering boxes (any ``box_mode`` but ``"chord"``)
+        is a :class:`KVStoreError` here, at load: its segment blocks
+        keep those boxes in a box mode the reader no longer decodes.
         """
         if not isinstance(raw, dict):
             raise KVStoreError(f"{where}: 'config' is not a JSON object")
+        if raw.get("box_mode", "chord") != "chord":
+            raise KVStoreError(
+                f"{where}: 'config.box_mode' is {raw['box_mode']!r}; only "
+                f"'chord' covering boxes are supported (the 'min_area' "
+                f"construction was removed), rebuild the store"
+            )
         values = {}
         for f in dataclasses.fields(cls):
             knob = KNOBS[f.name]

@@ -91,7 +91,6 @@ class LocalFilter:
         eps: float,
         dp_tolerance: float,
         stages: Optional[frozenset] = None,
-        box_mode: str = "chord",
     ):
         if eps < 0:
             raise QueryError(f"threshold must be non-negative, got {eps}")
@@ -102,9 +101,7 @@ class LocalFilter:
         self.query = query
         self.measure = measure
         self.eps = eps
-        self.features = extract_dp_features(
-            query.points, dp_tolerance, box_mode=box_mode
-        )
+        self.features = extract_dp_features(query.points, dp_tolerance)
         self.stats = LocalFilterStats()
         #: ablation switch: which lemma stages run (default: all)
         self.stages = self.ALL_STAGES if stages is None else frozenset(stages)

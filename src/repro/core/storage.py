@@ -253,9 +253,7 @@ class TrajectoryStore:
         self.config.bounds.check_stored(trajectory.tid, trajectory.mbr)
         placed = self.index.index(trajectory)
         features = extract_dp_features(
-            trajectory.points,
-            self.config.dp_tolerance,
-            box_mode=self.config.box_mode,
+            trajectory.points, self.config.dp_tolerance
         )
         shard = shard_of(trajectory.tid, self.config.shards)
         key = self._rowkey(shard, placed.value, trajectory.tid)

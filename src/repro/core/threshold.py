@@ -171,9 +171,10 @@ def _shared_plan(pairs: List[List[ScanRange]]):
 class _SharedRowFilter(RowFilter):
     """Decode each row once and run the local filter of every query
     subscribing to its key; an accepted row's ``(record, qids)`` waits
-    in ``accepted`` for refinement.  The table counts one evaluation per
-    row; a row with ``n > 1`` subscribers adds the other ``n - 1`` here,
-    so the counters are the sums of the queries run one at a time."""
+    in ``accepted`` until refinement takes it out.  The table counts
+    one evaluation per row; a row with ``n > 1`` subscribers adds the
+    other ``n - 1`` here, so the counters are the sums of the queries
+    run one at a time."""
 
     def __init__(self, decoder, filters, ends, subscribers, metrics):
         self.decoder = decoder
@@ -239,9 +240,9 @@ def scan_and_refine(
     metrics = store.metrics
     metrics.batch_ranges_merged += sum(map(len, pairs)) - len(plan)
 
-    tolerance, box_mode = store.config.dp_tolerance, store.config.box_mode
+    tolerance = store.config.dp_tolerance
     filters = [
-        LocalFilter(q, measure, e, tolerance, box_mode=box_mode)
+        LocalFilter(q, measure, e, tolerance)
         for q, e in zip(queries, eps_list)
     ]
     for local in filters:
@@ -266,7 +267,10 @@ def scan_and_refine(
         nonlocal refine_clock, abandoned
         refine_started = time.perf_counter()
         for key, _ in chunk:
-            record, qids = accepted[key]
+            # each key is delivered once (plan ranges are disjoint and a
+            # retried range delivers only its last attempt), so a
+            # refined row is dropped here rather than held to the end
+            record, qids = accepted.pop(key)
             for qid in qids:
                 candidates[qid] += 1
                 dist = distance_within(queries[qid], record, eps_of[qid])

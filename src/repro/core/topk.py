@@ -200,13 +200,7 @@ def topk_search(
     query_mbr = query.mbr
     query_points = query.points
     kernel = PruningKernel(index, query)
-    local = LocalFilter(
-        query,
-        measure,
-        math.inf,
-        store.config.dp_tolerance,
-        box_mode=store.config.box_mode,
-    )
+    local = LocalFilter(query, measure, math.inf, store.config.dp_tolerance)
     local.tracer = tracer
     budget = pruner.max_planned_elements
     query_see_level = smallest_enlarged_element(

@@ -87,16 +87,8 @@ class DPFeatures:
         return len(self.frames)
 
 
-#: chord-aligned covering boxes (the paper's construction)
-CHORD_BOXES = "chord"
-#: minimum-area oriented rectangles (rotating calipers; never looser)
-MIN_AREA_BOXES = "min_area"
-
-
 def extract_dp_features(
-    points: Sequence[PointTuple],
-    theta: float,
-    box_mode: str = CHORD_BOXES,
+    points: Sequence[PointTuple], theta: float
 ) -> DPFeatures:
     """Compute the DP features of a raw point sequence.
 
@@ -104,32 +96,16 @@ def extract_dp_features(
     evaluation).  Boxes are built over the *inclusive* run between two
     consecutive representative points so that the union of boxes covers
     every raw point.
-
-    ``box_mode`` selects the covering box construction: the paper's
-    chord-aligned boxes (default), or minimum-area oriented rectangles.
-    Both are tight (every side touches a raw point), so Lemmas 13-14
-    stay sound; minimum-area boxes are at most as large.
     """
     if not points:
         raise GeometryError("cannot extract DP features of zero points")
-    if box_mode == CHORD_BOXES:
-        cover = OrientedBox.cover
-    elif box_mode == MIN_AREA_BOXES:
-        from repro.geometry.hull import min_area_oriented_box
-
-        cover = min_area_oriented_box
-    else:
-        raise GeometryError(
-            f"box_mode must be {CHORD_BOXES!r} or {MIN_AREA_BOXES!r}, "
-            f"got {box_mode!r}"
-        )
     rep_indexes = douglas_peucker(points, theta)
     rep_points = tuple(points[i] for i in rep_indexes)
     if len(rep_indexes) == 1:
-        boxes = [cover([points[rep_indexes[0]]])]
+        boxes = [OrientedBox.cover([points[rep_indexes[0]]])]
     else:
         boxes = [
-            cover(points[lo : hi + 1])
+            OrientedBox.cover(points[lo : hi + 1])
             for lo, hi in zip(rep_indexes, rep_indexes[1:])
         ]
     return DPFeatures(

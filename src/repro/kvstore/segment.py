@@ -13,8 +13,8 @@ columnar layout and opened through ``mmap``:
   front-coded keys, delta-encoded + quantised point coordinates
   (``np.frombuffer`` off the decompressed stream), delta-encoded DP
   representative indexes, and covering boxes *rebuilt* from the points
-  (they are a pure function of points + representative indexes + box
-  mode) rather than stored — the big wins behind the 3x+ footprint
+  (chord boxes are a pure function of points + representative indexes)
+  rather than stored — the big wins behind the 3x+ footprint
   reduction;
 * every block is **verified at encode time**: the writer decodes each
   block it just encoded and compares the result byte-for-byte with the
@@ -69,9 +69,8 @@ CODEC_TRAJ = 1  #: columnar trajectory layout (see module docstring)
 _POINTS_QUANT = 0
 _POINTS_RAW = 1
 
-#: covering-box modes inside a TRAJ block
+#: covering-box modes inside a TRAJ block (no other mode is read)
 _BOXES_CHORD = 0  #: rebuild with OrientedBox.cover
-_BOXES_MIN_AREA = 1  #: rebuild with min_area_oriented_box
 _BOXES_EXPLICIT = 2  #: stored verbatim
 
 #: trajectory-id modes inside a TRAJ block
@@ -212,31 +211,6 @@ def _tid_from_key(key: bytes, mode: int) -> Optional[bytes]:
     return tid
 
 
-def _rebuild_boxes(points: np.ndarray, reps: np.ndarray, mode: int) -> bytes:
-    """Re-derive the serialised covering boxes from points + reps.
-
-    The boxes stored in a row are a pure function of the raw points,
-    the representative indexes and the box mode (see
-    ``extract_dp_features``), which is what lets a segment drop them
-    from disk entirely.
-    """
-    if mode == _BOXES_CHORD:
-        return _rebuild_chord_boxes(points, reps)
-    from repro.core.codec import _pack_frame
-    from repro.geometry.hull import min_area_oriented_box
-
-    pts = points.reshape(-1, 2).tolist()
-    runs = [int(r) for r in reps]
-    if len(runs) == 1:
-        boxes = [min_area_oriented_box([pts[runs[0]]])]
-    else:
-        boxes = [
-            min_area_oriented_box(pts[lo : hi + 1])
-            for lo, hi in zip(runs, runs[1:])
-        ]
-    return b"".join(_pack_frame(box.frame()) for box in boxes)
-
-
 def _cover_chords(
     pts: np.ndarray, los: np.ndarray, his: np.ndarray
 ) -> np.ndarray:
@@ -288,17 +262,6 @@ def _cover_chords(
     boxes[:, 6] = np.minimum.reduceat(perp, starts) + 0.0
     boxes[:, 7] = np.maximum.reduceat(perp, starts) + 0.0
     return boxes
-
-
-def _rebuild_chord_boxes(points: np.ndarray, reps: np.ndarray) -> bytes:
-    """Chord-mode box rebuild for a single row (see ``_cover_chords``)."""
-    pts = points.reshape(-1, 2)
-    reps64 = reps.astype(np.int64)
-    if len(reps64) == 1:
-        los = his = reps64
-    else:
-        los, his = reps64[:-1], reps64[1:]
-    return _cover_chords(pts, los, his).astype(">f8").tobytes()
 
 
 def _choose_quantisation(flat: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
@@ -371,7 +334,7 @@ def _decode_points_stream(
 def _encode_traj_block(
     keys: Sequence[bytes],
     values: Sequence[bytes],
-    box_mode: int,
+    box_codec: int,
     tid_mode: int,
     rows,
 ) -> bytes:
@@ -425,7 +388,7 @@ def _encode_traj_block(
     )
 
     # --- boxes (only when not rebuildable) ----------------------------
-    if box_mode == _BOXES_EXPLICIT:
+    if box_codec == _BOXES_EXPLICIT:
         n_boxes = np.fromiter(
             (len(r[2]) // 64 for r in rows), np.uint32, count=n_rows
         )
@@ -444,7 +407,7 @@ def _encode_traj_block(
         tids_stream = b""
 
     header = struct.pack(
-        ">IBBBB", n_rows, points_codec, decimals, box_mode, tid_mode
+        ">IBBBB", n_rows, points_codec, decimals, box_codec, tid_mode
     )
     return (
         header
@@ -462,12 +425,19 @@ def _decode_traj_block(
 ) -> Tuple[List[bytes], List[object]]:
     payload = memoryview(payload_bytes)
     try:
-        n_rows, points_codec, decimals, box_mode, tid_mode = struct.unpack_from(
+        n_rows, points_codec, decimals, box_codec, tid_mode = struct.unpack_from(
             ">IBBBB", payload, 0
         )
         offset = 8
         if n_rows != n_entries:
             raise CorruptSegmentError("segment block row count mismatch")
+        if box_codec not in (_BOXES_CHORD, _BOXES_EXPLICIT):
+            # mode 1 held min-area boxes, a construction since removed
+            raise CorruptSegmentError(
+                f"segment block has covering-box mode {box_codec}; only "
+                f"{_BOXES_CHORD} (chord) and {_BOXES_EXPLICIT} (explicit) "
+                f"are readable"
+            )
 
         keys_raw, offset = _read_stream(payload, offset)
         keys: List[bytes] = []
@@ -515,7 +485,7 @@ def _decode_traj_block(
             n_rep,
         )
 
-        if box_mode == _BOXES_EXPLICIT:
+        if box_codec == _BOXES_EXPLICIT:
             (comp_len,) = _U32.unpack_from(payload, offset)
             offset += 4
             n_boxes = _transpose_decompress(
@@ -536,7 +506,7 @@ def _decode_traj_block(
         if offset != len(payload):
             raise CorruptSegmentError("trailing bytes in segment block")
 
-        if box_mode == _BOXES_CHORD and n_rows:
+        if box_codec == _BOXES_CHORD and n_rows:
             # One vectorised cover pass over every chord in the block
             # (per-row numpy calls dominate decode otherwise).  Chords
             # never cross rows, so row-local rep indexes shift to
@@ -562,7 +532,6 @@ def _decode_traj_block(
         tid_off = 0
         for i in range(n_rows):
             p_lo, p_hi = int(point_offsets[i]), int(point_offsets[i + 1])
-            row_points = flat_points[2 * p_lo : 2 * p_hi]
             r_lo, r_hi = int(rep_offsets[i]), int(rep_offsets[i + 1])
             reps = rep_all[r_lo:r_hi]
             if tid_mode == _TID_EXPLICIT:
@@ -576,16 +545,14 @@ def _decode_traj_block(
                     raise CorruptSegmentError(
                         "segment row key does not carry its trajectory id"
                     )
-            if box_mode == _BOXES_EXPLICIT:
+            if box_codec == _BOXES_EXPLICIT:
                 boxes = boxes_raw[
                     64 * int(box_offsets[i]) : 64 * int(box_offsets[i + 1])
                 ]
-            elif box_mode == _BOXES_CHORD:
+            else:
                 boxes = chord_boxes[
                     64 * int(chord_offsets[i]) : 64 * int(chord_offsets[i + 1])
                 ]
-            else:
-                boxes = _rebuild_boxes(row_points, reps, box_mode)
             values.append(
                 _U32.pack(p_hi - p_lo)
                 + point_bytes[16 * p_lo : 16 * p_hi]
@@ -618,11 +585,12 @@ def _encode_block(
 ) -> Tuple[int, bytes]:
     """Encode one block, choosing the best codec that verifies.
 
-    The TRAJ encode is attempted with progressively weaker assumptions
-    (rebuildable chord boxes -> min-area boxes -> explicit boxes), and
-    every candidate payload is decoded and compared byte-for-byte with
-    the input before being accepted; anything that fails drops to the
-    RAW codec, which round-trips arbitrary bytes by construction.
+    The TRAJ encode is attempted with rebuildable chord boxes, then
+    with explicit boxes, and every candidate payload is decoded and
+    compared byte-for-byte with the input before being accepted — a row
+    whose stored boxes are not its chord boxes fails that comparison.
+    Anything that fails drops to the RAW codec, which round-trips
+    arbitrary bytes by construction.
     """
     if all(value is not TOMBSTONE for value in values):
         try:
@@ -638,17 +606,10 @@ def _encode_block(
                 ):
                     tid_mode = mode
                     break
-            box_modes = [_BOXES_CHORD, _BOXES_MIN_AREA, _BOXES_EXPLICIT]
-            for box_mode in box_modes:
+            for box_codec in (_BOXES_CHORD, _BOXES_EXPLICIT):
                 try:
-                    if box_mode != _BOXES_EXPLICIT and not all(
-                        _rebuild_boxes(r[0], r[1].astype(np.int64), box_mode)
-                        == r[2]
-                        for r in rows
-                    ):
-                        continue
                     payload = _encode_traj_block(
-                        keys, values, box_mode, tid_mode, rows
+                        keys, values, box_codec, tid_mode, rows
                     )
                     got_keys, got_values = _decode_traj_block(
                         payload, len(keys)

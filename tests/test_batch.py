@@ -278,6 +278,40 @@ def test_batch_decodes_each_row_once(batch_queries):
     assert lookups == delta["rows_scanned"]
 
 
+def test_refined_rows_leave_the_accepted_map(
+    monkeypatch, batch_engine, batch_queries, sequential_results
+):
+    """Refinement takes each accepted row out of the shared filter, so
+    a survivor's decoded record is not held until the scan ends.  Under
+    masked faults a retried range re-accepts its rows, and still
+    delivers each key once."""
+    from repro.core import threshold
+    from repro.kvstore.faults import FaultInjector, FaultSchedule
+
+    filters = []
+
+    class Recording(threshold._SharedRowFilter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            filters.append(self)
+
+    monkeypatch.setattr(threshold, "_SharedRowFilter", Recording)
+    results = batch_engine.threshold_search_many(batch_queries, 0.02)
+    _assert_same(sequential_results, results)
+    batch_engine.install_fault_injector(
+        FaultInjector(FaultSchedule(seed=11, region_unavailable_prob=0.3))
+    )
+    try:
+        faulted = batch_engine.threshold_search_many(batch_queries, 0.02)
+    finally:
+        batch_engine.install_fault_injector(None)
+    assert faulted[0].resilience.retries > 0
+    _assert_same(sequential_results, faulted)
+    assert len(filters) == 2
+    assert sum(r.candidates for r in results) > 0
+    assert [f.accepted for f in filters] == [{}, {}]
+
+
 @pytest.mark.parametrize("key_encoding", [INTEGER_KEYS, STRING_KEYS])
 def test_batch_of_one_is_the_single_query(batch_queries, key_encoding):
     data = _walks("t", 200, 21)

@@ -211,7 +211,6 @@ KNOB_EDGES = [
     ("dp_tolerance", -1e-9, 0.0),
     ("dp_tolerance", math.nan, 0),
     ("measure_name", "edr", "hausdorff"),
-    ("box_mode", "area", "min_area"),
     ("max_planned_elements", 15, 16),
     ("range_merge_gap", -1, 0),
     ("max_region_rows", 1, 2),
@@ -232,7 +231,7 @@ class TestConfigBounds:
     def test_every_field_has_edge_cases(self):
         names = {f.name for f in dataclasses.fields(TraSSConfig)}
         assert {name for name, _, _ in KNOB_EDGES} == names
-        assert len(names) == 16
+        assert len(names) == 15
 
     @pytest.mark.parametrize(
         "name, outside, boundary",

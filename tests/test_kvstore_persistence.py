@@ -293,7 +293,6 @@ class TestEngineSaveLoad:
             shards=3,
             dp_tolerance=0.004,
             measure_name="dtw",
-            box_mode="min_area",
             max_planned_elements=4096,
             range_merge_gap=2,
             max_region_rows=500,
@@ -334,6 +333,43 @@ class TestEngineSaveLoad:
         assert "available: ['dtw', 'frechet', 'hausdorff']" in str(
             caught.value
         )
+
+    def test_load_of_legacy_box_modes(self, tmp_path):
+        """``box_mode`` left the config with the min-area boxes: a
+        snapshot carrying ``"chord"`` (every store saved before) loads
+        and answers as one without the key, and a ``"min_area"`` one
+        fails at load naming ``STORE.json`` and the mode."""
+        data = tdrive_like(30, seed=36)
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=11, shards=2)
+        plain_dir = str(tmp_path / "plain")
+        TraSS.build(data, cfg).save(plain_dir)
+
+        def with_box_mode(name, mode):
+            directory = str(tmp_path / name)
+            shutil.copytree(plain_dir, directory)
+            meta_path = os.path.join(directory, "STORE.json")
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            assert "box_mode" not in meta["config"]
+            meta["config"]["box_mode"] = mode
+            with open(meta_path, "w") as fh:
+                json.dump(meta, fh)
+            return directory
+
+        def answers(directory):
+            engine = TraSS.load(directory)
+            return [
+                sorted(engine.threshold_search(q, 0.02).answers.items())
+                for q in data[:5]
+            ]
+
+        chord_dir = with_box_mode("chord", "chord")
+        assert TraSS.load(chord_dir).config == cfg
+        assert answers(chord_dir) == answers(plain_dir)
+        with pytest.raises(KVStoreError) as caught:
+            TraSS.load(with_box_mode("min_area", "min_area"))
+        assert "STORE.json" in str(caught.value)
+        assert "'min_area'" in str(caught.value)
 
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(KVStoreError):

@@ -24,11 +24,7 @@ from repro.core.local_filter import (
 from repro.core.storage import TrajectoryRecord
 from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
 from repro.data.noise import jitter
-from repro.features.dp_features import (
-    MIN_AREA_BOXES,
-    DPFeatures,
-    extract_dp_features,
-)
+from repro.features.dp_features import DPFeatures, extract_dp_features
 from repro.geometry.distance import segment_distance
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
@@ -99,14 +95,6 @@ thresholds = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_kernel_matches_reference_on_chord_boxes(pts, a, b, eps):
     check_against_reference(OrientedBox.cover(pts), a, b, eps)
-
-
-@given(st.lists(point, min_size=1, max_size=8), point, point, thresholds)
-@settings(max_examples=200, deadline=None)
-def test_kernel_matches_reference_on_min_area_boxes(pts, a, b, eps):
-    from repro.geometry.hull import min_area_oriented_box
-
-    check_against_reference(min_area_oriented_box(pts), a, b, eps)
 
 
 class TestKernelCases:
@@ -183,10 +171,9 @@ class TestKernelCases:
                 (offset + rng.uniform(0, 1), offset + rng.uniform(0, 1))
                 for _ in range(40)
             ]
-            for mode in ("chord", MIN_AREA_BOXES):
-                fa = extract_dp_features(pts, 0.05, box_mode=mode)
-                fb = extract_dp_features(list(pts), 0.05, box_mode=mode)
-                assert box_oracle.exceeds_box_bound(fa, fb, 0.0) is False
+            fa = extract_dp_features(pts, 0.05)
+            fb = extract_dp_features(list(pts), 0.05)
+            assert box_oracle.exceeds_box_bound(fa, fb, 0.0) is False
 
 
 # ----------------------------------------------------------------------
@@ -252,12 +239,11 @@ unit_points = st.lists(st.tuples(unit, unit), min_size=1, max_size=20)
     unit_points,
     st.sampled_from(MEASURES),
     st.sampled_from([0.0, 0.01, 0.05]),
-    st.sampled_from(["chord", MIN_AREA_BOXES]),
 )
 @settings(max_examples=300, deadline=None)
-def test_lemma14_sound_for_every_measure(q, t, measure, theta, box_mode):
-    fq = extract_dp_features(q, theta, box_mode=box_mode)
-    ft = extract_dp_features(t, theta, box_mode=box_mode)
+def test_lemma14_sound_for_every_measure(q, t, measure, theta):
+    fq = extract_dp_features(q, theta)
+    ft = extract_dp_features(t, theta)
     exact = get_measure(measure).distance(q, t)
     # At, just above and well above the exact distance the pair is an
     # answer, so neither direction may prove it exceeds.
@@ -347,11 +333,10 @@ def lemma_cases(draw):
         for _ in range(2)
     )
     theta = draw(st.sampled_from((0.0, 0.01, 0.1)))
-    box_mode = draw(st.sampled_from(("chord", MIN_AREA_BOXES)))
-    fq = extract_dp_features(q, theta, box_mode=box_mode)
+    fq = extract_dp_features(q, theta)
     # The stored side goes through the row codec, as a scanned row does.
     ft = TrajectoryRecord.from_row(
-        encode_row("t", t, extract_dp_features(t, theta, box_mode=box_mode))
+        encode_row("t", t, extract_dp_features(t, theta))
     ).features
     anchors = [
         box_oracle.point_to_boxes_distance(fq, *ft.rep_points[0]),
@@ -421,7 +406,7 @@ def test_flat_lemma13_rejects_only_points_beyond_eps(case, probe):
                 assert all(math.hypot(x - px, y - py) > eps for px, py in points)
 
 
-@pytest.mark.parametrize("box_mode", ["chord", MIN_AREA_BOXES])
+@pytest.mark.parametrize("box_mode", ["chord"])
 @pytest.mark.parametrize("measure", MEASURES)
 def test_duplicate_at_eps_zero_is_an_answer(box_mode, measure):
     """A corner of a box envelope rounds past the raw point it came
@@ -432,7 +417,6 @@ def test_duplicate_at_eps_zero_is_an_answer(box_mode, measure):
         bounds=SpaceBounds(0, 0, 1, 1),
         max_resolution=8,
         shards=1,
-        box_mode=box_mode,
     )
     result = TraSS.build([t], cfg).threshold_search(t, 0.0, measure=measure)
     assert result.answers == {"t": 0.0}

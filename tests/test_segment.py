@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro import TraSS, TraSSConfig, Trajectory
 from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
 from repro.exceptions import CorruptSegmentError, FatalError, KVStoreError
+from repro.kvstore import segment as segment_module
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.segment import (
@@ -261,6 +262,46 @@ def test_block_crc_detects_bitflip_via_get(tmp_path):
     try:
         with pytest.raises(CorruptSegmentError):
             segment.get(entries[0][0])
+    finally:
+        segment.close()
+
+
+@pytest.mark.parametrize("mode", [1, 3, 255])
+def test_unknown_box_mode_is_a_typed_error(tmp_path, monkeypatch, mode):
+    """A TRAJ block whose covering-box byte is neither 0 (chord) nor 2
+    (explicit) — mode 1 held the removed min-area boxes — raises
+    ``CorruptSegmentError`` naming the mode when the block is read.
+    The block is a chord block with its header byte rewritten before
+    the block CRC is taken, so only the mode check can catch it."""
+    trajs = tdrive_like(20, seed=11, decimals=5)
+    engine = TraSS.build(
+        trajs, TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=12, shards=2)
+    )
+    entries = sorted(
+        (k, v)
+        for region in engine.store.table.regions
+        for k, v in region.store.scan()
+    )
+    box_byte = 6  # after n_rows (4 bytes), points codec and decimals
+    encode = segment_module._encode_block
+    seen = []
+
+    def rewrite_box_mode(keys, values):
+        codec, payload = encode(keys, values)
+        if codec == CODEC_TRAJ:
+            seen.append(payload[box_byte])
+            head, tail = payload[:box_byte], payload[box_byte + 1 :]
+            payload = head + bytes([mode]) + tail
+        return codec, payload
+
+    monkeypatch.setattr(segment_module, "_encode_block", rewrite_box_mode)
+    segment, _ = _write(tmp_path, entries)
+    try:
+        assert seen and set(seen) == {0}  # every block was a chord block
+        with pytest.raises(
+            CorruptSegmentError, match=f"covering-box mode {mode};"
+        ):
+            list(segment.scan())
     finally:
         segment.close()
 
