@@ -60,7 +60,7 @@ class JustXZ2Baseline(SimilaritySearchBaseline):
             placed = self.index.index(trajectory)
             shard = shard_of(trajectory.tid, self.shards)
             key = encode_rowkey(shard, placed.value, trajectory.tid)
-            features = extract_dp_features(trajectory.points, self.dp_tolerance)
+            features = extract_dp_features(trajectory, self.dp_tolerance)
             self.table.put(key, encode_row(trajectory.tid, trajectory.points, features))
         self.build_seconds = time.perf_counter() - started
 

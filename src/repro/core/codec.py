@@ -7,8 +7,8 @@ representative indexes (``dp-points``) and the covering boxes
 
     u32 n_points | n_points * 2 f64   raw points
     u32 n_rep    | n_rep * u32        DP representative indexes
-    u32 n_boxes  | n_boxes * 8 f64    oriented boxes (ax, ay, ux, uy,
-                                      hi_a, lo_a, lo_p, hi_p)
+    u32 n_boxes  | n_boxes * 8 f64    chord-aligned boxes (ax, ay, ux,
+                                      uy, hi_a, lo_a, lo_p, hi_p)
     u16 tid_len  | tid bytes          trajectory id (also in the key;
                                       kept in the value so a row is
                                       self-describing)
@@ -38,7 +38,8 @@ the only decoder of a stored row.
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from itertools import chain
+from typing import Sequence, Tuple
 
 from repro.exceptions import KVStoreError
 from repro.features.dp_features import DPFeatures, Frame
@@ -51,36 +52,37 @@ _XY = struct.Struct(">2d")
 PointTuple = Tuple[float, float]
 
 
-def _pack_frame(frame: Frame) -> bytes:
-    """One ``dp-mbrs`` entry; the column stores the along extents as
-    ``hi_a, lo_a`` (``OrientedBox.length, lo_along``)."""
-    ax, ay, ux, uy, lo_a, hi_a, lo_p, hi_p = frame
-    return _BOX.pack(ax, ay, ux, uy, hi_a, lo_a, lo_p, hi_p)
-
-
 def encode_row(
     tid: str,
     points: Sequence[PointTuple],
     features: DPFeatures,
 ) -> bytes:
-    """Serialise one trajectory row value."""
+    """Serialise one trajectory row value.
+
+    Each column is one ``struct.pack`` over a flat argument list; the
+    ``dp-mbrs`` column stores a frame's along extents as ``hi_a, lo_a``.
+    """
     if not points:
         raise KVStoreError(f"trajectory {tid!r} has no points")
-    parts: List[bytes] = [_U32.pack(len(points))]
-    parts.append(
-        struct.pack(f">{2 * len(points)}d", *(c for p in points for c in p))
-    )
-    parts.append(_U32.pack(len(features.rep_indexes)))
-    if features.rep_indexes:
-        parts.append(
-            struct.pack(f">{len(features.rep_indexes)}I", *features.rep_indexes)
-        )
-    parts.append(_U32.pack(len(features.frames)))
-    parts.extend(_pack_frame(frame) for frame in features.frames)
+    n_rep = len(features.rep_indexes)
+    n_boxes = len(features.frames)
     tid_bytes = tid.encode("utf-8")
-    parts.append(_U16.pack(len(tid_bytes)))
-    parts.append(tid_bytes)
-    return b"".join(parts)
+    return b"".join((
+        _U32.pack(len(points)),
+        struct.pack(f">{2 * len(points)}d", *chain.from_iterable(points)),
+        _U32.pack(n_rep),
+        struct.pack(f">{n_rep}I", *features.rep_indexes),
+        _U32.pack(n_boxes),
+        struct.pack(
+            f">{8 * n_boxes}d",
+            *chain.from_iterable(
+                (ax, ay, ux, uy, hi_a, lo_a, lo_p, hi_p)
+                for ax, ay, ux, uy, lo_a, hi_a, lo_p, hi_p in features.frames
+            ),
+        ),
+        _U16.pack(len(tid_bytes)),
+        tid_bytes,
+    ))
 
 
 def read_head(data: bytes) -> Tuple[str, PointTuple, PointTuple, int, int, int]:

@@ -461,14 +461,17 @@ class ResilientExecutor:
         per *successfully completed* range with that range's surviving
         rows and the row filter that screened them, enabling callers to
         refine while later ranges are still scanning (the scan →
-        filter → refine pipeline).
+        filter → refine pipeline).  The callback then consumes the rows
+        and the returned list stays empty, so no consumed row's bytes
+        are kept until the scan returns.
         """
         rows: List[Tuple[bytes, bytes]] = []
 
         def consume(scan_range: ScanRange) -> None:
             chunk = self.scan_chunk(scan_range, row_filter)
-            rows.extend(chunk)
-            if on_range_rows is not None and chunk:
+            if on_range_rows is None:
+                rows.extend(chunk)
+            elif chunk:
                 on_range_rows(chunk, row_filter)
 
         report = self.execute(ranges, consume, report)

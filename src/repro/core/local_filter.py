@@ -101,7 +101,7 @@ class LocalFilter:
         self.query = query
         self.measure = measure
         self.eps = eps
-        self.features = extract_dp_features(query.points, dp_tolerance)
+        self.features = extract_dp_features(query, dp_tolerance)
         self.stats = LocalFilterStats()
         #: ablation switch: which lemma stages run (default: all)
         self.stages = self.ALL_STAGES if stages is None else frozenset(stages)
@@ -222,11 +222,12 @@ def points_exceed_boxes(
     every box of ``boxes`` (:attr:`DPFeatures.geometry`).
 
     Per box the envelope gate comes first, then the local-frame test;
-    each uses the float operations of the method it stands for
-    (``MBR.distance_to_point``, ``OrientedBox.distance_to_point``), so
-    every decision is theirs bit for bit.  Their ``max(lo - v, 0.0,
-    v - hi)`` is written as a conditional, which picks the same value
-    because ``lo <= hi`` for envelopes and for both box constructions.
+    each uses the float operations of the object method it replaced
+    (``MBR.distance_to_point``, and the box's point distance that the
+    tests' oracle keeps), so every decision is theirs bit for bit.
+    Their ``max(lo - v, 0.0, v - hi)`` is written as a conditional,
+    which picks the same value because ``lo <= hi`` for envelopes and
+    for both box constructions.
 
     The filter passes ``admit_reach(eps, scale)``, not ``eps``: an
     envelope corner or a frame coordinate can round past the raw point

@@ -321,7 +321,7 @@ class GlobalPruner:
         # the stored data enters Algorithm 1 — so cached plans stay
         # sound across ingests.  Keys carry the exact point tuple (the
         # position-code lemmas read the points, so an MBR-quantised key
-        # alone would be unsound) plus eps and the resolution band.
+        # alone would be unsound) plus eps and the two plan switches.
         from repro.kvstore.cache import ObjectLRUCache
 
         self.plan_cache = (
@@ -382,14 +382,15 @@ class GlobalPruner:
             tracer = NULL_TRACER
         check_threshold(eps)
         with tracer.span("prune", eps=eps) as span:
-            band = self.resolution_band(query, eps)
             cache = self.plan_cache
             cache_key = None
             if cache is not None:
+                # The resolution band is a function of the points and
+                # eps for this pruner, so it is neither in the key nor
+                # computed on a hit.
                 cache_key = (
                     query.points,
                     eps,
-                    band,
                     self.use_position_codes,
                     self.range_merge_gap,
                 )
@@ -402,7 +403,7 @@ class GlobalPruner:
                     return cached
                 if self.metrics is not None:
                     self.metrics.plan_cache_misses += 1
-            result = self._prune_uncached(query, eps, band, tracer)
+            result = self._prune_uncached(query, eps, tracer)
             if cache is not None:
                 cache.put(cache_key, result)
             span.set_attr(
@@ -427,9 +428,9 @@ class GlobalPruner:
         )
 
     def _prune_uncached(
-        self, query: Trajectory, eps: float, band: Tuple[int, int], tracer=NULL_TRACER
+        self, query: Trajectory, eps: float, tracer=NULL_TRACER
     ) -> PruningResult:
-        min_r, max_r = band
+        min_r, max_r = self.resolution_band(query, eps)
         result = PruningResult(
             values=[], ranges=[], min_resolution=min_r, max_resolution=max_r
         )

@@ -252,9 +252,7 @@ class TrajectoryStore:
         """Row key, row blob and index value for one trajectory."""
         self.config.bounds.check_stored(trajectory.tid, trajectory.mbr)
         placed = self.index.index(trajectory)
-        features = extract_dp_features(
-            trajectory.points, self.config.dp_tolerance
-        )
+        features = extract_dp_features(trajectory, self.config.dp_tolerance)
         shard = shard_of(trajectory.tid, self.config.shards)
         key = self._rowkey(shard, placed.value, trajectory.tid)
         blob = encode_row(trajectory.tid, trajectory.points, features)

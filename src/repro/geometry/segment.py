@@ -1,10 +1,13 @@
-"""Line segments and an oriented bounding box used by DP features.
+"""Line segments and the chord-aligned box geometry of DP features.
 
 The paper's local filtering covers the raw points between two
 consecutive Douglas-Peucker representative points with a bounding box
 that "is not necessarily parallel to the coordinate axis"
-(Section IV-D).  :class:`OrientedBox` implements that: a rectangle
-aligned with the chord between the two representative points.
+(Section IV-D): a rectangle aligned with the chord between the two
+representative points.  Such a box is an 8-float *frame* —
+``(ax, ay, ux, uy, lo_a, hi_a, lo_p, hi_p)``: anchor, unit axis, and the
+extents along and across the axis — built by
+:func:`repro.features.dp_features.chord_frame`.
 
 :func:`segment_box_sq_distance` is the one Lemma 14 geometry kernel:
 in the box's own frame the box is an axis-aligned rectangle, so the
@@ -13,11 +16,9 @@ distance from a segment to it has a closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.exceptions import GeometryError
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 
@@ -43,118 +44,6 @@ class Segment:
         return point_segment_distance(p, self.start, self.end)
 
 
-@dataclass(frozen=True)
-class OrientedBox:
-    """A rectangle aligned with a chord, covering a run of points.
-
-    The box is described by the chord (``anchor`` -> ``anchor + axis``)
-    plus signed perpendicular extents and signed extensions along the
-    chord.  Distances are computed in the box's local frame, which keeps
-    the pruning lemmas (Lemmas 13-14) exact for rotated boxes.
-    """
-
-    anchor: Point
-    axis: Tuple[float, float]  # unit vector along the chord
-    length: float  # extent along the axis from the anchor
-    lo_along: float  # signed extension behind the anchor (<= 0)
-    lo_perp: float  # signed extent below the chord (<= 0)
-    hi_perp: float  # signed extent above the chord (>= 0)
-
-    @staticmethod
-    def cover(points: Sequence[Tuple[float, float]]) -> "OrientedBox":
-        """Smallest chord-aligned box covering ``points``.
-
-        The chord is the line from the first to the last point; when the
-        two coincide the box degenerates gracefully to an axis-aligned
-        frame anchored at that point.
-        """
-        if not points:
-            raise GeometryError("cannot cover zero points")
-        first = Point(*points[0])
-        last = Point(*points[-1])
-        vx, vy = last.x - first.x, last.y - first.y
-        norm = math.hypot(vx, vy)
-        if norm == 0.0:
-            ux, uy = 1.0, 0.0
-            chord = 0.0
-        else:
-            ux, uy = vx / norm, vy / norm
-            chord = norm
-        lo_a = hi_a = lo_p = hi_p = 0.0
-        for px, py in points:
-            rx, ry = px - first.x, py - first.y
-            along = rx * ux + ry * uy
-            perp = -rx * uy + ry * ux
-            lo_a = min(lo_a, along)
-            hi_a = max(hi_a, along)
-            lo_p = min(lo_p, perp)
-            hi_p = max(hi_p, perp)
-        hi_a = max(hi_a, chord)
-        return OrientedBox(first, (ux, uy), hi_a, lo_a, lo_p, hi_p)
-
-    # ------------------------------------------------------------------
-    def _local(self, x: float, y: float) -> Tuple[float, float]:
-        """Coordinates of ``(x, y)`` in the box frame (along, perp)."""
-        ux, uy = self.axis
-        rx, ry = x - self.anchor.x, y - self.anchor.y
-        return rx * ux + ry * uy, -rx * uy + ry * ux
-
-    def distance_to_point(self, x: float, y: float) -> float:
-        """Minimum distance from ``(x, y)`` to the box (0 if inside)."""
-        along, perp = self._local(x, y)
-        da = max(self.lo_along - along, 0.0, along - self.length)
-        dp = max(self.lo_perp - perp, 0.0, perp - self.hi_perp)
-        return math.hypot(da, dp)
-
-    def contains_point(self, x: float, y: float, tol: float = 1e-12) -> bool:
-        along, perp = self._local(x, y)
-        return (
-            self.lo_along - tol <= along <= self.length + tol
-            and self.lo_perp - tol <= perp <= self.hi_perp + tol
-        )
-
-    def frame(self) -> Tuple[float, ...]:
-        """The box as the eight floats :func:`segment_box_sq_distance`
-        takes: anchor, axis, then the along and perp extents."""
-        return (
-            self.anchor.x,
-            self.anchor.y,
-            self.axis[0],
-            self.axis[1],
-            self.lo_along,
-            self.length,
-            self.lo_perp,
-            self.hi_perp,
-        )
-
-    def corner_coords(self) -> Tuple[float, ...]:
-        """The four corners as flat world coordinates
-        ``(x0, y0, ..., x3, y3)``, counter-clockwise in the box frame
-        from ``(lo_along, lo_perp)``."""
-        return frame_corners(*self.frame())
-
-    def corners(self) -> List[Point]:
-        """The four corners of the box in world coordinates."""
-        c = self.corner_coords()
-        return [Point(c[i], c[i + 1]) for i in (0, 2, 4, 6)]
-
-    def mbr(self) -> MBR:
-        """Axis-aligned envelope of the oriented box."""
-        return MBR.of_points(self.corners())
-
-    def edges(self) -> List[Tuple[Point, Point]]:
-        """The four edges of the box as point pairs."""
-        cs = self.corners()
-        return [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
-
-    def distance_to_segment(self, a: Point, b: Point) -> float:
-        """Exact minimum distance from segment ``a-b`` to the box
-        (zero when the segment touches or crosses it)."""
-        return math.sqrt(
-            segment_box_sq_distance(a[0], a[1], b[0], b[1], *self.frame())
-        )
-
-
 def frame_corners(
     ax: float,
     ay: float,
@@ -165,8 +54,9 @@ def frame_corners(
     lo_p: float,
     hi_p: float,
 ) -> Tuple[float, ...]:
-    """The corners of the box with this frame (:meth:`OrientedBox.frame`)
-    as :meth:`OrientedBox.corner_coords` returns them."""
+    """The four corners of the box with this frame as flat world
+    coordinates ``(x0, y0, ..., x3, y3)``, counter-clockwise in the box
+    frame from ``(lo_a, lo_p)``."""
     lo_ux, lo_uy = lo_a * ux, lo_a * uy
     hi_ux, hi_uy = hi_a * ux, hi_a * uy
     lp_ux, lp_uy = lo_p * ux, lo_p * uy

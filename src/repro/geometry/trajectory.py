@@ -20,6 +20,22 @@ PointTuple = Tuple[float, float]
 Columns = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 
+def columns_of(points) -> Columns:
+    """The x and y coordinates of ``points`` as two float columns.
+
+    A :class:`Trajectory` or a stored record returns the ``columns`` it
+    carries; a plain point sequence is converted with the same ``float``
+    conversion :class:`Trajectory` applies, so both give the same floats.
+    """
+    columns = getattr(points, "columns", None)
+    if columns is not None:
+        return columns
+    return (
+        tuple([float(p[0]) for p in points]),
+        tuple([float(p[1]) for p in points]),
+    )
+
+
 class Trajectory:
     """A trajectory ``T = (t_1, ..., t_n)`` with identifier ``tid``.
 
@@ -54,7 +70,8 @@ class Trajectory:
     @property
     def mbr(self) -> MBR:
         if self._mbr is None:
-            self._mbr = MBR.of_points(self._points)
+            xs, ys = self.columns
+            self._mbr = MBR(min(xs), min(ys), max(xs), max(ys))
         return self._mbr
 
     @property

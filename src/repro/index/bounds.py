@@ -9,7 +9,7 @@ The paper's default instantiation covers the whole earth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from repro.exceptions import GeometryError
 from repro.geometry.mbr import MBR
@@ -55,6 +55,17 @@ class SpaceBounds:
         ny = (y - self.min_y) / self.height
         return min(max(nx, 0.0), 1.0), min(max(ny, 0.0), 1.0)
 
+    def normalize_columns(
+        self, xs: Sequence[float], ys: Sequence[float]
+    ) -> Tuple[List[float], List[float], Tuple[float, float, float, float]]:
+        """World coordinate columns -> unit-square columns, each value
+        as :meth:`normalize` maps it, plus their bounding box
+        ``(min_x, min_y, max_x, max_y)``: what indexing a trajectory
+        needs, without a tuple per point."""
+        nxs, min_x, max_x = _to_unit(xs, self.min_x, self.width)
+        nys, min_y, max_y = _to_unit(ys, self.min_y, self.height)
+        return nxs, nys, (min_x, min_y, max_x, max_y)
+
     def denormalize(self, nx: float, ny: float) -> Tuple[float, float]:
         """Unit-square point -> world point."""
         return self.min_x + nx * self.width, self.min_y + ny * self.height
@@ -93,3 +104,17 @@ class SpaceBounds:
                 f" its MBR is ({mbr.min_x}, {mbr.min_y}) .. "
                 f"({mbr.max_x}, {mbr.max_y})"
             )
+
+
+def _to_unit(
+    values: Sequence[float], lo: float, extent: float
+) -> Tuple[List[float], float, float]:
+    """One axis of :meth:`SpaceBounds.normalize_columns`: the unit
+    values and their minimum and maximum.  The ``[0, 1]`` clamp runs
+    only when some value needs it, which stored trajectories never do."""
+    unit = [(v - lo) / extent for v in values]
+    low, high = min(unit), max(unit)
+    if low < 0.0 or high > 1.0:
+        unit = [min(max(u, 0.0), 1.0) for u in unit]
+        low, high = min(unit), max(unit)
+    return unit, low, high

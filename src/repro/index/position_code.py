@@ -78,52 +78,59 @@ def quad_rects(element: Element) -> Dict[Quad, MBR]:
     }
 
 
-def _classify_point(x: float, y: float, x0: float, y0: float, w: float) -> Quad:
-    """The sub-quad containing a point of the enlarged element.
+#: sub-quad -> its bit in a touched-quads mask
+_QUAD_BIT: Dict[Quad, int] = {"a": 1, "b": 2, "c": 4, "d": 8}
 
-    Points exactly on the internal boundary belong to the lower/left
-    quad.  That convention matches the *closed* fit test of Lemma 2
-    (``smallest_enlarged_element``), which is what guarantees that a
-    trajectory confined to quad ``a`` below the maximum resolution is
-    impossible — including for points clamped onto the space boundary
-    (e.g. a stationary ping at latitude exactly +90).
-    """
-    right = x > x0 + w
-    top = y > y0 + w
-    if right:
-        return "d" if top else "c"
-    return "b" if top else "a"
-
-
-def touched_quads(
-    points: Sequence[Tuple[float, float]], element: Element
-) -> FrozenSet[Quad]:
-    """The set of sub-quads containing at least one trajectory point."""
-    w = element.cell_width
-    x0, y0 = element.ix * w, element.iy * w
-    return frozenset(_classify_point(x, y, x0, y0, w) for x, y in points)
+#: touched-quads mask -> position code, 0 for an illegal combination
+_MASK_TO_CODE: Tuple[int, ...] = tuple(
+    QUADS_TO_CODE.get(
+        frozenset(q for q, bit in _QUAD_BIT.items() if mask & bit), 0
+    )
+    for mask in range(16)
+)
 
 
 def position_code_of(
-    points: Sequence[Tuple[float, float]],
+    xs: Sequence[float],
+    ys: Sequence[float],
     element: Element,
     max_resolution: int,
 ) -> int:
     """The position code of a trajectory inside its enlarged element.
 
-    ``points`` must be normalised to unit space and ``element`` must be
-    the trajectory's smallest enlarged element — under those conditions
-    the touched combination is always one of the ten legal codes.
+    ``xs`` and ``ys`` are the trajectory's coordinate columns normalised
+    to unit space, and ``element`` must be its smallest enlarged element
+    — under those conditions the touched combination is always one of
+    the ten legal codes.
+
+    A point is in a right quad (``c``/``d``) when ``x > x0 + w`` and in
+    a top quad (``b``/``d``) when ``y > y0 + w``: points exactly on the
+    internal boundary belong to the lower/left quad.  That convention
+    matches the *closed* fit test of Lemma 2 (``covering_element``),
+    which is what guarantees that a trajectory confined to quad ``a``
+    below the maximum resolution is impossible — including for points
+    clamped onto the space boundary (e.g. a stationary ping at latitude
+    exactly +90).  The scan stops once all four quads are touched.
     """
-    quads = touched_quads(points, element)
-    try:
-        code = QUADS_TO_CODE[quads]
-    except KeyError:
+    w = element.cell_width
+    right = element.ix * w + w
+    top = element.iy * w + w
+    mask = 0
+    for x, y in zip(xs, ys):
+        if x > right:
+            mask |= 8 if y > top else 4
+        else:
+            mask |= 2 if y > top else 1
+        if mask == 15:
+            break
+    code = _MASK_TO_CODE[mask]
+    if not code:
+        quads = [q for q, bit in _QUAD_BIT.items() if mask & bit]
         raise IndexingError(
             f"trajectory touches illegal sub-quad combination "
-            f"{sorted(quads)} of element {element.sequence_str!r}; "
-            "was the element computed with smallest_enlarged_element?"
-        ) from None
+            f"{quads} of element {element.sequence_str!r}; "
+            "was the element computed with covering_element?"
+        )
     if code == 10 and element.level < max_resolution:
         raise IndexingError(
             "single-quad combination {a} below the maximum resolution; "

@@ -12,9 +12,10 @@ so digit ``q`` contributes bit ``q >> 1`` to ``ix`` and bit ``q & 1`` to
 ``iy``.  The *enlarged element* doubles the cell toward the upper-right
 corner (Figure 3(c)).
 
-``smallest_enlarged_element`` implements Lemmas 1-2: the smallest
-enlarged element covering an MBR is anchored at the cell containing the
-MBR's lower-left corner, at resolution ``l`` or ``l + 1`` where
+``covering_element`` implements Lemmas 1-2 on a box's four floats
+(``smallest_enlarged_element`` takes an :class:`MBR`): the smallest
+enlarged element covering a box is anchored at the cell containing the
+box's lower-left corner, at resolution ``l`` or ``l + 1`` where
 ``l = floor(log2(1 / max(width, height)))``.
 """
 
@@ -154,25 +155,33 @@ def _cell_coordinate(value: float, level: int) -> int:
     return idx
 
 
-def _fits(mbr: MBR, level: int) -> bool:
+def _fits(
+    min_x: float, min_y: float, max_x: float, max_y: float, level: int
+) -> bool:
     """True if the enlarged element at ``level`` anchored at the cell
-    containing ``mbr``'s lower-left corner covers ``mbr`` (Lemma 2)."""
+    containing the box's lower-left corner covers the box (Lemma 2)."""
     w = 0.5**level
-    cx = _cell_coordinate(mbr.min_x, level)
-    cy = _cell_coordinate(mbr.min_y, level)
-    return mbr.max_x <= (cx + 2) * w and mbr.max_y <= (cy + 2) * w
+    cx = _cell_coordinate(min_x, level)
+    cy = _cell_coordinate(min_y, level)
+    return max_x <= (cx + 2) * w and max_y <= (cy + 2) * w
 
 
-def smallest_enlarged_element(mbr: MBR, max_resolution: int) -> Element:
-    """The smallest enlarged element covering ``mbr`` (Lemmas 1-2).
+def covering_element(
+    min_x: float,
+    min_y: float,
+    max_x: float,
+    max_y: float,
+    max_resolution: int,
+) -> Element:
+    """The smallest enlarged element covering the unit-space box
+    ``[min_x, max_x] x [min_y, max_y]`` (Lemmas 1-2).
 
-    ``mbr`` must be normalised to the unit square.  Degenerate MBRs
-    (stationary trajectories) land at the maximum resolution, which is
-    what produces the paper's Figure 12(a) peak.
+    Degenerate boxes (stationary trajectories) land at the maximum
+    resolution, which is what produces the paper's Figure 12(a) peak.
     """
     if max_resolution < 1:
         raise IndexingError(f"max resolution must be >= 1, got {max_resolution}")
-    max_dim = max(mbr.width, mbr.height)
+    max_dim = max(max_x - min_x, max_y - min_y)
     if max_dim <= 0.0:
         level = max_resolution
     else:
@@ -182,10 +191,19 @@ def smallest_enlarged_element(mbr: MBR, max_resolution: int) -> Element:
         # Guard against floating-point log edge cases in both directions;
         # mathematically only l and l + 1 are possible (Lemma 1), so each
         # loop runs at most a step or two.
-        while level > 0 and not _fits(mbr, level):
+        while level > 0 and not _fits(min_x, min_y, max_x, max_y, level):
             level -= 1
-        while level < max_resolution and _fits(mbr, level + 1):
+        while level < max_resolution and _fits(
+            min_x, min_y, max_x, max_y, level + 1
+        ):
             level += 1
-    cx = _cell_coordinate(mbr.min_x, level)
-    cy = _cell_coordinate(mbr.min_y, level)
+    cx = _cell_coordinate(min_x, level)
+    cy = _cell_coordinate(min_y, level)
     return Element(level, cx, cy)
+
+
+def smallest_enlarged_element(mbr: MBR, max_resolution: int) -> Element:
+    """:func:`covering_element` of a normalised :class:`MBR`."""
+    return covering_element(
+        mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y, max_resolution
+    )

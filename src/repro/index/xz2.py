@@ -25,7 +25,7 @@ from repro.exceptions import EncodingError, IndexingError
 from repro.geometry.mbr import MBR
 from repro.geometry.trajectory import Trajectory
 from repro.index.bounds import SpaceBounds
-from repro.index.quadrant import ROOT, Element, smallest_enlarged_element
+from repro.index.quadrant import ROOT, Element, covering_element
 from repro.index.ranges import IndexRange, merge_ranges, merge_values_to_ranges
 
 MAX_SUPPORTED_RESOLUTION = 30
@@ -114,9 +114,8 @@ class XZ2Index:
     # ------------------------------------------------------------------
     def place(self, trajectory: Trajectory) -> Element:
         """The smallest enlarged element of a trajectory (Lemmas 1-2)."""
-        norm_points = [self.bounds.normalize(x, y) for x, y in trajectory.points]
-        mbr = MBR.of_points(norm_points)
-        return smallest_enlarged_element(mbr, self.max_resolution)
+        _, _, box = self.bounds.normalize_columns(*trajectory.columns)
+        return covering_element(*box, self.max_resolution)
 
     def index(self, trajectory: Trajectory) -> XZ2IndexedTrajectory:
         element = self.place(trajectory)

@@ -42,7 +42,7 @@ from repro.index.position_code import (
     position_code_of,
     quad_rects,
 )
-from repro.index.quadrant import ROOT, Element, smallest_enlarged_element
+from repro.index.quadrant import ROOT, Element, covering_element
 
 MAX_SUPPORTED_RESOLUTION = 28
 
@@ -193,11 +193,9 @@ class XZStarIndex:
     # ------------------------------------------------------------------
     def place(self, trajectory: Trajectory) -> Tuple[Element, int]:
         """The (element, position code) pair of a trajectory."""
-        norm_points = [self.bounds.normalize(x, y) for x, y in trajectory.points]
-        mbr = MBR.of_points(norm_points)
-        element = smallest_enlarged_element(mbr, self.max_resolution)
-        code = position_code_of(norm_points, element, self.max_resolution)
-        return element, code
+        xs, ys, box = self.bounds.normalize_columns(*trajectory.columns)
+        element = covering_element(*box, self.max_resolution)
+        return element, position_code_of(xs, ys, element, self.max_resolution)
 
     def index(self, trajectory: Trajectory) -> IndexedTrajectory:
         """Index one trajectory: its element, position code and value."""

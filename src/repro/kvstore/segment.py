@@ -70,7 +70,7 @@ _POINTS_QUANT = 0
 _POINTS_RAW = 1
 
 #: covering-box modes inside a TRAJ block (no other mode is read)
-_BOXES_CHORD = 0  #: rebuild with OrientedBox.cover
+_BOXES_CHORD = 0  #: rebuild with chord_frame
 _BOXES_EXPLICIT = 2  #: stored verbatim
 
 #: trajectory-id modes inside a TRAJ block
@@ -214,21 +214,21 @@ def _tid_from_key(key: bytes, mode: int) -> Optional[bytes]:
 def _cover_chords(
     pts: np.ndarray, los: np.ndarray, his: np.ndarray
 ) -> np.ndarray:
-    """Vectorised ``OrientedBox.cover`` over many chords of ``pts``.
+    """Vectorised ``dp_features.chord_frame`` over many chords of ``pts``.
 
     ``los``/``his`` are inclusive point-index ranges, one per chord
     (``lo == hi`` is the degenerate single-point box).  Box rebuild
     dominates cold block decodes, so the per-chord scalar loop is
     replaced with one reduceat pass over all chords.  The arithmetic
-    mirrors ``cover`` operation for operation — same order,
+    mirrors ``chord_frame`` operation for operation — same order,
     ``math.hypot`` for the chord norm (CPython's hypot is not libm's),
     and a ``+ 0.0`` on every extent to normalise ``-0.0`` the way the
-    scalar ``min(0.0, ...)``/``max(0.0, ...)`` chain does — so the
-    output is bit-identical and the encoder's verification pass keeps
-    choosing the compact chord mode.
+    scalar comparisons against the ``0.0`` start do — so the output is
+    bit-identical and the encoder's verification pass keeps choosing
+    the compact chord mode.
 
-    Returns an ``(n_chords, 8)`` float64 array in ``_pack_frame``'s
-    byte order.
+    Returns an ``(n_chords, 8)`` float64 array in the ``dp-mbrs``
+    column's byte order (``codec.encode_row``).
     """
     import math
 
@@ -762,7 +762,8 @@ class Segment:
         self.bytes_compressed_read = 0
         self.bytes_logical_read = 0
         #: optional zero-arg callable returning the owning table's
-        #: :class:`~repro.kvstore.metrics.IOMetrics` sink
+        #: :class:`~repro.kvstore.metrics.IOMetrics` sink (``None`` once
+        #: the table is gone)
         self.metrics_provider = None
 
         try:
@@ -898,8 +899,8 @@ class Segment:
             self.bytes_compressed_read += meta.length
             self.bytes_logical_read += meta.logical_bytes
             provider = self.metrics_provider
-            if provider is not None:
-                metrics = provider()
+            metrics = provider() if provider is not None else None
+            if metrics is not None:
                 metrics.segment_blocks_materialized += 1
                 metrics.segment_bytes_compressed += meta.length
                 metrics.segment_bytes_logical += meta.logical_bytes

@@ -10,6 +10,7 @@ whether or not the filter lets it through.
 from __future__ import annotations
 
 import bisect
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -185,8 +186,14 @@ class KVTable:
 
     def adopt_segment(self, segment) -> None:
         """Point a segment's counters at this table's metrics sink
-        (late-bound, so replacing ``table.metrics`` re-routes them)."""
-        segment.metrics_provider = lambda: self.metrics
+        (late-bound, so replacing ``table.metrics`` re-routes them).
+
+        The provider holds the table weakly: the table owns the segment,
+        so a strong reference back would make every loaded table a
+        cycle that only the garbage collector frees, late.
+        """
+        owner = weakref.ref(self)
+        segment.metrics_provider = lambda: getattr(owner(), "metrics", None)
 
     # ------------------------------------------------------------------
     # Reads

@@ -34,6 +34,7 @@ import abc
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import QueryError
+from repro.geometry.trajectory import columns_of
 
 #: a side of a measure: ``(x, y)`` points, or an object whose
 #: ``columns`` are its ``(xs, ys)`` floats (see :func:`coordinates`)
@@ -57,12 +58,10 @@ def coordinates(
     pass, is converted here on every call, with the same ``float``
     conversion ``Trajectory`` applies, so both give the same floats.
     """
-    columns = getattr(points, "columns", None)
-    if columns is not None:
-        return columns
-    if len(points) == 0:
+    xs, ys = columns_of(points)
+    if not xs:
         raise ValueError(f"{measure} distance of an empty sequence")
-    return [float(p[0]) for p in points], [float(p[1]) for p in points]
+    return xs, ys
 
 
 def greedy_coupling(

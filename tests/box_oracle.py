@@ -23,11 +23,8 @@ import math
 from repro.core.local_filter import LocalFilter
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
-from repro.geometry.segment import (
-    OrientedBox,
-    admit_reach,
-    segment_box_sq_distance,
-)
+from repro.geometry.segment import admit_reach, segment_box_sq_distance
+from tests.write_path_oracle import OrientedBox
 
 
 def boxes(features):

@@ -163,3 +163,42 @@ class TestPruneEffectiveness:
         result = p.prune(q, eps=0.01)
         assert result.elements_visited > 0
         assert result.min_resolution <= result.max_resolution
+
+
+class TestPlanCache:
+    def test_hit_computes_no_resolution_band(self, monkeypatch):
+        """The band is a function of the points and eps for one pruner:
+        a hit returns the cached plan without computing it, and counts
+        and traces exactly as a miss-then-hit always did."""
+        from repro.kvstore.metrics import IOMetrics
+        from repro.obs.tracing import Tracer
+
+        metrics = IOMetrics()
+        p = GlobalPruner(
+            XZStarIndex(8, UNIT), plan_cache_size=4, metrics=metrics
+        )
+        bands = []
+        band = p.resolution_band
+
+        def counted(query, eps):
+            bands.append(eps)
+            return band(query, eps)
+
+        monkeypatch.setattr(p, "resolution_band", counted)
+        q = Trajectory("q", walk(random.Random(3), (0.4, 0.4), 12))
+        tracer = Tracer()
+        miss = p.prune(q, 0.02, tracer)
+        hit = p.prune(q, 0.02, tracer)
+        assert hit is miss
+        assert bands == [0.02]
+        assert (metrics.plan_cache_misses, metrics.plan_cache_hits) == (1, 1)
+        first, second = (span.attrs for span in tracer.traces())
+        assert first.pop("plan_cache") == "miss"
+        assert second.pop("plan_cache") == "hit"
+        assert first == second
+        assert (first["min_resolution"], first["max_resolution"]) == band(
+            q, 0.02
+        )
+        # Another eps is another key, and its band is computed.
+        p.prune(q, 0.05)
+        assert bands[-1] == 0.05 and metrics.plan_cache_misses == 2

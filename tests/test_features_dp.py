@@ -68,7 +68,7 @@ class TestDouglasPeucker:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            douglas_peucker_mask([], 0.1)
+            douglas_peucker_mask([], [], 0.1)
 
 
 class TestDPFeatures:

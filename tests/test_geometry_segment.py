@@ -8,7 +8,8 @@ import pytest
 from repro.exceptions import GeometryError
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
-from repro.geometry.segment import OrientedBox, Segment
+from repro.geometry.segment import Segment
+from tests.write_path_oracle import OrientedBox
 
 
 class TestSegment:

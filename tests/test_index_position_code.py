@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import IndexingError
 from repro.geometry.mbr import MBR
+from repro.geometry.trajectory import columns_of
 from repro.index.position_code import (
     ALL_CODES,
     CODE_QUADS,
@@ -16,7 +17,6 @@ from repro.index.position_code import (
     index_space_rects,
     position_code_of,
     quad_rects,
-    touched_quads,
 )
 from repro.index.quadrant import Element, smallest_enlarged_element
 
@@ -111,7 +111,9 @@ class TestPositionCodeOf:
     def test_horizontal_pair(self):
         e = Element.from_sequence_str("0")  # enlarged [0,1]^2
         pts = [(0.1, 0.1), (0.9, 0.2)]  # a and c
-        assert touched_quads(pts, e) == frozenset("ac")
+        assert position_code_of(*columns_of(pts), e, 16) == QUADS_TO_CODE[
+            frozenset("ac")
+        ]
 
     def test_all_legal_combinations_reachable(self):
         e = Element.from_sequence_str("0")
@@ -127,14 +129,15 @@ class TestPositionCodeOf:
             9: [(0.1, 0.9), (0.9, 0.1), (0.9, 0.9)],
         }
         for code, pts in samples.items():
-            assert position_code_of(pts, e, max_resolution=16) == code, code
+            got = position_code_of(*columns_of(pts), e, max_resolution=16)
+            assert got == code, code
 
     def test_code_10_only_at_max_resolution(self):
         e = Element.from_sequence_str("00")
         pts = [(0.05, 0.05), (0.1, 0.1)]  # inside quad a of '00'
-        assert position_code_of(pts, e, max_resolution=2) == 10
+        assert position_code_of(*columns_of(pts), e, max_resolution=2) == 10
         with pytest.raises(IndexingError):
-            position_code_of(pts, e, max_resolution=16)
+            position_code_of(*columns_of(pts), e, max_resolution=16)
 
     def test_codes_for_element(self):
         shallow = Element.from_sequence_str("0")
@@ -157,7 +160,7 @@ class TestPositionCodeOf:
             mbr = MBR.of_points(pts)
             for max_res in (4, 8, 16):
                 e = smallest_enlarged_element(mbr, max_res)
-                code = position_code_of(pts, e, max_res)
+                code = position_code_of(*columns_of(pts), e, max_res)
                 assert 1 <= code <= 10
                 if e.level < max_res:
                     assert code != 10

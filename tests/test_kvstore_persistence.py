@@ -1,10 +1,12 @@
 """Tests for the WAL, table persistence, and engine save/load."""
 
 import dataclasses
+import gc
 import json
 import os
 import shutil
 import random
+import weakref
 
 import pytest
 
@@ -236,6 +238,34 @@ class TestEngineSaveLoad:
         a = [tid for _, tid in engine.topk_search(q, 5).answers]
         b = [tid for _, tid in restored.topk_search(q, 5).answers]
         assert a == b
+
+    def test_dropped_load_is_freed_without_the_collector(self, tmp_path):
+        """A loaded table's segments reach its metrics through a weak
+        reference, so the table is no reference cycle: dropping the
+        engine frees it at once, not at the next cyclic collection.  A
+        segment that outlives its table still decodes its blocks."""
+        data = tdrive_like(60, seed=33)
+        cfg = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=12, shards=2)
+        TraSS.build(data, cfg).save(str(tmp_path / "store"))
+        gc.disable()
+        try:
+            queried = TraSS.load(str(tmp_path / "store"))
+            queried.threshold_search(data[0], 0.02)
+            assert queried.metrics.segment_blocks_materialized > 0
+            table = weakref.ref(queried.store.table)
+            del queried
+            assert table() is None
+
+            idle = TraSS.load(str(tmp_path / "store"))
+            segment = idle.store.table.regions[0].store.sstables[0]
+            assert segment.blocks_materialized == 0
+            table = weakref.ref(idle.store.table)
+            del idle
+            assert table() is None
+        finally:
+            gc.enable()
+        assert sum(1 for _ in segment.scan()) > 0
+        assert segment.blocks_materialized > 0
 
     def test_load_ignores_removed_config_keys(self, tmp_path):
         """A ``STORE.json`` written when since-removed knobs still

@@ -28,13 +28,10 @@ from repro.features.dp_features import DPFeatures, extract_dp_features
 from repro.geometry.distance import segment_distance
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
-from repro.geometry.segment import (
-    OrientedBox,
-    admit_reach,
-    segment_box_sq_distance,
-)
+from repro.geometry.segment import admit_reach, segment_box_sq_distance
 from repro.measures import get_measure
 from tests import box_oracle
+from tests.write_path_oracle import OrientedBox
 
 MEASURES = ["frechet", "hausdorff", "dtw"]
 

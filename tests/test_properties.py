@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.features.dp_features import extract_dp_features
 from repro.geometry.mbr import MBR
-from repro.geometry.trajectory import Trajectory
+from repro.geometry.trajectory import Trajectory, columns_of
 from repro.index.bounds import SpaceBounds
 from repro.index.position_code import position_code_of
 from repro.index.quadrant import Element, smallest_enlarged_element
@@ -242,7 +242,7 @@ def test_lsm_matches_dict_model(operations):
 def test_position_code_always_legal(points, max_res):
     mbr = MBR.of_points(points)
     element = smallest_enlarged_element(mbr, max_res)
-    code = position_code_of(points, element, max_res)
+    code = position_code_of(*columns_of(points), element, max_res)
     assert 1 <= code <= 10
     if element.level < max_res:
         assert code != 10
