@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import TraSSConfig
 from repro.core.pruning import (
@@ -85,6 +85,8 @@ class TraSS:
         #: local store — see :meth:`set_remote_executor`
         self._remote_executor = None
         self.registry = MetricsRegistry()
+        #: query kind -> (latency histogram, kind counter)
+        self._query_meters: Dict[str, tuple] = {}
         self.slow_query_log = SlowQueryLog(
             threshold_seconds=self.config.slow_query_threshold_seconds
         )
@@ -211,7 +213,7 @@ class TraSS:
         seconds: float,
         result,
         measure: Optional[str] = None,
-        io_before: Optional[Dict[str, int]] = None,
+        io_before: Optional[Tuple[int, ...]] = None,
         origin: str = "local",
         fanout=None,
     ) -> None:
@@ -221,12 +223,20 @@ class TraSS:
         pass ``origin="cluster"`` plus the coordinator's per-partition
         fan-out attribution, so slow entries name the shard/replica
         that served (or stalled) them."""
-        self.registry.histogram(
-            "trass.query.seconds", "query wall time in seconds"
-        ).observe(seconds)
-        self.registry.counter(
-            f"trass.query.{kind}.count", f"{kind} queries answered"
-        ).inc()
+        meters = self._query_meters.get(kind)
+        if meters is None:
+            # Resolved on a kind's first query, so neither metric is
+            # exported before a query has been answered.
+            meters = self._query_meters[kind] = (
+                self.registry.histogram(
+                    "trass.query.seconds", "query wall time in seconds"
+                ),
+                self.registry.counter(
+                    f"trass.query.{kind}.count", f"{kind} queries answered"
+                ),
+            )
+        meters[0].observe(seconds)
+        meters[1].inc()
         self.slow_query_log.observe(
             kind=kind,
             query_tid=query.tid,
@@ -238,29 +248,30 @@ class TraSS:
             origin=origin,
             fanout=fanout,
         )
+        table = self.store.table
         recorder = self._workload_recorder
         if recorder is not None and recorder.enabled and io_before is not None:
             recorder.record(
-                kind=kind,
-                query=query,
-                parameter=parameter,
-                measure=measure,
-                seconds=seconds,
-                io_delta=self.metrics.diff(io_before),
-                result=result,
-                generation=self.store.table.generation,
+                kind,
+                query,
+                parameter,
+                measure,
+                seconds,
+                table.metrics.since(io_before),
+                result,
+                table.generation,
             )
-        telemetry = self.storage_telemetry
+        telemetry = table.storage_telemetry
         if telemetry is not None:
             telemetry.advance_tick()
 
-    def _io_before_query(self) -> Optional[Dict[str, int]]:
-        """A pre-query IOMetrics snapshot when the workload recorder
-        wants per-query I/O deltas (``None`` otherwise — snapshotting is
-        read-only either way, this just skips the copy)."""
+    def _io_before_query(self) -> Optional[Tuple[int, ...]]:
+        """The pre-query IOMetrics counters when the workload recorder
+        wants per-query I/O deltas (``None`` otherwise — reading them is
+        read-only either way, this just skips the tuple)."""
         recorder = self._workload_recorder
         if recorder is not None and recorder.enabled:
-            return self.metrics.snapshot()
+            return self.store.table.metrics.counters()
         return None
 
     @property

@@ -23,9 +23,9 @@ from repro.core.executor import ResilientExecutor
 from repro.exceptions import KVStoreError, QueryError
 from repro.features.dp_features import DPFeatures, extract_dp_features
 from repro.geometry.mbr import MBR
-from repro.geometry.trajectory import Columns, Trajectory
+from repro.geometry.trajectory import ColumnView, Columns, Trajectory
 from repro.index.ranges import IndexRange
-from repro.index.xzstar import XZStarIndex
+from repro.index.xzstar import IndexedTrajectory, XZStarIndex
 from repro.kvstore.metrics import IOMetrics
 from repro.kvstore.rowkey import (
     encode_rowkey,
@@ -242,20 +242,27 @@ class TrajectoryStore:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _rowkey(self, shard: int, value: int, tid: str) -> bytes:
+    def _rowkey(self, shard: int, placed: IndexedTrajectory) -> bytes:
         if self.key_encoding == INTEGER_KEYS:
-            return encode_rowkey(shard, value, tid)
-        element, code = self.index.decode(value)
-        return encode_string_rowkey(shard, element.sequence_str, code, tid)
+            return encode_rowkey(shard, placed.value, placed.tid)
+        element = placed.element
+        return encode_string_rowkey(
+            shard, element.sequence_str, placed.position_code, placed.tid
+        )
 
     def _prepare(self, trajectory: Trajectory) -> Tuple[bytes, bytes, int]:
-        """Row key, row blob and index value for one trajectory."""
-        self.config.bounds.check_stored(trajectory.tid, trajectory.mbr)
-        placed = self.index.index(trajectory)
-        features = extract_dp_features(trajectory, self.config.dp_tolerance)
-        shard = shard_of(trajectory.tid, self.config.shards)
-        key = self._rowkey(shard, placed.value, trajectory.tid)
-        blob = encode_row(trajectory.tid, trajectory.points, features)
+        """Row key, row blob and index value for one trajectory.
+
+        The coordinate columns are read once, into a view: the caller's
+        trajectory is left as it came, with no columns or MBR cached.
+        """
+        view = ColumnView.of(trajectory)
+        self.config.bounds.check_stored(view.tid, view.mbr)
+        placed = self.index.index(view)
+        features = extract_dp_features(view, self.config.dp_tolerance)
+        shard = shard_of(view.tid, self.config.shards)
+        key = self._rowkey(shard, placed)
+        blob = encode_row(view.tid, trajectory.points, features)
         return key, blob, placed.value
 
     def _record_put(self, value: int) -> None:

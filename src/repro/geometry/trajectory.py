@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import GeometryError
 from repro.geometry.mbr import MBR
@@ -34,6 +34,31 @@ def columns_of(points) -> Columns:
         tuple([float(p[0]) for p in points]),
         tuple([float(p[1]) for p in points]),
     )
+
+
+def columns_mbr(columns: Columns) -> MBR:
+    """The bounding rectangle of two coordinate columns."""
+    xs, ys = columns
+    return MBR(min(xs), min(ys), max(xs), max(ys))
+
+
+class ColumnView(NamedTuple):
+    """A trajectory's id, coordinate columns and MBR, read once without
+    caching them on it: what ingest checks, places, simplifies and
+    boxes, so a caller's trajectory keeps no second copy of its
+    coordinates."""
+
+    tid: str
+    columns: Columns
+    mbr: MBR
+
+    @classmethod
+    def of(cls, trajectory: "Trajectory") -> "ColumnView":
+        columns = trajectory.read_columns()
+        mbr = trajectory._mbr
+        if mbr is None:
+            mbr = columns_mbr(columns)
+        return cls(trajectory.tid, columns, mbr)
 
 
 class Trajectory:
@@ -70,8 +95,7 @@ class Trajectory:
     @property
     def mbr(self) -> MBR:
         if self._mbr is None:
-            xs, ys = self.columns
-            self._mbr = MBR(min(xs), min(ys), max(xs), max(ys))
+            self._mbr = columns_mbr(self.columns)
         return self._mbr
 
     @property
@@ -80,11 +104,15 @@ class Trajectory:
         what the measures' kernels index."""
         columns = self._columns
         if columns is None:
-            points = self._points
-            columns = self._columns = (
-                tuple([p[0] for p in points]),
-                tuple([p[1] for p in points]),
-            )
+            columns = self._columns = self.read_columns()
+        return columns
+
+    def read_columns(self) -> Columns:
+        """The columns, without caching them: the cached ones if
+        :attr:`columns` already built them, else a fresh pair."""
+        columns = self._columns
+        if columns is None:
+            columns = tuple(zip(*self._points))
         return columns
 
     @property

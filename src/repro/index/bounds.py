@@ -56,15 +56,27 @@ class SpaceBounds:
         return min(max(nx, 0.0), 1.0), min(max(ny, 0.0), 1.0)
 
     def normalize_columns(
-        self, xs: Sequence[float], ys: Sequence[float]
+        self, xs: Sequence[float], ys: Sequence[float], mbr: MBR
     ) -> Tuple[List[float], List[float], Tuple[float, float, float, float]]:
         """World coordinate columns -> unit-square columns, each value
         as :meth:`normalize` maps it, plus their bounding box
-        ``(min_x, min_y, max_x, max_y)``: what indexing a trajectory
-        needs, without a tuple per point."""
-        nxs, min_x, max_x = _to_unit(xs, self.min_x, self.width)
-        nys, min_y, max_y = _to_unit(ys, self.min_y, self.height)
+        ``(min_x, min_y, max_x, max_y)`` mapped from the columns' world
+        ``mbr``: what indexing a trajectory needs, without a tuple per
+        point."""
+        nxs, min_x, max_x = _to_unit(
+            xs, self.min_x, self.width, mbr.min_x, mbr.max_x
+        )
+        nys, min_y, max_y = _to_unit(
+            ys, self.min_y, self.height, mbr.min_y, mbr.max_y
+        )
         return nxs, nys, (min_x, min_y, max_x, max_y)
+
+    def unit_box(self, mbr: MBR) -> Tuple[float, float, float, float]:
+        """A world MBR as ``(min_x, min_y, max_x, max_y)`` in the unit
+        square, each corner as :meth:`normalize` maps it."""
+        lo = self.normalize(mbr.min_x, mbr.min_y)
+        hi = self.normalize(mbr.max_x, mbr.max_y)
+        return lo[0], lo[1], hi[0], hi[1]
 
     def denormalize(self, nx: float, ny: float) -> Tuple[float, float]:
         """Unit-square point -> world point."""
@@ -107,14 +119,17 @@ class SpaceBounds:
 
 
 def _to_unit(
-    values: Sequence[float], lo: float, extent: float
+    values: Sequence[float], lo: float, extent: float, low: float, high: float
 ) -> Tuple[List[float], float, float]:
     """One axis of :meth:`SpaceBounds.normalize_columns`: the unit
-    values and their minimum and maximum.  The ``[0, 1]`` clamp runs
-    only when some value needs it, which stored trajectories never do."""
+    values and their minimum and maximum, mapped from the values' world
+    minimum ``low`` and maximum ``high`` (the map and the clamp are
+    monotone, so they send the extremes to the extremes).  The ``[0, 1]``
+    clamp runs only when some value needs it, which stored trajectories
+    never do."""
     unit = [(v - lo) / extent for v in values]
-    low, high = min(unit), max(unit)
+    low, high = (low - lo) / extent, (high - lo) / extent
     if low < 0.0 or high > 1.0:
         unit = [min(max(u, 0.0), 1.0) for u in unit]
-        low, high = min(unit), max(unit)
+        low, high = min(max(low, 0.0), 1.0), min(max(high, 0.0), 1.0)
     return unit, low, high

@@ -114,7 +114,7 @@ class XZ2Index:
     # ------------------------------------------------------------------
     def place(self, trajectory: Trajectory) -> Element:
         """The smallest enlarged element of a trajectory (Lemmas 1-2)."""
-        _, _, box = self.bounds.normalize_columns(*trajectory.columns)
+        box = self.bounds.unit_box(trajectory.mbr)
         return covering_element(*box, self.max_resolution)
 
     def index(self, trajectory: Trajectory) -> XZ2IndexedTrajectory:

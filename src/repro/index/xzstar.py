@@ -193,7 +193,9 @@ class XZStarIndex:
     # ------------------------------------------------------------------
     def place(self, trajectory: Trajectory) -> Tuple[Element, int]:
         """The (element, position code) pair of a trajectory."""
-        xs, ys, box = self.bounds.normalize_columns(*trajectory.columns)
+        xs, ys, box = self.bounds.normalize_columns(
+            *trajectory.columns, trajectory.mbr
+        )
         element = covering_element(*box, self.max_resolution)
         return element, position_code_of(xs, ys, element, self.max_resolution)
 

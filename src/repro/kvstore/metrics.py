@@ -98,11 +98,11 @@ class IOMetrics:
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of the current counters, in field order."""
-        return dict(zip(_FIELD_NAMES, _field_values(self)))
+        return dict(zip(FIELD_NAMES, _field_values(self)))
 
     def reset(self) -> None:
         """Zero every counter (between benchmark phases)."""
-        for name in _FIELD_NAMES:
+        for name in FIELD_NAMES:
             setattr(self, name, 0)
 
     def diff(self, before: Dict[str, int]) -> Dict[str, int]:
@@ -110,13 +110,28 @@ class IOMetrics:
         get = before.get
         return {
             name: now - get(name, 0)
-            for name, now in zip(_FIELD_NAMES, _field_values(self))
+            for name, now in zip(FIELD_NAMES, _field_values(self))
         }
+
+    def counters(self) -> Tuple[int, ...]:
+        """The raw counter values in field order: the per-query
+        snapshot, one tuple and no dict."""
+        return _field_values(self)
+
+    def since(self, before: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Counter deltas since :meth:`counters`, in field order."""
+        return tuple(map(operator.sub, _field_values(self), before))
 
 
 #: the counters' names in field order, computed once: the workload
 #: recorder and every shard worker snapshot and diff per query
-_FIELD_NAMES: Tuple[str, ...] = tuple(
+FIELD_NAMES: Tuple[str, ...] = tuple(
     f.name for f in dataclasses.fields(IOMetrics)
 )
-_field_values = operator.attrgetter(*_FIELD_NAMES)
+_field_values = operator.attrgetter(*FIELD_NAMES)
+
+
+def named_counters(values: Tuple[int, ...]) -> Dict[str, int]:
+    """A :meth:`IOMetrics.counters` / :meth:`IOMetrics.since` tuple as
+    the ``{field: value}`` dict :meth:`IOMetrics.snapshot` returns."""
+    return dict(zip(FIELD_NAMES, values))

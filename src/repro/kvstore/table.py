@@ -260,34 +260,57 @@ class KVTable:
         """
         injector = self.fault_injector
         tel = self.storage_telemetry
-        self.metrics.range_seeks += 1
+        metrics = self.metrics
+        metrics.range_seeks += 1
+        # Telemetry is paid per range and per region, not per row: the
+        # heat of a range inside one bucket, and each region's counters,
+        # are added once when the region is left (normally, by a fault
+        # or by an early close).  A range that crosses a bucket
+        # boundary counts its heat through a bucket cursor.
+        heatmap = bucket = None
+        if tel is not None:
+            heatmap = tel.heatmap
+            if heatmap is not None:
+                bucket = heatmap.range_bucket(start, stop)
         for region in self._regions_overlapping(start, stop):
             if injector is not None:
                 injector.on_region_scan_start(self, region)
-            self.metrics.regions_visited += 1
+            metrics.regions_visited += 1
+            rows = self._region_rows(region, start, stop)
+            stats = None
             if tel is not None:
-                region_stats = tel.region_stats(region)
-                region_stats.scans += 1
-                heatmap = tel.heatmap
-            for key, value in self._region_rows(region, start, stop):
-                self.metrics.rows_scanned += 1
-                self.metrics.bytes_read += len(key) + len(value)
-                if tel is not None:
-                    region_stats.rows_scanned += 1
-                    region_stats.bytes_read += len(key) + len(value)
-                    if heatmap is not None:
-                        heatmap.record(key)
-                if injector is not None:
-                    injector.on_row_scanned(self, region)
-                if row_filter is not None:
-                    self.metrics.filter_evaluations += 1
-                    if not row_filter.accept(key, value):
-                        self.metrics.filter_rejections += 1
-                        continue
-                self.metrics.rows_returned += 1
-                if tel is not None:
-                    region_stats.rows_returned += 1
-                yield key, value
+                stats = tel.region_stats(region)
+                stats.scans += 1
+                if heatmap is not None and bucket is None:
+                    rows = heatmap.count_rows(rows)
+            scanned = returned = scanned_bytes = 0
+            try:
+                for key, value in rows:
+                    size = len(key) + len(value)
+                    scanned += 1
+                    scanned_bytes += size
+                    metrics.rows_scanned += 1
+                    metrics.bytes_read += size
+                    if injector is not None:
+                        injector.on_row_scanned(self, region)
+                    if row_filter is not None:
+                        metrics.filter_evaluations += 1
+                        if not row_filter.accept(key, value):
+                            metrics.filter_rejections += 1
+                            continue
+                    metrics.rows_returned += 1
+                    returned += 1
+                    yield key, value
+            finally:
+                if stats is not None:
+                    stats.rows_scanned += scanned
+                    stats.rows_returned += returned
+                    stats.bytes_read += scanned_bytes
+                    if bucket is not None:
+                        if scanned:
+                            heatmap.add(bucket, scanned)
+                    elif heatmap is not None:
+                        rows.close()
 
     def _region_rows(
         self, region: Region, start: Optional[bytes], stop: Optional[bytes]

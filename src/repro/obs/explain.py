@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import QueryError
+from repro.kvstore.metrics import FIELD_NAMES, named_counters
 from repro.obs.tracing import Span, Tracer, format_span_tree
 
 
@@ -209,7 +210,7 @@ def explain_analyze(
     if getattr(engine, "remote_executor", None) is not None:
         return _explain_analyze_cluster(engine, query, eps, k, measure)
     tracer = engine.make_tracer()
-    before = engine.metrics.snapshot()
+    before = engine.metrics.counters()
     telemetry = engine.storage_telemetry
     regions_before = (
         telemetry.region_snapshot() if telemetry is not None else None
@@ -219,7 +220,7 @@ def explain_analyze(
             result = engine.threshold_search(query, eps, measure=measure)
         else:
             result = engine.topk_search(query, k, measure=measure)
-    io_delta = engine.metrics.diff(before)
+    io_delta = named_counters(engine.metrics.since(before))
     roots = tracer.traces()
     if not roots:
         raise QueryError("tracer recorded no spans for the query")
@@ -263,8 +264,6 @@ def _explain_analyze_cluster(
     rollup — the distributed analogue of the local counter diff.  The
     cluster's configured tracer is restored afterwards.
     """
-    from repro.kvstore.metrics import IOMetrics
-
     cluster = engine.remote_executor
     tracer = engine.make_tracer()
     io_before = cluster.io_totals()
@@ -281,7 +280,7 @@ def _explain_analyze_cluster(
     # Zero-filled over the full IOMetrics field set so the report reads
     # identically to the single-process one; without cluster
     # observability both rollups are empty and the delta is all zeros.
-    io_delta = {name: 0 for name in IOMetrics().snapshot()}
+    io_delta = dict.fromkeys(FIELD_NAMES, 0)
     for name in set(io_before) | set(io_after):
         io_delta[name] = io_after.get(name, 0) - io_before.get(name, 0)
     roots = tracer.traces()

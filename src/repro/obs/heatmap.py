@@ -21,7 +21,8 @@ counts are kept alongside for lifetime evidence.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: the ASCII intensity ramp used by ``repro heatmap``
 HEAT_RAMP = " .:-=+*#%@"
@@ -31,6 +32,10 @@ BUCKETS_PER_SHARD = 16
 
 #: heat halves every this many recorded queries
 HALF_LIFE_QUERIES = 512.0
+
+#: fold the decay weight back into the buckets past this value (every
+#: 64 half-lives), far below where the scaled heat could overflow
+_MAX_WEIGHT = 2.0**64
 
 
 def _key_label(key: Optional[bytes]) -> str:
@@ -67,7 +72,16 @@ def key_space_boundaries(
 
 
 class KeySpaceHeatmap:
-    """Exponentially-decayed scan heat over fixed row-key buckets."""
+    """Exponentially-decayed scan heat over fixed row-key buckets.
+
+    Decay is O(1) per query: buckets hold heat scaled by the running
+    weight ``_weight`` a row adds now, and a tick grows that weight by
+    ``1 / decay`` instead of shrinking every bucket.  Real heat is the
+    scaled value over the weight; readers (``heat`` and everything
+    built on it) only ever see real values.  The weight is recomputed
+    as one power from ``_epoch`` (no rounding error accumulates tick by
+    tick) and folded back into the buckets before it grows large.
+    """
 
     def __init__(
         self,
@@ -84,20 +98,32 @@ class KeySpaceHeatmap:
             0.5 ** (1.0 / half_life) if half_life > 0 else 1.0
         )
         n = len(self.boundaries) + 1
-        #: decayed heat per bucket
-        self.heat: List[float] = [0.0] * n
         #: undecayed lifetime scanned-row counts per bucket
         self.rows: List[int] = [0] * n
         #: recorded queries (decay ticks) so far
         self.tick = 0
+        self._set_heat([0.0] * n)
+
+    def _set_heat(self, heat: List[float]) -> None:
+        """Adopt real per-bucket heat as of the current tick."""
+        self._scaled = heat
+        self._weight = 1.0
+        self._epoch = self.tick
+
+    @property
+    def heat(self) -> List[float]:
+        """Decayed heat per bucket (a fresh list of real values)."""
+        weight = self._weight
+        return [s / weight for s in self._scaled]
 
     # ------------------------------------------------------------------
     def merge_from(self, other: "KeySpaceHeatmap") -> None:
         """Add another map's heat and row counts bucket by bucket (the
         cluster heatmap folds per-partition grids this way)."""
+        scaled, weight = self._scaled, self._weight
         for i, h in enumerate(other.heat):
             if h:
-                self.heat[i] += h
+                scaled[i] += h * weight
         for i, r in enumerate(other.rows):
             if r:
                 self.rows[i] += r
@@ -106,16 +132,63 @@ class KeySpaceHeatmap:
     def record(self, key: bytes, weight: float = 1.0) -> None:
         """Attribute one scanned row to its key-space bucket."""
         i = bisect.bisect_right(self.boundaries, key)
-        self.heat[i] += weight
+        self._scaled[i] += weight * self._weight
         self.rows[i] += 1
+
+    def add(self, i: int, rows: int) -> None:
+        """Attribute ``rows`` scanned rows to bucket ``i`` at once."""
+        self._scaled[i] += rows * self._weight
+        self.rows[i] += rows
+
+    def range_bucket(
+        self, start: Optional[bytes], stop: Optional[bytes]
+    ) -> Optional[int]:
+        """The one bucket every key of ``[start, stop)`` falls in, or
+        ``None`` when the range crosses a bucket boundary."""
+        boundaries = self.boundaries
+        i = 0 if start is None else bisect.bisect_right(boundaries, start)
+        if i == len(boundaries):
+            return i
+        if stop is not None and stop <= boundaries[i]:
+            return i
+        return None
+
+    def count_rows(self, rows: Iterator[Tuple[bytes, bytes]]):
+        """Yield key-sorted ``rows`` unchanged, attributing each run of
+        keys to its bucket through a monotone cursor (one bisect per
+        bucket entered, not per row).  Closing the generator adds the
+        run in progress."""
+        boundaries = self.boundaries
+        last = len(boundaries)
+        bucket = count = 0
+        stop_key: Optional[bytes] = b""
+        try:
+            for row in rows:
+                if stop_key is not None and row[0] >= stop_key:
+                    if count:
+                        self.add(bucket, count)
+                        count = 0
+                    bucket = bisect.bisect_right(boundaries, row[0])
+                    stop_key = None if bucket == last else boundaries[bucket]
+                count += 1
+                yield row
+        finally:
+            if count:
+                self.add(bucket, count)
 
     def advance_tick(self) -> None:
         """Decay all heat by one query's worth of half-life."""
         self.tick += 1
         if self._decay >= 1.0:
             return
-        d = self._decay
-        self.heat = [h * d for h in self.heat]
+        try:
+            weight = self._decay ** (self._epoch - self.tick)
+        except (OverflowError, ZeroDivisionError):  # a vanishing half-life
+            weight = math.inf
+        if weight > _MAX_WEIGHT:
+            self._set_heat([s / weight for s in self._scaled])
+        else:
+            self._weight = weight
 
     @property
     def total_heat(self) -> float:
@@ -184,7 +257,7 @@ class KeySpaceHeatmap:
             "half_life": self.half_life,
             "tick": self.tick,
             "boundaries": [b.hex() for b in self.boundaries],
-            "heat": list(self.heat),
+            "heat": self.heat,
             "rows": list(self.rows),
         }
 
@@ -196,11 +269,11 @@ class KeySpaceHeatmap:
         )
         heat = [float(h) for h in data.get("heat", [])]
         rows = [int(r) for r in data.get("rows", [])]
-        if len(heat) == len(heatmap.heat):
-            heatmap.heat = heat
-        if len(rows) == len(heatmap.rows):
-            heatmap.rows = rows
+        n = len(heatmap.rows)
         heatmap.tick = int(data.get("tick", 0))
+        heatmap._set_heat(heat if len(heat) == n else [0.0] * n)
+        if len(rows) == n:
+            heatmap.rows = rows
         return heatmap
 
     def restore_from(self, other: "KeySpaceHeatmap") -> bool:
@@ -212,9 +285,9 @@ class KeySpaceHeatmap:
         """
         if other.boundaries != self.boundaries:
             return False
-        self.heat = list(other.heat)
         self.rows = list(other.rows)
         self.tick = other.tick
+        self._set_heat(other.heat)
         return True
 
 
@@ -224,18 +297,19 @@ class KeySpaceHeatmap:
 def render_heatmap(heatmap: KeySpaceHeatmap, table, shards: int) -> str:
     """ASCII heatmap: one row per salt bucket, one cell per key bucket,
     plus the hot-bucket and per-region heat tables the advisor reads."""
+    heat = heatmap.heat
     lines: List[str] = []
     lines.append(
-        f"key-space heatmap: {len(heatmap.heat)} buckets, "
+        f"key-space heatmap: {len(heat)} buckets, "
         f"{heatmap.total_rows} rows recorded, decayed heat "
         f"{heatmap.total_heat:.1f} (tick {heatmap.tick}, "
         f"half-life {heatmap.half_life:g} queries)"
     )
     per_shard: Dict[int, List[float]] = {s: [] for s in range(shards)}
-    for i, h in enumerate(heatmap.heat):
+    for i, h in enumerate(heat):
         shard = heatmap.shard_of_bucket(i)
         per_shard.setdefault(shard, []).append(h)
-    peak = max(heatmap.heat) if heatmap.heat else 0.0
+    peak = max(heat) if heat else 0.0
     for shard in sorted(per_shard):
         cells = per_shard[shard]
         if peak > 0:

@@ -5,10 +5,12 @@ Two complementary halves:
 * :class:`StorageTelemetry` — the **write side**: a per-table sink the
   scan and get paths feed (per-region rows scanned / returned / bytes,
   read amplification, key-space heat).  Gated by
-  ``TraSSConfig.storage_telemetry`` — disabled, the scan path does not
-  execute one extra instruction per row, and query answers plus
-  ``IOMetrics`` totals are byte-identical either way (telemetry never
-  writes to ``IOMetrics`` at all).
+  ``TraSSConfig.storage_telemetry``.  A scan counts its rows in local
+  integers and adds them to the region's :class:`RegionScanStats` once
+  per region, and heat once per range (a range that crosses a heat
+  bucket boundary pays one key comparison per row instead).  Query
+  answers and ``IOMetrics`` totals are byte-identical either way
+  (telemetry never writes to ``IOMetrics`` at all).
 
 * :func:`collect_storage_stats` / :func:`update_storage_registry` — the
   **read side**: a read-model walk over the live table (regions → LSM

@@ -30,6 +30,7 @@ from repro.core.config import TraSSConfig
 from repro.core.threshold import scan_and_refine
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
+from repro.kvstore.metrics import named_counters
 from repro.serve.protocol import (
     KIND_CRASH,
     KIND_PING,
@@ -125,7 +126,7 @@ def _handle(engine: TraSS, spec: WorkerSpec, request: Request) -> Reply:
         return Reply(request.id, True, payload=worker_stats(engine, spec))
     query = Trajectory(payload["tid"], payload["points"])
     measure = engine._resolve_measure(payload.get("measure"))
-    before = engine.metrics.snapshot()
+    before = engine.metrics.counters()
     if request.kind == KIND_THRESHOLD:
         # The coordinator planned: run the single-process query's
         # scan-and-refine half, restricted to the owned salts, so the
@@ -150,7 +151,7 @@ def _handle(engine: TraSS, spec: WorkerSpec, request: Request) -> Reply:
         request.id,
         True,
         payload=result,
-        io_delta=engine.metrics.diff(before),
+        io_delta=named_counters(engine.metrics.since(before)),
     )
 
 

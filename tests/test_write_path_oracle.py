@@ -271,3 +271,34 @@ def test_fleet_segment_files_match_oracle_build(fleet, tmp_path, monkeypatch):
         built[name] = segment_digests(str(tmp_path / name))
     assert built["columns"], "no segment file written"
     assert built["columns"] == built["oracle"]
+
+
+@pytest.mark.parametrize("key_encoding", [INTEGER_KEYS, STRING_KEYS])
+def test_ingest_leaves_the_callers_trajectories_uncached(key_encoding):
+    """Ingest reads a trajectory's columns once, into a view: the
+    caller's objects keep no second copy of their coordinates."""
+    fleet = tdrive_like(30, seed=7)
+    engine = TraSS(BENCH_CONFIG, key_encoding)
+    engine.add(fleet[0])
+    engine.add_all(fleet[1:20])
+    engine.add_all(fleet[20:], sorted_ingest=True)
+    assert len(engine) == len(fleet)
+    for trajectory in fleet:
+        assert trajectory._columns is None, trajectory.tid
+        assert trajectory._mbr is None, trajectory.tid
+
+
+def test_string_key_put_never_decodes(monkeypatch):
+    """A TraSS-S row key is built from the element and position code
+    the placement returned, not by inverting the index value."""
+    store = TrajectoryStore(BENCH_CONFIG, STRING_KEYS)
+
+    def no_decode(value):
+        raise AssertionError(f"index.decode({value}) on the put path")
+
+    monkeypatch.setattr(store.index, "decode", no_decode)
+    fleet = FLEETS["lorry_like"]
+    store.put(fleet[0])
+    store.put_all(fleet[1:40])
+    store.put_all(fleet[40:], sorted_ingest=True)
+    assert store.trajectory_count == len(fleet)
