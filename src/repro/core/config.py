@@ -146,8 +146,9 @@ class TraSSConfig:
     #: scan-block + decoded-record cache budget in MiB (0 = disabled);
     #: split evenly between the two tiers
     cache_mb: float = 0.0
-    #: pruning-plan cache entries (0 = disabled); plans depend only on
-    #: (query points, eps, index geometry), so caching is always sound
+    #: pruning-plan cache entries (0 = disabled); a plan depends on the
+    #: query points, eps, the index geometry and the store's occupied
+    #: index values, and is keyed on all four (the last by a version)
     plan_cache_size: int = 128
     # ------------------------------------------------------------------
     # Observability

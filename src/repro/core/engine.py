@@ -61,12 +61,10 @@ class TraSS:
     ):
         self.config = config if config is not None else TraSSConfig()
         self.store = TrajectoryStore(self.config, key_encoding)
-        self.pruner = GlobalPruner(
-            self.store.index,
-            self.config.max_planned_elements,
-            plan_cache_size=self.config.plan_cache_size,
-            metrics=self.store.metrics,
-            range_merge_gap=self.config.range_merge_gap,
+        # The planner walks only subtrees and code blocks that hold a
+        # stored index value.
+        self.pruner = GlobalPruner.from_config(
+            self.store.index, self.config, self.store.metrics, occupancy=self.store
         )
         self.measure: Measure = self.config.make_measure()
         self._init_observability()
@@ -537,7 +535,8 @@ class TraSS:
             f"(level {element.level}), position code {code}",
             f"resolution band: [{plan.min_resolution}, {plan.max_resolution}]",
             f"elements visited: {plan.elements_visited} "
-            f"(distance-pruned: {plan.elements_pruned_distance}, "
+            f"(empty: {plan.elements_pruned_empty}, "
+            f"distance-pruned: {plan.elements_pruned_distance}, "
             f"collapsed subtrees: {plan.collapsed_subtrees}"
             f"{', TRUNCATED' if plan.truncated else ''})",
             f"position codes pruned: {plan.codes_pruned_far_quad} far-quad, "
@@ -596,12 +595,8 @@ class TraSS:
         engine = cls.__new__(cls)
         engine.config = store.config
         engine.store = store
-        engine.pruner = GlobalPruner(
-            store.index,
-            store.config.max_planned_elements,
-            plan_cache_size=store.config.plan_cache_size,
-            metrics=store.metrics,
-            range_merge_gap=store.config.range_merge_gap,
+        engine.pruner = GlobalPruner.from_config(
+            store.index, store.config, store.metrics, occupancy=store
         )
         engine.measure = store.config.make_measure()
         engine._init_observability()

@@ -19,6 +19,28 @@ spaces that could hold a trajectory within ``eps`` of the query:
 The survivors are merged into contiguous index-value ranges (the
 encoding is depth-first precisely so this merge is productive).
 
+**Occupied space only.**  The paper's Algorithm 1 decides from geometry
+alone.  An engine's pruner also reads what its store holds
+(``occupancy``, a :class:`~repro.core.storage.TrajectoryStore`): XZ*
+numbers index spaces depth-first, so a cell's subtree and its own code
+block are each one contiguous value range, and one bisect over the
+store's occupied index values
+(:meth:`~repro.core.storage.TrajectoryStore.holds_index_values`) says
+whether any stored trajectory lies in it.  A cell whose subtree holds
+none is dropped before Lemmas 8-9, with its whole subtree; a cell whose
+code block holds none emits no code but still descends or collapses.
+A range without a stored value holds no row, hence no answer, so the
+plan covers exactly the occupied values the data-free plan covers.
+Dropping an empty subtree between two occupied ones can split what the
+data-free plan scans as one range, so two neighbouring ranges are
+rejoined when their gap holds no stored value and the data-free plan
+covers all of it: the plan seeks exactly where the data-free one does
+(with ``range_merge_gap = 0``), over no wider a key range.  The plan
+cache keys on the store's occupancy version, bumped whenever a new
+index value appears.  A pruner built without ``occupancy`` plans
+data-free: the serving coordinator, which holds no rows, and the
+Figure 11 / ablation benches use that plan.
+
 **The kernel.**  :class:`PruningKernel` runs Lemmas 8-11 for this planner
 and top-k's best-first search alike, building no ``MBR``, ``Element`` or
 quadrant sequence on the walk:
@@ -48,6 +70,7 @@ expressions, ``hypot`` and ``sqrt(min(dx*dx + dy*dy)) > eps``, and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
@@ -59,6 +82,7 @@ from repro.index.position_code import (
     ALL_CODES,
     CODE_QUADS,
     CODES_PER_ELEMENT,
+    CODES_PER_MAX_ELEMENT,
     NON_MAX_CODES,
 )
 from repro.index.quadrant import smallest_enlarged_element
@@ -160,6 +184,7 @@ class PruningKernel:
         levels = range(1, index.max_resolution + 1)
         self._n_is = (0,) + tuple(map(index.n_index_spaces, levels))
         self._root_block_start = index.root_block_start
+        self._total_index_spaces = index.total_index_spaces
 
     # ------------------------------------------------------------------
     def children(self, cell: Cell) -> List[Cell]:
@@ -175,10 +200,27 @@ class PruningKernel:
         ]
 
     def subtree_span(self, cell: Cell) -> Tuple[int, int]:
-        """``XZStarIndex.subtree_span`` of a cell below the root."""
+        """The cell's subtree as one value range.  Below the root this is
+        ``XZStarIndex.subtree_span``; the root's is every index space,
+        its own tail code block included."""
         level, prefix = cell[0], cell[3]
+        if level == 0:
+            return 0, self._total_index_spaces
         start = prefix + CODES_PER_ELEMENT * (level - 1)
         return start, start + self._n_is[level]
+
+    def code_block(self, cell: Cell) -> Tuple[int, int]:
+        """The cell's own position codes as one value range: nine
+        values, ten at the maximum resolution; the root's sit in the
+        tail block after every subtree."""
+        level, prefix = cell[0], cell[3]
+        if level == 0:
+            first = self._root_block_start
+        else:
+            first = prefix + CODES_PER_ELEMENT * (level - 1)
+        if level >= self._max_resolution:
+            return first, first + CODES_PER_MAX_ELEMENT
+        return first, first + CODES_PER_ELEMENT
 
     def lines(self, cell: Cell) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """World x and y of the element's grid lines: its lower edge, the
@@ -264,17 +306,12 @@ class PruningKernel:
         """The element's first index value, its legal ``(code, quads,
         mask)`` rows, and the distance from each query-MBR edge to each
         sub-quad, which ``minDistIS`` (Lemma 11) combines per code."""
-        level, prefix = cell[0], cell[3]
         xs, ys = lines
         gx = [_gaps(xs[c], xs[c + 1], *self._x_side) for c in (0, 1)]
         gy = [_gaps(ys[r], ys[r + 1], *self._y_side) for r in (0, 1)]
         table = [_edge_distances(gx[c], gy[r]) for c in (0, 1) for r in (0, 1)]
-        if level == 0:
-            first = self._root_block_start
-        else:
-            first = prefix + CODES_PER_ELEMENT * (level - 1)
-        codes = _MAX_CODES if level >= self._max_resolution else _BELOW_MAX_CODES
-        return first, codes, table
+        codes = _MAX_CODES if cell[0] >= self._max_resolution else _BELOW_MAX_CODES
+        return self.code_block(cell)[0], codes, table
 
 
 @dataclass
@@ -286,6 +323,8 @@ class PruningResult:
     min_resolution: int
     max_resolution: int
     elements_visited: int = 0
+    #: cells dropped because the store holds no value in their subtree
+    elements_pruned_empty: int = 0
     elements_pruned_distance: int = 0
     codes_pruned_far_quad: int = 0
     codes_pruned_min_dist: int = 0
@@ -309,19 +348,27 @@ class GlobalPruner:
         plan_cache_size: int = 0,
         metrics=None,
         range_merge_gap: int = 0,
+        occupancy=None,
     ):
         self.index = index
+        # What the store holds: anything with ``holds_index_values(start,
+        # stop)`` and an ``occupancy_version`` that changes whenever a new
+        # index value appears (a TrajectoryStore).  The walk then skips
+        # every subtree and code block it proves empty; ``None`` plans
+        # from geometry alone, the paper's data-free Algorithm 1.
+        self.occupancy = occupancy
         self.max_planned_elements = max_planned_elements
         # Coalesce scan ranges separated by at most this many index
         # values.  Bridged values are a sound superset (extra rows die
         # in local filtering); the payoff is fewer range seeks.
         self.range_merge_gap = range_merge_gap
-        # Plan cache: a pruning plan is a pure function of the query's
-        # points, the threshold and the index geometry — nothing about
-        # the stored data enters Algorithm 1 — so cached plans stay
-        # sound across ingests.  Keys carry the exact point tuple (the
-        # position-code lemmas read the points, so an MBR-quantised key
-        # alone would be unsound) plus eps and the two plan switches.
+        # Plan cache: a pruning plan is a function of the query's
+        # points, the threshold, the index geometry and — with an
+        # occupancy source — the set of occupied index values.  Keys
+        # carry the exact point tuple (the position-code lemmas read the
+        # points, so an MBR-quantised key alone would be unsound), eps,
+        # the two plan switches and the occupancy version, so a plan
+        # made before a new value appeared is never served after it.
         from repro.kvstore.cache import ObjectLRUCache
 
         self.plan_cache = (
@@ -340,6 +387,21 @@ class GlobalPruner:
         # local filtering).  This keeps the frontier proportional to
         # (query size / eps)^2 instead of (query size / finest cell)^2.
         self.collapse_scale = collapse_scale
+
+    @classmethod
+    def from_config(
+        cls, index: XZStarIndex, config, metrics=None, occupancy=None
+    ) -> "GlobalPruner":
+        """A pruner with a :class:`~repro.core.config.TraSSConfig`'s
+        planning knobs; ``occupancy`` as in the constructor."""
+        return cls(
+            index,
+            config.max_planned_elements,
+            plan_cache_size=config.plan_cache_size,
+            metrics=metrics,
+            range_merge_gap=config.range_merge_gap,
+            occupancy=occupancy,
+        )
 
     # ------------------------------------------------------------------
     def resolution_band(self, query: Trajectory, eps: float) -> Tuple[int, int]:
@@ -388,11 +450,13 @@ class GlobalPruner:
                 # The resolution band is a function of the points and
                 # eps for this pruner, so it is neither in the key nor
                 # computed on a hit.
+                occupancy = self.occupancy
                 cache_key = (
                     query.points,
                     eps,
                     self.use_position_codes,
                     self.range_merge_gap,
+                    None if occupancy is None else occupancy.occupancy_version,
                 )
                 cached = cache.get(cache_key)
                 if cached is not None:
@@ -418,6 +482,7 @@ class GlobalPruner:
             min_resolution=result.min_resolution,
             max_resolution=result.max_resolution,
             elements_visited=result.elements_visited,
+            elements_pruned_empty=result.elements_pruned_empty,
             elements_pruned_distance=result.elements_pruned_distance,
             codes_pruned_far_quad=result.codes_pruned_far_quad,
             codes_pruned_min_dist=result.codes_pruned_min_dist,
@@ -449,24 +514,49 @@ class GlobalPruner:
         # Lemmas 10-11 at an infinite threshold accept every legal code:
         # the ablation without position codes.
         code_eps = eps if self.use_position_codes else math.inf
+        # A subtree or code block holding no stored value holds no
+        # answer: with an occupancy source, one bisect drops it before
+        # any lemma runs.
+        holds = None if self.occupancy is None else self.occupancy.holds_index_values
+
+        def meets(lines) -> bool:
+            """Lemma 8: the enlarged element meets the extended MBR.
+            Lemma 9: minDistEE is monotone down the tree."""
+            xs, ys = lines
+            return not (
+                ext.min_x > xs[2]
+                or ext.max_x < xs[0]
+                or ext.min_y > ys[2]
+                or ext.max_y < ys[0]
+                or kernel.min_dist_ee(lines) > eps
+            )
+
+        def collapses(level: int) -> bool:
+            return (
+                level >= max(min_r, 1)
+                and level < max_r
+                and 0.5**level * world_scale <= collapse_cell
+            )
 
         subtree_ranges: List[IndexRange] = []
+        #: (start, stop, cell): the subtrees and code blocks dropped as
+        #: empty, which alone can stand between two ranges that the
+        #: data-free plan scans as one
+        dropped: List[Tuple[int, int, Cell]] = []
         stack: List[Cell] = [ROOT_CELL]
         with tracer.span("prune.walk") as walk_span:
             while stack:
                 cell = stack.pop()
                 level = cell[0]
                 result.elements_visited += 1
-                lines = xs, ys = kernel.lines(cell)
-                # Lemma 8: the enlarged element must meet the extended
-                # MBR.  Lemma 9: minDistEE is monotone down the tree.
-                if (
-                    ext.min_x > xs[2]
-                    or ext.max_x < xs[0]
-                    or ext.min_y > ys[2]
-                    or ext.max_y < ys[0]
-                    or kernel.min_dist_ee(lines) > eps
-                ):
+                if holds is not None:
+                    first, stop = kernel.subtree_span(cell)
+                    if not holds(first, stop):
+                        result.elements_pruned_empty += 1
+                        dropped.append((first, stop, cell))
+                        continue
+                lines = kernel.lines(cell)
+                if not meets(lines):
                     result.elements_pruned_distance += 1
                     continue
                 if result.elements_visited > self.max_planned_elements:
@@ -477,28 +567,63 @@ class GlobalPruner:
                     if level >= 1:
                         subtree_ranges.append(IndexRange(*kernel.subtree_span(cell)))
                     continue
-                if (
-                    level >= max(min_r, 1)
-                    and level < max_r
-                    and 0.5**level * world_scale <= collapse_cell
-                ):
+                if collapses(level):
                     subtree_ranges.append(IndexRange(*kernel.subtree_span(cell)))
                     result.collapsed_subtrees += 1
                     continue
                 if level >= min_r:
-                    spaces, far, near = kernel.index_spaces(cell, lines, code_eps)
-                    result.values.extend(value for _, value in spaces)
-                    result.codes_pruned_far_quad += far
-                    result.codes_pruned_min_dist += near
+                    first, stop = kernel.code_block(cell)
+                    if holds is None or holds(first, stop):
+                        spaces, far, near = kernel.index_spaces(
+                            cell, lines, code_eps
+                        )
+                        result.values.extend(value for _, value in spaces)
+                        result.codes_pruned_far_quad += far
+                        result.codes_pruned_min_dist += near
+                    else:
+                        dropped.append((first, stop, cell))
                 if level < max_r:
                     stack.extend(kernel.children(cell))
         walk_span.set_attrs(
             elements_visited=result.elements_visited,
+            elements_pruned_empty=result.elements_pruned_empty,
             elements_pruned_distance=result.elements_pruned_distance,
             codes_pruned_far_quad=result.codes_pruned_far_quad,
             codes_pruned_min_dist=result.codes_pruned_min_dist,
             collapsed_subtrees=result.collapsed_subtrees,
         )
+
+        def data_free_covers(cell: Cell, start: int, stop: int) -> bool:
+            """Whether the data-free walk, which reaches ``cell``, plans
+            every value of ``[start, stop)`` inside the cell's subtree.
+            It stops at the first value it would leave out."""
+            first, last = kernel.subtree_span(cell)
+            start, stop = max(start, first), min(stop, last)
+            if start >= stop:
+                return True
+            lines = kernel.lines(cell)
+            if not meets(lines):
+                return False
+            level = cell[0]
+            if collapses(level):
+                return True
+            first, last = kernel.code_block(cell)
+            if start < last and first < stop:
+                if level < min_r:
+                    return False
+                spaces = kernel.index_spaces(cell, lines, code_eps)[0]
+                planned = {value for _, value in spaces}
+                if any(
+                    value not in planned
+                    for value in range(max(start, first), min(stop, last))
+                ):
+                    return False
+            if level >= max_r:
+                return first <= start and stop <= last
+            return all(
+                data_free_covers(child, start, stop)
+                for child in kernel.children(cell)
+            )
 
         with tracer.span("prune.ranges") as merge_span:
             gap = self.range_merge_gap
@@ -513,10 +638,43 @@ class GlobalPruner:
                 merged_away = len(exact) - len(result.ranges)
                 if self.metrics is not None:
                     self.metrics.ranges_merged += merged_away
+            rejoined = 0
+            if dropped and len(result.ranges) > 1:
+                # Dropping an empty subtree or code block can split what
+                # the data-free plan scans as one range.  Every value of
+                # a gap the data-free plan covers lies in a dropped
+                # piece, so rejoin two neighbours when the pieces tile
+                # their gap and the data-free walk covers each: the plan
+                # then seeks exactly where the data-free one does, over
+                # no wider a key range, and reads the same rows.
+                dropped.sort()
+                starts = [piece[0] for piece in dropped]
+
+                def data_free_gap(start: int, stop: int) -> bool:
+                    i = bisect_left(starts, start)
+                    while start < stop:
+                        if i == len(dropped) or starts[i] != start:
+                            return False
+                        start, piece_stop, cell = dropped[i]
+                        if not data_free_covers(cell, start, piece_stop):
+                            return False
+                        start, i = piece_stop, i + 1
+                    return True
+
+                joined = result.ranges[:1]
+                for r in result.ranges[1:]:
+                    last = joined[-1]
+                    if data_free_gap(last.stop, r.start):
+                        joined[-1] = IndexRange(last.start, r.stop)
+                        rejoined += 1
+                    else:
+                        joined.append(r)
+                result.ranges = joined
             merge_span.set_attrs(
                 values=len(result.values),
                 subtree_ranges=len(subtree_ranges),
                 key_ranges=len(result.ranges),
                 ranges_merged=merged_away,
+                ranges_rejoined=rejoined,
             )
         return result

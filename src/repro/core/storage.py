@@ -157,6 +157,10 @@ class TrajectoryStore:
         #: the histogram's keys, sorted (the occupied index values);
         #: ``None`` after a new value until the read path next needs it
         self._occupied: Optional[List[int]] = None
+        #: bumped whenever a new index value appears, so a plan made
+        #: from the occupied values (the global pruner's cache key)
+        #: is known stale
+        self.occupancy_version = 0
         #: decoded-record cache; ``None`` when ``config.cache_mb == 0``
         self.record_cache = None
         self._wire_caches()
@@ -285,6 +289,7 @@ class TrajectoryStore:
         else:
             histogram[value] = count
             self._occupied = None
+            self.occupancy_version += 1
 
     def put(self, trajectory: Trajectory) -> int:
         """Index, featurise and store one trajectory; returns its value."""
@@ -370,9 +375,9 @@ class TrajectoryStore:
         packed and no table walked.
 
         False proves the values hold no row in any shard (the invariant
-        of :meth:`_count_value`), so top-k queues neither an empty
-        element subtree nor an empty code block, and no segment block is
-        decoded to learn it.
+        of :meth:`_count_value`), so neither threshold planning nor
+        top-k walks an empty element subtree or emits an empty code
+        block, and no segment block is decoded to learn it.
         """
         occupied = self._occupied
         if occupied is None:

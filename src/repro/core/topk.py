@@ -77,7 +77,6 @@ from repro.core.pruning import ROOT_CELL, Cell, GlobalPruner, PruningKernel
 from repro.core.storage import TrajectoryStore
 from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
-from repro.index.position_code import CODES_PER_ELEMENT, CODES_PER_MAX_ELEMENT
 from repro.index.quadrant import smallest_enlarged_element
 from repro.index.ranges import IndexRange
 from repro.measures.base import RELATIVE_SLACK, Measure
@@ -221,18 +220,11 @@ def topk_search(
     cq: List[Tuple[float, int, object, float]] = []
     tick = 0
 
-    def subtree_span(cell: Cell) -> Tuple[int, int]:
-        """The element's subtree as one value range; the root's is every
-        index space, its own tail-block codes included."""
-        if cell[0] == 0:
-            return 0, index.total_index_spaces
-        return kernel.subtree_span(cell)
-
     def push_element(cell: Cell) -> None:
         """Queue the element unless the store proves its subtree empty:
         a subtree without a key holds no candidate."""
         nonlocal tick, empty_subtrees
-        if not store.holds_index_values(*subtree_span(cell)):
+        if not store.holds_index_values(*kernel.subtree_span(cell)):
             empty_subtrees += 1
             return
         heapq.heappush(eq, (kernel.min_dist_ee(kernel.lines(cell)), tick, cell))
@@ -299,22 +291,8 @@ def topk_search(
     def push_subtree_unit(cell: Cell, dist: float) -> None:
         """One contiguous range covering the element's whole subtree."""
         nonlocal tick
-        heapq.heappush(iq, (dist, tick, IndexRange(*subtree_span(cell))))
+        heapq.heappush(iq, (dist, tick, IndexRange(*kernel.subtree_span(cell))))
         tick += 1
-
-    def codes_occupied(cell: Cell) -> bool:
-        """Whether the element's own code block holds a key; an occupied
-        subtree may keep all its rows below the element."""
-        level = cell[0]
-        if level == 0:
-            first = index.root_block_start
-        else:
-            first = kernel.subtree_span(cell)[0]
-        if level < index.max_resolution:
-            codes = CODES_PER_ELEMENT
-        else:
-            codes = CODES_PER_MAX_ELEMENT
-        return store.holds_index_values(first, first + codes)
 
     def expand_element(cell: Cell, element_dist: float) -> None:
         """Emit the element's surviving index spaces and either descend
@@ -355,7 +333,8 @@ def topk_search(
             push_subtree_unit(cell, element_dist)
             return
 
-        if emit_codes and codes_occupied(cell):
+        # An occupied subtree may keep all its rows below the element.
+        if emit_codes and store.holds_index_values(*kernel.code_block(cell)):
             lines = kernel.lines(cell)
             for bound, value in kernel.ranked_spaces(cell, lines, threshold):
                 heapq.heappush(iq, (bound, tick, IndexRange(value, value + 1)))

@@ -10,10 +10,13 @@ worker processes behind one front door:
   single-process scan would read from those salts and per-shard answer
   sets are disjoint — the coordinator merge is a plain union
   (threshold) or a k-smallest merge (top-k).
-* **planning** — global pruning is a pure function of the query, the
-  threshold and the index geometry (never of the stored rows), so the
-  coordinator plans once on an *empty* engine and ships only the
-  index-value ranges; workers map them onto their owned salts.
+* **planning** — the coordinator holds no rows, so it plans each
+  threshold query once with the paper's data-free Algorithm 1 (a
+  function of the query, the threshold and the index geometry only)
+  and ships only the index-value ranges; workers map them onto their
+  owned salts and drop the ranges their own slice proves empty.  A
+  local engine's planner also skips what its store proves empty; the
+  coordinator would need each partition's occupied values for that.
 * **robustness** — per-partition replicas with automatic failover on
   worker crash, pipe EOF, transient worker errors, or timeout; hedged
   requests to straggler shards (opt-in ``hedge_delay_seconds``);
@@ -39,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.engine import QUERY_PARAMETER, TraSS
 from repro.core.executor import CircuitBreaker, ScanReport
 from repro.core.local_filter import LocalFilterStats
-from repro.core.pruning import PruningResult, normalise_thresholds
+from repro.core.pruning import GlobalPruner, PruningResult, normalise_thresholds
 from repro.core.threshold import ThresholdSearchResult
 from repro.core.topk import TopKSearchResult, check_k
 from repro.exceptions import ClusterError, DegradedResult
@@ -247,10 +250,17 @@ class ServingCluster:
             failure_threshold=self.BREAKER_FAILURES,
             cooldown_seconds=self.BREAKER_COOLDOWN_SECONDS,
         )
-        # Planning is independent of stored data, so an empty engine
-        # supplies the pruner, the range -> row-key mapping (for exact
-        # skipped-range accounting) and measure resolution.
+        # An empty engine supplies the range -> row-key mapping (for
+        # exact skipped-range accounting) and measure resolution.  The
+        # pruner is data-free: one reading this empty store's occupancy
+        # would plan nothing.  Its plan is sound for every partition,
+        # whose scan_ranges_for drops the ranges its slice holds no
+        # value in.
         self._plan_engine = TraSS(config, key_encoding)
+        plan_store = self._plan_engine.store
+        self._pruner = GlobalPruner.from_config(
+            plan_store.index, config, plan_store.metrics
+        )
         self._next_request_id = 0
         self._started = False
         self.counters: Dict[str, int] = {
@@ -341,8 +351,8 @@ class ServingCluster:
         )
 
     @property
-    def pruner(self):
-        return self._plan_engine.pruner
+    def pruner(self) -> GlobalPruner:
+        return self._pruner
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro import SpaceBounds, TraSS, TraSSConfig, Trajectory
+from repro.core.pruning import GlobalPruner
 from repro.exceptions import (
     ClusterError,
     DegradedResult,
@@ -88,6 +89,24 @@ class TestExactness:
             )
             assert served.skipped_ranges == []
             assert served.completeness == 1.0
+
+    def test_coordinator_plans_data_free(self, engine, dataset, cluster):
+        """The coordinator holds no rows, so it plans with the paper's
+        data-free Algorithm 1 and each worker drops the ranges its own
+        slice proves empty; a local engine's planner skips what its
+        store proves empty.  The answers and rows are the same."""
+        free = GlobalPruner.from_config(engine.store.index, engine.config)
+        assert cluster.pruner.occupancy is None
+        smaller = 0
+        for q in _queries(dataset):
+            plan = cluster.pruner.prune(q, EPS)
+            assert plan.ranges == free.prune(q, EPS).ranges
+            smaller += len(engine.plan(q, EPS).ranges) < len(plan.ranges)
+            local = engine.threshold_search(q, EPS)
+            served = cluster.threshold_search(q, EPS)
+            assert served.answers == local.answers
+            assert served.retrieved_rows == local.retrieved_rows
+        assert smaller
 
     def test_threshold_batch_matches(self, engine, dataset, cluster):
         queries = _queries(dataset, 8)
