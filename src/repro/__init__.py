@@ -48,7 +48,6 @@ from repro.measures import available_measures, get_measure
 from repro.obs import (
     ExplainAnalyzeReport,
     MetricsRegistry,
-    SlowQueryLog,
     Tracer,
     explain_analyze,
     format_span_tree,
@@ -87,7 +86,6 @@ __all__ = [
     "SimulatedCrash",
     "ExplainAnalyzeReport",
     "MetricsRegistry",
-    "SlowQueryLog",
     "Tracer",
     "explain_analyze",
     "format_span_tree",

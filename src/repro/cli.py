@@ -40,7 +40,7 @@ import argparse
 import dataclasses
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.core.config import TraSSConfig
@@ -82,29 +82,20 @@ def _load_engine(args: argparse.Namespace) -> TraSS:
     return engine
 
 
-@contextmanager
-def _borrowed_cluster(engine: TraSS, args: argparse.Namespace, **kwargs):
-    """Answer ``engine``'s queries through a ``--cluster N`` serving
-    cluster for the duration of the block (``kwargs`` go to
-    ``ServingCluster.from_engine``); yields the started cluster, or
-    ``None`` — and leaves the engine local — without the flag."""
-    if not getattr(args, "cluster", None):
-        yield None
-        return
+def _cluster(engine: TraSS, args: argparse.Namespace, **kwargs):
+    """The ``--cluster N`` serving cluster over ``engine``'s dataset,
+    unstarted (``kwargs`` go to ``ServingCluster.from_engine``), or
+    ``None`` without the flag.  It has the engine's query methods."""
+    if not args.cluster:
+        return None
     from repro.serve import ServingCluster
 
-    cluster = ServingCluster.from_engine(
+    return ServingCluster.from_engine(
         engine,
         partitions=args.cluster,
         replication=args.replication,
         **kwargs,
-    ).start()
-    engine.set_remote_executor(cluster)
-    try:
-        yield cluster
-    finally:
-        engine.set_remote_executor(None)
-        cluster.stop()
+    )
 
 
 def _resolve_query(engine: TraSS, args: argparse.Namespace) -> Trajectory:
@@ -194,18 +185,18 @@ def _query(args: argparse.Namespace) -> int:
     if not queries:
         raise ReproError("no queries to run")
 
-    with _borrowed_cluster(
-        engine, args, hedge_delay_seconds=args.hedge_delay
-    ) as cluster:
+    cluster = _cluster(engine, args, hedge_delay_seconds=args.hedge_delay)
+    target = engine if cluster is None else cluster
+    with cluster or nullcontext():
         before = engine.metrics.snapshot()
         started = time.perf_counter()
         if args.batch:
-            results = engine.threshold_search_many(
+            results = target.threshold_search_many(
                 queries, args.eps, measure=args.measure
             )
         else:
             results = [
-                engine.threshold_search(q, args.eps, measure=args.measure)
+                target.threshold_search(q, args.eps, measure=args.measure)
                 for q in queries
             ]
         wall = time.perf_counter() - started
@@ -215,15 +206,21 @@ def _query(args: argparse.Namespace) -> int:
         for tid, dist in sorted(result.answers.items(), key=lambda kv: kv[1]):
             print(f"{query.tid}\t{tid}\t{dist:.6f}")
     mode = "batch" if args.batch else "sequential"
-    if cluster is not None:
+    if cluster is None:
+        io = (
+            f"{delta['rows_scanned']} rows scanned, "
+            f"{delta['batch_ranges_merged']} ranges merged, "
+            f"{delta['batch_rows_shared']} row deliveries shared"
+        )
+    else:
+        # The workers scanned, not this engine, and a worker shares no
+        # scan across the queries of a batch.
         mode += f", cluster={args.cluster}x{args.replication}"
+        io = f"{sum(r.retrieved_rows for r in results)} rows scanned"
     print(
         f"# {len(queries)} queries ({mode}), "
         f"{sum(len(r.answers) for r in results)} answers, "
-        f"{delta['rows_scanned']} rows scanned, "
-        f"{delta['batch_ranges_merged']} ranges merged, "
-        f"{delta['batch_rows_shared']} row deliveries shared, "
-        f"{wall * 1000:.1f} ms",
+        f"{io}, {wall * 1000:.1f} ms",
         file=sys.stderr,
     )
     return 0
@@ -275,17 +272,14 @@ def _trace(args: argparse.Namespace) -> int:
     query = _resolve_query(engine, args)
     if (args.eps is None) == (args.k is None):
         raise ReproError("provide exactly one of --eps or --k")
-    # One tracer on both substrates: the cluster's coordinator records
-    # into it when there is one (the engine then opens no span of its
-    # own), the local pipeline otherwise.
     tracer = engine.make_tracer()
-    with _borrowed_cluster(
-        engine, args, tracer=tracer, observability=True
-    ), engine.traced(tracer):
+    cluster = _cluster(engine, args, tracer=tracer, observability=True)
+    target = engine if cluster is None else cluster
+    with cluster or engine.traced(tracer):
         if args.eps is not None:
-            engine.threshold_search(query, args.eps, measure=args.measure)
+            target.threshold_search(query, args.eps, measure=args.measure)
         else:
-            engine.topk_search(query, args.k, measure=args.measure)
+            target.topk_search(query, args.k, measure=args.measure)
     root = tracer.traces()[-1]
     if args.json:
         import json
@@ -341,19 +335,29 @@ def _stats(args: argparse.Namespace) -> int:
     """
     engine = _load_engine(args)
     cfg = engine.config
-    with _borrowed_cluster(engine, args, observability=True) as cluster:
+    cluster = _cluster(engine, args, observability=True)
+    with cluster or nullcontext():
         return _stats_report(engine, cluster, args, cfg)
 
 
 def _stats_report(engine, cluster, args, cfg) -> int:
+    target = engine if cluster is None else cluster
     if args.prometheus:
-        _run_probe_workload(engine, args.probes, args.eps)
-        print(engine.export_metrics("prometheus"))
+        from repro.obs.registry import (
+            update_registry_from_cluster,
+            update_registry_from_engine,
+        )
+
+        _run_probe_workload(target, engine, args.probes, args.eps)
+        update_registry_from_engine(engine.registry, engine)
+        if cluster is not None:
+            update_registry_from_cluster(engine.registry, cluster)
+        print(engine.registry.to_prometheus())
         return 0
     if args.json:
         import json
 
-        _run_probe_workload(engine, args.probes, args.eps)
+        _run_probe_workload(target, engine, args.probes, args.eps)
         payload = engine.stats()
         payload["config"] = {
             "cache_mb": cfg.cache_mb,
@@ -368,11 +372,7 @@ def _stats_report(engine, cluster, args, cfg) -> int:
     print(f"cache budget:     {cfg.cache_mb:g} MiB")
     print(f"plan cache size:  {cfg.plan_cache_size}")
 
-    queries = []
-    for record in engine.store.all_records():
-        queries.append(record.as_trajectory())
-        if len(queries) >= args.probes:
-            break
+    queries = _probe_queries(engine, args.probes)
     if not queries:
         print("no stored trajectories; skipping probe workload")
         return 0
@@ -383,7 +383,7 @@ def _stats_report(engine, cluster, args, cfg) -> int:
     started = time.perf_counter()
     for _pass in range(2):
         for q in queries:
-            result = engine.threshold_search(q, args.eps)
+            result = target.threshold_search(q, args.eps)
             pruning += result.pruning_seconds
             scan += result.scan_seconds
             refine += result.refine_seconds
@@ -464,7 +464,7 @@ def _heatmap(args: argparse.Namespace) -> int:
         )
         return 1
     if args.probe:
-        _run_probe_workload(engine, args.probe, args.eps)
+        _run_probe_workload(engine, engine, args.probe, args.eps)
     from repro.obs.heatmap import heatmap_json, render_heatmap
 
     if args.json:
@@ -484,14 +484,21 @@ def _heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_probe_workload(engine: TraSS, probes: int, eps: float) -> None:
+def _probe_queries(engine: TraSS, probes: int) -> List[Trajectory]:
+    """The first ``probes`` stored trajectories, as queries."""
     queries = []
     for record in engine.store.all_records():
         queries.append(record.as_trajectory())
         if len(queries) >= probes:
             break
-    for q in queries:
-        engine.threshold_search(q, eps)
+    return queries
+
+
+def _run_probe_workload(target, engine: TraSS, probes: int, eps: float):
+    """Answer threshold probes drawn from ``engine``'s store on
+    ``target``: the engine itself, or a serving cluster over it."""
+    for q in _probe_queries(engine, probes):
+        target.threshold_search(q, eps)
 
 
 def _doctor(args: argparse.Namespace) -> int:
@@ -499,7 +506,7 @@ def _doctor(args: argparse.Namespace) -> int:
     recommendations."""
     engine = _load_engine(args)
     if args.probe:
-        _run_probe_workload(engine, args.probe, args.eps)
+        _run_probe_workload(engine, engine, args.probe, args.eps)
     from repro.obs.advisor import render_report, report_json
 
     recommendations = engine.doctor()
@@ -723,7 +730,6 @@ def _serve(args: argparse.Namespace) -> int:
         run_started = time.perf_counter()
         served = cluster.threshold_search_many(queries, args.eps)
         wall = time.perf_counter() - run_started
-        findings = cluster.doctor() if args.obs else []
         stats = cluster.stats()
     expected = engine.threshold_search_many(queries, args.eps)
     matches = sum(
@@ -747,7 +753,6 @@ def _serve(args: argparse.Namespace) -> int:
         if args.obs:
             obs_snapshot = stats.get("observability", {})
             payload["slo"] = obs_snapshot.get("slo", {})
-            payload["doctor"] = [f.to_json() for f in findings]
         print(json.dumps(payload, indent=2, default=str))
         return 0 if matches == len(queries) else 1
 
@@ -791,12 +796,6 @@ def _serve(args: argparse.Namespace) -> int:
             f"{query_slo.get('p99', 0.0) * 1000:.1f} ms; error-budget "
             f"burn {budget.get('burn_rate', 0.0):.2f}x"
         )
-        if findings:
-            print(f"  doctor:        {len(findings)} finding(s)")
-            for finding in findings:
-                print(f"    [{finding.severity}] {finding.title}")
-        else:
-            print("  doctor:        no findings")
     if matches == len(queries):
         print("EXACT: served answers match the single-process engine")
         return 0
@@ -1192,8 +1191,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--obs",
         action="store_true",
-        help="enable cluster observability: SLO histograms, per-worker "
-        "metrics aggregation and the serving doctor",
+        help="enable cluster observability: SLO histograms and "
+        "per-worker metrics aggregation",
     )
     serve.add_argument(
         "--tenant-rate",

@@ -105,7 +105,6 @@ KNOBS: Dict[str, Knob] = {
     "degraded_mode": Knob(bool),
     "cache_mb": Knob(float, 0),
     "plan_cache_size": Knob(int, 0),
-    "slow_query_threshold_seconds": Knob(float, 0, optional=True),
     "storage_telemetry": Knob(bool),
 }
 
@@ -153,9 +152,6 @@ class TraSSConfig:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    #: queries at/above this wall time (seconds) enter the slow-query
-    #: log; ``None`` disables slow-query logging
-    slow_query_threshold_seconds: Optional[float] = None
     #: collect per-region scan stats + key-space heat + workload log.
     #: Disabling it must not change any query answer or ``IOMetrics``
     #: total — the telemetry layer never writes to either (the parity

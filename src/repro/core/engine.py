@@ -15,6 +15,11 @@ Per-call ``measure`` overrides support the Section VII experiments
 (Hausdorff, DTW) without rebuilding the store.  Every registered
 measure satisfies the Lemma 5 point lower bound, so every query runs
 the pruned path (Algorithms 3 and 4).
+
+The engine answers from its own store only.  To serve a dataset from
+shard worker processes, build a :class:`repro.serve.ServingCluster`
+(``ServingCluster.from_engine(engine, ...)``) and query the cluster: it
+has the same ``threshold_search`` / ``topk_search`` / ``*_many`` calls.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from repro.geometry.trajectory import Trajectory
 from repro.kvstore.metrics import IOMetrics
 from repro.measures.base import Measure, get_measure
 from repro.obs.registry import MetricsRegistry, update_registry_from_engine
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import NULL_TRACER, Tracer
 
 
@@ -70,24 +74,17 @@ class TraSS:
         self._init_observability()
 
     def _init_observability(self) -> None:
-        """Wire the tracing / metrics / slow-log read models.
+        """Wire the tracing / metrics / workload read models.
 
         Tracing starts off (the :data:`NULL_TRACER` sentinel); the
-        registry and slow-query log exist from the start so counters
-        and slow queries accumulate whether or not anyone exports them.
+        registry exists from the start so counters accumulate whether
+        or not anyone exports them.
         """
         self._tracer = NULL_TRACER
         self.store.executor.tracer = NULL_TRACER
-        #: optional remote executor (a ``repro.serve.ServingCluster``);
-        #: when set, queries are answered by the cluster instead of the
-        #: local store — see :meth:`set_remote_executor`
-        self._remote_executor = None
         self.registry = MetricsRegistry()
         #: query kind -> (latency histogram, kind counter)
         self._query_meters: Dict[str, tuple] = {}
-        self.slow_query_log = SlowQueryLog(
-            threshold_seconds=self.config.slow_query_threshold_seconds
-        )
         if self.config.storage_telemetry:
             from repro.obs.workload_log import WorkloadRecorder
 
@@ -152,21 +149,6 @@ class TraSS:
         return get_measure(measure)
 
     # ------------------------------------------------------------------
-    # Remote execution (the serving tier)
-    # ------------------------------------------------------------------
-    def set_remote_executor(self, remote) -> None:
-        """Route queries through ``remote`` (a started
-        ``repro.serve.ServingCluster``) instead of the local store;
-        ``None`` detaches and restores local execution.  Answers are
-        bit-identical either way — only the execution substrate moves.
-        """
-        self._remote_executor = remote
-
-    @property
-    def remote_executor(self):
-        return self._remote_executor
-
-    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     @property
@@ -212,15 +194,10 @@ class TraSS:
         result,
         measure: Optional[str] = None,
         io_before: Optional[Tuple[int, ...]] = None,
-        origin: str = "local",
-        fanout=None,
     ) -> None:
         """Per-query bookkeeping: latency histogram, query counters,
-        the slow-query log, the workload recorder and heat decay.  Pure
-        read-model — never touches IOMetrics.  Cluster-routed queries
-        pass ``origin="cluster"`` plus the coordinator's per-partition
-        fan-out attribution, so slow entries name the shard/replica
-        that served (or stalled) them."""
+        the workload recorder and heat decay.  Pure read-model — never
+        touches IOMetrics."""
         meters = self._query_meters.get(kind)
         if meters is None:
             # Resolved on a kind's first query, so neither metric is
@@ -235,17 +212,6 @@ class TraSS:
             )
         meters[0].observe(seconds)
         meters[1].inc()
-        self.slow_query_log.observe(
-            kind=kind,
-            query_tid=query.tid,
-            parameter=float(parameter),
-            seconds=seconds,
-            candidates=result.candidates,
-            answers=len(result.answers),
-            completeness=result.completeness,
-            origin=origin,
-            fanout=fanout,
-        )
         table = self.store.table
         recorder = self._workload_recorder
         if recorder is not None and recorder.enabled and io_before is not None:
@@ -313,17 +279,8 @@ class TraSS:
 
     def export_metrics(self, fmt: str = "json"):
         """Refresh the metrics registry from current engine state and
-        export it (``"json"`` dict or ``"prometheus"`` text).  With a
-        remote executor attached, the cluster's aggregated metrics
-        (``trass.serve.*`` — per-worker deltas, SLO histograms, rollups)
-        land in the same dump, so one scrape describes the cluster."""
+        export it (``"json"`` dict or ``"prometheus"`` text)."""
         update_registry_from_engine(self.registry, self)
-        if self._remote_executor is not None:
-            from repro.obs.registry import update_registry_from_cluster
-
-            update_registry_from_cluster(
-                self.registry, self._remote_executor
-            )
         if fmt == "json":
             return self.registry.to_json()
         if fmt in ("prometheus", "prom", "text"):
@@ -392,7 +349,37 @@ class TraSS:
         deltas are meaningless under a shared scan.
         """
         queries, eps_list = normalise_thresholds(queries, eps)
-        return self._answer_many("threshold", queries, eps_list, measure)
+        started = time.perf_counter()
+        resolved = self._resolve_measure(measure)
+        with self._tracer.span(
+            "query.threshold_batch",
+            queries=len(queries),
+            measure=resolved.name,
+        ) as root:
+            results = threshold_search_many(
+                self.store,
+                self.pruner,
+                resolved,
+                queries,
+                eps_list,
+                self._tracer,
+            )
+            root.set_attrs(
+                answers=sum(len(r.answers) for r in results),
+                candidates=sum(r.candidates for r in results),
+            )
+        elapsed = time.perf_counter() - started
+        per_query = elapsed / len(queries) if queries else 0.0
+        for query, value, result in zip(queries, eps_list, results):
+            self._observe_query(
+                "threshold",
+                query,
+                value,
+                per_query,
+                result,
+                measure=resolved.name,
+            )
+        return results
 
     def topk_search_many(
         self,
@@ -403,21 +390,18 @@ class TraSS:
         """Answer many top-k queries; results align with ``queries``.
 
         Top-k plans adaptively (each answer tightens the working
-        threshold), so there is no up-front range set to share — a
-        local engine runs the queries one at a time; this exists so
-        batch callers can stay mode-agnostic.
+        threshold), so there is no up-front range set to share — the
+        queries run one at a time; this exists so batch callers can
+        call an engine and a ``ServingCluster`` alike.
         """
         check_k(k)
-        return self._answer_many("topk", list(queries), k, measure)
+        return [self.topk_search(q, k, measure=measure) for q in queries]
 
     def _answer(
         self, kind: str, query: Trajectory, parameter, measure: Optional[str]
     ):
         """One query of ``kind`` through the local pipeline, timed and
-        observed; on an attached cluster it is a batch of one."""
-        if self._remote_executor is not None:
-            many = [parameter] if kind == "threshold" else parameter
-            return self._answer_many(kind, [query], many, measure)[0]
+        observed."""
         resolved = self._resolve_measure(measure)
         io_before = self._io_before_query()
         started = time.perf_counter()
@@ -452,62 +436,6 @@ class TraSS:
             io_before=io_before,
         )
         return result
-
-    def _answer_many(
-        self, kind: str, queries: List[Trajectory], parameter, measure
-    ) -> list:
-        """A batch of ``kind`` queries; ``parameter`` is what the batch
-        call takes — the aligned threshold list, or the one ``k``.  The
-        one place a query leaves for an attached cluster."""
-        remote = self._remote_executor
-        if remote is None and kind == "topk":
-            # Nothing to share across adaptive plans: one query at a
-            # time, each observing itself.
-            return [
-                self.topk_search(q, parameter, measure=measure)
-                for q in queries
-            ]
-        started = time.perf_counter()
-        fanout = None
-        if remote is not None:
-            search_many = getattr(remote, f"{kind}_search_many")
-            results = search_many(queries, parameter, measure=measure)
-            fanout = getattr(remote, "last_fanout", None)
-        else:
-            resolved = self._resolve_measure(measure)
-            measure = resolved.name
-            with self._tracer.span(
-                "query.threshold_batch", queries=len(queries), measure=measure
-            ) as root:
-                results = threshold_search_many(
-                    self.store,
-                    self.pruner,
-                    resolved,
-                    queries,
-                    parameter,
-                    self._tracer,
-                )
-                root.set_attrs(
-                    answers=sum(len(r.answers) for r in results),
-                    candidates=sum(r.candidates for r in results),
-                )
-        elapsed = time.perf_counter() - started
-        per_query = elapsed / len(queries) if queries else 0.0
-        parameters = (
-            parameter if kind == "threshold" else [parameter] * len(queries)
-        )
-        for query, value, result in zip(queries, parameters, results):
-            self._observe_query(
-                kind,
-                query,
-                value,
-                per_query,
-                result,
-                measure=measure,
-                origin="local" if remote is None else "cluster",
-                fanout=fanout,
-            )
-        return results
 
     def plan(self, query: Trajectory, eps: float) -> PruningResult:
         """Global pruning only — expose the scan plan for inspection."""
@@ -624,7 +552,6 @@ class TraSS:
                     injector.summary() if injector is not None else None
                 ),
             },
-            "slow_queries": self.slow_query_log.to_json(),
             "storage": self._storage_stats(),
         }
 

@@ -1,5 +1,5 @@
-"""Observability: query tracing, the metrics registry, EXPLAIN
-ANALYZE and the slow-query log.
+"""Observability: query tracing, the metrics registry and EXPLAIN
+ANALYZE.
 
 Everything here is read-model machinery over the engine's existing
 accounting: tracing is zero-overhead when off (the default
@@ -19,7 +19,6 @@ from repro.obs.registry import (
     update_registry_from_cluster,
     update_registry_from_engine,
 )
-from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 from repro.obs.tracing import (
     NULL_SPAN,
     NULL_TRACER,
@@ -40,8 +39,6 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "NoopTracer",
-    "SlowQueryEntry",
-    "SlowQueryLog",
     "Span",
     "Tracer",
     "explain_analyze",

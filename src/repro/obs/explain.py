@@ -14,11 +14,11 @@ for the query, by construction, not a parallel bookkeeping path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import QueryError
-from repro.kvstore.metrics import FIELD_NAMES, named_counters
+from repro.kvstore.metrics import named_counters
 from repro.obs.tracing import Span, Tracer, format_span_tree
 
 
@@ -44,18 +44,13 @@ class ExplainAnalyzeReport:
     io_delta: Dict[str, int]
     #: the query's root span
     root: Span
-    #: per-lemma rejection funnel (None when no partition of a
-    #: cluster-routed query answered)
-    filter_stats: Optional[Dict[str, int]] = None
+    #: per-lemma rejection funnel
+    filter_stats: Dict[str, int]
     #: ScanReport summary
-    resilience: Optional[Dict[str, Any]] = None
+    resilience: Dict[str, Any]
     #: per-region scan distribution + read amplification for this query
     #: (None when storage telemetry is disabled)
     storage: Optional[Dict[str, Any]] = None
-    #: per-partition breakdown for cluster-routed queries (None on the
-    #: single-process path): attribution plus the worker's own measured
-    #: handler duration from the grafted span subtree
-    partitions: Optional[List[Dict[str, Any]]] = None
     result: Any = None
 
     # ------------------------------------------------------------------
@@ -102,24 +97,22 @@ class ExplainAnalyzeReport:
                 f"{tier}={rate:.1%}" if rate is not None else f"{tier}=n/a"
             )
         lines.append("cache hit rates: " + "  ".join(rate_bits))
-        if self.filter_stats is not None:
-            fs = self.filter_stats
-            lines.append(
-                f"local filter funnel: evaluated={fs['evaluated']} -> "
-                f"mbr -{fs['rejected_mbr']} -> "
-                f"start/end -{fs['rejected_start_end']} -> "
-                f"rep-points -{fs['rejected_rep_points']} -> "
-                f"boxes -{fs['rejected_boxes']} -> "
-                f"passed={fs['passed']}"
-            )
-        if self.resilience is not None:
-            res = self.resilience
-            lines.append(
-                f"resilience: {res['ranges_completed']}/{res['ranges_total']} "
-                f"ranges completed, {res['retries']} retries, "
-                f"{res['breaker_short_circuits']} breaker rejections, "
-                f"completeness={res['completeness']:.3f}"
-            )
+        fs = self.filter_stats
+        lines.append(
+            f"local filter funnel: evaluated={fs['evaluated']} -> "
+            f"mbr -{fs['rejected_mbr']} -> "
+            f"start/end -{fs['rejected_start_end']} -> "
+            f"rep-points -{fs['rejected_rep_points']} -> "
+            f"boxes -{fs['rejected_boxes']} -> "
+            f"passed={fs['passed']}"
+        )
+        res = self.resilience
+        lines.append(
+            f"resilience: {res['ranges_completed']}/{res['ranges_total']} "
+            f"ranges completed, {res['retries']} retries, "
+            f"{res['breaker_short_circuits']} breaker rejections, "
+            f"completeness={res['completeness']:.3f}"
+        )
         if self.storage is not None:
             st = self.storage
             lines.append(
@@ -133,24 +126,6 @@ class ExplainAnalyzeReport:
                     f"scanned={region['rows_scanned']} "
                     f"returned={region['rows_returned']} "
                     f"share={region['share']:.1%}"
-                )
-        if self.partitions is not None:
-            lines.append(
-                f"cluster fan-out: {len(self.partitions)} partition(s)"
-            )
-            for part in self.partitions:
-                worker = part.get("worker_seconds")
-                worker_bit = (
-                    f"worker={worker * 1000.0:.3f} ms"
-                    if worker is not None
-                    else "worker=n/a"
-                )
-                lines.append(
-                    f"  partition {part['partition']} "
-                    f"replica={part['replica']} "
-                    f"attempts={part['attempts']} "
-                    f"hedged={part['hedged']} reached={part['reached']} "
-                    f"{worker_bit}"
                 )
         lines.append("")
         lines.append(
@@ -172,21 +147,10 @@ class ExplainAnalyzeReport:
             "duration_seconds": self.duration_seconds,
             "io_delta": dict(self.io_delta),
             "cache_hit_rates": self.cache_hit_rates(),
-            "filter_stats": (
-                dict(self.filter_stats)
-                if self.filter_stats is not None
-                else None
-            ),
-            "resilience": (
-                dict(self.resilience) if self.resilience is not None else None
-            ),
+            "filter_stats": dict(self.filter_stats),
+            "resilience": dict(self.resilience),
             "storage": (
                 dict(self.storage) if self.storage is not None else None
-            ),
-            "partitions": (
-                [dict(p) for p in self.partitions]
-                if self.partitions is not None
-                else None
             ),
             "trace": self.root.to_dict(include_events),
         }
@@ -207,8 +171,6 @@ def explain_analyze(
     """
     if (eps is None) == (k is None):
         raise QueryError("provide exactly one of eps (threshold) or k (topk)")
-    if getattr(engine, "remote_executor", None) is not None:
-        return _explain_analyze_cluster(engine, query, eps, k, measure)
     tracer = engine.make_tracer()
     before = engine.metrics.counters()
     telemetry = engine.storage_telemetry
@@ -245,91 +207,6 @@ def explain_analyze(
         filter_stats=result.filter_stats.as_dict(),
         resilience=result.resilience.summary(),
         storage=_storage_delta(telemetry, regions_before, io_delta),
-        result=result,
-    )
-
-
-def _explain_analyze_cluster(
-    engine,
-    query,
-    eps: Optional[float],
-    k: Optional[int],
-    measure: Optional[str],
-) -> ExplainAnalyzeReport:
-    """EXPLAIN ANALYZE through the serving tier.
-
-    The coordinator runs under a fresh tracer (trace-stamping every
-    worker request, so the span tree stitches coordinator and worker
-    halves), and the IO delta comes from the cluster's reply-delta
-    rollup — the distributed analogue of the local counter diff.  The
-    cluster's configured tracer is restored afterwards.
-    """
-    cluster = engine.remote_executor
-    tracer = engine.make_tracer()
-    io_before = cluster.io_totals()
-    previous = cluster.tracer
-    cluster.tracer = tracer
-    try:
-        if eps is not None:
-            result = engine.threshold_search(query, eps, measure=measure)
-        else:
-            result = engine.topk_search(query, k, measure=measure)
-    finally:
-        cluster.tracer = previous
-    io_after = cluster.io_totals()
-    # Zero-filled over the full IOMetrics field set so the report reads
-    # identically to the single-process one; without cluster
-    # observability both rollups are empty and the delta is all zeros.
-    io_delta = dict.fromkeys(FIELD_NAMES, 0)
-    for name in set(io_before) | set(io_after):
-        io_delta[name] = io_after.get(name, 0) - io_before.get(name, 0)
-    roots = tracer.traces()
-    if not roots:
-        raise QueryError("tracer recorded no spans for the query")
-    root = roots[-1]
-
-    partitions: List[Dict[str, Any]] = []
-    for span in root.find("serve.partition"):
-        workers = span.find("worker.handle")
-        partitions.append(
-            {
-                "partition": span.attrs.get("partition"),
-                "replica": span.attrs.get("replica"),
-                "attempts": span.attrs.get("attempts"),
-                "hedged": span.attrs.get("hedged"),
-                "reached": span.attrs.get("reached"),
-                "worker_seconds": (
-                    workers[0].duration if workers else None
-                ),
-            }
-        )
-
-    filter_stats = getattr(result, "filter_stats", None)
-    resilience = getattr(result, "resilience", None)
-    if eps is not None:
-        kind = "threshold"
-        parameter = float(eps)
-    else:
-        kind = "topk"
-        parameter = float(k)
-    return ExplainAnalyzeReport(
-        kind=kind,
-        query_tid=query.tid,
-        parameter=parameter,
-        measure=engine._resolve_measure(measure).name,
-        answers=len(result.answers),
-        candidates=result.candidates,
-        retrieved_rows=result.retrieved_rows,
-        io_delta=io_delta,
-        root=root,
-        filter_stats=(
-            filter_stats.as_dict() if filter_stats is not None else None
-        ),
-        resilience=(
-            resilience.summary() if resilience is not None else None
-        ),
-        storage=None,
-        partitions=partitions,
         result=result,
     )
 

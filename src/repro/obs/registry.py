@@ -329,8 +329,8 @@ IO_METRIC_NAMES: Dict[str, str] = {
 def update_registry_from_engine(registry: MetricsRegistry, engine) -> None:
     """Refresh ``registry`` from an engine's current state.
 
-    Absorbs the ``IOMetrics`` counter bundle, breaker state, store
-    shape and the slow-query log under the stable dotted names.  Reads
+    Absorbs the ``IOMetrics`` counter bundle, breaker state and store
+    shape under the stable dotted names.  Reads
     only — the engine's own counters are never touched.
     """
     io = engine.metrics.snapshot()
@@ -363,10 +363,6 @@ def update_registry_from_engine(registry: MetricsRegistry, engine) -> None:
     registry.counter(
         "trass.resilience.breaker.trips", "circuit open transitions"
     ).set_to(breaker["trips"])
-
-    registry.gauge(
-        "trass.slowlog.entries", "entries in the slow-query ring buffer"
-    ).set(len(engine.slow_query_log))
 
     from repro.obs.storage_stats import update_storage_registry
 

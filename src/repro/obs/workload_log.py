@@ -6,6 +6,9 @@ ring-buffered :class:`WorkloadRecorder` that persists with the store
 (``TELEMETRY.json`` beside ``STORE.json``).  ``repro replay``
 re-executes the captured workload against the current store and checks
 every answer digest — byte-identical answers or a named divergence.
+Each entry's ``seconds`` is the query's wall time, so the recorder is
+also where a slow local query shows up; cluster latency is the
+coordinator's SLO histograms (:mod:`repro.serve.obs`).
 
 The digest is a sha256 over a canonical serialisation of the answer
 set (sorted ``(tid, repr(distance))`` pairs for threshold queries, the
@@ -344,24 +347,20 @@ TELEMETRY_FILE = "TELEMETRY.json"
 
 
 def save_observability(engine, directory: str) -> None:
-    """Persist the heatmap, workload log and slow-query log beside the
-    store snapshot."""
+    """Persist the heatmap and workload log beside the store snapshot."""
     import os
 
     from repro.kvstore.persistence import write_atomic
 
     telemetry = engine.storage_telemetry
     recorder = engine.workload_recorder
-    slowlog = engine.slow_query_log
-    if telemetry is None and recorder is None and len(slowlog) == 0:
+    if telemetry is None and recorder is None:
         return
     payload: Dict[str, Any] = {"version": 1}
     if telemetry is not None and telemetry.heatmap is not None:
         payload["heatmap"] = telemetry.heatmap.to_json()
     if recorder is not None:
         payload["workload"] = recorder.to_json()
-    if len(slowlog):
-        payload["slow_queries"] = slowlog.to_json()
     write_atomic(os.path.join(directory, TELEMETRY_FILE), json.dumps(payload))
 
 
@@ -396,8 +395,5 @@ def load_observability(engine, directory: str) -> bool:
     recorder = engine.workload_recorder
     if recorder is not None and "workload" in payload:
         recorder.restore_from_json(payload["workload"])
-        restored = True
-    if "slow_queries" in payload:
-        engine.slow_query_log.restore_from_json(payload["slow_queries"])
         restored = True
     return restored

@@ -43,6 +43,7 @@ from repro.core.engine import QUERY_PARAMETER, TraSS
 from repro.core.executor import CircuitBreaker, ScanReport
 from repro.core.local_filter import LocalFilterStats
 from repro.core.pruning import GlobalPruner, PruningResult, normalise_thresholds
+from repro.core.storage import TrajectoryStore
 from repro.core.threshold import ThresholdSearchResult
 from repro.core.topk import TopKSearchResult, check_k
 from repro.exceptions import ClusterError, DegradedResult
@@ -50,6 +51,7 @@ from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
 from repro.kvstore.rowkey import shard_of
 from repro.kvstore.table import ScanRange
+from repro.measures.base import get_measure
 from repro.obs.tracing import NULL_TRACER, graft_span_dict
 from repro.serve.admission import AdmissionController
 from repro.serve.obs import ClusterObservability
@@ -195,8 +197,6 @@ class ServingCluster:
         tracer=None,
         segment_dir: Optional[str] = None,
         observability: bool = False,
-        slo_objective_seconds: float = 0.5,
-        slo_target: float = 0.99,
     ):
         if partitions < 1:
             raise ClusterError(f"partitions must be >= 1, got {partitions}")
@@ -234,33 +234,23 @@ class ServingCluster:
         # zero-cost-when-off contract leaves every hot-path guard a
         # single `is not None` check.
         self.obs: Optional[ClusterObservability] = (
-            ClusterObservability(
-                slo_objective_seconds=slo_objective_seconds,
-                slo_target=slo_target,
-            )
-            if observability
-            else None
+            ClusterObservability() if observability else None
         )
-        #: per-partition attribution of the most recent scatter
-        #: (partition/replica/attempts/hedged/reached), consumed by the
-        #: engine's slow-query log for cluster entries
-        self.last_fanout: Optional[List[Dict[str, object]]] = None
         self.supervisor = ShardSupervisor(max_restarts=max_restarts)
         self.breaker = CircuitBreaker(
             failure_threshold=self.BREAKER_FAILURES,
             cooldown_seconds=self.BREAKER_COOLDOWN_SECONDS,
         )
-        # An empty engine supplies the range -> row-key mapping (for
-        # exact skipped-range accounting) and measure resolution.  The
-        # pruner is data-free: one reading this empty store's occupancy
-        # would plan nothing.  Its plan is sound for every partition,
-        # whose scan_ranges_for drops the ranges its slice holds no
-        # value in.
-        self._plan_engine = TraSS(config, key_encoding)
-        plan_store = self._plan_engine.store
+        # An empty store supplies the index and the range -> row-key
+        # mapping (for exact skipped-range accounting).  The pruner is
+        # data-free: one reading this empty store's occupancy would plan
+        # nothing.  Its plan is sound for every partition, whose
+        # scan_ranges_for drops the ranges its slice holds no value in.
+        self._plan_store = TrajectoryStore(config, key_encoding)
         self._pruner = GlobalPruner.from_config(
-            plan_store.index, config, plan_store.metrics
+            self._plan_store.index, config, self._plan_store.metrics
         )
+        self.measure = config.make_measure()
         self._next_request_id = 0
         self._started = False
         self.counters: Dict[str, int] = {
@@ -577,16 +567,6 @@ class ServingCluster:
                     >= self.hedge_delay_seconds
                 ):
                     self._hedge(stream, now)
-        self.last_fanout = [
-            {
-                "partition": p,
-                "replica": stream.winner_slot,
-                "attempts": stream.attempts,
-                "hedged": stream.hedged,
-                "reached": not stream.exhausted,
-            }
-            for p, stream in sorted(streams.items())
-        ]
         return streams
 
     def _wake_at(self, stream: _Stream, leg: _Leg) -> float:
@@ -642,8 +622,7 @@ class ServingCluster:
         stream.hedged = True
         primary = stream.legs[-1]
         if self.obs is not None:
-            # How long the primary stalled before we gave up waiting —
-            # the hedge-efficacy signal the doctor reads.
+            # How long the primary stalled before we gave up waiting.
             self.obs.observe_slo("hedge_wait", now - primary.last_activity)
         leg = self._open_leg(stream, hedge=True)
         if leg is None:
@@ -754,7 +733,7 @@ class ServingCluster:
         tell which planned pairs are empty; it reports all of them."""
         if wire_ranges is not None:
             ranges = [IndexRange(s, t) for s, t in wire_ranges]
-            return self._plan_engine.store.planned_scan_ranges(
+            return self._plan_store.planned_scan_ranges(
                 ranges, shards=self.owned_salts(partition)
             )
         spans = []
@@ -879,7 +858,7 @@ class ServingCluster:
             check_k(parameter)
             queries = list(queries)
             parameters = [int(parameter)] * len(queries)
-        resolved = self._plan_engine._resolve_measure(measure)
+        resolved = self.measure if measure is None else get_measure(measure)
         if not queries:
             return []
         query_started = time.perf_counter()
@@ -1013,10 +992,10 @@ class ServingCluster:
     # ------------------------------------------------------------------
     def heartbeat(self, timeout: float = 10.0) -> int:
         """Poll every live replica for its observability snapshot
-        (cumulative ``IOMetrics``, metrics registry, heatmap grid,
-        slow-query log) and fold the latest into the cluster aggregate.
-        Returns how many workers answered; a no-op (0) when the cluster
-        was built without ``observability``.
+        (cumulative ``IOMetrics``, metrics registry, heatmap grid) and
+        fold the latest into the cluster aggregate.  Returns how many
+        workers answered; a no-op (0) when the cluster was built without
+        ``observability``.
 
         Heartbeats ride the same FIFO pipes as queries, so polling an
         idle cluster is safe; dead or unreachable workers are skipped
@@ -1068,13 +1047,6 @@ class ServingCluster:
         if self.obs is None:
             return None
         return self.obs.cluster_heatmap()
-
-    def doctor(self):
-        """Cluster-scoped advisor: evidence-cited recommendations from
-        the aggregated serving metrics."""
-        from repro.obs.advisor import diagnose_cluster
-
-        return diagnose_cluster(self)
 
     def stats(self) -> Dict[str, object]:
         base: Dict[str, object] = {

@@ -1,7 +1,7 @@
 """Coordinator-side observability aggregation for the serving tier.
 
 The worker processes already run full single-process observability
-stacks — ``IOMetrics``, metrics registries, heatmaps, slow-query logs —
+stacks — ``IOMetrics``, metrics registries, heatmaps, workload logs —
 but those live behind a pipe.  This module is the coordinator's
 accumulator for everything that crosses it:
 
@@ -11,7 +11,7 @@ accumulator for everything that crosses it:
   coordinator's accounting matches the single-process engine
   field-for-field.
 * **heartbeats** — a ``stats`` request returns the worker's cumulative
-  snapshot (metrics registry, heatmap grid, slow-query log); the
+  snapshot (``IOMetrics`` totals, metrics registry, heatmap grid); the
   latest snapshot per slot is kept, and worker heatmap grids merge
   *heat-conservingly* into one cluster heatmap (grids are element-wise
   sums over the same salted-key buckets, so total heat is the sum of
@@ -20,7 +20,9 @@ accumulator for everything that crosses it:
   :class:`~repro.obs.registry.Histogram` the engine already uses) for
   admission wait, scatter fan-out, per-partition service, hedge wait,
   merge time and end-to-end query time, with p50/p95/p99 estimates and
-  error-budget burn counters against a configurable objective.
+  error-budget burn counters against a fixed objective
+  (:data:`SLO_OBJECTIVE_SECONDS`, :data:`SLO_TARGET`).  They are also
+  the cluster's record of slow queries.
 
 Everything here is read-model only: the aggregate is fed from data the
 query path already produced, never consulted by it, so answers are
@@ -31,9 +33,14 @@ cluster is built without observability none of this is allocated
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.registry import Histogram
+
+#: the per-query latency objective, in seconds
+SLO_OBJECTIVE_SECONDS = 0.5
+#: the fraction of queries that must meet the objective (the SLO)
+SLO_TARGET = 0.99
 
 #: SLO histogram keys -> help text; exported as
 #: ``trass.serve.slo.{key}_seconds``
@@ -58,22 +65,9 @@ class ClusterObservability:
     > 1 means the budget is being spent faster than the SLO allows.
     """
 
-    def __init__(
-        self,
-        slo_objective_seconds: float = 0.5,
-        slo_target: float = 0.99,
-    ):
-        if slo_objective_seconds <= 0:
-            raise ValueError(
-                f"slo_objective_seconds must be > 0, "
-                f"got {slo_objective_seconds}"
-            )
-        if not 0.0 < slo_target < 1.0:
-            raise ValueError(
-                f"slo_target must be in (0, 1), got {slo_target}"
-            )
-        self.slo_objective_seconds = float(slo_objective_seconds)
-        self.slo_target = float(slo_target)
+    def __init__(self):
+        self.slo_objective_seconds = SLO_OBJECTIVE_SECONDS
+        self.slo_target = SLO_TARGET
         self.histograms: Dict[str, Histogram] = {
             key: Histogram(f"trass.serve.slo.{key}_seconds", help)
             for key, help in SLO_HISTOGRAM_HELP.items()
@@ -169,18 +163,6 @@ class ClusterObservability:
                 merged.merge_from(restored)
         return merged
 
-    def worker_slow_queries(self) -> List[Dict[str, Any]]:
-        """Every worker slow-log entry seen in the latest heartbeats,
-        tagged with its partition/replica."""
-        out: List[Dict[str, Any]] = []
-        for (partition, slot), beat in sorted(self.heartbeats.items()):
-            for entry in beat.get("slow_queries", ()):
-                tagged = dict(entry)
-                tagged["partition"] = partition
-                tagged["replica"] = slot
-                out.append(tagged)
-        return out
-
     def error_budget(self) -> Dict[str, Any]:
         total = self.slo_good + self.slo_bad
         bad_rate = (self.slo_bad / total) if total else 0.0
@@ -211,9 +193,6 @@ class ClusterObservability:
                             "pid": beat.get("pid"),
                             "trajectories": beat.get("trajectories"),
                             "io": beat.get("io"),
-                            "slow_queries": len(
-                                beat.get("slow_queries") or ()
-                            ),
                         }
                         if beat is not None
                         else None
@@ -233,9 +212,6 @@ class ClusterObservability:
                             "pid": beat.get("pid"),
                             "trajectories": beat.get("trajectories"),
                             "io": beat.get("io"),
-                            "slow_queries": len(
-                                beat.get("slow_queries") or ()
-                            ),
                         },
                     }
                 )
@@ -262,7 +238,6 @@ class ClusterObservability:
                 }
                 for p, (s, n) in sorted(self.partition_service.items())
             },
-            "slow_queries": self.worker_slow_queries(),
             "heatmap": (
                 {
                     "total_heat": heatmap.total_heat,

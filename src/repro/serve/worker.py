@@ -87,8 +87,8 @@ def worker_stats(engine: TraSS, spec: WorkerSpec) -> dict:
     """The worker's observability snapshot — the heartbeat payload.
 
     Carries the cumulative ``IOMetrics`` totals, the refreshed metrics
-    registry, the worker's heatmap grid (heat merges conservingly on
-    the coordinator) and its slow-query log.  Everything is plain JSON
+    registry and the worker's heatmap grid (heat merges conservingly on
+    the coordinator).  Everything is plain JSON
     data: the coordinator aggregates without importing worker state.
     """
     from repro.obs.registry import update_registry_from_engine
@@ -104,7 +104,6 @@ def worker_stats(engine: TraSS, spec: WorkerSpec) -> dict:
         "io": engine.metrics.snapshot(),
         "registry": engine.registry.to_json(),
         "heatmap": heatmap.to_json() if heatmap is not None else None,
-        "slow_queries": engine.slow_query_log.to_json(),
     }
 
 

@@ -387,17 +387,6 @@ def observe_query(
     self.registry.counter(
         f"trass.query.{kind}.count", f"{kind} queries answered"
     ).inc()
-    self.slow_query_log.observe(
-        kind=kind,
-        query_tid=query.tid,
-        parameter=float(parameter),
-        seconds=seconds,
-        candidates=result.candidates,
-        answers=len(result.answers),
-        completeness=result.completeness,
-        origin=origin,
-        fanout=fanout,
-    )
     recorder = self._workload_recorder
     if recorder is not None and recorder.enabled and io_before is not None:
         recorder.record(

@@ -1,5 +1,5 @@
 """Cluster-wide observability: cross-process trace stitching, worker
-metrics aggregation, latency SLOs and the serving doctor.
+metrics aggregation and latency SLOs.
 
 The standing invariant pinned throughout: observability is a pure
 read-model.  A cluster built with ``observability=True`` (and/or a
@@ -16,8 +16,12 @@ import pytest
 
 from repro import SpaceBounds, TraSS, TraSSConfig, Trajectory
 from repro.obs import Tracer, parse_prometheus
-from repro.obs.advisor import diagnose_cluster
 from repro.obs.heatmap import KeySpaceHeatmap
+from repro.obs.registry import (
+    MetricsRegistry,
+    update_registry_from_cluster,
+    update_registry_from_engine,
+)
 from repro.obs.tracing import NULL_TRACER
 from repro.serve import ClusterObservability, ServingCluster
 
@@ -55,21 +59,19 @@ def engine(dataset):
         dp_tolerance=0.002,
         shards=4,
         storage_telemetry=True,
-        slow_query_threshold_seconds=0.0,
     )
     return TraSS.build(dataset, config)
 
 
 @pytest.fixture(scope="module")
 def obs_cluster(engine):
-    # A generous objective so every test query counts as SLO-good on
-    # any machine; budget-burn arithmetic is unit-tested separately.
     with ServingCluster.from_engine(
-        engine,
-        partitions=2,
-        observability=True,
-        slo_objective_seconds=60.0,
+        engine, partitions=2, observability=True
     ) as c:
+        # A generous objective so every test query counts as SLO-good
+        # on any machine; budget-burn arithmetic is unit-tested
+        # separately.
+        c.obs.slo_objective_seconds = 60.0
         yield c
 
 
@@ -251,12 +253,12 @@ class TestClusterAccounting:
         assert merged.total_rows - cluster_base == local_rows
 
     def test_prometheus_export_covers_the_cluster(self, engine, obs_cluster):
-        engine.set_remote_executor(obs_cluster)
-        try:
-            text = engine.export_metrics("prometheus")
-        finally:
-            engine.set_remote_executor(None)
-        samples = parse_prometheus(text)
+        # What `repro stats --cluster N --prometheus` prints: the
+        # engine's registry, refreshed, with the cluster's on top.
+        registry = MetricsRegistry()
+        update_registry_from_engine(registry, engine)
+        update_registry_from_cluster(registry, obs_cluster)
+        samples = parse_prometheus(registry.to_prometheus())
         names = set(samples)
         assert any(n.startswith("trass_serve_worker_0_0_") for n in names)
         assert any(n.startswith("trass_serve_worker_1_0_") for n in names)
@@ -286,53 +288,15 @@ class TestClusterAccounting:
 
 
 # ----------------------------------------------------------------------
-# Slow-query log: cluster attribution and persistence
-# ----------------------------------------------------------------------
-class TestSlowLogCluster:
-    def test_cluster_queries_attributed_and_persisted(
-        self, engine, dataset, obs_cluster, tmp_path
-    ):
-        engine.slow_query_log.clear()
-        engine.set_remote_executor(obs_cluster)
-        try:
-            engine.threshold_search(dataset[0], EPS)
-        finally:
-            engine.set_remote_executor(None)
-        entries = engine.slow_query_log.entries()
-        assert entries, "threshold 0.0 must log every query"
-        entry = entries[-1]
-        assert entry.origin == "cluster"
-        assert entry.query_tid == dataset[0].tid
-        assert entry.fanout is not None
-        assert {f["partition"] for f in entry.fanout} == {0, 1}
-        for leg in entry.fanout:
-            assert leg["replica"] == 0
-            assert leg["reached"] is True
-            assert leg["attempts"] >= 1
-
-        target = str(tmp_path / "store")
-        engine.save(target)
-        loaded = TraSS.load(target)
-        restored = loaded.slow_query_log.entries()
-        assert [e.query_tid for e in restored] == [
-            e.query_tid for e in entries
-        ]
-        assert restored[-1].origin == "cluster"
-        assert restored[-1].fanout == entry.fanout
-
-
-# ----------------------------------------------------------------------
 # Latency SLOs and the error budget
 # ----------------------------------------------------------------------
 class TestLatencySLOs:
     def test_slo_histograms_cover_every_stage(self, engine, dataset):
         queries = dataset[:4]
         with ServingCluster.from_engine(
-            engine,
-            partitions=2,
-            observability=True,
-            slo_objective_seconds=60.0,
+            engine, partitions=2, observability=True
         ) as c:
+            c.obs.slo_objective_seconds = 60.0
             for q in queries:
                 c.threshold_search(q, EPS)
             snapshot = c.stats()["observability"]
@@ -359,9 +323,8 @@ class TestLatencySLOs:
             assert entry["mean_seconds"] > 0
 
     def test_error_budget_burn_arithmetic(self):
-        obs = ClusterObservability(
-            slo_objective_seconds=0.5, slo_target=0.99
-        )
+        obs = ClusterObservability()
+        assert (obs.slo_objective_seconds, obs.slo_target) == (0.5, 0.99)
         for _ in range(9):
             obs.observe_query(0.01)
         obs.observe_query(2.0)  # over objective: bad
@@ -372,15 +335,10 @@ class TestLatencySLOs:
         assert budget["burn_rate"] == pytest.approx(10.0)
 
     def test_skipped_queries_count_against_the_budget(self):
-        obs = ClusterObservability(slo_objective_seconds=60.0)
+        obs = ClusterObservability()
+        obs.slo_objective_seconds = 60.0
         obs.observe_query(0.01, ok=False)  # degraded: fast but partial
         assert obs.error_budget()["bad_events"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClusterObservability(slo_objective_seconds=0.0)
-        with pytest.raises(ValueError):
-            ClusterObservability(slo_target=1.0)
 
     def test_absorb_reply_accumulates_io(self):
         class _Payload:
@@ -394,146 +352,3 @@ class TestLatencySLOs:
         assert obs.workers[(0, 0)]["queries"] == 2
         assert obs.workers[(0, 0)]["io"]["rows_scanned"] == 8
         assert obs.io_totals() == {"rows_scanned": 10, "gets": 1}
-
-
-# ----------------------------------------------------------------------
-# The serving doctor
-# ----------------------------------------------------------------------
-class _FakeCluster:
-    def __init__(self, stats):
-        self._stats = stats
-
-    def stats(self):
-        return self._stats
-
-
-def _healthy_stats(**overrides):
-    stats = {
-        "partitions": 2,
-        "replication": 2,
-        "started": True,
-        "counters": {
-            "queries": 40,
-            "failovers": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
-            "degraded_queries": 0,
-        },
-        "worker_restarts": 0,
-        "breaker": {
-            "trips": 0,
-            "open_regions": 0,
-            "tracked_regions": 4,
-            "probes_admitted": 0,
-            "any_open": False,
-        },
-        "admission": {
-            "in_flight": 0,
-            "admitted": 40,
-            "rejected_quota": 0,
-            "rejected_queue_depth": 0,
-            "tenants": {},
-        },
-        "observability": {
-            "workers": [
-                {"partition": 0, "replica": 0, "queries": 20, "io": {}},
-                {"partition": 1, "replica": 0, "queries": 20, "io": {}},
-            ],
-            "partition_service": {
-                "0": {"seconds": 0.2, "replies": 20, "mean_seconds": 0.01},
-                "1": {"seconds": 0.24, "replies": 20, "mean_seconds": 0.012},
-            },
-        },
-    }
-    stats.update(overrides)
-    return stats
-
-
-class TestServingDoctor:
-    def test_healthy_cluster_has_no_findings(self):
-        assert diagnose_cluster(_FakeCluster(_healthy_stats())) == []
-
-    def test_live_cluster_doctor_is_quiet(self, obs_cluster, dataset):
-        obs_cluster.threshold_search(dataset[0], EPS)
-        assert [r.kind for r in obs_cluster.doctor()] == []
-
-    def test_replica_imbalance(self):
-        stats = _healthy_stats()
-        stats["observability"]["workers"] = [
-            {"partition": 0, "replica": 0, "queries": 3, "io": {}},
-            {"partition": 0, "replica": 1, "queries": 17, "io": {}},
-            {"partition": 1, "replica": 0, "queries": 20, "io": {}},
-        ]
-        recs = diagnose_cluster(_FakeCluster(stats))
-        assert [r.kind for r in recs] == ["replica-load-imbalance"]
-        assert recs[0].severity == "warning"
-        assert recs[0].evidence["partition"] == 0
-        assert recs[0].evidence["backup_share"] == pytest.approx(0.85)
-
-    def test_replica_imbalance_needs_replication(self):
-        # A single-replica cluster routes everything to slot 0 — the
-        # rule must not fire on the healthy primary-first pattern.
-        stats = _healthy_stats(replication=1)
-        assert diagnose_cluster(_FakeCluster(stats)) == []
-
-    def test_breaker_flapping(self):
-        stats = _healthy_stats()
-        stats["breaker"]["trips"] = 5
-        stats["worker_restarts"] = 2
-        recs = diagnose_cluster(_FakeCluster(stats))
-        assert [r.kind for r in recs] == ["breaker-flapping"]
-        assert recs[0].evidence["trips"] == 5
-        assert recs[0].evidence["worker_restarts"] == 2
-
-    def test_hedge_waste_and_chronic_straggler(self):
-        waste = _healthy_stats()
-        waste["counters"].update(hedges=10, hedge_wins=1)
-        recs = diagnose_cluster(_FakeCluster(waste))
-        assert [r.kind for r in recs] == ["hedge-efficacy"]
-        assert recs[0].severity == "info"
-
-        chronic = _healthy_stats()
-        chronic["counters"].update(hedges=10, hedge_wins=9)
-        recs = diagnose_cluster(_FakeCluster(chronic))
-        assert recs[0].severity == "warning"
-        assert "straggle" in recs[0].title
-
-        healthy_rate = _healthy_stats()
-        healthy_rate["counters"].update(hedges=10, hedge_wins=4)
-        assert diagnose_cluster(_FakeCluster(healthy_rate)) == []
-
-    def test_shed_rate_escalates_to_critical(self):
-        mild = _healthy_stats()
-        mild["admission"].update(admitted=90, rejected_quota=10)
-        recs = diagnose_cluster(_FakeCluster(mild))
-        assert [r.kind for r in recs] == ["shed-rate"]
-        assert recs[0].severity == "warning"
-
-        severe = _healthy_stats()
-        severe["admission"].update(
-            admitted=60, rejected_quota=20, rejected_queue_depth=20
-        )
-        recs = diagnose_cluster(_FakeCluster(severe))
-        assert recs[0].severity == "critical"
-
-    def test_slow_partition_skew(self):
-        # max/mean needs >= 3 partitions to reach the 2x ratio: with
-        # two, the slowest can never exceed twice the mean.
-        stats = _healthy_stats(partitions=3)
-        stats["observability"]["partition_service"] = {
-            "0": {"seconds": 0.1, "replies": 20, "mean_seconds": 0.005},
-            "1": {"seconds": 0.1, "replies": 20, "mean_seconds": 0.005},
-            "2": {"seconds": 1.0, "replies": 20, "mean_seconds": 0.05},
-        }
-        recs = diagnose_cluster(_FakeCluster(stats))
-        assert [r.kind for r in recs] == ["slow-partition-skew"]
-        assert recs[0].evidence["slowest_partition"] == 2
-
-    def test_findings_rank_by_severity(self):
-        stats = _healthy_stats()
-        stats["breaker"]["trips"] = 5  # warning
-        stats["admission"].update(
-            admitted=60, rejected_quota=20, rejected_queue_depth=20
-        )  # critical
-        recs = diagnose_cluster(_FakeCluster(stats))
-        assert [r.severity for r in recs] == ["critical", "warning"]

@@ -222,7 +222,6 @@ KNOB_EDGES = [
     ("cache_mb", math.nan, 0),
     ("cache_mb", math.inf, 1e6),
     ("plan_cache_size", -1, 0),
-    ("slow_query_threshold_seconds", -1e-9, 0.0),
     ("storage_telemetry", "yes", False),
 ]
 
@@ -231,7 +230,7 @@ class TestConfigBounds:
     def test_every_field_has_edge_cases(self):
         names = {f.name for f in dataclasses.fields(TraSSConfig)}
         assert {name for name, _, _ in KNOB_EDGES} == names
-        assert len(names) == 15
+        assert len(names) == 14
 
     @pytest.mark.parametrize(
         "name, outside, boundary",
@@ -260,6 +259,7 @@ class TestConfigBounds:
             "breaker_failure_threshold",
             "breaker_cooldown_seconds",
             "slow_query_log_size",
+            "slow_query_threshold_seconds",
             "workload_log_size",
             "heatmap_buckets_per_shard",
             "heat_decay_queries",
@@ -276,6 +276,8 @@ class TestConfigBounds:
             "breaker_failure_threshold",
             "breaker_cooldown_seconds",
             "fault_schedules",
+            "slo_objective_seconds",
+            "slo_target",
         ],
     )
     def test_removed_cluster_keywords(self, name):

@@ -291,6 +291,7 @@ class TestEngineSaveLoad:
             breaker_failure_threshold=0,
             breaker_cooldown_seconds=[30],
             slow_query_log_size=0,
+            slow_query_threshold_seconds=0.0,
             workload_log_size=-5,
             heatmap_buckets_per_shard=4,
             heat_decay_queries=float("nan"),
@@ -331,7 +332,6 @@ class TestEngineSaveLoad:
             degraded_mode=True,
             cache_mb=1.5,
             plan_cache_size=7,
-            slow_query_threshold_seconds=2.0,
             storage_telemetry=False,
         )
         assert set(changed) == {

@@ -1,5 +1,4 @@
-"""Observability: tracing, the metrics registry, EXPLAIN ANALYZE and
-the slow-query log.
+"""Observability: tracing, the metrics registry and EXPLAIN ANALYZE.
 
 The three invariants pinned here (DESIGN.md §8):
 
@@ -26,7 +25,6 @@ from repro.obs.registry import (
     parse_prometheus,
     update_registry_from_engine,
 )
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import (
     NULL_SPAN,
     NULL_TRACER,
@@ -481,56 +479,6 @@ class TestVirtualClockUnderChaos:
             name == "scan.range" and duration > 0.0
             for name, duration in first
         )
-
-
-# ----------------------------------------------------------------------
-# Slow-query log
-# ----------------------------------------------------------------------
-class TestSlowQueryLog:
-    def test_disabled_without_threshold(self):
-        log = SlowQueryLog(capacity=4)
-        assert not log.enabled
-        assert not log.observe("threshold", "q", 0.1, 99.0, 0, 0)
-        assert len(log) == 0
-
-    def test_threshold_and_eviction(self):
-        log = SlowQueryLog(capacity=2, threshold_seconds=1.0)
-        assert not log.observe("threshold", "fast", 0.1, 0.5, 0, 0)
-        for i in range(3):
-            assert log.observe("threshold", f"q{i}", 0.1, 2.0 + i, 1, 1)
-        entries = log.entries()
-        assert [e.query_tid for e in entries] == ["q1", "q2"]
-        assert json.dumps(log.to_json())
-        log.clear()
-        assert len(log) == 0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            SlowQueryLog(capacity=0)
-
-    def test_engine_records_slow_queries(self):
-        engine, data = build_engine(slow_query_threshold_seconds=0.0)
-        engine.threshold_search(data[0], 0.02)
-        engine.topk_search(data[0], 3)
-        entries = engine.slow_query_log.entries()
-        assert [e.kind for e in entries] == ["threshold", "topk"]
-        assert entries[0].query_tid == data[0].tid
-        assert entries[0].completeness == 1.0
-        stats = engine.stats()
-        assert len(stats["slow_queries"]) == 2
-
-    def test_config_round_trips_through_save_load(self, tmp_path):
-        engine, data = build_engine(slow_query_threshold_seconds=1.5)
-        engine.save(str(tmp_path / "store"))
-        loaded = TraSS.load(str(tmp_path / "store"))
-        assert loaded.config.slow_query_threshold_seconds == 1.5
-        assert loaded.slow_query_log.threshold_seconds == 1.5
-
-    def test_config_validation(self):
-        with pytest.raises(QueryError):
-            TraSSConfig(slow_query_threshold_seconds=-1.0)
-        with pytest.raises(ValueError):
-            SlowQueryLog(capacity=0)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.exceptions import (
     OverloadedError,
     QueryError,
 )
+from repro.obs import Tracer
 from repro.serve import AdmissionController, ServingCluster, TokenBucket
 
 pytestmark = pytest.mark.serving
@@ -136,81 +137,63 @@ class TestExactness:
     @pytest.mark.parametrize("measure", [None, "hausdorff"])
     @pytest.mark.parametrize("many", [False, True])
     @pytest.mark.parametrize("kind", ["threshold", "topk"])
-    def test_remote_executor_delegation(
+    def test_entry_points_match_local(
         self, engine, dataset, cluster, kind, many, measure
     ):
-        """engine.set_remote_executor routes every public entry point
-        through the cluster (the `repro query --cluster` path): same
-        answers, and the engine-side read models move exactly as they
-        do for a local query.  ``hausdorff`` overrides the configured
-        measure per call and runs the workers with Lemma 12 off."""
+        """Each of the cluster's four query methods answers like the
+        engine's, and counts each query once.  ``hausdorff`` overrides
+        the configured measure per call and runs the workers with
+        Lemma 12 off."""
         queries = dataset[1:4] if many else dataset[1:2]
         parameter = 4 if kind == "topk" else EPS
 
-        def run():
-            """(results, query-counter delta, latency observations,
-            slow-log entries) of one call on the current substrate."""
-            count = engine.registry.counter(f"trass.query.{kind}.count")
-            seconds = engine.registry.histogram("trass.query.seconds")
-            before = (count.value, seconds.count)
-            engine.slow_query_log.clear()
+        def run(target):
             if many:
-                search = getattr(engine, f"{kind}_search_many")
-                results = search(queries, parameter, measure=measure)
-            else:
-                search = getattr(engine, f"{kind}_search")
-                results = [search(queries[0], parameter, measure=measure)]
-            return (
-                results,
-                count.value - before[0],
-                seconds.count - before[1],
-                engine.slow_query_log.entries(),
-            )
+                search = getattr(target, f"{kind}_search_many")
+                return search(queries, parameter, measure=measure)
+            search = getattr(target, f"{kind}_search")
+            return [search(queries[0], parameter, measure=measure)]
 
-        engine.slow_query_log.threshold_seconds = 0.0  # log every query
-        try:
-            local, local_count, local_seconds, local_log = run()
-            engine.set_remote_executor(cluster)
-            assert engine.remote_executor is cluster
-            served, served_count, served_seconds, served_log = run()
-        finally:
-            engine.set_remote_executor(None)
-            engine.slow_query_log.threshold_seconds = None
+        local = run(engine)
+        before = cluster.counters[f"{kind}_queries"]
+        served = run(cluster)
         assert [r.answers for r in served] == [r.answers for r in local]
         assert all(r.completeness == 1.0 for r in served)
-        assert served_count == local_count == len(queries)
-        assert served_seconds == local_seconds == len(queries)
-        assert [e.origin for e in local_log] == ["local"] * len(queries)
-        assert [e.origin for e in served_log] == ["cluster"] * len(queries)
-        assert [e.query_tid for e in served_log] == [q.tid for q in queries]
-        for entry in served_log:
-            assert {leg["partition"] for leg in entry.fanout} == {0, 1}
+        assert cluster.counters[f"{kind}_queries"] - before == len(queries)
 
     def test_front_door_validation_matches_local(
         self, engine, dataset, cluster
     ):
-        """Local and cluster-routed entry points agree on what a bad
-        argument is, and on every accepted shape of ``eps``."""
+        """The engine and the cluster agree on what a bad argument is,
+        and on every accepted shape of ``eps``."""
         queries = dataset[:3]
         eps_list = [EPS, 2 * EPS, 3 * EPS]
-        bad_calls = [
-            lambda: engine.threshold_search_many(queries, [EPS]),
-            lambda: engine.threshold_search_many(queries, [EPS, -EPS, EPS]),
-            lambda: engine.threshold_search(queries[0], -EPS),
-            lambda: engine.threshold_search(queries[0], math.nan),
-            lambda: engine.threshold_search_many(queries, [EPS, math.nan, EPS]),
-            lambda: engine.topk_search(queries[0], 0),
-            lambda: engine.topk_search_many(queries, 0),
-            lambda: engine.topk_search_many([], 0),
-            lambda: engine.threshold_search(queries[0], EPS, measure="edr"),
-            lambda: engine.threshold_search_many(queries, EPS, measure="edr"),
-            lambda: engine.topk_search(queries[0], 3, measure="edr"),
-            lambda: engine.topk_search_many(queries, 3, measure="edr"),
-        ]
 
-        def outcomes():
+        def outcomes(target):
+            bad_calls = [
+                lambda: target.threshold_search_many(queries, [EPS]),
+                lambda: target.threshold_search_many(
+                    queries, [EPS, -EPS, EPS]
+                ),
+                lambda: target.threshold_search(queries[0], -EPS),
+                lambda: target.threshold_search(queries[0], math.nan),
+                lambda: target.threshold_search_many(
+                    queries, [EPS, math.nan, EPS]
+                ),
+                lambda: target.topk_search(queries[0], 0),
+                lambda: target.topk_search_many(queries, 0),
+                lambda: target.topk_search_many([], 0),
+                lambda: target.threshold_search(
+                    queries[0], EPS, measure="edr"
+                ),
+                lambda: target.threshold_search_many(
+                    queries, EPS, measure="edr"
+                ),
+                lambda: target.topk_search(queries[0], 3, measure="edr"),
+                lambda: target.topk_search_many(queries, 3, measure="edr"),
+            ]
             answers = [
-                [r.answers for r in engine.threshold_search_many(queries, e)]
+                [r.answers for r in target.threshold_search_many(queries, e)]
                 for e in (eps_list, tuple(eps_list), (e for e in eps_list))
             ]
             errors = []
@@ -220,12 +203,8 @@ class TestExactness:
                 errors.append(str(caught.value))
             return answers, errors
 
-        local = outcomes()
-        engine.set_remote_executor(cluster)
-        try:
-            served = outcomes()
-        finally:
-            engine.set_remote_executor(None)
+        local = outcomes(engine)
+        served = outcomes(cluster)
         assert served == local
         assert local[0][0] == local[0][1] == local[0][2]
         assert "available: ['dtw', 'frechet', 'hausdorff']" in local[1][-1]
@@ -439,27 +418,29 @@ class TestHedging:
         stalled primary is hedged and every reply is timed."""
         queries = _queries(dataset, 6)
         local = engine.threshold_search_many(queries, EPS)
+        tracer = Tracer()
         with ServingCluster.from_engine(
             engine,
             partitions=1,
             replication=2,
             hedge_delay_seconds=0.2,
             observability=True,
+            tracer=tracer,
         ) as c:
             c.stall_replica(0, 0, seconds=3.0)
             served = c.threshold_search_many(queries, EPS)
             assert [r.answers for r in served] == [r.answers for r in local]
             assert c.counters["hedges"] == 1
             assert c.counters["hedge_wins"] == 1
-            assert c.last_fanout == [
-                {
-                    "partition": 0,
-                    "replica": 1,
-                    "attempts": 2,
-                    "hedged": True,
-                    "reached": True,
-                }
-            ]
+            (span,) = tracer.traces()[-1].find("serve.partition")
+            assert span.attrs == {
+                "partition": 0,
+                "replica": 1,
+                "attempts": 2,
+                "hedged": True,
+                "reached": True,
+                "requests": len(queries),
+            }
             service = c.stats()["observability"]["partition_service"]
             assert service["0"]["replies"] == len(queries)
 
@@ -761,3 +742,82 @@ class TestReplyPayloadCheck:
         )
         with pytest.raises(ClusterError, match="partition 4.*list io_delta"):
             check_reply("topk", 4, reply)
+
+
+class TestClusterCLI:
+    """``--cluster N`` on the CLI: the engine stays local and the
+    command queries a ``ServingCluster`` built over its dataset."""
+
+    QUERIES = [arg for i in range(10) for arg in ("--query-tid", f"taxi{i}")]
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        from repro.cli import main
+        from repro.data.generators import tdrive_like
+        from repro.data.io import save_csv
+
+        root = tmp_path_factory.mktemp("cluster_cli")
+        save_csv(str(root / "data.csv"), tdrive_like(80, seed=5))
+        store = str(root / "store")
+        build = ["build", "--csv", str(root / "data.csv"), "--store", store]
+        assert main(build + ["--shards", "4"]) == 0
+        return store
+
+    @staticmethod
+    def _run(capsys, *argv):
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(list(argv)) == 0
+        return capsys.readouterr()
+
+    @staticmethod
+    def _rows_scanned(summary):
+        before, _, _ = summary.partition(" rows scanned")
+        return int(before.rsplit(" ", 1)[-1])
+
+    @pytest.mark.parametrize("batch", [[], ["--batch"]], ids=["seq", "batch"])
+    def test_query_listing_and_rows_match_local(self, store, capsys, batch):
+        query = ["query", "--store", store, "--eps", "0.01", *batch]
+        local = self._run(capsys, *query, *self.QUERIES)
+        served = self._run(capsys, *query, *self.QUERIES, "--cluster", "2")
+        assert local.out
+        assert served.out == local.out
+        # The workers scan, so the summary counts their rows; they share
+        # no scan across a batch, so it has no sharing counters.
+        assert "cluster=2x1" in served.err
+        assert "shared" not in served.err
+        if not batch:
+            assert self._rows_scanned(served.err) == self._rows_scanned(
+                local.err
+            )
+            assert self._rows_scanned(local.err) > 0
+
+    def test_trace_stitches_the_cluster(self, store, capsys):
+        import json
+
+        out = self._run(
+            capsys, "trace", "--store", store, "--query-tid", "taxi0",
+            "--eps", "0.01", "--cluster", "2", "--json",
+        ).out
+        root = json.loads(out)
+        assert root["name"] == "serve.query"
+        partitions = [
+            child
+            for child in root["children"]
+            if child["name"] == "serve.partition"
+        ]
+        assert len(partitions) == 2
+
+    def test_stats_prometheus_covers_the_cluster(self, store, capsys):
+        from repro.obs.registry import parse_prometheus
+
+        out = self._run(
+            capsys, "stats", "--store", store, "--probes", "5",
+            "--cluster", "2", "--prometheus",
+        ).out
+        samples = parse_prometheus(out)
+        assert any(n.startswith("trass_serve_worker_") for n in samples)
+        assert any(n.startswith("trass_serve_cluster_io_") for n in samples)
+        assert samples["trass_serve_slo_query_seconds_count"] == 5
+        assert any(n.startswith("trass_io_") for n in samples)

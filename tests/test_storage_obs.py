@@ -26,6 +26,7 @@ from repro.kvstore.sstable import SSTable
 from repro.kvstore.wal import WriteAheadLog
 from repro.obs.advisor import (
     HOT_REGION_SHARE,
+    RESOLUTION_SATURATION,
     SALT_SKEW_RATIO,
     diagnose,
     report_json,
@@ -348,6 +349,10 @@ class TestAdvisor:
         skew = by_kind["salt-skew"]
         assert skew.evidence["skew_ratio"] >= SALT_SKEW_RATIO
         assert skew.evidence["hottest_shard"] == 0
+        # Short walks in a 256-cell grid all index at MaxR = 8.
+        saturated = by_kind["resolution-mismatch"]
+        assert saturated.evidence["saturated_mass"] >= RESOLUTION_SATURATION
+        assert saturated.evidence["max_resolution"] == 8
         payload = report_json(recs)
         json.dumps(payload)
         assert payload["findings"] == len(recs)
@@ -371,21 +376,6 @@ class TestAdvisor:
         recs = [r for r in diagnose(engine) if r.kind == "cache-tuning"]
         assert recs, "cache-tuning should fire with cache_mb=0 and heavy scans"
         assert recs[0].evidence["rows_scanned"] == io["rows_scanned"]
-
-    def test_compaction_backlog_detection(self):
-        engine, trajectories = build_engine(n=60)
-        # Pile runs up to trigger-1 (the default trigger of 8 compacts
-        # at 8, so 7 runs is the deepest reachable backlog).
-        store = engine.store.table.regions[0].store
-        while len(store.sstables) < store.compaction_trigger - 1:
-            store.put(b"\x00backlog%d" % len(store.sstables), b"x")
-            store.flush()
-        recs = [
-            r for r in diagnose(engine) if r.kind == "compaction-backlog"
-        ]
-        assert recs
-        assert recs[0].evidence["max_runs_per_region"] >= 7
-        assert recs[0].evidence["compaction_trigger"] == 8
 
     def test_telemetry_disabled_still_diagnoses(self):
         engine, trajectories = build_engine(storage_telemetry=False)

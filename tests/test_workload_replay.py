@@ -215,6 +215,41 @@ class TestTelemetryPersistence:
             assert a == pytest.approx(b)
         assert len(loaded.workload_recorder) == 10
 
+    def test_slow_query_log_in_old_file_is_ignored(self, tmp_path):
+        """A ``TELEMETRY.json`` written while the slow-query log existed
+        still loads: its heat and workload restore and replay, and the
+        ``slow_queries`` key is ignored."""
+        engine, trajectories = build_engine()
+        run_mixed_workload(engine, trajectories, 6)
+        engine.save(str(tmp_path))
+        path = tmp_path / TELEMETRY_FILE
+        payload = json.loads(path.read_text())
+        assert "slow_queries" not in payload
+        payload["slow_queries"] = [
+            {
+                "kind": "threshold",
+                "query_tid": trajectories[0].tid,
+                "parameter": 0.08,
+                "seconds": 0.25,
+                "candidates": 3,
+                "answers": 1,
+                "completeness": 1.0,
+                "timestamp": 1.0,
+                "origin": "cluster",
+                "fanout": [{"partition": 0, "replica": 0}],
+            }
+        ]
+        path.write_text(json.dumps(payload))
+        loaded = TraSS.load(str(tmp_path))
+        assert len(loaded.workload_recorder) == 6
+        assert loaded.storage_telemetry.heatmap.total_rows == (
+            engine.storage_telemetry.heatmap.total_rows
+        )
+        assert loaded.replay().ok
+        loaded.save(str(tmp_path / "again"))
+        resaved = json.loads((tmp_path / "again" / TELEMETRY_FILE).read_text())
+        assert "slow_queries" not in resaved
+
     def test_missing_telemetry_file_degrades_gracefully(self, tmp_path):
         engine, trajectories = build_engine()
         run_mixed_workload(engine, trajectories, 4)
