@@ -41,7 +41,7 @@ import dataclasses
 import sys
 import time
 from contextlib import nullcontext
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import TraSSConfig
 from repro.core.engine import TraSS
@@ -340,6 +340,19 @@ def _stats(args: argparse.Namespace) -> int:
         return _stats_report(engine, cluster, args, cfg)
 
 
+def _probe_counters(engine, cluster) -> Dict[str, int]:
+    """The ``IOMetrics`` totals a probe moves: the engine's own, or the
+    cluster workers' (who scan) with the coordinator's plan cache (it
+    plans)."""
+    if cluster is None:
+        return engine.metrics.snapshot()
+    counters = cluster.io_totals()
+    plans = cluster.pruner.metrics
+    counters["plan_cache_hits"] = plans.plan_cache_hits
+    counters["plan_cache_misses"] = plans.plan_cache_misses
+    return counters
+
+
 def _stats_report(engine, cluster, args, cfg) -> int:
     target = engine if cluster is None else cluster
     if args.prometheus:
@@ -379,7 +392,7 @@ def _stats_report(engine, cluster, args, cfg) -> int:
 
     pruning = scan = refine = 0.0
     answers = 0
-    before = engine.metrics.snapshot()
+    before = _probe_counters(engine, cluster)
     started = time.perf_counter()
     for _pass in range(2):
         for q in queries:
@@ -389,7 +402,8 @@ def _stats_report(engine, cluster, args, cfg) -> int:
             refine += result.refine_seconds
             answers += len(result.answers)
     wall = time.perf_counter() - started
-    delta = engine.metrics.diff(before)
+    after = _probe_counters(engine, cluster)
+    delta = {name: after.get(name, 0) - before.get(name, 0) for name in after}
 
     print(
         f"probe workload:   {len(queries)} threshold queries x 2 passes "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.config import TraSSConfig
 from repro.core.pruning import (
@@ -192,12 +192,13 @@ class TraSS:
         parameter: float,
         seconds: float,
         result,
-        measure: Optional[str] = None,
-        io_before: Optional[Tuple[int, ...]] = None,
+        measure: str,
+        record: bool,
     ) -> None:
         """Per-query bookkeeping: latency histogram, query counters,
-        the workload recorder and heat decay.  Pure read-model — never
-        touches IOMetrics."""
+        the workload recorder (when ``record``: batched queries are not
+        captured) and heat decay.  Pure read-model — never touches
+        IOMetrics."""
         meters = self._query_meters.get(kind)
         if meters is None:
             # Resolved on a kind's first query, so neither metric is
@@ -214,29 +215,11 @@ class TraSS:
         meters[1].inc()
         table = self.store.table
         recorder = self._workload_recorder
-        if recorder is not None and recorder.enabled and io_before is not None:
-            recorder.record(
-                kind,
-                query,
-                parameter,
-                measure,
-                seconds,
-                table.metrics.since(io_before),
-                result,
-                table.generation,
-            )
+        if record and recorder is not None and recorder.enabled:
+            recorder.record(kind, query, parameter, measure, seconds, result)
         telemetry = table.storage_telemetry
         if telemetry is not None:
             telemetry.advance_tick()
-
-    def _io_before_query(self) -> Optional[Tuple[int, ...]]:
-        """The pre-query IOMetrics counters when the workload recorder
-        wants per-query I/O deltas (``None`` otherwise — reading them is
-        read-only either way, this just skips the tuple)."""
-        recorder = self._workload_recorder
-        if recorder is not None and recorder.enabled:
-            return self.store.table.metrics.counters()
-        return None
 
     @property
     def storage_telemetry(self):
@@ -378,6 +361,7 @@ class TraSS:
                 per_query,
                 result,
                 measure=resolved.name,
+                record=False,
             )
         return results
 
@@ -403,7 +387,6 @@ class TraSS:
         """One query of ``kind`` through the local pipeline, timed and
         observed."""
         resolved = self._resolve_measure(measure)
-        io_before = self._io_before_query()
         started = time.perf_counter()
         with self._tracer.span(
             f"query.{kind}",
@@ -433,7 +416,7 @@ class TraSS:
             time.perf_counter() - started,
             result,
             measure=resolved.name,
-            io_before=io_before,
+            record=True,
         )
         return result
 

@@ -123,8 +123,8 @@ class IOMetrics:
         return tuple(map(operator.sub, _field_values(self), before))
 
 
-#: the counters' names in field order, computed once: the workload
-#: recorder and every shard worker snapshot and diff per query
+#: the counters' names in field order, computed once: every shard
+#: worker snapshots and diffs them per query
 FIELD_NAMES: Tuple[str, ...] = tuple(
     f.name for f in dataclasses.fields(IOMetrics)
 )

@@ -117,18 +117,6 @@ class KeySpaceHeatmap:
         return [s / weight for s in self._scaled]
 
     # ------------------------------------------------------------------
-    def merge_from(self, other: "KeySpaceHeatmap") -> None:
-        """Add another map's heat and row counts bucket by bucket (the
-        cluster heatmap folds per-partition grids this way)."""
-        scaled, weight = self._scaled, self._weight
-        for i, h in enumerate(other.heat):
-            if h:
-                scaled[i] += h * weight
-        for i, r in enumerate(other.rows):
-            if r:
-                self.rows[i] += r
-
-    # ------------------------------------------------------------------
     def record(self, key: bytes, weight: float = 1.0) -> None:
         """Attribute one scanned row to its key-space bucket."""
         i = bisect.bisect_right(self.boundaries, key)

@@ -1,7 +1,7 @@
 """Workload capture and deterministic replay.
 
 Every query the engine answers is appended (type, parameters, query
-geometry, wall time, I/O deltas, a digest of the answer set) to a
+geometry, wall time, a digest of the answer set) to a
 ring-buffered :class:`WorkloadRecorder` that persists with the store
 (``TELEMETRY.json`` beside ``STORE.json``).  ``repro replay``
 re-executes the captured workload against the current store and checks
@@ -25,12 +25,12 @@ import hashlib
 import json
 import threading
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry.trajectory import Trajectory
-from repro.kvstore.metrics import FIELD_NAMES
 
 
 def answers_digest(kind: str, result) -> str:
@@ -58,11 +58,7 @@ def answers_digest(kind: str, result) -> str:
 
 @dataclass
 class WorkloadEntry:
-    """One captured query.
-
-    The I/O delta is kept as the counter tuple the engine took it as;
-    :attr:`io_delta` names it on access, in ``io_fields`` order.
-    """
+    """One captured query."""
 
     seq: int
     kind: str  # "threshold" | "topk"
@@ -72,17 +68,8 @@ class WorkloadEntry:
     parameter: float  # eps or k
     measure: Optional[str]
     seconds: float
-    io_values: Tuple[int, ...]
     answers: int
     answers_digest: str
-    generation: int  # table generation when answered
-    #: the counter names ``io_values`` aligns with (a log saved by an
-    #: older build may carry another field set)
-    io_fields: Tuple[str, ...] = FIELD_NAMES
-
-    @property
-    def io_delta(self) -> Dict[str, int]:
-        return dict(zip(self.io_fields, self.io_values))
 
     def query(self) -> Trajectory:
         return Trajectory(self.tid, self.points)
@@ -96,15 +83,14 @@ class WorkloadEntry:
             "parameter": self.parameter,
             "measure": self.measure,
             "seconds": self.seconds,
-            "io_delta": self.io_delta,
             "answers": self.answers,
             "answers_digest": self.answers_digest,
-            "generation": self.generation,
         }
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "WorkloadEntry":
-        io_delta = data.get("io_delta", {})
+        # Logs written before the per-query I/O delta was dropped carry
+        # ``io_delta`` and ``generation`` too; nothing reads them.
         return cls(
             seq=int(data["seq"]),
             kind=data["kind"],
@@ -113,11 +99,8 @@ class WorkloadEntry:
             parameter=float(data["parameter"]),
             measure=data.get("measure"),
             seconds=float(data["seconds"]),
-            io_values=tuple(int(v) for v in io_delta.values()),
             answers=int(data.get("answers", 0)),
             answers_digest=data["answers_digest"],
-            generation=int(data.get("generation", 0)),
-            io_fields=tuple(io_delta),
         )
 
 
@@ -143,13 +126,10 @@ class WorkloadRecorder:
         parameter: float,
         measure: Optional[str],
         seconds: float,
-        io_values: Tuple[int, ...],
         result,
-        generation: int,
     ) -> Optional[WorkloadEntry]:
-        """Capture one answered query; ``io_values`` is its
-        :meth:`~repro.kvstore.metrics.IOMetrics.since` delta.  The
-        digest is taken now, so the entry holds no answer set."""
+        """Capture one answered query.  The digest is taken now, so the
+        entry holds no answer set."""
         if not self.enabled:
             return None
         digest = answers_digest(kind, result)
@@ -162,10 +142,8 @@ class WorkloadRecorder:
                 float(parameter),
                 measure,
                 seconds,
-                io_values,
                 len(result.answers),
                 digest,
-                generation,
             )
             self._seq += 1
             self._entries.append(entry)
@@ -307,8 +285,7 @@ def replay_workload(
     entries = sorted(entries, key=lambda e: e.seq)
     report = ReplayReport()
     recorder = engine.workload_recorder
-    ctx = recorder.paused() if recorder is not None else _null_context()
-    with ctx:
+    with recorder.paused() if recorder is not None else nullcontext():
         for entry in entries:
             query = entry.query()
             started = time.perf_counter()
@@ -330,14 +307,6 @@ def replay_workload(
                 )
             )
     return report
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return None
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,6 @@ from repro.serve.protocol import (
     KIND_CRASH,
     KIND_PING,
     KIND_STALL,
-    KIND_STATS,
     KIND_THRESHOLD,
     KIND_TOPK,
     PROTOCOL_VERSION,
@@ -230,7 +229,7 @@ class ServingCluster:
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Cluster-wide aggregation (SLO histograms, per-worker IO
-        # accumulation, heartbeats) only exists when asked for — the
+        # accumulation) only exists when asked for — the
         # zero-cost-when-off contract leaves every hot-path guard a
         # single `is not None` check.
         self.obs: Optional[ClusterObservability] = (
@@ -695,8 +694,8 @@ class ServingCluster:
             self.counters["hedge_wins"] += 1
         if self.obs is not None:
             self.obs.absorb_reply(stream.partition, leg.slot, reply)
-            self.obs.observe_partition_service(
-                stream.partition, leg.last_activity - sent
+            self.obs.observe_slo(
+                "partition_service", leg.last_activity - sent
             )
 
     # ------------------------------------------------------------------
@@ -990,63 +989,10 @@ class ServingCluster:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def heartbeat(self, timeout: float = 10.0) -> int:
-        """Poll every live replica for its observability snapshot
-        (cumulative ``IOMetrics``, metrics registry, heatmap grid) and
-        fold the latest into the cluster aggregate.  Returns how many
-        workers answered; a no-op (0) when the cluster was built without
-        ``observability``.
-
-        Heartbeats ride the same FIFO pipes as queries, so polling an
-        idle cluster is safe; dead or unreachable workers are skipped
-        rather than restarted (the query path owns failover).
-        """
-        if self.obs is None:
-            return 0
-        self._require_started()
-        polled = 0
-        for partition, handles in enumerate(self._replicas):
-            for slot, handle in enumerate(handles):
-                if not handle.alive():
-                    continue
-                request = Request(self._next_id(), KIND_STATS)
-                try:
-                    handle.conn.send(request)
-                except (OSError, BrokenPipeError, ValueError):
-                    continue
-                deadline = time.monotonic() + timeout
-                while True:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not handle.conn.poll(remaining):
-                        break
-                    try:
-                        reply = self._recv(handle)
-                    except (EOFError, OSError):
-                        break
-                    if reply.id != request.id:
-                        # A losing hedge copy's late answer draining out.
-                        self.counters["stale_replies"] += 1
-                        continue
-                    if reply.ok:
-                        self.obs.absorb_heartbeat(
-                            partition, slot, reply.payload
-                        )
-                        polled += 1
-                    break
-        return polled
-
     def io_totals(self) -> Dict[str, int]:
         """Cluster-wide ``IOMetrics`` rollup (sum of every successful
         reply's counter delta); empty without ``observability``."""
         return self.obs.io_totals() if self.obs is not None else {}
-
-    def cluster_heatmap(self):
-        """The heat-conserving merge of the latest per-worker heatmap
-        grids; ``None`` without ``observability`` or before the first
-        heartbeat delivers a grid."""
-        if self.obs is None:
-            return None
-        return self.obs.cluster_heatmap()
 
     def stats(self) -> Dict[str, object]:
         base: Dict[str, object] = {
@@ -1059,10 +1005,5 @@ class ServingCluster:
             "admission": self.admission.snapshot(),
         }
         if self.obs is not None:
-            if self._started:
-                try:
-                    self.heartbeat()
-                except ClusterError:
-                    pass
             base["observability"] = self.obs.snapshot()
         return base

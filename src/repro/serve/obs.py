@@ -3,19 +3,13 @@
 The worker processes already run full single-process observability
 stacks — ``IOMetrics``, metrics registries, heatmaps, workload logs —
 but those live behind a pipe.  This module is the coordinator's
-accumulator for everything that crosses it:
+accumulator for what crosses it on the query path:
 
 * **reply deltas** — every successful query reply carries the worker's
   full ``IOMetrics`` counter delta for that request; they are summed
   per ``(partition, replica)`` slot and rolled up cluster-wide, so the
   coordinator's accounting matches the single-process engine
   field-for-field.
-* **heartbeats** — a ``stats`` request returns the worker's cumulative
-  snapshot (``IOMetrics`` totals, metrics registry, heatmap grid); the
-  latest snapshot per slot is kept, and worker heatmap grids merge
-  *heat-conservingly* into one cluster heatmap (grids are element-wise
-  sums over the same salted-key buckets, so total heat is the sum of
-  worker heats).
 * **latency SLOs** — fixed-bucket histograms (the
   :class:`~repro.obs.registry.Histogram` the engine already uses) for
   admission wait, scatter fan-out, per-partition service, hedge wait,
@@ -33,7 +27,7 @@ cluster is built without observability none of this is allocated
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.obs.registry import Histogram
 
@@ -76,10 +70,6 @@ class ClusterObservability:
         self.slo_bad = 0
         #: (partition, replica slot) -> {"queries", "io": {field: sum}}
         self.workers: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        #: (partition, replica slot) -> latest heartbeat payload
-        self.heartbeats: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        #: partition -> [service seconds sum, reply count]
-        self.partition_service: Dict[int, List[float]] = {}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -96,14 +86,6 @@ class ClusterObservability:
         else:
             self.slo_bad += 1
 
-    def observe_partition_service(
-        self, partition: int, seconds: float
-    ) -> None:
-        bucket = self.partition_service.setdefault(partition, [0.0, 0])
-        bucket[0] += seconds
-        bucket[1] += 1
-        self.histograms["partition_service"].observe(seconds)
-
     def absorb_reply(self, partition: int, slot: int, reply: Any) -> None:
         """Fold one successful reply's ``IOMetrics`` delta into the
         slot's running totals."""
@@ -118,11 +100,6 @@ class ClusterObservability:
             for field, value in delta.items():
                 io[field] = io.get(field, 0) + value
 
-    def absorb_heartbeat(
-        self, partition: int, slot: int, snapshot: Dict[str, Any]
-    ) -> None:
-        self.heartbeats[(partition, slot)] = snapshot
-
     # ------------------------------------------------------------------
     # Aggregated views
     # ------------------------------------------------------------------
@@ -135,33 +112,6 @@ class ClusterObservability:
             for field, value in agg["io"].items():
                 totals[field] = totals.get(field, 0) + value
         return totals
-
-    def cluster_heatmap(self):
-        """Merge the latest per-worker heatmap grids heat-conservingly
-        (element-wise sums over identical bucket boundaries); ``None``
-        until a heartbeat has delivered a grid.
-
-        Replicas of the same partition scan the same rows, so only the
-        lowest heartbeat-reporting slot of each partition contributes —
-        counting every replica would inflate partition heat by the
-        replication factor.
-        """
-        from repro.obs.heatmap import KeySpaceHeatmap
-
-        chosen: Dict[int, Dict[str, Any]] = {}
-        for (partition, slot), beat in sorted(self.heartbeats.items()):
-            if beat.get("heatmap") is None:
-                continue
-            if partition not in chosen:
-                chosen[partition] = beat["heatmap"]
-        merged = None
-        for grid in chosen.values():
-            restored = KeySpaceHeatmap.from_json(grid)
-            if merged is None:
-                merged = restored
-            else:
-                merged.merge_from(restored)
-        return merged
 
     def error_budget(self) -> Dict[str, Any]:
         total = self.slo_good + self.slo_bad
@@ -177,45 +127,8 @@ class ClusterObservability:
         }
 
     def snapshot(self) -> Dict[str, Any]:
-        """The JSON-friendly aggregate for ``cluster.stats()``."""
-        heatmap = self.cluster_heatmap()
-        workers = []
-        for (partition, slot), agg in sorted(self.workers.items()):
-            beat = self.heartbeats.get((partition, slot))
-            workers.append(
-                {
-                    "partition": partition,
-                    "replica": slot,
-                    "queries": agg["queries"],
-                    "io": dict(agg["io"]),
-                    "heartbeat": (
-                        {
-                            "pid": beat.get("pid"),
-                            "trajectories": beat.get("trajectories"),
-                            "io": beat.get("io"),
-                        }
-                        if beat is not None
-                        else None
-                    ),
-                }
-            )
-        # Heartbeat-only slots (no query routed there yet) still show.
-        for (partition, slot), beat in sorted(self.heartbeats.items()):
-            if (partition, slot) not in self.workers:
-                workers.append(
-                    {
-                        "partition": partition,
-                        "replica": slot,
-                        "queries": 0,
-                        "io": {},
-                        "heartbeat": {
-                            "pid": beat.get("pid"),
-                            "trajectories": beat.get("trajectories"),
-                            "io": beat.get("io"),
-                        },
-                    }
-                )
-        workers.sort(key=lambda w: (w["partition"], w["replica"]))
+        """The JSON-friendly aggregate for ``cluster.stats()``: a read
+        of coordinator memory, never a round trip to a worker."""
         return {
             "slo": {
                 "summaries": {
@@ -228,23 +141,14 @@ class ClusterObservability:
                 },
                 "error_budget": self.error_budget(),
             },
-            "workers": workers,
-            "cluster_io": self.io_totals(),
-            "partition_service": {
-                str(p): {
-                    "seconds": s,
-                    "replies": int(n),
-                    "mean_seconds": (s / n) if n else 0.0,
-                }
-                for p, (s, n) in sorted(self.partition_service.items())
-            },
-            "heatmap": (
+            "workers": [
                 {
-                    "total_heat": heatmap.total_heat,
-                    "total_rows": heatmap.total_rows,
-                    "buckets": len(heatmap.heat),
+                    "partition": partition,
+                    "replica": slot,
+                    "queries": agg["queries"],
+                    "io": dict(agg["io"]),
                 }
-                if heatmap is not None
-                else None
-            ),
+                for (partition, slot), agg in sorted(self.workers.items())
+            ],
+            "cluster_io": self.io_totals(),
         }

@@ -26,16 +26,14 @@ from repro.exceptions import ClusterError, TransientError
 
 #: stamped on every ping reply; ``ServingCluster.start`` refuses workers
 #: that report another value.  3: query replies carry the ordinary
-#: result object, with the request's ``io_delta`` beside it.
-PROTOCOL_VERSION = 3
+#: result object, with the request's ``io_delta`` beside it.  4: the
+#: ``stats`` heartbeat kind is gone.
+PROTOCOL_VERSION = 4
 
 #: query kinds
 KIND_THRESHOLD = "threshold"
 KIND_TOPK = "topk"
 KIND_PING = "ping"
-#: observability kind: the worker answers with a metrics/telemetry
-#: snapshot (the coordinator's heartbeat poll)
-KIND_STATS = "stats"
 #: directive kinds (tests and chaos drills)
 KIND_STALL = "stall"
 KIND_CRASH = "crash"

@@ -36,7 +36,6 @@ from repro.serve.protocol import (
     KIND_PING,
     KIND_SHUTDOWN,
     KIND_STALL,
-    KIND_STATS,
     KIND_THRESHOLD,
     KIND_TOPK,
     PROTOCOL_VERSION,
@@ -83,30 +82,6 @@ def build_worker_engine(spec: WorkerSpec) -> TraSS:
     return engine
 
 
-def worker_stats(engine: TraSS, spec: WorkerSpec) -> dict:
-    """The worker's observability snapshot — the heartbeat payload.
-
-    Carries the cumulative ``IOMetrics`` totals, the refreshed metrics
-    registry and the worker's heatmap grid (heat merges conservingly on
-    the coordinator).  Everything is plain JSON
-    data: the coordinator aggregates without importing worker state.
-    """
-    from repro.obs.registry import update_registry_from_engine
-
-    update_registry_from_engine(engine.registry, engine)
-    telemetry = engine.storage_telemetry
-    heatmap = telemetry.heatmap if telemetry is not None else None
-    return {
-        "partition": spec.partition,
-        "replica": spec.replica,
-        "pid": os.getpid(),
-        "trajectories": len(engine),
-        "io": engine.metrics.snapshot(),
-        "registry": engine.registry.to_json(),
-        "heatmap": heatmap.to_json() if heatmap is not None else None,
-    }
-
-
 def _handle(engine: TraSS, spec: WorkerSpec, request: Request) -> Reply:
     payload = request.payload
     if request.kind == KIND_PING:
@@ -121,8 +96,6 @@ def _handle(engine: TraSS, spec: WorkerSpec, request: Request) -> Reply:
                 "protocol": PROTOCOL_VERSION,
             },
         )
-    if request.kind == KIND_STATS:
-        return Reply(request.id, True, payload=worker_stats(engine, spec))
     query = Trajectory(payload["tid"], payload["points"])
     measure = engine._resolve_measure(payload.get("measure"))
     before = engine.metrics.counters()

@@ -12,11 +12,9 @@ on here unchanged:
 * :func:`scan` — ``KVTable.scan`` bumping ``RegionScanStats`` and the
   heatmap row by row (bind it over a table's ``scan``);
 * :func:`answers_digest`, :class:`WorkloadEntry` and
-  :class:`WorkloadRecorder` — two full ``IOMetrics`` dicts and a copied
-  point list per query;
-* :func:`observe_query` and :func:`io_before_query` —
-  ``TraSS._observe_query`` / ``TraSS._io_before_query`` (bind them over
-  an engine's methods to drive the recorder above).
+  :class:`WorkloadRecorder` — a copied point list per query;
+* :func:`observe_query` — ``TraSS._observe_query`` (bind it over an
+  engine's method to drive the recorder above).
 
 :func:`install` binds all of it onto one engine.
 """
@@ -245,10 +243,8 @@ class WorkloadEntry:
     parameter: float  # eps or k
     measure: Optional[str]
     seconds: float
-    io_delta: Dict[str, int]
     answers: int
     answers_digest: str
-    generation: int  # table generation when answered
 
     def query(self) -> Trajectory:
         return Trajectory(self.tid, [tuple(p) for p in self.points])
@@ -262,10 +258,8 @@ class WorkloadEntry:
             "parameter": self.parameter,
             "measure": self.measure,
             "seconds": self.seconds,
-            "io_delta": dict(self.io_delta),
             "answers": self.answers,
             "answers_digest": self.answers_digest,
-            "generation": self.generation,
         }
 
     @classmethod
@@ -278,10 +272,8 @@ class WorkloadEntry:
             parameter=float(data["parameter"]),
             measure=data.get("measure"),
             seconds=float(data["seconds"]),
-            io_delta={k: int(v) for k, v in data.get("io_delta", {}).items()},
             answers=int(data.get("answers", 0)),
             answers_digest=data["answers_digest"],
-            generation=int(data.get("generation", 0)),
         )
 
 
@@ -302,9 +294,7 @@ class WorkloadRecorder:
         parameter: float,
         measure: Optional[str],
         seconds: float,
-        io_delta: Dict[str, int],
         result,
-        generation: int,
     ) -> Optional[WorkloadEntry]:
         if not self.enabled:
             return None
@@ -317,10 +307,8 @@ class WorkloadRecorder:
                 parameter=float(parameter),
                 measure=measure,
                 seconds=seconds,
-                io_delta=dict(io_delta),
                 answers=len(result.answers),
                 answers_digest=answers_digest(kind, result),
-                generation=generation,
             )
             self._seq += 1
             self._entries.append(entry)
@@ -365,7 +353,7 @@ class WorkloadRecorder:
 
 
 # ----------------------------------------------------------------------
-# core/engine.py: TraSS._observe_query / TraSS._io_before_query
+# core/engine.py: TraSS._observe_query
 # ----------------------------------------------------------------------
 def observe_query(
     self,
@@ -375,7 +363,7 @@ def observe_query(
     seconds: float,
     result,
     measure: Optional[str] = None,
-    io_before: Optional[Dict[str, int]] = None,
+    record: bool = False,
     origin: str = "local",
     fanout=None,
 ) -> None:
@@ -388,29 +376,18 @@ def observe_query(
         f"trass.query.{kind}.count", f"{kind} queries answered"
     ).inc()
     recorder = self._workload_recorder
-    if recorder is not None and recorder.enabled and io_before is not None:
+    if recorder is not None and recorder.enabled and record:
         recorder.record(
             kind=kind,
             query=query,
             parameter=parameter,
             measure=measure,
             seconds=seconds,
-            io_delta=self.metrics.diff(io_before),
             result=result,
-            generation=self.store.table.generation,
         )
     telemetry = self.storage_telemetry
     if telemetry is not None:
         telemetry.advance_tick()
-
-
-def io_before_query(self) -> Optional[Dict[str, int]]:
-    """A pre-query IOMetrics snapshot when the workload recorder wants
-    per-query I/O deltas (``None`` otherwise)."""
-    recorder = self._workload_recorder
-    if recorder is not None and recorder.enabled:
-        return self.metrics.snapshot()
-    return None
 
 
 def install(engine) -> None:
@@ -425,4 +402,3 @@ def install(engine) -> None:
     recorder.restore_from_json(engine._workload_recorder.to_json())
     engine._workload_recorder = recorder
     engine._observe_query = types.MethodType(observe_query, engine)
-    engine._io_before_query = types.MethodType(io_before_query, engine)

@@ -11,12 +11,12 @@ coordinator plans once, so workers never touch the plan cache).
 """
 
 import random
+import time
 
 import pytest
 
 from repro import SpaceBounds, TraSS, TraSSConfig, Trajectory
 from repro.obs import Tracer, parse_prometheus
-from repro.obs.heatmap import KeySpaceHeatmap
 from repro.obs.registry import (
     MetricsRegistry,
     update_registry_from_cluster,
@@ -215,7 +215,6 @@ class TestClusterAccounting:
     def test_worker_breakdown_and_heartbeats(self, obs_cluster, dataset):
         for q in dataset[:2]:
             obs_cluster.threshold_search(q, EPS)
-        assert obs_cluster.heartbeat() == 2  # one live replica per partition
         snapshot = obs_cluster.stats()["observability"]
         workers = snapshot["workers"]
         assert {(w["partition"], w["replica"]) for w in workers} == {
@@ -225,32 +224,18 @@ class TestClusterAccounting:
         for worker in workers:
             assert worker["queries"] > 0
             assert worker["io"]["rows_scanned"] >= 0
-            beat = worker["heartbeat"]
-            assert beat is not None
-            assert beat["trajectories"] > 0
-            assert beat["io"]["rows_scanned"] >= worker["io"]["rows_scanned"]
 
-    def test_heatmap_heat_conservation(self, engine, dataset, obs_cluster):
-        queries = dataset[:3]
-        telemetry = engine.storage_telemetry
-        base_rows = telemetry.heatmap.total_rows
-        for q in queries:
-            engine.threshold_search(q, EPS)
-        local_rows = telemetry.heatmap.total_rows - base_rows
-        assert local_rows > 0
-
-        cluster_base = (
-            obs_cluster.cluster_heatmap().total_rows
-            if obs_cluster.heartbeat() and obs_cluster.cluster_heatmap()
-            else 0
-        )
-        for q in queries:
-            obs_cluster.threshold_search(q, EPS)
-        obs_cluster.heartbeat()
-        merged = obs_cluster.cluster_heatmap()
-        # The merged per-partition grids account for exactly the rows a
-        # single-process scan of the same workload would have recorded.
-        assert merged.total_rows - cluster_base == local_rows
+    def test_stats_does_not_poll_the_workers(self, engine):
+        """``stats()`` reads coordinator memory only, so a stalled
+        replica cannot stall it."""
+        with ServingCluster.from_engine(
+            engine, partitions=2, observability=True
+        ) as c:
+            c.stall_replica(0, 0, seconds=5.0)
+            started = time.monotonic()
+            stats = c.stats()
+            assert time.monotonic() - started < 2.0
+        assert "observability" in stats
 
     def test_prometheus_export_covers_the_cluster(self, engine, obs_cluster):
         # What `repro stats --cluster N --prometheus` prints: the
@@ -269,22 +254,6 @@ class TestClusterAccounting:
             samples['trass_serve_slo_query_seconds_bucket{le="+Inf"}']
             == samples["trass_serve_slo_query_seconds_count"]
         )
-
-    def test_heatmap_merge_dedupes_replicas(self):
-        obs = ClusterObservability()
-        grid = KeySpaceHeatmap([b"m"])
-        grid.record(b"a", weight=2.0)
-        grid.record(b"z", weight=1.0)
-        payload = grid.to_json()
-        # Two replicas of partition 0 report the same grid (they scan
-        # the same rows): only one contributes.  Partition 1's distinct
-        # grid still adds.
-        obs.absorb_heartbeat(0, 0, {"heatmap": payload})
-        obs.absorb_heartbeat(0, 1, {"heatmap": payload})
-        obs.absorb_heartbeat(1, 0, {"heatmap": payload})
-        merged = obs.cluster_heatmap()
-        assert merged.total_rows == 2 * grid.total_rows
-        assert merged.total_heat == pytest.approx(2 * grid.total_heat)
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +285,6 @@ class TestLatencySLOs:
         assert budget["good_events"] == n
         assert budget["bad_events"] == 0
         assert budget["burn_rate"] == 0.0
-        service = snapshot["partition_service"]
-        assert set(service) == {"0", "1"}
-        for entry in service.values():
-            assert entry["replies"] == n
-            assert entry["mean_seconds"] > 0
 
     def test_error_budget_burn_arithmetic(self):
         obs = ClusterObservability()

@@ -528,6 +528,13 @@ class TestHistogramQuantiles:
             h.observe(50.0)  # all in +Inf
         assert h.quantile(0.5) == 1.0  # lower-bound estimate, as in PromQL
 
+    def test_default_buckets_resolve_sub_millisecond_latency(self):
+        h = Histogram("t.q")
+        for _ in range(20):
+            h.observe(0.00012)
+        # Without bounds below 0.5 ms the p50 read that bucket's midpoint.
+        assert abs(h.quantile(0.5) - 0.00012) < 0.0001
+
     def test_quantile_validation(self):
         h = Histogram("t.q", buckets=self.BUCKETS)
         with pytest.raises(ValueError):

@@ -441,8 +441,6 @@ class TestHedging:
                 "reached": True,
                 "requests": len(queries),
             }
-            service = c.stats()["observability"]["partition_service"]
-            assert service["0"]["replies"] == len(queries)
 
 
 class TestAdmission:
@@ -808,6 +806,19 @@ class TestClusterCLI:
             if child["name"] == "serve.partition"
         ]
         assert len(partitions) == 2
+
+    def test_stats_report_counts_the_workers_rows(self, store, capsys):
+        stats = ["stats", "--store", store, "--probes", "5"]
+        local = self._run(capsys, *stats).out
+        served = self._run(capsys, *stats, "--cluster", "2").out
+        assert self._rows_scanned(local) > 0
+        assert self._rows_scanned(served) == self._rows_scanned(local)
+        # The coordinator plans each probe once, then hits its cache.
+        (plan,) = [
+            line for line in served.splitlines()
+            if line.startswith("  plan cache")
+        ]
+        assert plan.endswith("(5 hits / 5 misses)")
 
     def test_stats_prometheus_covers_the_cluster(self, store, capsys):
         from repro.obs.registry import parse_prometheus

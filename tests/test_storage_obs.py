@@ -236,15 +236,6 @@ class TestHeatmap:
         assert heatmap.total_heat == pytest.approx(1.5)
         assert heatmap.total_rows == 3
 
-    def test_merge_equals_direct(self):
-        heatmap = KeySpaceHeatmap([b"\x01", b"\x02"])
-        child = KeySpaceHeatmap(heatmap.boundaries)
-        child.record(b"\x00")
-        child.record(b"\x01\x05")
-        heatmap.merge_from(child)
-        assert heatmap.rows == [1, 1, 0]
-        assert heatmap.total_heat == pytest.approx(2.0)
-
     def test_split_conserves_heat_no_double_count_no_orphan(self):
         """The generation-safety regression: split a hot region
         mid-workload and the region attribution still sums exactly to

@@ -2,9 +2,9 @@
 the observability CLI surface (heatmap / doctor / replay / stats).
 
 The replay contract: re-executing a captured workload produces
-**byte-identical answer digests** and identical per-query IOMetrics
-deltas — the digest round-trips floats through ``repr``, so a single
-ULP of drift in any distance is a named divergence, not a pass.
+**byte-identical answer digests** — the digest round-trips floats
+through ``repr``, so a single ULP of drift in any distance is a named
+divergence, not a pass.
 """
 
 import json
@@ -78,11 +78,7 @@ class TestRecorder:
         for e in entries:
             assert e.measure == "frechet"
             assert e.answers_digest and len(e.answers_digest) == 64
-            assert e.io_delta["rows_scanned"] >= 0
             assert e.points  # query geometry travels with the entry
-        # The summed per-query deltas reproduce the engine totals.
-        total = sum(e.io_delta["rows_scanned"] for e in entries)
-        assert total == engine.metrics.snapshot()["rows_scanned"]
 
     def test_ring_buffer_keeps_newest(self):
         engine, trajectories = build_engine()
@@ -150,18 +146,6 @@ class TestReplay:
             assert outcome.answers == outcome.entry.answers
         # Replaying did not append to the log it replayed from.
         assert len(engine.workload_recorder) == before
-        # And the registry-visible I/O deltas match the recording:
-        # identical queries against identical data scan identical rows.
-        io_before = engine.metrics.snapshot()
-        engine.replay()
-        replay_delta = engine.metrics.diff(io_before)
-        recorded = engine.workload_recorder.entries()
-        assert replay_delta["rows_scanned"] == sum(
-            e.io_delta["rows_scanned"] for e in recorded
-        )
-        assert replay_delta["rows_returned"] == sum(
-            e.io_delta["rows_returned"] for e in recorded
-        )
 
     def test_replay_survives_save_load(self, tmp_path):
         engine, trajectories = build_engine()
@@ -249,6 +233,29 @@ class TestTelemetryPersistence:
         loaded.save(str(tmp_path / "again"))
         resaved = json.loads((tmp_path / "again" / TELEMETRY_FILE).read_text())
         assert "slow_queries" not in resaved
+
+    def test_io_delta_in_old_file_is_ignored(self, tmp_path, capsys):
+        """A ``TELEMETRY.json`` whose entries still carry the per-query
+        ``io_delta`` and ``generation`` loads, replays from the CLI, and
+        is re-saved without them."""
+        engine, trajectories = build_engine()
+        run_mixed_workload(engine, trajectories, 6)
+        engine.save(str(tmp_path))
+        path = tmp_path / TELEMETRY_FILE
+        payload = json.loads(path.read_text())
+        for raw in payload["workload"]["entries"]:
+            assert "io_delta" not in raw and "generation" not in raw
+            raw["io_delta"] = {"rows_scanned": 7, "rows_returned": 2}
+            raw["generation"] = 3
+        path.write_text(json.dumps(payload))
+        loaded = TraSS.load(str(tmp_path))
+        assert len(loaded.workload_recorder) == 6
+        assert cli_main(["replay", "--store", str(tmp_path)]) == 0
+        assert "6 matched, 0 diverged" in capsys.readouterr().out
+        loaded.save(str(tmp_path / "again"))
+        resaved = json.loads((tmp_path / "again" / TELEMETRY_FILE).read_text())
+        for raw in resaved["workload"]["entries"]:
+            assert "io_delta" not in raw and "generation" not in raw
 
     def test_missing_telemetry_file_degrades_gracefully(self, tmp_path):
         engine, trajectories = build_engine()
