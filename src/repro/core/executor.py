@@ -449,30 +449,19 @@ class ResilientExecutor:
         ranges: Sequence[ScanRange],
         row_filter=None,
         report: Optional[ScanReport] = None,
-        on_range_rows: Optional[Callable[[list, object], None]] = None,
     ) -> Tuple[List[Tuple[bytes, bytes]], ScanReport]:
         """Materialise every range; the resilient ``scan_ranges``.
 
         Rows of a failed attempt are discarded before the retry, so the
-        result holds each surviving row exactly once even when faults
-        interrupt scans midway.
-
-        ``on_range_rows(chunk, row_filter)`` — when given — fires once
-        per *successfully completed* range with that range's surviving
-        rows and the row filter that screened them, enabling callers to
-        refine while later ranges are still scanning (the scan →
-        filter → refine pipeline).  The callback then consumes the rows
-        and the returned list stays empty, so no consumed row's bytes
-        are kept until the scan returns.
+        result holds each surviving row exactly once, in range order,
+        even when faults interrupt scans midway.  Threshold search
+        refines the rows once this returns
+        (:func:`~repro.core.threshold.scan_and_refine`).
         """
         rows: List[Tuple[bytes, bytes]] = []
 
         def consume(scan_range: ScanRange) -> None:
-            chunk = self.scan_chunk(scan_range, row_filter)
-            if on_range_rows is None:
-                rows.extend(chunk)
-            elif chunk:
-                on_range_rows(chunk, row_filter)
+            rows.extend(self.scan_chunk(scan_range, row_filter))
 
         report = self.execute(ranges, consume, report)
         return rows, report

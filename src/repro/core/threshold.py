@@ -4,10 +4,13 @@ Plan key ranges with global pruning, scan them with local filtering
 pushed into the store, and refine the survivors with the exact
 (early-abandoning) measure.  A batch plans every query and shares one
 scan (:func:`scan_and_refine`); a single query is a batch of one.
-Answers are a pure function of ``(query, row, eps)``, so a batch
-answers bit-identically to its queries run one at a time; sharing
-changes only the I/O (``IOMetrics.batch_ranges_merged`` /
-``batch_rows_shared``).
+Refinement starts once the scan has returned, one
+:meth:`~repro.measures.base.Measure.distance_within_many` call per
+query over its survivors in scan order, so ``scan`` and ``refine`` are
+two contiguous phases.  Answers are a pure function of ``(query, row,
+eps)``, so a batch answers bit-identically to its queries run one at a
+time; sharing changes only the I/O (``IOMetrics.batch_ranges_merged``
+/ ``batch_rows_shared``).
 """
 
 from __future__ import annotations
@@ -171,10 +174,10 @@ def _shared_plan(pairs: List[List[ScanRange]]):
 class _SharedRowFilter(RowFilter):
     """Decode each row once and run the local filter of every query
     subscribing to its key; an accepted row's ``(record, qids)`` waits
-    in ``accepted`` until refinement takes it out.  The table counts
-    one evaluation per row; a row with ``n > 1`` subscribers adds the
-    other ``n - 1`` here, so the counters are the sums of the queries
-    run one at a time."""
+    in ``accepted``, keyed by its row key, for the scan to deliver it.
+    The table counts one evaluation per row; a row with ``n > 1``
+    subscribers adds the other ``n - 1`` here, so the counters are the
+    sums of the queries run one at a time."""
 
     def __init__(self, decoder, filters, ends, subscribers, metrics):
         self.decoder = decoder
@@ -251,69 +254,61 @@ def scan_and_refine(
         store.record_decoder, filters, ends, subscribers, metrics
     )
 
-    # Refinement is pipelined with the scan: the executor hands over
-    # each completed range's accepted rows while later ranges scan, and
-    # the fused, early-abandoning ``distance_within`` decides and
-    # measures in one pass.
-    answers: List[Dict[str, float]] = [{} for _ in queries]
-    candidates = [0] * len(queries)
-    eps_of = list(eps_list)
-    accepted = row_filter.accepted
-    distance_within = measure.distance_within
-    refine_clock = 0.0
-    abandoned = 0
-
-    def refine(chunk, _row_filter) -> None:
-        nonlocal refine_clock, abandoned
-        refine_started = time.perf_counter()
-        for key, _ in chunk:
-            # each key is delivered once (plan ranges are disjoint and a
-            # retried range delivers only its last attempt), so a
-            # refined row is dropped here rather than held to the end
-            record, qids = accepted.pop(key)
-            for qid in qids:
-                candidates[qid] += 1
-                dist = distance_within(queries[qid], record, eps_of[qid])
-                if dist is None:
-                    abandoned += 1
-                else:
-                    answers[qid][record.tid] = dist
-        refine_clock += time.perf_counter() - refine_started
-
     rows_before = metrics.rows_scanned
     started = time.perf_counter()
     with tracer.span("scan", ranges=len(plan)) as scan_span:
-        _, shared_report = store.executor.scan_ranges(
-            plan, row_filter, on_range_rows=refine
+        delivered, shared_report = store.executor.scan_ranges(plan, row_filter)
+        # Each key is delivered once (plan ranges are disjoint and a
+        # retried range delivers only its last attempt), in scan order:
+        # a query's survivors are its accepted rows in that order.
+        accepted = row_filter.accepted
+        survivors: List[list] = [[] for _ in queries]
+        for key, _ in delivered:
+            record, qids = accepted.pop(key)
+            for qid in qids:
+                survivors[qid].append(record)
+        total_candidates = sum(map(len, survivors))
+        scan_span.set_attrs(
+            rows_retrieved=metrics.rows_scanned - rows_before,
+            candidates=total_candidates,
+            ranges_completed=shared_report.ranges_completed,
+            retries=shared_report.retries,
         )
-    elapsed = time.perf_counter() - started
-    # The refine callbacks ran inside the scan wall time; split the
-    # accounting so the phase totals still sum to the wall clock.
-    refine_seconds = min(refine_clock, elapsed)
-    total_candidates = sum(candidates)
-    scan_span.set_attrs(
-        rows_retrieved=metrics.rows_scanned - rows_before,
-        candidates=total_candidates,
-        ranges_completed=shared_report.ranges_completed,
-        retries=shared_report.retries,
-    )
-    # The refine phase has no contiguous interval of its own — it ran
-    # interleaved inside the scan — so its span gets the accumulated
-    # callback time explicitly.
+    scan_seconds = time.perf_counter() - started
+
+    # Refinement, once the scan is done: each query's survivors in one
+    # call of the fused, early-abandoning kernel, which decides and
+    # measures in one pass (a batched program for Fréchet).
+    answers: List[Dict[str, float]] = [{} for _ in queries]
+    refine_seconds = [0.0] * len(queries)
+    abandoned = 0
     with tracer.span("refine") as refine_span:
+        for qid, records in enumerate(survivors):
+            if not records:
+                continue
+            refine_started = time.perf_counter()
+            own = answers[qid]
+            for record, dist in zip(
+                records,
+                measure.distance_within_many(
+                    queries[qid], records, eps_list[qid]
+                ),
+            ):
+                if dist is None:
+                    abandoned += 1
+                else:
+                    own[record.tid] = dist
+            refine_seconds[qid] = time.perf_counter() - refine_started
         refine_span.set_attrs(
             refined=total_candidates,
             answers=sum(map(len, answers)),
             early_abandoned=abandoned,
             measure=measure.name,
         )
-    refine_span.set_duration(refine_seconds)
 
     gone = {r.start for r in shared_report.skipped_ranges}
-    scan_share = (elapsed - refine_seconds) / len(queries)
+    scan_share = scan_seconds / len(queries)
     results = []
-    # Refinement is timed per range and apportioned by candidates.
-    refine_share = refine_seconds / max(total_candidates, 1)
     for qid, own in enumerate(pairs):
         lost = [
             r for r, g in zip(own, holders[qid]) if plan[g].start in gone
@@ -321,13 +316,13 @@ def scan_and_refine(
         results.append(
             ThresholdSearchResult(
                 answers=answers[qid],
-                candidates=candidates[qid],
+                candidates=len(survivors[qid]),
                 # every row in the query's ranges met its local filter
                 retrieved_rows=filters[qid].stats.evaluated,
                 pruning=None,
                 pruning_seconds=pruning_seconds[qid],
                 scan_seconds=scan_share,
-                refine_seconds=refine_share * candidates[qid],
+                refine_seconds=refine_seconds[qid],
                 resilience=dataclasses.replace(
                     shared_report,
                     ranges_total=len(own),

@@ -162,6 +162,15 @@ class Measure(abc.ABC):
         :meth:`distance`.
         """
 
+    def distance_within_many(
+        self, a: PointSeq, bs: Sequence[PointSeq], eps: float
+    ) -> List[Optional[float]]:
+        """:meth:`distance_within` of ``a`` against each of ``bs``, in
+        order: how threshold refinement asks, once per query, for all of
+        its survivors.  A measure may override it with a batched kernel
+        that returns the same floats."""
+        return [self.distance_within(a, b, eps) for b in bs]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 

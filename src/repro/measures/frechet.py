@@ -26,12 +26,23 @@ distance, also the measure's ``upper_bound``, bounds the optimum from
 above, so the optimal coupling survives the clamp, and the band is a
 strip around it rather than the whole table whenever the points are
 spread wider than the distance.
+
+Threshold refinement asks for a query's survivors all at once
+(:meth:`DiscreteFrechet.distance_within_many`).  From ``_BATCH_MIN``
+rows up that is one NumPy program over the anti-diagonals of all their
+lattices (:func:`_group_sq`), which computes every cell unclamped and
+compares only the final one with the limit: the same value the band
+gives, because clamping commutes with ``min`` and ``max``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from itertools import chain
+from typing import List, Optional, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.measures.base import (
     RELATIVE_SLACK,
@@ -44,6 +55,21 @@ from repro.measures.base import (
 
 _INF = math.inf
 _NAME = "discrete Fréchet"
+
+#: below this many rows :meth:`DiscreteFrechet.distance_within_many`
+#: runs the banded loop per row: the batched program costs about three
+#: NumPy calls per anti-diagonal whatever the row count, the loop about
+#: 23 µs per row.  Set from the first C survivors of every
+#: ``ingest_reopen`` / ``thr_dense`` query (median ms per query, loop
+#: vs batch, 2-vCPU x86 box): C = 6: 0.149 vs 0.190 / 0.138 vs 0.158;
+#: C = 8: 0.201 vs 0.200 / 0.182 vs 0.180; C = 10: 0.247 vs 0.215 /
+#: 0.223 vs 0.189; C = 16: 0.390 vs 0.257 / 0.359 vs 0.239.
+_BATCH_MIN = 10
+#: the most padded lattice cells (rows x query points x longest row)
+#: one batched group holds, so a query never allocates one tensor
+#: padded to its longest survivor (that cost ``thr_dense`` +15 % peak
+#: RSS; this budget, +2 %)
+_GROUP_CELLS = 1 << 17
 
 
 def _relaxed_sq(eps: float) -> float:
@@ -129,6 +155,99 @@ def _banded_sq(a: PointSeq, b: PointSeq, limit: float) -> Optional[float]:
     return prev[m] if hi == m - 1 else None
 
 
+def _group_sq(qx: np.ndarray, qy: np.ndarray, rows: list) -> List[float]:
+    """The unclamped squared discrete Fréchet distance from the query
+    ``(qx, qy)`` to each of ``rows`` (column pairs sorted by length),
+    by one dynamic program over the anti-diagonals of the rows'
+    lattices at once.
+
+    Cell ``(i, j)`` of row ``k`` sits on diagonal ``s = i + j`` at
+    ``[k, i]``: its three predecessors lie on the two diagonals
+    before, so each diagonal is two ``minimum`` and one ``maximum``
+    over all rows.  Rows are padded to the longest with ``inf``
+    points, whose cells are ``inf`` and feed no real cell (they lie
+    right of it), and a row's answer is read on the diagonal where its
+    last cell lies.
+    """
+    n = len(qx)
+    count = len(rows)
+    lengths = [len(xs) for xs, _ in rows]
+    width = lengths[-1]
+    pad = np.arange(width) < np.array(lengths)[:, None]
+    bx = np.full((count, width), _INF)
+    by = np.full((count, width), _INF)
+    total = sum(lengths)
+    flat = chain.from_iterable
+    bx[pad] = np.fromiter(flat(xs for xs, _ in rows), float, total)
+    by[pad] = np.fromiter(flat(ys for _, ys in rows), float, total)
+    # d[k, i, j] as the loop computes it: dx*dx + dy*dy, dx = x - bx[j]
+    dx = qx[:, None] - bx[:, None, :]
+    dx *= dx
+    dy = qy[:, None] - by[:, None, :]
+    dy *= dy
+    # Skewed once: diag[s, k, i] = d[k, i, s - i], inf off the lattice.
+    diagonals = n + width - 1
+    skew = np.full((diagonals, count, n), _INF)
+    step = skew.itemsize
+    np.add(
+        dx,
+        dy,
+        out=as_strided(
+            skew,
+            shape=(count, n, width),
+            strides=(n * step, (count * n + 1) * step, count * n * step),
+        ),
+    )
+    del dx, dy
+    # Three rotating diagonals, each as (whole, cells i - 1, cells i);
+    # column 0 is row i = -1: dead, never written.
+    before, last, cur = (
+        (d, d[:, :-1], d[:, 1:])
+        for d in np.full((3, count, n + 1), _INF)
+    )
+    last[2][...] = skew[0]  # (0, 0) has no predecessor
+    low = np.empty((count, n))
+    minimum, maximum = np.minimum, np.maximum
+    out: List[float] = [_INF] * count
+    ends: dict = {}
+    for k, m in enumerate(lengths):
+        ends.setdefault(n + m - 2, []).append(k)
+    for s, plane in enumerate(skew):
+        if s:
+            minimum(last[1], last[2], out=low)
+            minimum(low, before[1], out=low)
+            maximum(low, plane, out=cur[2])
+            before, last, cur = last, cur, before
+        for k in ends.get(s, ()):
+            out[k] = float(last[0][k, n])
+    return out
+
+
+def _batched_sq(a: PointSeq, bs: Sequence[PointSeq]) -> List[float]:
+    """The squared discrete Fréchet distance from ``a`` to each of
+    ``bs``: rows sorted by length, in groups of at most
+    ``_GROUP_CELLS`` padded cells (a longer row alone), each one
+    :func:`_group_sq`."""
+    ax, ay = coordinates(a, _NAME)
+    n = len(ax)
+    qx = np.fromiter(ax, float, n)
+    qy = np.fromiter(ay, float, n)
+    cols = [coordinates(b, _NAME) for b in bs]
+    groups: List[List[int]] = [[]]
+    for k in sorted(range(len(cols)), key=lambda k: len(cols[k][0])):
+        group = groups[-1]
+        if group and (len(group) + 1) * n * len(cols[k][0]) > _GROUP_CELLS:
+            groups.append([k])
+        else:
+            group.append(k)
+    out: List[float] = [_INF] * len(cols)
+    for group in groups:
+        values = _group_sq(qx, qy, [cols[k] for k in group])
+        for k, value in zip(group, values):
+            out[k] = value
+    return out
+
+
 def discrete_frechet(a: PointSeq, b: PointSeq) -> float:
     """Exact discrete Fréchet distance between point sequences."""
     return math.sqrt(_banded_sq(a, b, _greedy_sq(a, b)))
@@ -178,3 +297,26 @@ class DiscreteFrechet(Measure):
             return None
         value = math.sqrt(final)
         return value if value <= eps else None
+
+    def distance_within_many(
+        self, a: PointSeq, bs: Sequence[PointSeq], eps: float
+    ) -> List[Optional[float]]:
+        """:meth:`distance_within` against every row, from one batched
+        program over all of them (:func:`_batched_sq`) when there are
+        at least ``_BATCH_MIN``.
+
+        The batch computes every cell unclamped and clamps only the
+        final one, which equals the banded loop's value cell for cell:
+        ``clamp(x) = x if x <= limit else inf`` is monotone, so it
+        commutes with the recurrence's ``min`` and ``max`` over values
+        that are all ``>= 0``.  The decision and ``sqrt`` then match
+        :meth:`distance_within`, so the floats are the same.
+        """
+        if len(bs) < _BATCH_MIN or eps == _INF:
+            return [self.distance_within(a, b, eps) for b in bs]
+        limit = _relaxed_sq(eps)
+        out: List[Optional[float]] = []
+        for final in _batched_sq(a, bs):
+            value = math.sqrt(final) if final <= limit else _INF
+            out.append(value if value <= eps else None)
+        return out

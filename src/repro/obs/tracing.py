@@ -153,8 +153,8 @@ class Span:
             self.events.append((self.tracer.clock(), name, attrs))
 
     def set_duration(self, seconds: float) -> None:
-        """Override the measured duration (e.g. refinement time carved
-        out of the scan wall clock by the pipelined search)."""
+        """Override the measured duration (e.g. a worker's span stitched
+        into the coordinator's tree keeps the worker's own duration)."""
         self._duration_override = float(seconds)
 
     @property

@@ -778,14 +778,21 @@ class ServingCluster:
             answers: Dict[str, float] = {}
             for part in partials:
                 answers.update(part.answers)
+            # Partitions refine in parallel: the slowest one's refine
+            # time is the phase's (never more than the query's share of
+            # the wall, which a batch splits evenly), the rest the scan.
+            refine = min(
+                max((part.refine_seconds for part in partials), default=0.0),
+                wall_seconds,
+            )
             return ThresholdSearchResult(
                 answers=answers,
                 candidates=candidates,
                 retrieved_rows=retrieved,
                 pruning=pruning,
                 pruning_seconds=pruning_seconds,
-                scan_seconds=wall_seconds,
-                refine_seconds=0.0,
+                scan_seconds=wall_seconds - refine,
+                refine_seconds=refine,
                 resilience=report,
                 filter_stats=filter_stats,
             )

@@ -281,8 +281,8 @@ def test_batch_decodes_each_row_once(batch_queries):
 def test_refined_rows_leave_the_accepted_map(
     monkeypatch, batch_engine, batch_queries, sequential_results
 ):
-    """Refinement takes each accepted row out of the shared filter, so
-    a survivor's decoded record is not held until the scan ends.  Under
+    """Each delivered row is taken out of the shared filter once, so
+    nothing accepted is left behind when the search returns.  Under
     masked faults a retried range re-accepts its rows, and still
     delivers each key once."""
     from repro.core import threshold

@@ -460,14 +460,7 @@ class TestVirtualClockUnderChaos:
         finally:
             engine.install_fault_injector(None)
         root = tracer.traces()[-1]
-        # The refine span's duration is real callback wall time (its
-        # set_duration override), so it is excluded from the virtual-
-        # time determinism check.
-        return [
-            (s.name, s.duration)
-            for s in root.walk()
-            if s.name != "refine"
-        ]
+        return [(s.name, s.duration) for s in root.walk()]
 
     def test_same_seed_same_span_durations(self):
         first = self._chaos_durations()

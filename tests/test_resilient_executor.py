@@ -103,21 +103,6 @@ class TestPassThrough:
         assert report.retries == 0
         assert not report.degraded
 
-    def test_callback_consumes_the_rows(self):
-        """With ``on_range_rows`` each range's rows go to the callback
-        alone: the returned list is empty, so the executor keeps no
-        consumed row alive until the scan returns."""
-        table = make_table()
-        ranges = [ScanRange(b"k0000", b"k0015"), ScanRange(b"k0030", None)]
-        plain = table.scan_ranges(ranges)
-        delivered = []
-        rows, report = ResilientExecutor(table).scan_ranges(
-            ranges, on_range_rows=lambda chunk, _: delivered.extend(chunk)
-        )
-        assert rows == []
-        assert delivered == plain
-        assert report.ranges_completed == 2
-
     def test_empty_ranges(self):
         executor = ResilientExecutor(make_table())
         rows, report = executor.scan_ranges([])

@@ -20,6 +20,7 @@ import pytest
 
 from repro import SpaceBounds, TraSS, TraSSConfig, Trajectory
 from repro.core.pruning import GlobalPruner
+from repro.core.threshold import ThresholdSearchResult
 from repro.exceptions import (
     ClusterError,
     DegradedResult,
@@ -28,6 +29,7 @@ from repro.exceptions import (
 )
 from repro.obs import Tracer
 from repro.serve import AdmissionController, ServingCluster, TokenBucket
+from repro.serve.protocol import KIND_THRESHOLD
 
 pytestmark = pytest.mark.serving
 
@@ -117,6 +119,25 @@ class TestExactness:
         assert [r.candidates for r in served] == [
             r.candidates for r in local
         ]
+
+    def test_merged_result_carries_the_partitions_refine_time(
+        self, dataset, cluster
+    ):
+        """The partitions refine in parallel: the merged result's
+        ``refine_seconds`` is the slowest partition's, and the scan
+        phase is the rest of the wall, so the phases still sum to it."""
+        served = [cluster.threshold_search(q, EPS) for q in _queries(dataset)]
+        assert sum(r.candidates for r in served) > 0
+        assert all(r.refine_seconds > 0.0 for r in served if r.candidates)
+        partials = [
+            ThresholdSearchResult({}, 1, 1, None, 0.0, 0.001, refine, None)
+            for refine in (0.002, 0.005)
+        ]
+        merged = cluster._merge(
+            KIND_THRESHOLD, EPS, partials, [], None, 0.0, 0.010
+        )
+        assert merged.refine_seconds == 0.005
+        assert merged.scan_seconds == 0.010 - 0.005
 
     def test_topk_matches(self, engine, dataset, cluster):
         for q in _queries(dataset, 3):
