@@ -391,7 +391,7 @@ def _stats_report(engine, cluster, args, cfg) -> int:
         return 0
 
     pruning = scan = refine = 0.0
-    answers = 0
+    answers = faults = retries = skipped = 0
     before = _probe_counters(engine, cluster)
     started = time.perf_counter()
     for _pass in range(2):
@@ -401,6 +401,10 @@ def _stats_report(engine, cluster, args, cfg) -> int:
             scan += result.scan_seconds
             refine += result.refine_seconds
             answers += len(result.answers)
+            if result.resilience is not None:
+                faults += result.resilience.faults_encountered
+                retries += result.resilience.retries
+                skipped += len(result.resilience.skipped_ranges)
     wall = time.perf_counter() - started
     after = _probe_counters(engine, cluster)
     delta = {name: after.get(name, 0) - before.get(name, 0) for name in after}
@@ -433,6 +437,15 @@ def _stats_report(engine, cluster, args, cfg) -> int:
             "plan cache", delta["plan_cache_hits"], delta["plan_cache_misses"]
         )
     )
+    if cluster is not None:
+        # The workers scan: their breakers and segments live in other
+        # processes, so the report reads the probes' own scan reports.
+        print("resilience (probe scan reports):")
+        print(
+            f"  probe scans    {faults} faults encountered, "
+            f"{retries} retries, {skipped} ranges skipped"
+        )
+        return 0
     breaker = engine.store.executor.breaker.snapshot()
     io = engine.metrics.snapshot()
     print("resilience:")

@@ -84,6 +84,10 @@ class StorageTelemetry:
         #: region id -> scan stats; ids are never reused, so a split
         #: retires the parent's entry rather than aliasing a daughter
         self.regions: Dict[int, RegionScanStats] = {}
+        #: the stats handed out last: a scan fetches a region's stats as
+        #: it enters the region, so while a row filter runs these are the
+        #: stats its row is counted in
+        self.reading: Optional[RegionScanStats] = None
 
     # ------------------------------------------------------------------
     # Write side (called from the table's scan/get hot paths)
@@ -96,6 +100,7 @@ class StorageTelemetry:
                 stop_label=_stop_label(region.end_key),
             )
             self.regions[region.region_id] = stats
+        self.reading = stats
         return stats
 
     def advance_tick(self) -> None:

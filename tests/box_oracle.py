@@ -11,9 +11,11 @@ lives on here, over the same :class:`DPFeatures` frames:
 * :func:`point_exceeds_boxes`, :func:`exceeds_box_bound`,
   :func:`point_to_boxes_distance`, :func:`segment_to_boxes_distance`
   and :func:`box_lower_bound_against` are the old methods;
-* :func:`oracle_passes` is ``LocalFilter.passes`` with Lemmas 13-14
-  decided by those methods; patch it over ``LocalFilter.passes`` to run
-  a whole query on the oracle.
+* :func:`oracle_tail` is ``LocalFilter.tail`` with Lemmas 13-14
+  decided by those methods, and :func:`oracle_passes` is
+  ``LocalFilter.passes`` on it; patch both over ``LocalFilter`` to run
+  a whole query on the oracle (top-k calls ``passes``, threshold search
+  ``head`` and then ``tail``).
 """
 
 from __future__ import annotations
@@ -145,27 +147,25 @@ def exceeds_box_bound(features, other, eps):
     return False
 
 
-#: the production predicate, kept before any test patches it
-_PASSES = LocalFilter.passes
+#: the production Lemma 5 / 12 stage, kept before any test patches it
+_HEAD = LocalFilter.head
 
 
 def oracle_passes(self, record):
-    """``LocalFilter.passes`` with Lemmas 13-14 on the object path.
+    """``LocalFilter.passes``: the production Lemmas 5 and 12, then
+    :func:`oracle_tail`."""
+    return _HEAD(self, record) and oracle_tail(self, record)
 
-    Lemma 5 and Lemma 12 are the production code's (a filter with only
-    those stages); the stages after them are decided here.  Both compare
-    with ``admit_reach(eps, scale)``, as the production filter does.
+
+def oracle_tail(self, record):
+    """``LocalFilter.tail`` with Lemmas 13-14 on the object path.
+
+    Both compare with ``admit_reach(eps, scale)``, as the production
+    filter does.
     """
+    if self.eps == math.inf:
+        return self.admit(record)
     stages = self.stages
-    self.stages = stages - {"rep_points", "boxes"}
-    before = self.stats.passed
-    try:
-        survived = _PASSES(self, record)
-    finally:
-        self.stages = stages
-    if not survived or self.eps == math.inf:
-        return survived
-    self.stats.passed = before
     features, q_features, eps = record.features, self.features, self.eps
     reach = admit_reach(eps, max(box_scale(features), box_scale(q_features)))
     if "rep_points" in stages and (
@@ -191,5 +191,4 @@ def oracle_passes(self, record):
     ):
         self.stats.rejected_boxes += 1
         return False
-    self.stats.passed += 1
-    return True
+    return self.admit(record)

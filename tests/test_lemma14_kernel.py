@@ -483,19 +483,24 @@ def test_read_path_builds_no_box_objects(fleet_stores, store, monkeypatch):
 
     forbid(OrientedBox)
     forbid(MBR)
-    production = LocalFilter.passes
 
-    def guarded(self, record):
-        # Lemma 5's one MBR per row (query and record) is not a box.
-        self.query.mbr
-        record.mbr
-        armed.append(True)
-        try:
-            return production(self, record)
-        finally:
-            armed.pop()
+    def guard(production):
+        def guarded(self, record):
+            # Lemma 5's one MBR per row (query and record) is not a box.
+            self.query.mbr
+            record.mbr
+            armed.append(True)
+            try:
+                return production(self, record)
+            finally:
+                armed.pop()
 
-    monkeypatch.setattr(LocalFilter, "passes", guarded)
+        return guarded
+
+    # Top-k calls ``passes``; threshold search calls ``head`` in the
+    # scan and ``tail`` on the rows refinement rejects.
+    for stage in ("passes", "head", "tail"):
+        monkeypatch.setattr(LocalFilter, stage, guard(getattr(LocalFilter, stage)))
     flat = run_queries(engine, queries)
     # The guard is live: a box built while armed raises.
     armed.append(True)
@@ -503,7 +508,9 @@ def test_read_path_builds_no_box_objects(fleet_stores, store, monkeypatch):
         OrientedBox.cover([(0.0, 0.0), (1.0, 1.0)])
     armed.pop()
 
+    monkeypatch.undo()
     monkeypatch.setattr(LocalFilter, "passes", box_oracle.oracle_passes)
+    monkeypatch.setattr(LocalFilter, "tail", box_oracle.oracle_tail)
     oracle = run_queries(engine, queries)
     assert len(flat) == len(oracle)
     for (f_answers, f_stats), (o_answers, o_stats) in zip(flat, oracle):

@@ -841,6 +841,24 @@ class TestClusterCLI:
         ]
         assert plan.endswith("(5 hits / 5 misses)")
 
+    def test_stats_report_reads_the_probes_scan_reports(self, store, capsys):
+        """The coordinator's own executor and segments do no work for a
+        cluster: the report reads retries and skipped ranges off the
+        probes' scan reports and prints no segment section."""
+        stats = ["stats", "--store", store, "--probes", "5"]
+        local = self._run(capsys, *stats).out
+        served = self._run(capsys, *stats, "--cluster", "2").out
+        assert "breaker" in local and "compact segments:" in local
+        assert "breaker" not in served
+        assert "compact segments:" not in served
+        (line,) = [
+            line for line in served.splitlines()
+            if line.startswith("  probe scans")
+        ]
+        assert line.endswith(
+            "0 faults encountered, 0 retries, 0 ranges skipped"
+        )
+
     def test_stats_prometheus_covers_the_cluster(self, store, capsys):
         from repro.obs.registry import parse_prometheus
 
