@@ -279,6 +279,11 @@ class KVTable:
             rows = self._region_rows(region, start, stop)
             stats = None
             if tel is not None:
+                # Fetched as the region is entered, so ``tel.reading``
+                # is this region's stats while ``row_filter`` runs on its
+                # rows: threshold search reads it there to attribute a
+                # row it later rejects.  Nothing in this loop may call
+                # ``region_stats`` for another region.
                 stats = tel.region_stats(region)
                 stats.scans += 1
                 if heatmap is not None and bucket is None:
