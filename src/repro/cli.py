@@ -482,8 +482,8 @@ def _heatmap(args: argparse.Namespace) -> int:
     store has heat to show; without it the command renders whatever the
     persisted TELEMETRY.json carried."""
     engine = _load_engine(args)
-    telemetry = engine.storage_telemetry
-    if telemetry is None or telemetry.heatmap is None:
+    heatmap = engine.heatmap
+    if heatmap is None:
         print(
             "storage telemetry is disabled for this store "
             "(config.storage_telemetry = false)",
@@ -497,17 +497,10 @@ def _heatmap(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        print(
-            json.dumps(
-                heatmap_json(telemetry.heatmap, engine.store.table), indent=2
-            )
-        )
+        print(json.dumps(heatmap_json(heatmap, engine.store.table), indent=2))
     else:
-        print(
-            render_heatmap(
-                telemetry.heatmap, engine.store.table, engine.config.shards
-            )
-        )
+        shards = engine.config.shards
+        print(render_heatmap(heatmap, engine.store.table, shards))
     return 0
 
 

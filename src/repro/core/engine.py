@@ -213,19 +213,18 @@ class TraSS:
             )
         meters[0].observe(seconds)
         meters[1].inc()
-        table = self.store.table
         recorder = self._workload_recorder
         if record and recorder is not None and recorder.enabled:
             recorder.record(kind, query, parameter, measure, seconds, result)
-        telemetry = table.storage_telemetry
-        if telemetry is not None:
-            telemetry.advance_tick()
+        heatmap = self.store.table.heatmap
+        if heatmap is not None:
+            heatmap.advance_tick()
 
     @property
-    def storage_telemetry(self):
-        """The table's storage telemetry sink (``None`` when
+    def heatmap(self):
+        """The table's key-space heatmap (``None`` when
         ``config.storage_telemetry`` is off)."""
-        return self.store.table.storage_telemetry
+        return self.store.table.heatmap
 
     @property
     def workload_recorder(self):

@@ -39,16 +39,10 @@ from repro.exceptions import (
     TransientError,
 )
 from repro.kvstore.table import KVTable, ScanRange
+from repro.obs.heatmap import _key_label, _stop_label
 from repro.obs.tracing import NULL_TRACER
 
 RegionSpan = Tuple[Optional[bytes], Optional[bytes]]
-
-
-def _key_label(key: Optional[bytes]) -> str:
-    """A short printable label for a row key in span attributes."""
-    if key is None:
-        return "-inf"
-    return key[:12].hex()
 
 
 @dataclass(frozen=True)
@@ -399,7 +393,7 @@ class ResilientExecutor:
         span = tracer.span(
             "scan.range",
             start=_key_label(scan_range.start),
-            stop=_key_label(scan_range.stop),
+            stop=_stop_label(scan_range.stop),
         )
         if trace_index is not None:
             span.set_attr("plan.index", trace_index)

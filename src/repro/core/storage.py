@@ -180,24 +180,21 @@ class TrajectoryStore:
         self.record_cache = record_cache(budget - budget // 2) if budget else None
 
     def _wire_telemetry(self) -> None:
-        """Attach the storage telemetry sink when configured.
+        """Attach the key-space heatmap when configured.
 
-        Builds the fixed key-space heatmap grid from the store's shape
-        and hangs a :class:`~repro.obs.storage_stats.StorageTelemetry`
-        off the table.  With ``config.storage_telemetry`` off the table
-        attribute stays ``None`` and the scan path does no telemetry
-        work at all.  Called again after :meth:`load` replaces the
-        table (the grid depends only on config, so persisted heat can
-        be restored on top).
+        Builds the fixed heatmap grid from the store's shape and hangs
+        it off the table.  With ``config.storage_telemetry`` off the
+        table's ``heatmap`` stays ``None`` and the scan path does no
+        telemetry work at all.  Called again after :meth:`load` replaces
+        the table (the grid depends only on config, so persisted heat
+        can be restored on top).
         """
         if not self.config.storage_telemetry:
-            self.table.storage_telemetry = None
+            self.table.heatmap = None
             return
         from repro.obs.heatmap import KeySpaceHeatmap, key_space_boundaries
-        from repro.obs.storage_stats import StorageTelemetry
 
-        heatmap = KeySpaceHeatmap(key_space_boundaries(self))
-        self.table.storage_telemetry = StorageTelemetry(heatmap)
+        self.table.heatmap = KeySpaceHeatmap(key_space_boundaries(self))
 
     def boundary_key(self, shard: int, value: int) -> bytes:
         """The smallest row key of ``(shard, value)`` under the active

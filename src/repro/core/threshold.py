@@ -18,9 +18,9 @@ data nearly every one of those rows is an answer.  So for those
 measures only ``head`` runs inside the scan, every head survivor is
 refined, and ``tail`` runs only on the rows refinement rejects, to
 decide whether each was a candidate: a row it rejects is no candidate,
-and its ``IOMetrics`` / region telemetry move from returned to
-rejected.  Answers, candidates, filter tallies and every counter are
-those of all four lemmas run inside the scan.  Without Lemma 12
+and its ``IOMetrics`` move from returned to rejected.  Answers,
+candidates, filter tallies and every counter are those of all four
+lemmas run inside the scan.  Without Lemma 12
 (Hausdorff) ``tail`` rejects most head survivors, and all four lemmas
 run inside the scan (:meth:`LocalFilter.passes`).
 
@@ -36,12 +36,12 @@ import dataclasses
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.executor import ScanReport
 from repro.core.local_filter import LocalFilter, LocalFilterStats
 from repro.core.pruning import GlobalPruner, PruningResult, check_threshold
-from repro.core.storage import TrajectoryStore
+from repro.core.storage import TrajectoryRecord, TrajectoryStore
 from repro.geometry.trajectory import Trajectory
 from repro.index.ranges import IndexRange
 from repro.kvstore.filters import RowFilter
@@ -188,42 +188,24 @@ def _shared_plan(pairs: List[List[ScanRange]]):
     return plan, holders, ends, subscribers
 
 
-class _Survivor:
-    """A row some query's local filter passed inside the scan."""
-
-    __slots__ = ("record", "qids", "region", "kept")
-
-    def __init__(self, record, qids, region):
-        self.record = record
-        #: the queries whose filter passed the row
-        self.qids = qids
-        #: the telemetry stats the row was counted in (None: telemetry off)
-        self.region = region
-        #: how many of ``qids`` still keep the row
-        self.kept = len(qids)
-
-
 class _SharedRowFilter(RowFilter):
     """Decode each row once and run the local filter ``predicates[q]``
     (:meth:`LocalFilter.head` or ``passes``) of every query ``q``
     subscribing to its key; a row some query passed waits in
-    ``accepted``, keyed by its row key, as a :class:`_Survivor` for the
-    scan to deliver it.  The table counts one evaluation per row; a row
-    with ``n > 1`` subscribers adds the other ``n - 1`` here, so the
-    counters are the sums of the queries run one at a time.  A survivor
-    a retried range replaces moves to ``retried``."""
+    ``accepted``, keyed by its row key, as ``(record, passed qids)``
+    for the scan to deliver it.  The table counts one evaluation per
+    row; a row with ``n > 1`` subscribers adds the other ``n - 1``
+    here, so the counters are the sums of the queries run one at a
+    time.  A survivor a retried range replaces moves to ``retried``."""
 
-    def __init__(
-        self, decoder, predicates, ends, subscribers, metrics, telemetry
-    ):
+    def __init__(self, decoder, predicates, ends, subscribers, metrics):
         self.decoder = decoder
         self.predicates = predicates
         self.ends = ends
         self.subscribers = subscribers
         self.metrics = metrics
-        self.telemetry = telemetry
-        self.accepted: Dict[bytes, _Survivor] = {}
-        self.retried: List[_Survivor] = []
+        self.accepted: Dict[bytes, Tuple[TrajectoryRecord, List[int]]] = {}
+        self.retried: List[Tuple[TrajectoryRecord, List[int]]] = []
 
     def accept(self, key: bytes, value: bytes) -> bool:
         subscribers = self.subscribers[bisect_right(self.ends, key)]
@@ -239,30 +221,24 @@ class _SharedRowFilter(RowFilter):
             metrics.filter_rejections += extra - shared
             metrics.rows_returned += shared
         if passed:
-            tel = self.telemetry
-            # The stats of the region being scanned: see ``KVTable.scan``.
-            region = None if tel is None else tel.reading
-            survivor = _Survivor(record, passed, region)
             replaced = self.accepted.get(key)
             if replaced is not None:
                 self.retried.append(replaced)
-            self.accepted[key] = survivor
+            self.accepted[key] = (record, passed)
             return True
         return False
 
 
-def _tail_rejects(local: LocalFilter, survivor: _Survivor, metrics) -> bool:
+def _tail_rejects(
+    local: LocalFilter, record: TrajectoryRecord, metrics
+) -> bool:
     """Run Lemmas 13-14 on a head survivor.  On a rejection, count the
     ``(row, query)`` pair as the filter inside the scan would have:
-    rejected, not returned, and the row not returned by its region once
-    no query keeps it."""
-    if local.tail(survivor.record):
+    rejected, not returned."""
+    if local.tail(record):
         return False
     metrics.filter_rejections += 1
     metrics.rows_returned -= 1
-    survivor.kept -= 1
-    if survivor.kept == 0 and survivor.region is not None:
-        survivor.region.rows_returned -= 1
     return True
 
 
@@ -316,7 +292,6 @@ def scan_and_refine(
         ends,
         subscribers,
         metrics,
-        store.table.storage_telemetry,
     )
 
     rows_before = metrics.rows_scanned
@@ -327,18 +302,18 @@ def scan_and_refine(
         # retried range delivers only its last attempt), in scan order:
         # a query's survivors are its accepted rows in that order.
         accepted = row_filter.accepted
-        survivors: List[List[_Survivor]] = [[] for _ in queries]
+        survivors: List[List[TrajectoryRecord]] = [[] for _ in queries]
         for key, _ in delivered:
-            survivor = accepted.pop(key)
-            for qid in survivor.qids:
-                survivors[qid].append(survivor)
+            record, qids = accepted.pop(key)
+            for qid in qids:
+                survivors[qid].append(record)
         # Head survivors no delivered row carries (a failed attempt's,
         # or a skipped range's) go through deferred Lemmas 13-14 here,
         # as inside the scan.
         if deferred:
-            for survivor in row_filter.retried + list(accepted.values()):
-                for qid in survivor.qids:
-                    _tail_rejects(filters[qid], survivor, metrics)
+            for record, qids in row_filter.retried + list(accepted.values()):
+                for qid in qids:
+                    _tail_rejects(filters[qid], record, metrics)
         scan_span.set_attrs(
             rows_retrieved=metrics.rows_scanned - rows_before,
             ranges_completed=shared_report.ranges_completed,
@@ -362,17 +337,15 @@ def scan_and_refine(
             refine_started = time.perf_counter()
             local = filters[qid]
             found = answers[qid]
-            for survivor, dist in zip(
+            for record, dist in zip(
                 own,
-                measure.distance_within_many(
-                    queries[qid], [s.record for s in own], eps_list[qid]
-                ),
+                measure.distance_within_many(queries[qid], own, eps_list[qid]),
             ):
                 if dist is not None:
-                    found[survivor.record.tid] = dist
+                    found[record.tid] = dist
                     if deferred:
-                        local.admit(survivor.record)
-                elif deferred and _tail_rejects(local, survivor, metrics):
+                        local.admit(record)
+                elif deferred and _tail_rejects(local, record, metrics):
                     candidates[qid] -= 1
                 else:
                     abandoned += 1

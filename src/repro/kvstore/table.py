@@ -61,10 +61,10 @@ class KVTable:
         self.max_region_rows = max_region_rows
         self.flush_threshold = flush_threshold
         self.metrics = metrics if metrics is not None else IOMetrics()
-        #: optional :class:`~repro.obs.storage_stats.StorageTelemetry`
-        #: (per-region scan stats + key-space heat); ``None`` keeps the
-        #: scan path free of telemetry work entirely
-        self.storage_telemetry = None
+        #: optional :class:`~repro.obs.heatmap.KeySpaceHeatmap` the
+        #: scan and get paths feed; ``None`` keeps them free of
+        #: telemetry work entirely
+        self.heatmap = None
         #: regions ordered by start key; region 0 starts open
         self.regions: List[Region] = [Region(None, None, flush_threshold)]
         #: optional :class:`~repro.kvstore.faults.FaultInjector`; when
@@ -205,11 +205,8 @@ class KVTable:
         value = region.get(key)
         if value is not None:
             self.metrics.bytes_read += len(key) + len(value)
-        tel = self.storage_telemetry
-        if tel is not None:
-            tel.region_stats(region).gets += 1
-            if tel.heatmap is not None:
-                tel.heatmap.record(key)
+        if self.heatmap is not None:
+            self.heatmap.record(key)
         return value
 
     def _regions_overlapping(
@@ -259,43 +256,27 @@ class KVTable:
         structures, so delivery stays exactly-once.
         """
         injector = self.fault_injector
-        tel = self.storage_telemetry
+        heatmap = self.heatmap
         metrics = self.metrics
         metrics.range_seeks += 1
-        # Telemetry is paid per range and per region, not per row: the
-        # heat of a range inside one bucket, and each region's counters,
-        # are added once when the region is left (normally, by a fault
-        # or by an early close).  A range that crosses a bucket
-        # boundary counts its heat through a bucket cursor.
-        heatmap = bucket = None
-        if tel is not None:
-            heatmap = tel.heatmap
-            if heatmap is not None:
-                bucket = heatmap.range_bucket(start, stop)
+        # Heat is paid per range, not per row: a range inside one bucket
+        # adds each region's rows once when the region is left
+        # (normally, by a fault or by an early close).  A range that
+        # crosses a bucket boundary counts through a bucket cursor.
+        bucket = None if heatmap is None else heatmap.range_bucket(start, stop)
         for region in self._regions_overlapping(start, stop):
             if injector is not None:
                 injector.on_region_scan_start(self, region)
             metrics.regions_visited += 1
             rows = self._region_rows(region, start, stop)
-            stats = None
-            if tel is not None:
-                # Fetched as the region is entered, so ``tel.reading``
-                # is this region's stats while ``row_filter`` runs on its
-                # rows: threshold search reads it there to attribute a
-                # row it later rejects.  Nothing in this loop may call
-                # ``region_stats`` for another region.
-                stats = tel.region_stats(region)
-                stats.scans += 1
-                if heatmap is not None and bucket is None:
-                    rows = heatmap.count_rows(rows)
-            scanned = returned = scanned_bytes = 0
+            if heatmap is not None and bucket is None:
+                rows = heatmap.count_rows(rows)
+            scanned = 0
             try:
                 for key, value in rows:
-                    size = len(key) + len(value)
                     scanned += 1
-                    scanned_bytes += size
                     metrics.rows_scanned += 1
-                    metrics.bytes_read += size
+                    metrics.bytes_read += len(key) + len(value)
                     if injector is not None:
                         injector.on_row_scanned(self, region)
                     if row_filter is not None:
@@ -304,18 +285,13 @@ class KVTable:
                             metrics.filter_rejections += 1
                             continue
                     metrics.rows_returned += 1
-                    returned += 1
                     yield key, value
             finally:
-                if stats is not None:
-                    stats.rows_scanned += scanned
-                    stats.rows_returned += returned
-                    stats.bytes_read += scanned_bytes
-                    if bucket is not None:
-                        if scanned:
-                            heatmap.add(bucket, scanned)
-                    elif heatmap is not None:
-                        rows.close()
+                if bucket is not None:
+                    if scanned:
+                        heatmap.add(bucket, scanned)
+                elif heatmap is not None:
+                    rows.close()
 
     def _region_rows(
         self, region: Region, start: Optional[bytes], stop: Optional[bytes]

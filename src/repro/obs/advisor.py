@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.heatmap import _key_label
+from repro.obs.heatmap import _key_label, _stop_label
 
 # ---------------------------------------------------------------------
 # Heuristic thresholds (documented in DESIGN.md §9; cite, don't inline)
@@ -97,8 +97,7 @@ def diagnose(engine) -> List[Recommendation]:
 
     recs: List[Recommendation] = []
     storage = collect_storage_stats(engine)
-    telemetry = engine.store.table.storage_telemetry
-    heatmap = telemetry.heatmap if telemetry is not None else None
+    heatmap = engine.heatmap
 
     recs.extend(_check_hot_regions(engine, heatmap))
     recs.extend(_check_salt_skew(engine, heatmap))
@@ -125,7 +124,7 @@ def _check_hot_regions(engine, heatmap) -> List[Recommendation]:
             continue  # nothing to split around
         span = (
             f"[{_key_label(region.start_key)} .. "
-            f"{_key_label(region.end_key)})"
+            f"{_stop_label(region.end_key)})"
         )
         out.append(
             Recommendation(

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.exceptions import QueryError
 from repro.kvstore.metrics import named_counters
+from repro.obs.heatmap import _key_label, _stop_label
 from repro.obs.tracing import Span, Tracer, format_span_tree
 
 
@@ -124,7 +125,6 @@ class ExplainAnalyzeReport:
                 lines.append(
                     f"  region [{region['start']} .. {region['stop']}) "
                     f"scanned={region['rows_scanned']} "
-                    f"returned={region['rows_returned']} "
                     f"share={region['share']:.1%}"
                 )
         lines.append("")
@@ -173,10 +173,8 @@ def explain_analyze(
         raise QueryError("provide exactly one of eps (threshold) or k (topk)")
     tracer = engine.make_tracer()
     before = engine.metrics.counters()
-    telemetry = engine.storage_telemetry
-    regions_before = (
-        telemetry.region_snapshot() if telemetry is not None else None
-    )
+    heatmap = engine.heatmap
+    rows_before = list(heatmap.rows) if heatmap is not None else None
     with engine.traced(tracer):
         if eps is not None:
             result = engine.threshold_search(query, eps, measure=measure)
@@ -206,41 +204,33 @@ def explain_analyze(
         root=root,
         filter_stats=result.filter_stats.as_dict(),
         resilience=result.resilience.summary(),
-        storage=_storage_delta(telemetry, regions_before, io_delta),
+        storage=_storage_delta(engine, rows_before, io_delta),
         result=result,
     )
 
 
 def _storage_delta(
-    telemetry, regions_before: Optional[Dict[int, Dict[str, Any]]], io_delta
+    engine, rows_before: Optional[List[int]], io_delta
 ) -> Optional[Dict[str, Any]]:
-    """This query's per-region scan distribution: the telemetry
-    snapshot delta, plus read amplification from the IOMetrics delta
-    (the two agree by construction — both count logical rows)."""
-    if telemetry is None or regions_before is None:
+    """This query's per-region scan distribution — the heatmap's row
+    delta mapped onto the current regions — plus its totals and read
+    amplification from the IOMetrics delta."""
+    if rows_before is None:
         return None
+    heatmap = engine.heatmap
     scanned = io_delta["rows_scanned"]
     returned = io_delta["rows_returned"]
-    regions: List[Dict[str, Any]] = []
-    for region_id, after in sorted(telemetry.region_snapshot().items()):
-        prior = regions_before.get(region_id)
-        rows_scanned = after["rows_scanned"] - (
-            prior["rows_scanned"] if prior else 0
-        )
-        rows_returned = after["rows_returned"] - (
-            prior["rows_returned"] if prior else 0
-        )
-        if rows_scanned == 0 and rows_returned == 0:
-            continue
-        regions.append(
-            {
-                "start": after["start"],
-                "stop": after["stop"],
-                "rows_scanned": rows_scanned,
-                "rows_returned": rows_returned,
-                "share": (rows_scanned / scanned) if scanned else 0.0,
-            }
-        )
+    delta = [now - then for now, then in zip(heatmap.rows, rows_before)]
+    regions = [
+        {
+            "start": _key_label(region.start_key),
+            "stop": _stop_label(region.end_key),
+            "rows_scanned": rows,
+            "share": (rows / scanned) if scanned else 0.0,
+        }
+        for region, rows in heatmap.region_sums(engine.store.table, delta)
+        if rows
+    ]
     return {
         "rows_scanned": scanned,
         "rows_returned": returned,

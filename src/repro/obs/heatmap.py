@@ -208,21 +208,27 @@ class KeySpaceHeatmap:
             out[shard] = out.get(shard, 0.0) + h
         return out
 
-    def region_heat(self, table) -> List[Tuple[Any, float]]:
-        """Decayed heat mapped onto the table's *current* regions.
+    def region_sums(
+        self, table, values: Sequence[Any], start: Any = 0
+    ) -> List[Tuple[Any, Any]]:
+        """A per-bucket vector (heat, row counts, a delta of either)
+        summed onto the table's *current* regions, from ``start``.
 
         Each bucket is attributed to exactly one region — the one that
-        owns its start key — so the mapping conserves heat exactly
-        (``sum == total_heat``) across any sequence of splits and
-        compactions: no bucket is counted twice, none is orphaned on a
-        dead region.
+        owns its start key — so the mapping conserves the total exactly
+        across any sequence of splits and compactions: no bucket is
+        counted twice, none is orphaned on a dead region.
         """
-        heats = [0.0] * table.num_regions
-        for i, h in enumerate(self.heat):
-            start = self.bucket_start(i)
-            idx = 0 if start is None else table._region_index_for(start)
-            heats[idx] += h
-        return list(zip(table.regions, heats))
+        sums = [start] * table.num_regions
+        for i, value in enumerate(values):
+            key = self.bucket_start(i)
+            sums[0 if key is None else table._region_index_for(key)] += value
+        return list(zip(table.regions, sums))
+
+    def region_heat(self, table) -> List[Tuple[Any, float]]:
+        """Decayed heat mapped onto the table's *current* regions
+        (``sum == total_heat``)."""
+        return self.region_sums(table, self.heat, 0.0)
 
     def hot_buckets(
         self, limit: int = 8, min_share: float = 0.01

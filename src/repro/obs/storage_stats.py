@@ -1,32 +1,23 @@
-"""Deep storage-engine telemetry (the layer beneath PR-3's tracing).
+"""The storage read model: a walk over the live table (regions → LSM
+stores → SSTables → WAL totals) plus the key-space heatmap, surfacing
+flush/compaction bytes & durations, seek-depth distribution, bloom
+false-positive rate, per-level run counts and read amplification under
+stable ``trass.storage.*`` dotted names.
 
-Two complementary halves:
-
-* :class:`StorageTelemetry` — the **write side**: a per-table sink the
-  scan and get paths feed (per-region rows scanned / returned / bytes,
-  read amplification, key-space heat).  Gated by
-  ``TraSSConfig.storage_telemetry``.  A scan counts its rows in local
-  integers and adds them to the region's :class:`RegionScanStats` once
-  per region, and heat once per range (a range that crosses a heat
-  bucket boundary pays one key comparison per row instead).  Query
-  answers and ``IOMetrics`` totals are byte-identical either way
-  (telemetry never writes to ``IOMetrics`` at all).
-
-* :func:`collect_storage_stats` / :func:`update_storage_registry` — the
-  **read side**: a read-model walk over the live table (regions → LSM
-  stores → SSTables → WAL totals) plus the telemetry sink, surfacing
-  flush/compaction bytes & durations, seek-depth distribution, bloom
-  false-positive rate, per-level run counts and read amplification
-  under stable ``trass.storage.*`` dotted names.
+Scan traffic has one gated account, the table's
+:class:`~repro.obs.heatmap.KeySpaceHeatmap`
+(``TraSSConfig.storage_telemetry``); a per-region view of it maps the
+fixed buckets onto the current regions at read time
+(:meth:`~repro.obs.heatmap.KeySpaceHeatmap.region_sums`).  Totals and
+read amplification come from ``IOMetrics``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.kvstore.metrics import DURATION_BUCKETS, SEEK_DEPTH_BUCKETS
-from repro.obs.heatmap import KeySpaceHeatmap, _key_label, _stop_label
+from repro.obs.heatmap import _key_label, _stop_label
 from repro.obs.registry import Histogram
 
 #: per-region rows_scanned distribution buckets (registry histogram)
@@ -40,106 +31,6 @@ REGION_ROWS_BUCKETS: Tuple[float, ...] = (
 )
 
 
-@dataclass
-class RegionScanStats:
-    """Scan-side counters for one region (keyed by its stable id)."""
-
-    #: printable key-range label captured when first seen
-    start_label: str = "-inf"
-    stop_label: str = "+inf"
-    scans: int = 0
-    rows_scanned: int = 0
-    rows_returned: int = 0
-    bytes_read: int = 0
-    gets: int = 0
-
-    @property
-    def read_amplification(self) -> float:
-        """Rows the store touched per row that survived filtering."""
-        if self.rows_returned == 0:
-            return float(self.rows_scanned) if self.rows_scanned else 0.0
-        return self.rows_scanned / self.rows_returned
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "start": self.start_label,
-            "stop": self.stop_label,
-            "scans": self.scans,
-            "rows_scanned": self.rows_scanned,
-            "rows_returned": self.rows_returned,
-            "bytes_read": self.bytes_read,
-            "gets": self.gets,
-            "read_amplification": self.read_amplification,
-        }
-
-
-class StorageTelemetry:
-    """The per-table storage telemetry sink.
-
-    One instance hangs off the table (``table.storage_telemetry``).
-    """
-
-    def __init__(self, heatmap: Optional[KeySpaceHeatmap] = None):
-        self.heatmap = heatmap
-        #: region id -> scan stats; ids are never reused, so a split
-        #: retires the parent's entry rather than aliasing a daughter
-        self.regions: Dict[int, RegionScanStats] = {}
-        #: the stats handed out last: a scan fetches a region's stats as
-        #: it enters the region, so while a row filter runs these are the
-        #: stats its row is counted in
-        self.reading: Optional[RegionScanStats] = None
-
-    # ------------------------------------------------------------------
-    # Write side (called from the table's scan/get hot paths)
-    # ------------------------------------------------------------------
-    def region_stats(self, region) -> RegionScanStats:
-        stats = self.regions.get(region.region_id)
-        if stats is None:
-            stats = RegionScanStats(
-                start_label=_key_label(region.start_key),
-                stop_label=_stop_label(region.end_key),
-            )
-            self.regions[region.region_id] = stats
-        self.reading = stats
-        return stats
-
-    def advance_tick(self) -> None:
-        """One recorded query has completed; age the heat."""
-        if self.heatmap is not None:
-            self.heatmap.advance_tick()
-
-    # ------------------------------------------------------------------
-    # Read side
-    # ------------------------------------------------------------------
-    def totals(self) -> Dict[str, int]:
-        scanned = sum(s.rows_scanned for s in self.regions.values())
-        returned = sum(s.rows_returned for s in self.regions.values())
-        return {
-            "rows_scanned": scanned,
-            "rows_returned": returned,
-            "bytes_read": sum(s.bytes_read for s in self.regions.values()),
-            "scans": sum(s.scans for s in self.regions.values()),
-            "gets": sum(s.gets for s in self.regions.values()),
-        }
-
-    def region_snapshot(self) -> Dict[int, Dict[str, Any]]:
-        """A plain-dict copy (for before/after diffs in EXPLAIN
-        ANALYZE)."""
-        return {
-            region_id: stats.to_json()
-            for region_id, stats in self.regions.items()
-        }
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "regions": self.region_snapshot(),
-            "totals": self.totals(),
-            "heatmap": (
-                self.heatmap.to_json() if self.heatmap is not None else None
-            ),
-        }
-
-
 # ----------------------------------------------------------------------
 # Read-model collection over the live table
 # ----------------------------------------------------------------------
@@ -147,7 +38,7 @@ def collect_storage_stats(engine) -> Dict[str, Any]:
     """The ``storage`` section of ``repro stats --json``.
 
     A pure read: walks regions, their LSM stores and SSTables, the WAL
-    process totals and the telemetry sink, and aggregates.
+    process totals and the heatmap, and aggregates.
     """
     table = engine.store.table
     from repro.kvstore.wal import WriteAheadLog
@@ -201,7 +92,6 @@ def collect_storage_stats(engine) -> Dict[str, Any]:
     bloom_passes = bloom_reads - bloom_negatives
     io = engine.metrics.snapshot()
     returned = io["rows_returned"]
-    telemetry = getattr(table, "storage_telemetry", None)
     return {
         "regions": {
             "count": table.num_regions,
@@ -254,8 +144,8 @@ def collect_storage_stats(engine) -> Dict[str, Any]:
         "read_amplification": (
             io["rows_scanned"] / returned if returned else 0.0
         ),
-        "telemetry": (
-            telemetry.to_json() if telemetry is not None else None
+        "heatmap": (
+            table.heatmap.to_json() if table.heatmap is not None else None
         ),
     }
 
@@ -394,33 +284,31 @@ def update_storage_registry(registry, engine) -> None:
         flush_hist.merge_from(region.store.flush_duration_hist)
         compaction_hist.merge_from(region.store.compaction_duration_hist)
 
-    telemetry = getattr(engine.store.table, "storage_telemetry", None)
     region_hist = h(
         "trass.storage.region.rows_scanned",
         "per-region scanned-row distribution",
         REGION_ROWS_BUCKETS,
     )
-    if telemetry is not None:
-        for stats_ in telemetry.regions.values():
-            region_hist.observe(stats_.rows_scanned)
-        if telemetry.heatmap is not None:
-            heat = telemetry.heatmap
+    heat = engine.store.table.heatmap
+    if heat is not None:
+        for _, rows in heat.region_sums(engine.store.table, heat.rows):
+            region_hist.observe(rows)
+        g(
+            "trass.storage.heat.total",
+            "decayed scan heat across the key space",
+            heat.total_heat,
+        )
+        g(
+            "trass.storage.heat.ticks",
+            "queries recorded into the heatmap",
+            heat.tick,
+        )
+        shard_heat = heat.shard_heat()
+        if shard_heat:
+            values = list(shard_heat.values())
+            mean = sum(values) / len(values)
             g(
-                "trass.storage.heat.total",
-                "decayed scan heat across the key space",
-                heat.total_heat,
+                "trass.storage.heat.shard_skew",
+                "hottest shard heat over mean shard heat",
+                (max(values) / mean) if mean > 0 else 0.0,
             )
-            g(
-                "trass.storage.heat.ticks",
-                "queries recorded into the heatmap",
-                heat.tick,
-            )
-            shard_heat = heat.shard_heat()
-            if shard_heat:
-                values = list(shard_heat.values())
-                mean = sum(values) / len(values)
-                g(
-                    "trass.storage.heat.shard_skew",
-                    "hottest shard heat over mean shard heat",
-                    (max(values) / mean) if mean > 0 else 0.0,
-                )

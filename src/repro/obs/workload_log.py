@@ -321,13 +321,13 @@ def save_observability(engine, directory: str) -> None:
 
     from repro.kvstore.persistence import write_atomic
 
-    telemetry = engine.storage_telemetry
+    heatmap = engine.heatmap
     recorder = engine.workload_recorder
-    if telemetry is None and recorder is None:
+    if heatmap is None and recorder is None:
         return
     payload: Dict[str, Any] = {"version": 1}
-    if telemetry is not None and telemetry.heatmap is not None:
-        payload["heatmap"] = telemetry.heatmap.to_json()
+    if heatmap is not None:
+        payload["heatmap"] = heatmap.to_json()
     if recorder is not None:
         payload["workload"] = recorder.to_json()
     write_atomic(os.path.join(directory, TELEMETRY_FILE), json.dumps(payload))
@@ -351,16 +351,12 @@ def load_observability(engine, directory: str) -> bool:
         return False
     payload = read_json(path)
     restored = False
-    telemetry = engine.storage_telemetry
-    if (
-        telemetry is not None
-        and telemetry.heatmap is not None
-        and "heatmap" in payload
-    ):
+    heatmap = engine.heatmap
+    if heatmap is not None and "heatmap" in payload:
         from repro.obs.heatmap import KeySpaceHeatmap
 
         persisted = KeySpaceHeatmap.from_json(payload["heatmap"])
-        restored = telemetry.heatmap.restore_from(persisted) or restored
+        restored = heatmap.restore_from(persisted)
     recorder = engine.workload_recorder
     if recorder is not None and "workload" in payload:
         recorder.restore_from_json(payload["workload"])

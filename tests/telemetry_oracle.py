@@ -1,16 +1,15 @@
 """The per-row / per-query storage telemetry, kept as the oracle.
 
-Default-on storage telemetry now accumulates a scan's region stats in
-local counters and adds them once per region, attributes key-space heat
-once per range (or through a monotone bucket cursor), decays heat in
-O(1) by scaling the weight a row adds, and records a query from the raw
+Default-on storage telemetry now attributes key-space heat once per
+range (or through a monotone bucket cursor), decays heat in O(1) by
+scaling the weight a row adds, and records a query from the raw
 ``IOMetrics`` counter tuple.  The implementations those replaced live
 on here unchanged:
 
 * :class:`KeySpaceHeatmap` — one ``bisect`` per scanned row and a
   rebuilt heat list per query;
-* :func:`scan` — ``KVTable.scan`` bumping ``RegionScanStats`` and the
-  heatmap row by row (bind it over a table's ``scan``);
+* :func:`scan` — ``KVTable.scan`` recording into the heatmap row by row
+  (bind it over a table's ``scan``);
 * :func:`answers_digest`, :class:`WorkloadEntry` and
   :class:`WorkloadRecorder` — a copied point list per query;
 * :func:`observe_query` — ``TraSS._observe_query`` (bind it over an
@@ -184,24 +183,17 @@ class KeySpaceHeatmap:
 def scan(self, start=None, stop=None, row_filter=None):
     """Rows in ``[start, stop)`` surviving the server-side filter."""
     injector = self.fault_injector
-    tel = self.storage_telemetry
+    heatmap = self.heatmap
     self.metrics.range_seeks += 1
     for region in self._regions_overlapping(start, stop):
         if injector is not None:
             injector.on_region_scan_start(self, region)
         self.metrics.regions_visited += 1
-        if tel is not None:
-            region_stats = tel.region_stats(region)
-            region_stats.scans += 1
-            heatmap = tel.heatmap
         for key, value in self._region_rows(region, start, stop):
             self.metrics.rows_scanned += 1
             self.metrics.bytes_read += len(key) + len(value)
-            if tel is not None:
-                region_stats.rows_scanned += 1
-                region_stats.bytes_read += len(key) + len(value)
-                if heatmap is not None:
-                    heatmap.record(key)
+            if heatmap is not None:
+                heatmap.record(key)
             if injector is not None:
                 injector.on_row_scanned(self, region)
             if row_filter is not None:
@@ -210,8 +202,6 @@ def scan(self, start=None, stop=None, row_filter=None):
                     self.metrics.filter_rejections += 1
                     continue
             self.metrics.rows_returned += 1
-            if tel is not None:
-                region_stats.rows_returned += 1
             yield key, value
 
 
@@ -385,9 +375,9 @@ def observe_query(
             seconds=seconds,
             result=result,
         )
-    telemetry = self.storage_telemetry
-    if telemetry is not None:
-        telemetry.advance_tick()
+    heatmap = self.heatmap
+    if heatmap is not None:
+        heatmap.advance_tick()
 
 
 def install(engine) -> None:
@@ -396,8 +386,7 @@ def install(engine) -> None:
     ones' state, and the old per-query bookkeeping."""
     table = engine.store.table
     table.scan = types.MethodType(scan, table)
-    telemetry = table.storage_telemetry
-    telemetry.heatmap = KeySpaceHeatmap.from_json(telemetry.heatmap.to_json())
+    table.heatmap = KeySpaceHeatmap.from_json(table.heatmap.to_json())
     recorder = WorkloadRecorder()
     recorder.restore_from_json(engine._workload_recorder.to_json())
     engine._workload_recorder = recorder

@@ -1,5 +1,5 @@
 """Storage-engine telemetry: LSM/SSTable/WAL counters, the key-space
-heatmap, per-region scan stats, the advisor and the registry surface.
+heatmap and its per-region views, the advisor and the registry surface.
 
 The invariants pinned here (DESIGN.md §9):
 
@@ -19,10 +19,12 @@ import random
 import pytest
 
 from repro import SpaceBounds, TraSS, TraSSConfig, Trajectory
+from repro.data.generators import TDRIVE_BOUNDS, tdrive_like
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.metrics import SEEK_DEPTH_BUCKETS
 from repro.kvstore.rowkey import shard_of
 from repro.kvstore.sstable import SSTable
+from repro.kvstore.table import ScanRange
 from repro.kvstore.wal import WriteAheadLog
 from repro.obs.advisor import (
     HOT_REGION_SHARE,
@@ -172,7 +174,7 @@ class TestTelemetryParity:
         engine = TraSS.build(
             trajectories[:5], small_config(storage_telemetry=False)
         )
-        assert engine.storage_telemetry is None
+        assert engine.heatmap is None
         assert engine.workload_recorder is None
 
     def test_telemetry_is_deterministic(self):
@@ -184,34 +186,15 @@ class TestTelemetryParity:
             engine = TraSS.build(trajectories, small_config())
             for q in queries:
                 engine.threshold_search(q, 0.05)
-            tel = engine.storage_telemetry
+            heatmap = engine.heatmap
+            regions = heatmap.region_sums(engine.store.table, heatmap.rows)
             return (
-                tel.heatmap.heat,
-                tel.heatmap.rows,
-                # region ids are process-wide; compare in id order
-                [
-                    (s.rows_scanned, s.rows_returned, s.bytes_read)
-                    for _, s in sorted(tel.regions.items())
-                ],
+                heatmap.heat,
+                heatmap.rows,
+                [(region.start_key, rows) for region, rows in regions],
             )
 
         assert run() == run()
-
-    def test_region_stats_read_amplification(self):
-        engine, trajectories = build_engine()
-        for q in trajectories[:10]:
-            engine.threshold_search(q, 0.05)
-        tel = engine.storage_telemetry
-        totals = tel.totals()
-        io = engine.metrics.snapshot()
-        # Telemetry's per-region tallies agree with IOMetrics exactly.
-        assert totals["rows_scanned"] == io["rows_scanned"]
-        assert totals["rows_returned"] == io["rows_returned"]
-        for stats in tel.regions.values():
-            if stats.rows_returned:
-                assert stats.read_amplification == pytest.approx(
-                    stats.rows_scanned / stats.rows_returned
-                )
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +229,11 @@ class TestHeatmap:
         )
         for q in trajectories[:12]:
             engine.threshold_search(q, 0.05)
-        tel = engine.storage_telemetry
-        total_before = tel.heatmap.total_heat
+        heatmap = engine.heatmap
+        total_before = heatmap.total_heat
         table = engine.store.table
         assert table.num_regions == 1
-        attributed = sum(h for _, h in tel.heatmap.region_heat(table))
+        attributed = sum(h for _, h in heatmap.region_heat(table))
         assert attributed == pytest.approx(total_before)
 
         # Force the hot region to split mid-workload.
@@ -259,33 +242,33 @@ class TestHeatmap:
         assert table.num_regions >= 2
 
         # Same heat, now distributed over the daughters: conserved.
-        attributed = sum(h for _, h in tel.heatmap.region_heat(table))
-        assert attributed == pytest.approx(tel.heatmap.total_heat)
+        attributed = sum(h for _, h in heatmap.region_heat(table))
+        assert attributed == pytest.approx(heatmap.total_heat)
         # More queries keep recording into the same fixed buckets.
         engine.threshold_search(trajectories[0], 0.05)
-        attributed = sum(h for _, h in tel.heatmap.region_heat(table))
-        assert attributed == pytest.approx(tel.heatmap.total_heat)
+        attributed = sum(h for _, h in heatmap.region_heat(table))
+        assert attributed == pytest.approx(heatmap.total_heat)
 
     def test_compaction_does_not_touch_heat(self):
         engine, trajectories = build_engine(n=60)
         for q in trajectories[:8]:
             engine.threshold_search(q, 0.05)
-        heat_before = list(engine.storage_telemetry.heatmap.heat)
+        heat_before = list(engine.heatmap.heat)
         engine.store.table.flush_all()
         engine.store.table.compact_all()
-        assert engine.storage_telemetry.heatmap.heat == heat_before
+        assert engine.heatmap.heat == heat_before
 
     def test_render_and_json(self):
         engine, trajectories = build_engine(n=80)
         for q in trajectories[:10]:
             engine.threshold_search(q, 0.05)
-        tel = engine.storage_telemetry
-        text = render_heatmap(tel.heatmap, engine.store.table, 4)
+        heatmap = engine.heatmap
+        text = render_heatmap(heatmap, engine.store.table, 4)
         assert "key-space heatmap" in text
         assert "shard   0" in text
-        payload = heatmap_json(tel.heatmap, engine.store.table)
+        payload = heatmap_json(heatmap, engine.store.table)
         json.dumps(payload)  # serialisable
-        assert payload["total_rows"] == tel.heatmap.total_rows
+        assert payload["total_rows"] == heatmap.total_rows
         assert sum(r["heat"] for r in payload["regions"]) == pytest.approx(
             payload["total_heat"]
         )
@@ -368,6 +351,23 @@ class TestAdvisor:
         assert recs, "cache-tuning should fire with cache_mb=0 and heavy scans"
         assert recs[0].evidence["rows_scanned"] == io["rows_scanned"]
 
+    def test_hot_region_split_names_an_open_end_plus_inf(self):
+        """A scan-hot last region ends at an open key: its span reads
+        ``+inf``, not ``-inf``."""
+        engine = TraSS.build(
+            tdrive_like(200, seed=3),
+            TraSSConfig(bounds=TDRIVE_BOUNDS, shards=4, max_region_rows=30),
+        )
+        table = engine.store.table
+        last = table.regions[-1]
+        assert table.num_regions > 1 and last.end_key is None
+        for _ in range(200):
+            for _ in table.scan(last.start_key, None):
+                pass
+        (hot,) = [r for r in diagnose(engine) if r.kind == "hot-region-split"]
+        assert hot.evidence["region"].endswith(" .. +inf)")
+        assert "+inf)" in hot.title and "-inf" not in hot.title
+
     def test_telemetry_disabled_still_diagnoses(self):
         engine, trajectories = build_engine(storage_telemetry=False)
         for q in trajectories[:5]:
@@ -418,17 +418,39 @@ class TestStorageSurfaces:
 
     def test_explain_analyze_storage_section(self):
         engine, trajectories = build_engine()
-        report = engine.explain_analyze(trajectories[0], eps=0.05)
-        assert report.storage is not None
-        st = report.storage
-        assert st["rows_scanned"] == report.io_delta["rows_scanned"]
-        assert sum(r["rows_scanned"] for r in st["regions"]) == st[
-            "rows_scanned"
+        assert engine.store.table.num_regions > 1
+        regions_read = []
+        for kwargs in ({"eps": 0.05}, {"eps": 3.0}, {"k": 5}):
+            report = engine.explain_analyze(trajectories[0], **kwargs)
+            assert report.storage is not None
+            st = report.storage
+            assert st["rows_scanned"] == report.io_delta["rows_scanned"]
+            # The heatmap's per-region split of the query's rows sums to
+            # the IOMetrics delta.
+            assert sum(r["rows_scanned"] for r in st["regions"]) == st[
+                "rows_scanned"
+            ]
+            rendered = report.render()
+            assert "read amplification" in rendered
+            payload = report.to_json()
+            assert payload["storage"]["regions"] == st["regions"]
+            regions_read.append(len(st["regions"]))
+        # The wide radius reads more than one region.
+        assert max(regions_read) > 1
+
+    def test_scan_range_span_open_stop_reads_plus_inf(self):
+        engine, _ = build_engine(n=60)
+        start = engine.store.table.regions[-1].start_key
+        tracer = engine.make_tracer()
+        with engine.traced(tracer), tracer.span("probe"):
+            engine.store.executor.scan_ranges(
+                [ScanRange(None, start), ScanRange(start, None)]
+            )
+        spans = tracer.traces()[-1].find("scan.range")
+        assert [(s.attrs["start"], s.attrs["stop"]) for s in spans] == [
+            ("-inf", start[:12].hex()),
+            (start[:12].hex(), "+inf"),
         ]
-        rendered = report.render()
-        assert "read amplification" in rendered
-        payload = report.to_json()
-        assert payload["storage"]["regions"] == st["regions"]
 
     def test_explain_analyze_storage_none_when_disabled(self):
         engine, trajectories = build_engine(storage_telemetry=False)

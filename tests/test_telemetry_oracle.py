@@ -1,19 +1,20 @@
 """Storage telemetry against the per-row oracle.
 
-``KVTable.scan`` adds region stats once per region and heat once per
-range, ``KeySpaceHeatmap`` decays in O(1) by scaling the weight a row
-adds, and the workload recorder keeps the query's own point tuple.  ``tests/telemetry_oracle.py`` keeps the
-per-row / per-query implementations they replaced.  Two engines over the
-same data run the same seeded workload (region splits, masked faults
-with retries and forced mid-scan splits, an early-closed scan, a batch)
-— one on the live telemetry, one on the oracle — and must agree on
-every bucket's row count, the tick, every region's stats, every
-recorded entry's JSON bytes and digest, and on heat to 1e-12 relative,
-through save → load → replay.
+``KVTable.scan`` adds heat once per range, ``KeySpaceHeatmap`` decays
+in O(1) by scaling the weight a row adds, and the workload recorder
+keeps the query's own point tuple.  ``tests/telemetry_oracle.py`` keeps
+the per-row / per-query implementations they replaced.  Two engines
+over the same data run the same seeded workload (region splits, masked
+faults with retries and forced mid-scan splits, an early-closed scan, a
+batch) — one on the live telemetry, one on the oracle — and must agree
+on every bucket's row count, the tick, every recorded entry's JSON
+bytes and digest, and on heat to 1e-12 relative, through save → load →
+replay.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -95,16 +96,11 @@ def assert_heat_close(heat, expected) -> None:
 
 
 def assert_same_telemetry(live, reference) -> None:
-    a = live.storage_telemetry
-    b = reference.storage_telemetry
-    assert a.heatmap.rows == b.heatmap.rows
-    assert a.heatmap.tick == b.heatmap.tick
-    assert_heat_close(a.heatmap.heat, b.heatmap.heat)
-    # Region ids come from a process-wide counter: compare in id order.
-    assert [s for _, s in sorted(a.region_snapshot().items())] == [
-        s for _, s in sorted(b.region_snapshot().items())
-    ]
-    assert a.totals() == b.totals()
+    a = live.heatmap
+    b = reference.heatmap
+    assert a.rows == b.rows
+    assert a.tick == b.tick
+    assert_heat_close(a.heat, b.heat)
     entries_a = live.workload_recorder.entries()
     entries_b = reference.workload_recorder.entries()
     assert [json.dumps(e.to_json()) for e in entries_a] == [
@@ -138,8 +134,8 @@ def test_workload_matches_the_oracle(clock, key_encoding, cache_mb):
     live, reference = pair(key_encoding, cache_mb, data)
     run_both(live, reference, data, seed=3)
     assert_same_telemetry(live, reference)
-    assert live.storage_telemetry.heatmap.tick == 29
-    assert sum(live.storage_telemetry.heatmap.rows) > 0
+    assert live.heatmap.tick == 29
+    assert sum(live.heatmap.rows) > 0
 
 
 def test_masked_faults_and_forced_splits_match_the_oracle(clock):
@@ -171,7 +167,7 @@ def test_masked_faults_and_forced_splits_match_the_oracle(clock):
 def test_early_closed_scans_match_the_oracle(clock, key_encoding):
     data = fleet(13, 120)
     live, reference = pair(key_encoding, 0.0, data)
-    boundaries = live.storage_telemetry.heatmap.boundaries
+    boundaries = live.heatmap.boundaries
     keys = [  # read beneath the telemetry
         key for region in live.store.table.regions
         for key, _ in region.store.scan()
@@ -191,7 +187,7 @@ def test_early_closed_scans_match_the_oracle(clock, key_encoding):
                 for _ in zip(range(take), scan):
                     pass
                 scan.close()
-        engine.storage_telemetry.advance_tick()
+        engine.heatmap.advance_tick()
     assert_same_telemetry(live, reference)
 
 
@@ -229,6 +225,62 @@ def test_save_load_replay_matches_the_oracle(clock, tmp_path):
     # Replays record nothing, and later queries still agree.
     run_both(loaded, loaded_reference, data, seed=9)
     assert_same_telemetry(loaded, loaded_reference)
+
+
+def assert_heat_rows_are_io_rows(engine) -> None:
+    """The heatmap is the one gated account of scan traffic: its
+    lifetime rows are every row ``IOMetrics`` counts scanned or got."""
+    io = engine.metrics
+    assert engine.heatmap.total_rows == io.rows_scanned + io.gets > 0
+
+
+@pytest.mark.parametrize(
+    "overrides, schedule",
+    [
+        ({}, None),
+        (
+            {},
+            FaultSchedule(
+                seed=9,
+                region_unavailable_prob=0.3,
+                max_consecutive_failures=1,
+                split_prob=0.2,
+                compact_prob=0.1,
+            ),
+        ),
+        (
+            {"degraded_mode": True, "retry_max_attempts": 2},
+            FaultSchedule(
+                seed=4,
+                region_unavailable_prob=0.5,
+                max_consecutive_failures=6,
+                split_prob=0.2,
+                compact_prob=0.1,
+            ),
+        ),
+    ],
+    ids=["clean", "masked-faults", "degraded"],
+)
+def test_heat_rows_equal_io_rows(overrides, schedule):
+    data = fleet(37, 150)
+    engine = TraSS.build(
+        data, dataclasses.replace(config(0.0), **overrides)
+    )
+    assert engine.store.table.num_regions > 1
+    if schedule is not None:
+        engine.install_fault_injector(FaultInjector(schedule))
+    workload(engine, data, seed=10)
+    assert_heat_rows_are_io_rows(engine)
+    if schedule is not None:
+        assert engine.metrics.retries > 0
+        assert engine.fault_injector.forced_splits > 0
+    if overrides:
+        assert engine.metrics.ranges_skipped > 0
+    # Point reads count too.
+    engine.install_fault_injector(None)
+    key, _ = next(engine.store.table.full_scan())
+    engine.store.table.get(key)
+    assert_heat_rows_are_io_rows(engine)
 
 
 def test_decay_folds_the_weight_back_like_the_oracle():

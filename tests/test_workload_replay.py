@@ -188,12 +188,12 @@ class TestTelemetryPersistence:
     def test_save_load_round_trips_heat_and_workload(self, tmp_path):
         engine, trajectories = build_engine()
         run_mixed_workload(engine, trajectories, 10)
-        heat = list(engine.storage_telemetry.heatmap.heat)
-        rows = list(engine.storage_telemetry.heatmap.rows)
+        heat = list(engine.heatmap.heat)
+        rows = list(engine.heatmap.rows)
         engine.save(str(tmp_path))
         assert (tmp_path / TELEMETRY_FILE).exists()
         loaded = TraSS.load(str(tmp_path))
-        restored = loaded.storage_telemetry.heatmap
+        restored = loaded.heatmap
         assert restored.rows == rows
         for a, b in zip(restored.heat, heat):
             assert a == pytest.approx(b)
@@ -226,9 +226,7 @@ class TestTelemetryPersistence:
         path.write_text(json.dumps(payload))
         loaded = TraSS.load(str(tmp_path))
         assert len(loaded.workload_recorder) == 6
-        assert loaded.storage_telemetry.heatmap.total_rows == (
-            engine.storage_telemetry.heatmap.total_rows
-        )
+        assert loaded.heatmap.total_rows == engine.heatmap.total_rows
         assert loaded.replay().ok
         loaded.save(str(tmp_path / "again"))
         resaved = json.loads((tmp_path / "again" / TELEMETRY_FILE).read_text())
@@ -263,7 +261,7 @@ class TestTelemetryPersistence:
         engine.save(str(tmp_path))
         (tmp_path / TELEMETRY_FILE).unlink()
         loaded = TraSS.load(str(tmp_path))  # no error
-        assert loaded.storage_telemetry.heatmap.total_rows == 0
+        assert loaded.heatmap.total_rows == 0
         assert len(loaded.workload_recorder) == 0
         # And queries still work and record afresh.
         loaded.threshold_search(trajectories[0], 0.08)
@@ -278,7 +276,7 @@ class TestTelemetryPersistence:
         # empty state instead of guessing.
         other, _ = build_engine(n=40, shards=2)
         assert load_observability(other, str(tmp_path))  # workload restores
-        assert other.storage_telemetry.heatmap.total_rows == 0
+        assert other.heatmap.total_rows == 0
         assert len(other.workload_recorder) == 4
 
     def test_disabled_telemetry_saves_nothing(self, tmp_path):
@@ -288,7 +286,7 @@ class TestTelemetryPersistence:
         engine.save(str(tmp_path))
         assert not (tmp_path / TELEMETRY_FILE).exists()
         loaded = TraSS.load(str(tmp_path))
-        assert loaded.storage_telemetry is None
+        assert loaded.heatmap is None
         assert loaded.workload_recorder is None
 
 
