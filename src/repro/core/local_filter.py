@@ -17,9 +17,12 @@ paper prescribes ("we execute Lemmas from simple to complex"):
 The stages split in two: :meth:`LocalFilter.head` runs steps 1-2, O(1)
 on the row head, and :meth:`LocalFilter.tail` runs steps 3-4 on the DP
 features; :meth:`LocalFilter.passes` is both.  Top-k calls ``passes``
-inside the scan.  So does threshold search under Hausdorff; under a
-measure with Lemma 12 (Fréchet, DTW), where ``tail`` rejects few of the
-rows ``head`` passes, it runs only ``head`` there and refines every head
+inside the scan under DTW and Hausdorff; under Fréchet it runs only
+``head`` there, since the lower bound it takes before each refinement
+dominates Lemmas 13-14 (:mod:`repro.core.topk`).  Threshold search
+calls ``passes`` inside the scan under Hausdorff; under a measure with
+Lemma 12 (Fréchet, DTW), where ``tail`` rejects few of the rows
+``head`` passes, it runs only ``head`` there and refines every head
 survivor, and since a sound filter passes every answer, ``tail`` runs
 only on the rows the measure rejected, to count the rejections
 ``passes`` would have made (:func:`repro.core.threshold.
@@ -376,21 +379,25 @@ class LocalFilterRowFilter(RowFilter):
     rows it is about to refine a second time.  ``decoder(key, value)``
     builds the record — :meth:`TrajectoryRecord.from_row` by default;
     the store passes its record-cache-backed decoder here, so repeated
-    scans of the same rows reuse their records.
+    scans of the same rows reuse their records.  ``predicate(record)``
+    is the filter's :meth:`LocalFilter.passes` unless the caller runs
+    fewer lemmas in the scan.
     """
 
     def __init__(
         self,
         local_filter: LocalFilter,
         decoder: Callable[[bytes, bytes], TrajectoryRecord] = _row_record,
+        predicate: Optional[Callable[[TrajectoryRecord], bool]] = None,
     ):
         self.local_filter = local_filter
         self.decoder = decoder
+        self.predicate = local_filter.passes if predicate is None else predicate
         self.accepted: Dict[bytes, TrajectoryRecord] = {}
 
     def accept(self, key: bytes, value: bytes) -> bool:
         record = self.decoder(key, value)
-        if self.local_filter.passes(record):
+        if self.predicate(record):
             self.accepted[bytes(key)] = record
             return True
         return False

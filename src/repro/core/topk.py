@@ -19,7 +19,16 @@ lower bound on the similarity distance of everything it stands for:
 The loop pops whichever has the smallest bound: an element is expanded,
 a unit is scanned and its survivors queued, a candidate is refined with
 the early-abandoning ``distance_within`` — the only place a measure's
-kernel runs.  The working threshold ``eps`` is the k-th smallest
+kernel runs.  A measure with a ``lower_bound`` (discrete Fréchet) takes
+it first, at the pop's threshold ``min(eps, upper)``: above it, the
+candidate is out with no DP; equal to the queued upper bound, it is the
+exact distance (the two bounds sandwich the DP value in the floats).
+That bound dominates Lemmas 13-14, sound point-to-box relaxations of
+the same nearest-point distances, so under such a measure the scan runs
+only Lemmas 5 and 12 (:meth:`~repro.core.local_filter.LocalFilter.
+head`): a row the other two would drop has a distance above ``eps``,
+its upper bound never joins the k best, and it is rejected at its pop
+or never popped.  The working threshold ``eps`` is the k-th smallest
 *upper* bound known per trajectory: the exact distance once refined,
 ``Measure.upper_bound`` (a greedy coupling) while queued.  So ``eps``
 is finite as soon as ``k`` candidates are queued, it only shrinks, and
@@ -201,6 +210,15 @@ def topk_search(
     kernel = PruningKernel(index, query)
     local = LocalFilter(query, measure, math.inf, store.config.dp_tolerance)
     local.tracer = tracer
+    #: the pop-time lower bound, where the measure has one
+    lower_bound = getattr(measure, "lower_bound", None)
+    if lower_bound is None:
+        scan_predicate = local.passes
+    else:
+
+        def scan_predicate(record) -> bool:
+            return local.head(record) and local.admit(record)
+
     budget = pruner.max_planned_elements
     query_see_level = smallest_enlarged_element(
         bounds.normalize_mbr(query_mbr), index.max_resolution
@@ -236,6 +254,9 @@ def topk_search(
     candidates = 0
     retrieved = 0
     refined = 0
+    #: pops the bounds decided without the DP: exact, or out
+    certified = 0
+    bound_rejected = 0
     push_element(ROOT_CELL)
 
     q_start, q_end = query_points[0], query_points[-1]
@@ -278,11 +299,24 @@ def topk_search(
     def refine() -> None:
         """Refine the nearest queued candidate at the working threshold
         (or its own upper bound, when tighter: the kernel's band is
-        then narrower and still returns the exact distance)."""
-        nonlocal refined
+        then narrower and still returns the exact distance).  The
+        measure's lower bound, where it has one, decides first: the
+        floats it and ``distance_within`` give agree by the sandwich
+        ``lower <= distance <= upper``."""
+        nonlocal refined, certified, bound_rejected
         _, _, record, upper = heapq.heappop(cq)
         refined += 1
-        dist = measure.distance_within(query, record, min(best.eps(), upper))
+        threshold = min(best.eps(), upper)
+        # Without a lower bound, -inf decides nothing: the DP runs.
+        lower = -math.inf if lower_bound is None else lower_bound(query, record)
+        if lower > threshold:
+            dist = None
+            bound_rejected += 1
+        elif lower == upper:
+            dist = upper
+            certified += 1
+        else:
+            dist = measure.distance_within(query, record, threshold)
         # None: provably worse than the k-th bound, so not a member.
         if dist is not None:
             best.offer(record.tid, dist)
@@ -366,7 +400,9 @@ def topk_search(
             return
         units_scanned += 1
         local.set_threshold(best.eps())
-        row_filter = LocalFilterRowFilter(local, decoder=store.record_decoder)
+        row_filter = LocalFilterRowFilter(
+            local, decoder=store.record_decoder, predicate=scan_predicate
+        )
         rows_before = store.metrics.rows_scanned
         candidates_before = candidates
 
@@ -433,6 +469,8 @@ def topk_search(
             empty_subtrees=empty_subtrees,
             candidates=candidates,
             refined=refined,
+            certified=certified,
+            bound_rejected=bound_rejected,
             rows_retrieved=retrieved,
         )
 

@@ -33,6 +33,15 @@ rows up that is one NumPy program over the anti-diagonals of all their
 lattices (:func:`_group_sq`), which computes every cell unclamped and
 compares only the final one with the limit: the same value the band
 gives, because clamping commutes with ``min`` and ``max``.
+
+Top-k refines one candidate at a time and first asks for a lower bound
+(:meth:`DiscreteFrechet.lower_bound`, :func:`_nearest_sq`): every
+coupling visits every row and every column of the lattice and both
+corner cells, so its cost is at least each row's and each column's
+cheapest cell and both corners.  The bound, the DP value and the greedy
+coupling's cost are all ``min`` / ``max`` selections of the same cell
+floats, so ``lower <= distance <= upper`` holds exactly, and where the
+two bounds meet they are the distance.
 """
 
 from __future__ import annotations
@@ -90,6 +99,49 @@ def _greedy_sq(a: PointSeq, b: PointSeq) -> float:
     """An upper bound on the squared discrete Fréchet distance: the
     largest squared distance along the greedy coupling."""
     return max(greedy_coupling(*coordinates(a, _NAME), *coordinates(b, _NAME)))
+
+
+def _nearest_sq(a: PointSeq, b: PointSeq) -> float:
+    """A lower bound on the squared discrete Fréchet distance: the
+    largest of the corner cells and of every row's and every column's
+    smallest cell (the two directed nearest-point distances), each cell
+    computed as the kernels compute it (``dx*dx + dy*dy``, ``dx = a_x -
+    b_x``).  Rows of the lattice go in blocks of at most
+    ``_GROUP_CELLS`` cells, so a long pair never holds its whole
+    matrix."""
+    ax, ay = coordinates(a, _NAME)
+    bx, by = coordinates(b, _NAME)
+    n, m = len(ax), len(bx)
+    dx = ax[0] - bx[0]
+    dy = ay[0] - by[0]
+    bound = dx * dx + dy * dy
+    dx = ax[-1] - bx[-1]
+    dy = ay[-1] - by[-1]
+    corner = dx * dx + dy * dy
+    if corner > bound:
+        bound = corner
+    qx = np.fromiter(ax, float, n)
+    qy = np.fromiter(ay, float, n)
+    rx = np.fromiter(bx, float, m)
+    ry = np.fromiter(by, float, m)
+    step = max(1, _GROUP_CELLS // m)
+    columns = None
+    for lo in range(0, n, step):
+        d = qx[lo : lo + step, None] - rx
+        d *= d
+        dy = qy[lo : lo + step, None] - ry
+        dy *= dy
+        d += dy
+        near = float(d.min(axis=1).max())
+        if near > bound:
+            bound = near
+        if columns is None:
+            columns = d.min(axis=0)
+        else:
+            np.minimum(columns, d.min(axis=0), out=columns)
+        del d, dy  # freed before the next block is allocated
+    near = float(columns.max())
+    return near if near > bound else bound
 
 
 def _banded_sq(a: PointSeq, b: PointSeq, limit: float) -> Optional[float]:
@@ -276,6 +328,12 @@ class DiscreteFrechet(Measure):
 
     def upper_bound(self, a: PointSeq, b: PointSeq) -> float:
         return math.sqrt(_greedy_sq(a, b))
+
+    def lower_bound(self, a: PointSeq, b: PointSeq) -> float:
+        """A value never above ``distance(a, b)`` in the floats, from
+        one NumPy pass over the lattice's cells (:func:`_nearest_sq`).
+        Where it equals :meth:`upper_bound` it is the distance."""
+        return math.sqrt(_nearest_sq(a, b))
 
     def within(self, a: PointSeq, b: PointSeq, eps: float) -> bool:
         return discrete_frechet_within(a, b, eps)

@@ -132,11 +132,14 @@ def test_topk_equals_brute_force(tdrive_store, name, k):
 
 def test_scan_callback_runs_no_measure(tdrive_store):
     """Refinement is on the queue: no measure kernel runs inside a
-    range's scan callback, and most survivors are never refined."""
+    range's scan callback, neither the DP nor Fréchet's pop-time lower
+    bound; most survivors are never popped, and a pop the bounds
+    certify or reject runs no DP."""
     engine, data = tdrive_store
     executor, measure = engine.store.executor, engine.measure
     inside = []
     refined = []
+    popped = []
 
     def execute(ranges, fn, **kwargs):
         def callback(scan_range):
@@ -153,8 +156,14 @@ def test_scan_callback_runs_no_measure(tdrive_store):
         refined.append(1)
         return type(measure).distance_within(measure, *args)
 
+    def lower_bound(*args):
+        assert not inside, "a lower bound ran inside the scan callback"
+        popped.append(1)
+        return type(measure).lower_bound(measure, *args)
+
     executor.execute = execute
     measure.distance_within = distance_within
+    measure.lower_bound = lower_bound
     try:
         received = sum(
             engine.topk_search(query, 10).candidates for query in data[:10]
@@ -162,7 +171,9 @@ def test_scan_callback_runs_no_measure(tdrive_store):
     finally:
         del executor.execute
         del measure.distance_within
-    assert 0 < len(refined) < received
+        del measure.lower_bound
+    assert 0 < len(popped) < received
+    assert 0 < len(refined) < len(popped)
 
 
 # ----------------------------------------------------------------------
